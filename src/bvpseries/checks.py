@@ -10,7 +10,8 @@ so failures show how far off the measurement was. Three limit regimes appear:
 * Discretization diagnostics (ODE residuals, derivative consistency,
   Wronskian constancy, oracle agreement) shrink like h^2; their limits are
   scale-aware O(h^2) envelopes, with empirically calibrated constants and a
-  tolerance term covering series truncation.
+  tolerance term covering series truncation. The ODE residual divides by
+  h^2 and so also gets a derived rounding floor that grows like 1/h^2.
 """
 
 from __future__ import annotations
@@ -29,6 +30,11 @@ RESIDUAL_CONST = 100.0
 CONSISTENCY_CONST = 50.0
 WRONSKIAN_CONST = 50.0
 ORACLE_CONST = 200.0
+
+UNIT_ROUNDOFF = float(np.finfo(float).eps) / 2.0
+# Second difference of the rounding one pass of series_core._apply_B_values
+# leaves, in units of UNIT_ROUNDOFF * x1^2 * sup|w|; see _rounding_floor.
+B_ROUNDING_CONST = 20.0
 
 
 @dataclass(frozen=True)
@@ -61,8 +67,9 @@ def bound_checks(sol: SeriesSolution) -> list[Check]:
 
     For each series the k-th term is bounded by 2*||seed||*q^k; the
     homogeneous iterates obey the sharper ||B^k t|| <= q^k*x1 and
-    ||B^k 1|| <= 2*q^k; and with c = sup|a|*x1^2 the limits obey
-    sup|I1| <= 2/(2-c), sup|I2| <= (2+c)/(2-c), sup|F| <= ||g||*(2+c)/(2-c).
+    ||B^k 1|| <= 2*q^k; and with c = sup|a|*x1^2 = 2q the limits obey
+    sup|I1| <= x1/(1-q) = 2*x1/(2-c) (the sum of the iterate bounds),
+    sup|I2| <= (2+c)/(2-c), sup|F| <= ||g||*(2+c)/(2-c).
     Values reported are worst-case excesses over the bound (negative means
     margin); the limit is the rounding slack.
     """
@@ -90,7 +97,7 @@ def bound_checks(sol: SeriesSolution) -> list[Check]:
         BOUND_SLACK,
     ))
     checks.append(_check(
-        "sup_bound:I1", sup_norm(sol.I1) - 2.0 / (2.0 - c), BOUND_SLACK))
+        "sup_bound:I1", sup_norm(sol.I1) - 2.0 * x1 / (2.0 - c), BOUND_SLACK))
     checks.append(_check(
         "sup_bound:I2", sup_norm(sol.I2) - (2.0 + c) / (2.0 - c), BOUND_SLACK))
     checks.append(_check(
@@ -117,13 +124,45 @@ def _tol_term(sol: SeriesSolution) -> float:
     return 10.0 * (1.0 + sol.certificate.a_sup) * worst_tail
 
 
+def _rounding_floor(sol: SeriesSolution, name: str) -> float:
+    """Bound on the rounding in the second difference of a summed series, / h^2.
+
+    A node error that varies smoothly from node to node (everything B
+    carries forward from an earlier term) leaves a second difference of
+    order h^2 times itself; only rounding that changes from node to node is
+    amplified by 1/h^2. To first order in the unit roundoff u, with
+    s_k = term_sups[name][k] and m + 1 summed terms, that rounding is:
+
+    * the stencil fl(u[i-1] - 2 u[i] + u[i+1]): at most 2u times
+      |u[i-1]| + 2|u[i]| + |u[i+1]| <= 4 sup|S| (recursive summation,
+      Higham (4.4)), so 8u sum_k s_k; plus 4u s_0 for the seed's own node
+      rounding;
+    * each pass of B on w = a t_{k-1}: the prefix-sum errors are random
+      walks whose steps are one rounding each, so their second differences
+      are at most 2u times the partial sums, and the pointwise products and
+      sums after them add at most 4u times their size. Term by term this is
+      below 20 u x1^2 sup|w| (B_ROUNDING_CONST), and sup|w| <= sup|a| s_{k-1};
+    * each addition total += t_k: at most u |S_k| <= u sum_{j<=k} s_j per
+      node, so 4u times that in the second difference;
+    * for F, the pass of B that builds the seed g from f: 20 u x1^2 sup|f|.
+    """
+    grid = sol.grid
+    sups = np.asarray(sol.term_sups[name])
+    x1_sq = grid.x1 * grid.x1
+    stencil = 8.0 * sups.sum() + 4.0 * sups[0]
+    passes = B_ROUNDING_CONST * x1_sq * sol.certificate.a_sup * sups[:-1].sum()
+    additions = 4.0 * np.cumsum(sups)[1:].sum()
+    seed = B_ROUNDING_CONST * x1_sq * sup_norm(sol.f) if name == "F" else 0.0
+    return UNIT_ROUNDOFF * (stencil + passes + additions + seed) / (grid.h * grid.h)
+
+
 def residual_checks(sol: SeriesSolution) -> list[Check]:
     """Interior-node second-difference residuals of the three limits.
 
     I1 and I2 solve the homogeneous equation, F the forced one; the central
     second difference of each should cancel a*u (minus f for F) to O(h^2).
     Endpoints carry no stencil; their behaviour is covered by the boundary
-    checks instead.
+    checks instead. The limit adds the rounding floor of _rounding_floor.
     """
     grid = sol.grid
     h = grid.h
@@ -141,7 +180,7 @@ def residual_checks(sol: SeriesSolution) -> list[Check]:
         checks.append(_check(
             f"ode_residual:{name}",
             float(np.max(np.abs(r))),
-            RESIDUAL_CONST * h * h * scale + extra,
+            RESIDUAL_CONST * h * h * scale + extra + _rounding_floor(sol, name),
         ))
     return checks
 

@@ -177,6 +177,7 @@ def _common_payload(config: RunConfig, sol: SeriesSolution) -> dict:
         "tol": float(config.tol),
         "q": sol.certificate.q,
         "terms": {name: sol.terms_used[name] for name in ("I1", "I2", "F")},
+        "terms_apriori": {name: sol.terms_apriori[name] for name in ("I1", "I2", "F")},
         "tails": {name: sol.tail_bound[name] for name in ("I1", "I2", "F")},
         "i2_at_x1": sol.i2_at_x1,
     }

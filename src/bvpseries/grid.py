@@ -23,6 +23,12 @@ import numpy as np
 from .errors import EvalError, GridMismatch, InvalidDomain, TableDomainError
 from .expr import Expr, eval_expr, parse_expr
 
+# Largest interval count a grid accepts. A run's peak resident memory grows
+# by about 1.8 KiB per node at worst (116 MiB at n = 65536 for fundamental
+# with JSON output, the largest payload), so 2**20 intervals stay within a
+# 2 GiB budget. Larger n is refused before anything of size n is allocated.
+MAX_INTERVALS = 2**20
+
 
 @dataclass(frozen=True, eq=False)
 class Grid:
@@ -55,12 +61,17 @@ def make_grid(x1: float, n: int) -> Grid:
     Raises
     ------
     InvalidDomain
-        If x1 is not a positive finite real or n is not an integer >= 2.
+        If x1 is not a positive finite real or n is not an integer in
+        [2, MAX_INTERVALS].
     """
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
         raise InvalidDomain(f"interval count must be an integer, got {n!r}")
     if n < 2:
         raise InvalidDomain(f"interval count must be >= 2, got {n}")
+    if n > MAX_INTERVALS:
+        raise InvalidDomain(
+            f"interval count must be <= {MAX_INTERVALS} (memory budget), got {n}"
+        )
     x1 = float(x1)
     if not math.isfinite(x1) or x1 <= 0.0:
         raise InvalidDomain(f"right endpoint must be positive and finite, got {x1!r}")

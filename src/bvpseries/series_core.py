@@ -19,8 +19,17 @@ seeds t, 1, and g converges geometrically to
     F  = g + B g + B^2 g + ...   (particular, F(0) = 0, F'(x1) = 0)
 
 and u = c1*I1 + c2*I2 + F is the general solution. This module builds those
-series on a grid, certifies convergence up front, and truncates by the
-geometric tail bound 2 ||seed|| q^(m+1) / (1 - q).
+series on a grid, certifies convergence up front, and stops each sum at the
+first term t_m = B^m seed whose measured tail bound q ||t_m|| / (1 - q) meets
+the tolerance. The a-priori count, the smallest m with
+2 ||seed|| q^(m+1) / (1 - q) <= tol, is kept only as the term-cap pre-check
+and as the loop's upper limit.
+
+The measured bound is rigorous for the discrete operator B_h as well: the
+inner trapezoid of a constant is exact and the outer trapezoid integrates
+the linear envelope sup|a w| (x1 - y) exactly, so ||B_h w|| <= q ||w|| holds
+node by node and the omitted terms sum to at most
+sum_{k>m} q^(k-m) ||t_m|| = q ||t_m|| / (1 - q).
 
 Everything here is a pure function of immutable inputs; the three series may
 be summed concurrently.
@@ -173,11 +182,16 @@ def compute_g(f: SampledFn) -> SampledFn:
 
 def _certified_terms(seed_sup: float, q: float, tol: float,
                      max_terms: int) -> tuple[int, float]:
-    """Smallest term count whose geometric tail bound meets tol.
+    """Smallest term count whose a-priori geometric tail bound meets tol.
 
     Returns (terms, tail) where terms counts the partial sum's terms
     including the seed and tail = 2*seed_sup*q^terms/(1-q) bounds everything
     omitted.
+
+    Raises
+    ------
+    MaxTermsExceeded
+        If that count exceeds ``max_terms``.
     """
     if seed_sup == 0.0 or q == 0.0:
         return 1, 0.0
@@ -196,23 +210,33 @@ def _certified_terms(seed_sup: float, q: float, tol: float,
 
 def _sum_series(seed: SampledFn, a: SampledFn, cert: ContractionCertificate,
                 tol: float, max_terms: int):
-    """Partial sum of sum_k B^k seed with a certified tail, plus per-term sups."""
+    """Partial sum of sum_k B^k seed, stopped at its measured tail bound.
+
+    Adds t_m = B^m seed until q*||t_m||/(1-q) <= tol, at most the a-priori
+    count of terms. Returns the sum, the terms used, the a-priori count,
+    the tail bound, and the sup of every summed term.
+    """
     if not same_grid(seed.grid, a.grid):
         raise GridMismatch("seed and a must share a grid")
     _check_certificate(cert, a)
     if not (isinstance(tol, (int, float)) and math.isfinite(tol) and tol > 0):
         raise InvalidDomain(f"tolerance must be positive and finite, got {tol!r}")
-    terms, tail = _certified_terms(sup_norm(seed), cert.q, float(tol), max_terms)
+    q = cert.q
+    apriori, apriori_tail = _certified_terms(sup_norm(seed), q, float(tol), max_terms)
     grid = seed.grid
     a_values = a.values
     term = seed.values.copy()
     total = seed.values.copy()
     term_sups = [float(np.max(np.abs(term)))]
-    for _ in range(terms - 1):
+    tail = q * term_sups[0] / (1.0 - q)
+    while tail > tol and len(term_sups) < apriori:
         term = _apply_B_values(a_values * term, grid)
         total += term
         term_sups.append(float(np.max(np.abs(term))))
-    return SampledFn(grid, total), terms, tail, term_sups
+        tail = q * term_sups[-1] / (1.0 - q)
+    if tail > tol:  # only rounding can get here; the a-priori bound then holds
+        tail = apriori_tail
+    return SampledFn(grid, total), len(term_sups), apriori, tail, term_sups
 
 
 def sum_series(seed: SampledFn, a: SampledFn, cert: ContractionCertificate,
@@ -220,8 +244,11 @@ def sum_series(seed: SampledFn, a: SampledFn, cert: ContractionCertificate,
                max_terms: int = DEFAULT_MAX_TERMS) -> tuple[SampledFn, int, float]:
     """Sum the operator series sum_k B^k seed to a certified tolerance.
 
-    The truncation index is chosen a priori: m is the smallest index with
-    2 * ||seed|| * q^(m+1) / (1 - q) <= tol, the geometric remainder bound.
+    Terms t_k = B^k seed are added until the measured tail bound
+    q * ||t_m|| / (1 - q) meets tol, the Banach fixed-point a-posteriori
+    estimate. The a-priori count, the smallest m with
+    2 * ||seed|| * q^(m+1) / (1 - q) <= tol, only gates ``max_terms`` and
+    caps the loop, so the sum never runs longer than that count.
     Seeds t, 1, and g = compute_g(f) produce I1, I2, and F respectively.
 
     Returns
@@ -235,10 +262,10 @@ def sum_series(seed: SampledFn, a: SampledFn, cert: ContractionCertificate,
     GridMismatch, InvalidDomain
         If inputs are inconsistent with each other or the certificate.
     MaxTermsExceeded
-        If the certified term count exceeds ``max_terms``; q is too close
+        If the a-priori term count exceeds ``max_terms``; q is too close
         to 1 for the requested tolerance.
     """
-    total, terms, tail, _ = _sum_series(seed, a, cert, tol, max_terms)
+    total, terms, _, tail, _ = _sum_series(seed, a, cert, tol, max_terms)
     return total, terms, tail
 
 
@@ -301,6 +328,10 @@ class SeriesSolution:
         First derivatives; dI1(x1) = 1, dI2(x1) = 0, dF(x1) = 0 hold exactly.
     terms_used : dict
         Term count per series, keyed "I1", "I2", "F".
+    terms_apriori : dict
+        The a-priori count per series, 2*||seed||*q^terms/(1-q) <= tol; an
+        upper bound on ``terms_used`` and the figure the term cap is tested
+        against.
     tail_bound : dict
         Certified truncation bound per series; each <= the requested tol.
     certificate : ContractionCertificate
@@ -318,6 +349,7 @@ class SeriesSolution:
     dI2: SampledFn
     dF: SampledFn
     terms_used: dict
+    terms_apriori: dict
     tail_bound: dict
     certificate: ContractionCertificate
     a: SampledFn = field(repr=False)
@@ -351,11 +383,10 @@ def fundamental_system(a: SampledFn, f: SampledFn, cert: ContractionCertificate,
         "I2": SampledFn(grid, np.ones(grid.n + 1)),
         "F": compute_g(f),
     }
-    sums, terms_used, tail_bound, term_sups = {}, {}, {}, {}
+    sums, terms_used, terms_apriori, tail_bound, term_sups = {}, {}, {}, {}, {}
     for name, seed in seeds.items():
-        sums[name], terms_used[name], tail_bound[name], term_sups[name] = _sum_series(
-            seed, a, cert, tol, max_terms
-        )
+        (sums[name], terms_used[name], terms_apriori[name], tail_bound[name],
+         term_sups[name]) = _sum_series(seed, a, cert, tol, max_terms)
     return SeriesSolution(
         I1=sums["I1"],
         I2=sums["I2"],
@@ -364,6 +395,7 @@ def fundamental_system(a: SampledFn, f: SampledFn, cert: ContractionCertificate,
         dI2=derivative_of(sums["I2"], "one", a),
         dF=derivative_of(sums["F"], "g", a, f),
         terms_used=terms_used,
+        terms_apriori=terms_apriori,
         tail_bound=tail_bound,
         certificate=cert,
         a=a,

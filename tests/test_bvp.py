@@ -15,7 +15,7 @@ from bvpseries.bvp import (
 )
 from bvpseries.checks import boundary_checks, bound_checks, consistency_checks, residual_checks
 from bvpseries.errors import InvalidDomain, SingularI2
-from bvpseries.grid import SampledFn, make_grid
+from bvpseries.grid import CoefficientSpec, SampledFn, make_grid, sample, sup_norm
 from bvpseries.series_core import compute_g, contraction_ratio, fundamental_system
 
 
@@ -190,6 +190,33 @@ class TestCheckFunctions:
             assert check.passed, check.name
         for check in residual_checks(sol) + consistency_checks(sol):
             assert check.passed, (check.name, check.value, check.limit)
+
+    def test_sup_bound_scales_with_x1(self):
+        # x1 = 1.3 > 1: the bound is x1 / (1 - q); a 1.5x larger I1 breaks it
+        g = make_grid(1.3, 1024)
+        sol = fundamental_system(_const(g, 0.1), _const(g, 1.0),
+                                 contraction_ratio(0.1, 1.3))
+        check = {c.name: c for c in bound_checks(sol)}["sup_bound:I1"]
+        assert check.passed, (check.value, check.limit)
+        inflated = dataclasses.replace(sol, I1=SampledFn(g, 1.5 * sol.I1.values))
+        check = {c.name: c for c in bound_checks(inflated)}["sup_bound:I1"]
+        assert not check.passed
+
+    def test_residual_rounding_floor(self):
+        # at n = 65536 rounding dominates the second difference; the limit
+        # admits it, yet a node moved by a tenth of the series tolerance fails
+        g = make_grid(0.9, 65536)
+        a = sample(CoefficientSpec.expression("sin(x)"), g)
+        f = sample(CoefficientSpec.expression("exp(-x)"), g)
+        sol = fundamental_system(a, f, contraction_ratio(sup_norm(a), 0.9))
+        for check in residual_checks(sol):
+            assert check.passed, (check.name, check.value, check.limit)
+        for name in ("I1", "I2", "F"):
+            values = getattr(sol, name).values.copy()
+            values[40000] += 1e-11
+            corrupted = dataclasses.replace(sol, **{name: SampledFn(g, values)})
+            check = {c.name: c for c in residual_checks(corrupted)}[f"ode_residual:{name}"]
+            assert not check.passed, name
 
     def test_check_fields(self, suite_solutions):
         _, sol = suite_solutions[4]

@@ -11,6 +11,7 @@ import pytest
 from bvpseries import cli
 from bvpseries.bvp import SolveReport
 from bvpseries.errors import SingularI2
+from bvpseries.grid import MAX_INTERVALS
 
 
 def run_cli(*args, env=None):
@@ -83,6 +84,18 @@ class TestSolve:
         payload = json.loads(target.read_text())
         assert payload["n"] == 16
 
+    def test_stops_at_measured_tail(self, capsys):
+        # q = 0.99: the a-priori count assumes every term shrinks by q, the
+        # measured terms shrink by about 0.8
+        code, out, _ = run_main(capsys, "solve", "--a", "1.98", "--f", "1",
+                                "--x1", "1", "--n", "1024")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["terms_apriori"] == {"I1": 2819, "I2": 2819, "F": 2750}
+        assert all(t <= 130 for t in payload["terms"].values())
+        assert all(t <= 1e-10 for t in payload["tails"].values())
+        assert list(payload)[:6] == ["x1", "n", "tol", "q", "terms", "terms_apriori"]
+
     def test_table_coefficient(self, tmp_path, capsys):
         table = tmp_path / "a.csv"
         table.write_text("x,a\n0.0,1.0\n1.0,1.0\n")
@@ -116,6 +129,21 @@ class TestFundamental:
 
 
 class TestVerify:
+    def test_fine_grid_passes(self):
+        # the second difference at n = 65536 is dominated by rounding, which
+        # the ode_residual limit must admit
+        r = run_cli("verify", "--a", "sin(x)", "--f", "exp(-x)", "--x1", "0.9",
+                    "--n", "65536")
+        assert r.returncode == 0, r.stderr
+        assert json.loads(r.stdout)["passed"] is True
+
+    def test_long_interval_passes(self):
+        # x1 > 1: sup|I1| is bounded by x1 / (1 - q), not 1 / (1 - q)
+        r = run_cli("verify", "--a", "0.1", "--f", "1", "--x1", "1.3")
+        assert r.returncode == 0, r.stderr
+        checks = {c["name"]: c for c in json.loads(r.stdout)["checks"]}
+        assert checks["sup_bound:I1"]["passed"]
+
     def test_smooth_problem_passes(self):
         r = run_cli("verify", "--a", "sin(x)", "--f", "1", "--x1", "0.9",
                     "--n", "512", "--alpha", "1", "--beta", "-0.5")
@@ -154,6 +182,17 @@ class TestExitCodes:
         r = run_cli("solve", "--a", "1", "--f", "0", "--x1", "1",
                     env={"SOLVER_MAX_TERMS": "abc"})
         assert r.returncode == 4
+
+    def test_n_beyond_memory_budget(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("grid allocated for a refused n")
+
+        monkeypatch.setattr(np, "linspace", refuse)
+        code, out, err = run_main(capsys, "solve", "--a", "1", "--f", "0",
+                                  "--x1", "1", "--n", str(MAX_INTERVALS + 1))
+        assert code == 4
+        assert out == ""
+        assert "memory budget" in err
 
     def test_singular_solve(self, capsys, monkeypatch):
         report = SolveReport(u=None, du=None, c1=1.0, c2=1.0,

@@ -14,6 +14,7 @@ from bvpseries.errors import (
     TableDomainError,
 )
 from bvpseries.grid import (
+    MAX_INTERVALS,
     CoefficientSpec,
     SampledFn,
     cumulative_integral,
@@ -50,6 +51,17 @@ class TestMakeGrid:
     def test_bad_n(self, n):
         with pytest.raises(InvalidDomain):
             make_grid(1.0, n)
+
+    @pytest.mark.parametrize("n", [MAX_INTERVALS + 1, 10**15])
+    def test_n_beyond_memory_budget(self, n, monkeypatch):
+        # refused before the node array exists: building it fails the test
+        def refuse(*args, **kwargs):
+            raise AssertionError("make_grid allocated nodes for a refused n")
+
+        monkeypatch.setattr(np, "linspace", refuse)
+        with pytest.raises(InvalidDomain, match="memory budget"):
+            make_grid(1.0, n)
+        assert MAX_INTERVALS >= 65536
 
     def test_nodes_are_read_only(self):
         g = make_grid(1.0, 8)

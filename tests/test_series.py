@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bvpseries.errors import (
     ContractionViolation,
@@ -219,6 +221,37 @@ class TestSumSeries:
         cert = contraction_ratio(1.0, 1.0)
         with pytest.raises(InvalidDomain):
             sum_series(seed, _const(g, 1.0), cert, tol=0.0)
+
+
+class TestMeasuredTruncation:
+    @settings(max_examples=40, deadline=None)
+    @given(q=st.floats(min_value=0.0, max_value=0.99, exclude_min=True),
+           x1=st.floats(min_value=0.3, max_value=2.0),
+           shape=st.sampled_from(["const", "cos"]),
+           tol=st.sampled_from([1e-6, 1e-10]))
+    def test_against_apriori_partial_sum(self, q, x1, shape, tol):
+        # every seed, summed to the a-priori count, lies within the returned
+        # tail bound (+ tol for rounding) of the sum stopped by measurement
+        g = make_grid(x1, 64)
+        profile = np.ones(65) if shape == "const" else np.cos(3.0 * g.nodes)
+        a = SampledFn(g, 2.0 * q / (x1 * x1) * profile)
+        f = SampledFn(g, np.exp(-g.nodes))
+        sol = fundamental_system(a, f, contraction_ratio(sup_norm(a), x1), tol=tol)
+        seeds = {"I1": g.nodes.copy(), "I2": np.ones(65), "F": compute_g(f).values}
+        q = sol.certificate.q
+        for name, term in seeds.items():
+            assert sol.terms_used[name] <= sol.terms_apriori[name]
+            assert sol.tail_bound[name] <= tol
+            # stopped at the first term whose measured bound meets tol
+            sups = sol.term_sups[name]
+            assert q * sups[-1] / (1.0 - q) == sol.tail_bound[name]
+            assert all(q * s / (1.0 - q) > tol for s in sups[:-1])
+            reference = term.copy()
+            for _ in range(sol.terms_apriori[name] - 1):
+                term = apply_B(SampledFn(g, term), a).values
+                reference += term
+            gap = np.max(np.abs(getattr(sol, name).values - reference))
+            assert gap <= sol.tail_bound[name] + tol, name
 
 
 class TestDerivativeOf:
