@@ -11,7 +11,9 @@ so failures show how far off the measurement was. Three limit regimes appear:
   Wronskian constancy, oracle agreement) shrink like h^2; their limits are
   scale-aware O(h^2) envelopes, with empirically calibrated constants and a
   tolerance term covering series truncation. The ODE residual divides by
-  h^2 and so also gets a derived rounding floor that grows like 1/h^2.
+  h^2 and so also gets a derived rounding floor that grows like 1/h^2; the
+  derivative consistency check divides by h and gets one that grows like
+  1/h.
 """
 
 from __future__ import annotations
@@ -35,6 +37,9 @@ UNIT_ROUNDOFF = float(np.finfo(float).eps) / 2.0
 # Second difference of the rounding one pass of series_core._apply_B_values
 # leaves, in units of UNIT_ROUNDOFF * x1^2 * sup|w|; see _rounding_floor.
 B_ROUNDING_CONST = 20.0
+# Central first difference of that rounding, in units of
+# UNIT_ROUNDOFF * x1^2 * sup|w| / h; see _slope_rounding_floor.
+B_SLOPE_CONST = 7.0
 
 
 @dataclass(frozen=True)
@@ -156,6 +161,48 @@ def _rounding_floor(sol: SeriesSolution, name: str) -> float:
     return UNIT_ROUNDOFF * (stencil + passes + additions + seed) / (grid.h * grid.h)
 
 
+def _slope_rounding_floor(sol: SeriesSolution, name: str) -> float:
+    """Bound on the rounding in derivative - central difference, for a series.
+
+    The derivative is computed from the summed series S itself, so rounding
+    that B carries from one term into the next satisfies the derivative
+    identity and cancels; what remains is the rounding each step adds on
+    its own. A per-node error e contributes at most 2 max|e| / (2h) to the
+    central difference; the error of a prefix sum contributes its two steps
+    at i and i+1, over 2h, plus, where the prefix sum is subtracted from its
+    total, |E_n - E_{i-1}| <= n u x1 sup|w| = u x1^2 sup|w| / h. Keeping the
+    terms of order u/h (the others are O(u) and far below the h^2 envelope
+    at every admissible n), with s_k = term_sups[name][k], m + 1 summed
+    terms and w the integrand of a pass:
+
+    * the seed's own node rounding: u s_0 / h;
+    * each pass of B on w = a t_{k-1}, sup|w| <= sup|a| s_{k-1}: the two
+      prefix-sum walks give 0.5 and 1 (times x_i <= x1), the subtraction
+      from the total gives 1, and the four pointwise roundings (of
+      total - prefix times x_i, of that product, of the sum with the
+      weighted prefix, of the final add) give 1 + 1 + 1.5 + 0.5; in all
+      6.5, rounded up to B_SLOPE_CONST = 7, in units of u x1^2 sup|w| / h;
+    * each addition total += t_k: at most u |S_k| <= u sum_{j<=k} s_j per
+      node, so that over h;
+    * in derivative_of, the prefix sum of a S subtracted from its total:
+      u x1^2 sup|a| sum_k s_k / h;
+    * for F, the pass of B that builds the seed g from f and the prefix sum
+      of f in derivative_of: (7 + 1) u x1^2 sup|f| / h.
+
+    The central difference's own two roundings are O(u |S'|) and dropped.
+    """
+    grid = sol.grid
+    sups = np.asarray(sol.term_sups[name])
+    x1_sq = grid.x1 * grid.x1
+    a_sup = sol.certificate.a_sup
+    seed = sups[0]
+    passes = B_SLOPE_CONST * x1_sq * a_sup * sups[:-1].sum()
+    additions = np.cumsum(sups)[1:].sum()
+    derivative = x1_sq * a_sup * sups.sum()
+    forcing = (B_SLOPE_CONST + 1.0) * x1_sq * sup_norm(sol.f) if name == "F" else 0.0
+    return UNIT_ROUNDOFF * (seed + passes + additions + derivative + forcing) / grid.h
+
+
 def residual_checks(sol: SeriesSolution) -> list[Check]:
     """Interior-node second-difference residuals of the three limits.
 
@@ -186,7 +233,10 @@ def residual_checks(sol: SeriesSolution) -> list[Check]:
 
 
 def consistency_checks(sol: SeriesSolution) -> list[Check]:
-    """Central differences of each limit against its integral-form derivative."""
+    """Central differences of each limit against its integral-form derivative.
+
+    The limit adds the rounding floor of _slope_rounding_floor.
+    """
     grid = sol.grid
     h = grid.h
     a_sup = sol.certificate.a_sup
@@ -202,7 +252,7 @@ def consistency_checks(sol: SeriesSolution) -> list[Check]:
         checks.append(_check(
             f"derivative_consistency:{name}",
             dev,
-            CONSISTENCY_CONST * h * h * scale + extra,
+            CONSISTENCY_CONST * h * h * scale + extra + _slope_rounding_floor(sol, name),
         ))
     return checks
 

@@ -13,7 +13,9 @@ literals with an optional exponent. ``^`` is right-associative and binds
 tighter than unary minus; whitespace is insignificant.
 
 Parsed trees are immutable and evaluation is pure, so a single Expr can be
-evaluated concurrently from many threads.
+evaluated concurrently from many threads. ``eval_array`` evaluates a tree
+over an array of points and gives, bit for bit, what ``eval_expr`` gives at
+each of them.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import EvalError, ParseError, UnknownFunction
 
@@ -35,6 +39,16 @@ _FUNC_IMPL = {
     "abs": abs,
     "tanh": math.tanh,
 }
+
+# Operations whose numpy ufunc rounds exactly as the Python float operation
+# does (IEEE-754 requires correct rounding for them). The other functions and
+# ^ go through the math module point by point: numpy's exp, tanh, log and
+# power differ from libm in the last bit at some points.
+_ARRAY_UNARY = {"neg": np.negative, "abs": np.abs, "sqrt": np.sqrt}
+_ARRAY_BINARY = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}
+
+# Points per block in eval_array; keeps each temporary at 32 KiB.
+EVAL_BLOCK = 4096
 
 _MAX_DEPTH = 100
 
@@ -281,6 +295,65 @@ def eval_expr(e: Expr, x: float) -> float:
     if not math.isfinite(value):
         raise EvalError(f"non-finite intermediate value {value!r} at x = {x!r}")
     return value
+
+
+class _NonFinite(Exception):
+    """A block left the finite reals; eval_expr names where."""
+
+
+def _pointwise(fn, *args: np.ndarray) -> np.ndarray:
+    """Apply a scalar math function to each point, as eval_expr does."""
+    return np.fromiter(map(fn, *(arg.tolist() for arg in args)), float, len(args[0]))
+
+
+def _eval_block(e: Expr, xs: np.ndarray) -> np.ndarray:
+    if isinstance(e, Const):
+        value = np.full(len(xs), e.value)
+    elif isinstance(e, Var):
+        value = xs
+    elif isinstance(e, Unary):
+        arg = _eval_block(e.arg, xs)
+        if e.op in _ARRAY_UNARY:
+            value = _ARRAY_UNARY[e.op](arg)
+        else:
+            value = _pointwise(_FUNC_IMPL[e.op], arg)
+    elif isinstance(e, Binary):
+        lhs = _eval_block(e.lhs, xs)
+        rhs = _eval_block(e.rhs, xs)
+        if e.op == "^":
+            value = _pointwise(math.pow, lhs, rhs)
+        else:
+            value = _ARRAY_BINARY[e.op](lhs, rhs)
+    else:
+        raise TypeError(f"not an Expr node: {e!r}")
+    if not np.isfinite(value).all():
+        raise _NonFinite
+    return value
+
+
+def eval_array(e: Expr, xs) -> np.ndarray:
+    """Evaluate an expression tree at every point of a 1-D array.
+
+    The tree is walked once per block of EVAL_BLOCK points. Each value is
+    bit-identical to ``eval_expr(e, x)`` at the same point.
+
+    Raises
+    ------
+    EvalError
+        The error ``eval_expr`` raises at the first point where evaluation
+        fails: a block that leaves the finite reals, or whose math call
+        raises, is walked again point by point with ``eval_expr``.
+    """
+    xs = np.asarray(xs, dtype=float)
+    out = np.empty(len(xs))
+    with np.errstate(all="ignore"):
+        for start in range(0, len(xs), EVAL_BLOCK):
+            block = xs[start:start + EVAL_BLOCK]
+            try:
+                out[start:start + len(block)] = _eval_block(e, block)
+            except (_NonFinite, ValueError, OverflowError):
+                out[start:start + len(block)] = [eval_expr(e, x) for x in block.tolist()]
+    return out
 
 
 _LEVEL_ADD = 1

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EvalError, GridMismatch, InvalidDomain, TableDomainError
-from .expr import Expr, eval_expr, parse_expr
+from .expr import Expr, eval_array, eval_expr, parse_expr
 
 # Largest interval count a grid accepts. A run's peak resident memory grows
 # by about 1.8 KiB per node at worst (116 MiB at n = 65536 for fundamental
@@ -200,37 +200,57 @@ class CoefficientSpec:
                     f"table spans [{xs[0]}, {xs[-1]}] but must cover [0, {x1}]"
                 )
 
-    def evaluate(self, x: float) -> float:
-        """Value at a single point (linear interpolation for tables)."""
+    def evaluate(self, x):
+        """Value at a point, or values at every point of a 1-D ndarray.
+
+        Tables are interpolated linearly. An expression evaluated over an
+        ndarray gives, bit for bit, its values at each point as a float
+        (``expr.eval_array``).
+
+        Raises
+        ------
+        EvalError
+            If the expression leaves the finite reals at (one of) the points.
+        TableDomainError
+            If a point lies outside the table span.
+        """
+        array = isinstance(x, np.ndarray)
         if self._expr is not None:
-            return eval_expr(self._expr, x)
+            return eval_array(self._expr, x) if array else eval_expr(self._expr, x)
         xs, values = self._table
-        if x < xs[0] or x > xs[-1]:
-            raise TableDomainError(f"x = {x} outside table span [{xs[0]}, {xs[-1]}]")
-        return float(np.interp(x, xs, values))
+        outside = (x < xs[0]) | (x > xs[-1])
+        if np.any(outside):
+            first = x[outside][0] if array else x
+            raise TableDomainError(f"x = {first} outside table span [{xs[0]}, {xs[-1]}]")
+        return np.interp(x, xs, values) if array else float(np.interp(x, xs, values))
 
 
 def sample(spec: CoefficientSpec, grid: Grid) -> SampledFn:
     """Discretize a coefficient spec onto grid nodes.
 
     Tabulated specs are linearly interpolated onto the nodes; expression
-    specs are evaluated exactly at each node.
+    specs are evaluated over the whole node array at once, each node value
+    bit-identical to the scalar evaluation at that node.
 
     Raises
     ------
     EvalError
-        Propagated from expression evaluation, tagged with the node location.
+        Propagated from expression evaluation, tagged with the first node
+        where it fails.
     TableDomainError
         If a table does not span [0, x1].
     """
     spec.check_span(grid.x1)
     if spec.is_expression:
-        values = np.empty(grid.n + 1)
-        for i, x in enumerate(grid.nodes):
-            try:
-                values[i] = spec.evaluate(float(x))
-            except EvalError as exc:
-                raise EvalError(f"{spec.source!r} at x = {x}: {exc}") from exc
+        try:
+            values = spec.evaluate(grid.nodes)
+        except EvalError:
+            for x in grid.nodes:  # name the first node that fails
+                try:
+                    spec.evaluate(float(x))
+                except EvalError as exc:
+                    raise EvalError(f"{spec.source!r} at x = {x}: {exc}") from exc
+            raise
         return SampledFn(grid, values)
     xs, table_values = spec._table
     return SampledFn(grid, np.interp(grid.nodes, xs, table_values))

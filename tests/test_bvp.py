@@ -218,6 +218,32 @@ class TestCheckFunctions:
             check = {c.name: c for c in residual_checks(corrupted)}[f"ode_residual:{name}"]
             assert not check.passed, name
 
+    def test_consistency_rounding_floor(self):
+        # at n = 2^20 rounding dominates the central difference; the limit
+        # admits it for this correct solution (q = 0.88)
+        g = make_grid(1.4, 2**20)
+        sol = fundamental_system(_const(g, 0.9), _const(g, 1.0),
+                                 contraction_ratio(0.9, 1.4))
+        for check in consistency_checks(sol):
+            assert check.passed, (check.name, check.value, check.limit)
+
+    def test_consistency_floor_still_detects(self):
+        # small q, x1 and tol keep the whole limit below 1e-9 at n = 2^19,
+        # so a derivative moved by 1e-9 at one node, either way, fails
+        g = make_grid(0.5, 2**19)
+        sol = fundamental_system(_const(g, 0.1), _const(g, 1.0),
+                                 contraction_ratio(0.1, 0.5), tol=1e-13)
+        for check in consistency_checks(sol):
+            assert check.passed, (check.name, check.value, check.limit)
+        for name in ("dI1", "dF"):
+            for shift in (1e-9, -1e-9):
+                values = getattr(sol, name).values.copy()
+                values[300000] += shift
+                corrupted = dataclasses.replace(sol, **{name: SampledFn(g, values)})
+                check = {c.name: c for c in consistency_checks(corrupted)}[
+                    f"derivative_consistency:{name[1:]}"]
+                assert not check.passed, (name, shift, check.value, check.limit)
+
     def test_check_fields(self, suite_solutions):
         _, sol = suite_solutions[4]
         names = [c.name for c in bound_checks(sol)]

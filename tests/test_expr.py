@@ -2,11 +2,13 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bvpseries.expr import (
+    EVAL_BLOCK,
     FUNCTIONS,
     Binary,
     Const,
@@ -17,6 +19,7 @@ from bvpseries.expr import (
     to_text,
 )
 from bvpseries.errors import EvalError, ParseError, UnknownFunction
+from bvpseries.grid import CoefficientSpec, make_grid, sample
 
 
 class TestParseExamples:
@@ -243,3 +246,27 @@ class TestFuzz:
                 eval_expr(reparsed, x)
             return
         assert eval_expr(reparsed, x) == want
+
+    @given(_ast, st.sampled_from([2, 7, 100, EVAL_BLOCK + 3]), st.floats(0.1, 3.0))
+    @settings(max_examples=200, deadline=None)
+    def test_array_evaluation_is_bit_identical(self, tree, n, x1):
+        # whole-array evaluation gives the scalar walk's bits at every node,
+        # or sample fails with the scalar walk's message
+        spec = CoefficientSpec(tree, to_text(tree), None)
+        grid = make_grid(x1, n)
+        try:
+            want = np.array([eval_expr(tree, x) for x in grid.nodes.tolist()])
+        except EvalError:
+            for x in grid.nodes:
+                try:
+                    eval_expr(tree, float(x))
+                except EvalError as exc:
+                    message = f"{spec.source!r} at x = {x}: {exc}"
+                    break
+            with pytest.raises(EvalError) as info:
+                sample(spec, grid)
+            assert str(info.value) == message
+            return
+        got = spec.evaluate(grid.nodes)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert np.array_equal(sample(spec, grid).values.view(np.int64), want.view(np.int64))

@@ -141,6 +141,14 @@ class TestCoefficientSpec:
         t = CoefficientSpec.table([0.0, 2.0], [0.0, 4.0])
         assert t.evaluate(0.5) == 1.0
 
+    def test_evaluate_array(self):
+        t = CoefficientSpec.table([0.0, 2.0], [0.0, 4.0])
+        assert np.array_equal(t.evaluate(np.array([0.5, 1.5])), [1.0, 3.0])
+        with pytest.raises(TableDomainError, match=r"x = 2.5 outside table span \[0.0, 2.0\]"):
+            t.evaluate(np.array([0.5, 2.5, 3.0]))
+        with pytest.raises(TableDomainError, match=r"x = 3.0 outside"):
+            t.evaluate(3.0)
+
     def test_from_csv(self, tmp_path):
         p = tmp_path / "a.csv"
         p.write_text("x,value\n0.0,1.0\n0.5,2.0\n1.0,3.0\n")

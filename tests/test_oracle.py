@@ -4,11 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bvpseries.checks import ORACLE_CONST
 from bvpseries.errors import Diverged, GridMismatch, OracleSingular
-from bvpseries.grid import SampledFn, make_grid
-from bvpseries.oracle import compare, oracle_fundamental, rk4_ivp
+from bvpseries.grid import SampledFn, make_grid, sup_norm
+from bvpseries.oracle import SCAN_BLOCK, compare, oracle_fundamental, rk4_ivp
 from bvpseries.series_core import contraction_ratio, fundamental_system
+from rk4_loop import loop_fundamental, rk4_loop
 
 
 def _const(grid, value):
@@ -81,7 +85,7 @@ class TestOracleFundamental:
         g = make_grid(0.9, 512)
         a = SampledFn(g, np.sin(g.nodes))
         f = SampledFn(g, np.cos(g.nodes))
-        oc = oracle_fundamental(a, f, a_eval=math.sin, f_eval=math.cos)
+        oc = oracle_fundamental(a, f, a_eval=np.sin, f_eval=np.cos)
         assert abs(oc.I1.values[0]) < 1e-10
         assert abs(oc.I2.values[0] - 1.0) < 1e-10
         assert abs(oc.F.values[0]) < 1e-10
@@ -98,7 +102,7 @@ class TestOracleFundamental:
             a = SampledFn(g, np.cos(g.nodes))
             f = _free(g)
             sol = fundamental_system(a, f, contraction_ratio(1.0, 0.8))
-            psi = rk4_ivp(a, f, 0.0, 1.0, a_eval=math.cos, f_eval=lambda x: 0.0)
+            psi = rk4_ivp(a, f, 0.0, 1.0, a_eval=np.cos, f_eval=lambda x: 0.0)
             gaps.append(abs(sol.i2_at_x1 * psi.du[-1] - 1.0))
         assert gaps[-1] < 1e-8
         # the defect is the series quadrature error, second order in h
@@ -132,3 +136,66 @@ class TestCompare:
         oc2 = oracle_fundamental(_free(make_grid(1.0, 128)), _free(make_grid(1.0, 128)))
         with pytest.raises(GridMismatch):
             compare(oc1, oc2)
+
+
+def _shaped(shape, scale):
+    """A coefficient callable that takes a float or an ndarray of points."""
+    if shape == "const":
+        return lambda x: scale
+    return lambda x: scale * np.cos(3.0 * x + 0.5)
+
+
+def _sampled(fn, grid):
+    return SampledFn(grid, np.broadcast_to(fn(grid.nodes), grid.nodes.shape))
+
+
+class TestScanAgainstLoop:
+    """The prefix scan against the step-by-step loop it replaced."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        q=st.floats(0.001, 0.99),
+        x1=st.floats(0.2, 2.0),
+        shape=st.sampled_from(["const", "cos"]),
+        n=st.sampled_from([2, 3, 17, 1000, SCAN_BLOCK - 1, SCAN_BLOCK, SCAN_BLOCK + 1,
+                           3 * SCAN_BLOCK + 5, 65536]),
+    )
+    def test_agrees_within_oracle_limit(self, q, x1, shape, n):
+        grid = make_grid(x1, n)
+        a_sup = 2.0 * q / (x1 * x1)
+        a_eval = _shaped(shape, a_sup)
+        f_eval = lambda x: 1.0 + 0.5 * np.sin(2.0 * x)  # noqa: E731
+        a, f = _sampled(a_eval, grid), _sampled(f_eval, grid)
+        scan = oracle_fundamental(a, f, a_eval=a_eval, f_eval=f_eval)
+        loop = loop_fundamental(a, f, a_eval=a_eval, f_eval=f_eval)
+        biggest = max(sup_norm(loop.I1), sup_norm(loop.I2), sup_norm(loop.F))
+        limit = ORACLE_CONST * grid.h ** 2 * (1.0 + a_sup) * (1.0 + biggest)
+        assert compare(scan, loop) <= 1e-3 * limit
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        log_k=st.floats(2.0, 7.0),
+        shape=st.sampled_from(["const", "cos"]),
+        n=st.integers(2, 300),
+        start=st.sampled_from([(1.0, 0.0), (0.0, 1.0), (0.3, -2.0)]),
+        forced=st.booleans(),
+    )
+    def test_diverges_at_the_same_node(self, log_k, shape, n, start, forced):
+        grid = make_grid(1.0, n)
+        a_eval = _shaped(shape, -(10.0 ** log_k))
+        f_eval = (lambda x: 1.0 + x) if forced else (lambda x: 0.0)
+        a, f = _sampled(a_eval, grid), _sampled(f_eval, grid)
+        outcomes = []
+        for integrate in (rk4_ivp, rk4_loop):
+            try:
+                outcomes.append(integrate(a, f, *start, a_eval=a_eval, f_eval=f_eval))
+            except Diverged as exc:
+                outcomes.append(str(exc))
+        scan, loop = outcomes
+        if isinstance(loop, str):
+            assert scan == loop
+        else:
+            assert not isinstance(scan, str), scan
+            # unstable steps amplify rounding, so scale by the largest |u| so far
+            scale = 1.0 + np.maximum.accumulate(np.abs(loop.u))
+            assert np.max(np.abs(scan.u - loop.u) / scale) < 1e-10
