@@ -23,7 +23,6 @@ from bvpseries import (
     general_solution,
     make_grid,
     oracle_fundamental,
-    residual_report,
     rk4_ivp,
     solve_problem_d,
     wronskian_check,

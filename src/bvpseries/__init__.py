@@ -7,21 +7,13 @@ cross-checked by an independent Runge-Kutta shooting oracle.
 """
 
 from .bvp import (
-    Diagnostics,
     ProblemD,
     SolveReport,
     general_solution,
-    residual_report,
     solve_problem_d,
     wronskian_check,
 )
-from .checks import (
-    Check,
-    bound_checks,
-    boundary_checks,
-    consistency_checks,
-    residual_checks,
-)
+from .checks import Check, verify
 from .errors import (
     ContractionViolation,
     Diverged,
@@ -29,7 +21,6 @@ from .errors import (
     GridMismatch,
     InvalidDomain,
     MaxTermsExceeded,
-    MissingForcing,
     OracleSingular,
     ParseError,
     SingularI2,
@@ -37,53 +28,22 @@ from .errors import (
     TableDomainError,
     UnknownFunction,
 )
-from .expr import Expr, eval_expr, parse_expr, to_text
-from .grid import (
-    CoefficientSpec,
-    Grid,
-    SampledFn,
-    cumulative_integral,
-    make_grid,
-    sample,
-    sup_norm,
-)
-from .oracle import (
-    IvpTrajectory,
-    OracleFundamental,
-    compare,
-    oracle_fundamental,
-    rk4_ivp,
-)
-from .series_core import (
-    ContractionCertificate,
-    SeriesSolution,
-    apply_B,
-    apply_B_reference,
-    compute_g,
-    contraction_ratio,
-    derivative_of,
-    fundamental_system,
-    sum_series,
-)
+from .expr import eval_expr, parse_expr, to_text
+from .grid import CoefficientSpec, SampledFn, make_grid, sample, sup_norm
+from .oracle import compare, oracle_fundamental, rk4_ivp
+from .series_core import SeriesSolution, apply_B, contraction_ratio, fundamental_system
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Check",
     "CoefficientSpec",
-    "ContractionCertificate",
     "ContractionViolation",
-    "Diagnostics",
     "Diverged",
     "EvalError",
-    "Expr",
-    "Grid",
     "GridMismatch",
     "InvalidDomain",
-    "IvpTrajectory",
     "MaxTermsExceeded",
-    "MissingForcing",
-    "OracleFundamental",
     "OracleSingular",
     "ParseError",
     "ProblemD",
@@ -95,28 +55,19 @@ __all__ = [
     "TableDomainError",
     "UnknownFunction",
     "apply_B",
-    "apply_B_reference",
-    "bound_checks",
-    "boundary_checks",
     "compare",
-    "compute_g",
-    "consistency_checks",
     "contraction_ratio",
-    "cumulative_integral",
-    "derivative_of",
     "eval_expr",
     "fundamental_system",
     "general_solution",
     "make_grid",
     "oracle_fundamental",
     "parse_expr",
-    "residual_checks",
-    "residual_report",
     "rk4_ivp",
     "sample",
     "solve_problem_d",
-    "sum_series",
     "sup_norm",
     "to_text",
+    "verify",
     "wronskian_check",
 ]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import Check, bound_checks
+from .checks import Check, bound_checks, ode_residual
 from .errors import GridMismatch, InvalidDomain, SingularI2
 from .grid import SampledFn, same_grid, sup_norm
 from .series_core import SeriesSolution, apply_B
@@ -34,19 +34,6 @@ class ProblemD:
         for name, value in (("alpha", self.alpha), ("beta", self.beta)):
             if not (isinstance(value, (int, float)) and math.isfinite(value)):
                 raise InvalidDomain(f"{name} must be a finite real, got {value!r}")
-
-
-@dataclass(frozen=True)
-class Diagnostics:
-    """Defect measures for an assembled solution.
-
-    residual_max is the largest interior-node second-difference residual of
-    the differential equation; fixedpoint_err the largest node defect in the
-    integral fixed-point form u = Bu + g + c1*x + c2.
-    """
-
-    residual_max: float
-    fixedpoint_err: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,29 +83,24 @@ def wronskian_check(sol: SeriesSolution):
     return SampledFn(sol.grid, w), dev
 
 
-def residual_report(u: SampledFn, du: SampledFn, a: SampledFn, f: SampledFn,
-                    c1: float, c2: float, g: SampledFn) -> Diagnostics:
+def residual_report(u: SampledFn, a: SampledFn, f: SampledFn,
+                    c1: float, c2: float, g: SampledFn) -> tuple[float, float]:
     """Measure how well an assembled solution satisfies the equation.
 
-    The derivative column is accepted to mirror the solve outputs but the
-    diagnostics need only u: the differential residual uses the central
-    second difference on interior nodes, and the fixed-point defect applies
-    the discrete operator B directly to u.
+    Returns
+    -------
+    (residual_max, fixedpoint_err) : float, float
+        The largest interior-node residual of the differential equation
+        (``checks.ode_residual``) and the largest node defect in the
+        integral fixed-point form u = Bu + g + c1*x + c2.
     """
-    for other in (du, a, f, g):
+    for other in (a, f, g):
         if not same_grid(u.grid, other.grid):
             raise GridMismatch("all inputs must share a grid")
     grid = u.grid
-    h = grid.h
-    uv = u.values
-    second = (uv[:-2] - 2.0 * uv[1:-1] + uv[2:]) / (h * h)
-    residual = second + a.values[1:-1] * uv[1:-1] - f.values[1:-1]
-    bu = apply_B(u, a)
-    defect = uv - bu.values - g.values - c1 * grid.nodes - c2
-    return Diagnostics(
-        residual_max=float(np.max(np.abs(residual))),
-        fixedpoint_err=float(np.max(np.abs(defect))),
-    )
+    defect = u.values - apply_B(u, a).values - g.values - c1 * grid.nodes - c2
+    return (ode_residual(u.values, a.values, f.values, grid.h),
+            float(np.max(np.abs(defect))))
 
 
 def solve_problem_d(sol: SeriesSolution, prob: ProblemD) -> SolveReport:
@@ -146,14 +128,13 @@ def solve_problem_d(sol: SeriesSolution, prob: ProblemD) -> SolveReport:
         )
         raise SingularI2(i2_at_x1, singular_tol, report=partial)
     u, du = general_solution(sol, c1, c2)
-    diag = residual_report(u, du, sol.a, sol.f, c1, c2, sol.g)
+    residual_max, fixedpoint_err = residual_report(u, sol.a, sol.f, c1, c2, sol.g)
     boundary_err = (
         abs(float(u.values[0]) - prob.alpha),
         abs(float(du.values[-1]) - prob.beta),
     )
     return SolveReport(
         u=u, du=du, c1=c1, c2=c2, boundary_err=boundary_err,
-        residual_max=diag.residual_max, wronskian_dev=wronskian_dev,
-        i2_at_x1=i2_at_x1, bound_checks=bchecks,
-        fixedpoint_err=diag.fixedpoint_err,
+        residual_max=residual_max, wronskian_dev=wronskian_dev,
+        i2_at_x1=i2_at_x1, bound_checks=bchecks, fixedpoint_err=fixedpoint_err,
     )

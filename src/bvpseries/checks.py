@@ -19,11 +19,15 @@ so failures show how far off the measurement was. Three limit regimes appear:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .grid import sup_norm
 from .series_core import SeriesSolution
+
+if TYPE_CHECKING:  # bvp imports this module
+    from .bvp import SolveReport
 
 BOUND_SLACK = 1e-12
 BOUNDARY_TOL = 1e-12
@@ -184,10 +188,10 @@ def _slope_rounding_floor(sol: SeriesSolution, name: str) -> float:
       6.5, rounded up to B_SLOPE_CONST = 7, in units of u x1^2 sup|w| / h;
     * each addition total += t_k: at most u |S_k| <= u sum_{j<=k} s_j per
       node, so that over h;
-    * in derivative_of, the prefix sum of a S subtracted from its total:
-      u x1^2 sup|a| sum_k s_k / h;
+    * in the derivative identity (series_core.fundamental_system), the
+      prefix sum of a S subtracted from its total: u x1^2 sup|a| sum_k s_k / h;
     * for F, the pass of B that builds the seed g from f and the prefix sum
-      of f in derivative_of: (7 + 1) u x1^2 sup|f| / h.
+      of f in the derivative identity: (7 + 1) u x1^2 sup|f| / h.
 
     The central difference's own two roundings are O(u |S'|) and dropped.
     """
@@ -203,6 +207,18 @@ def _slope_rounding_floor(sol: SeriesSolution, name: str) -> float:
     return UNIT_ROUNDOFF * (seed + passes + additions + derivative + forcing) / grid.h
 
 
+def ode_residual(u: np.ndarray, a: np.ndarray, f: np.ndarray | None, h: float) -> float:
+    """Largest interior-node residual of u'' + a u = f, with f None for 0.
+
+    u'' is the central second difference (u[i-1] - 2 u[i] + u[i+1]) / h^2;
+    the endpoints carry no stencil.
+    """
+    r = (u[:-2] - 2.0 * u[1:-1] + u[2:]) / (h * h) + a[1:-1] * u[1:-1]
+    if f is not None:
+        r = r - f[1:-1]
+    return float(np.max(np.abs(r)))
+
+
 def residual_checks(sol: SeriesSolution) -> list[Check]:
     """Interior-node second-difference residuals of the three limits.
 
@@ -211,22 +227,17 @@ def residual_checks(sol: SeriesSolution) -> list[Check]:
     Endpoints carry no stencil; their behaviour is covered by the boundary
     checks instead. The limit adds the rounding floor of _rounding_floor.
     """
-    grid = sol.grid
-    h = grid.h
+    h = sol.grid.h
     a = sol.a.values
     f = sol.f.values
     a_sup = sol.certificate.a_sup
     extra = _tol_term(sol)
     checks = []
     for name, fn, rhs in (("I1", sol.I1, None), ("I2", sol.I2, None), ("F", sol.F, f)):
-        u = fn.values
-        r = (u[:-2] - 2.0 * u[1:-1] + u[2:]) / (h * h) + a[1:-1] * u[1:-1]
-        if rhs is not None:
-            r = r - rhs[1:-1]
         scale = (1.0 + a_sup) ** 2 * (1.0 + sup_norm(fn)) + (0.0 if rhs is None else sup_norm(sol.f))
         checks.append(_check(
             f"ode_residual:{name}",
-            float(np.max(np.abs(r))),
+            ode_residual(fn.values, a, rhs, h),
             RESIDUAL_CONST * h * h * scale + extra + _rounding_floor(sol, name),
         ))
     return checks
@@ -278,3 +289,22 @@ def oracle_entry(max_rel_err: float, sol: SeriesSolution) -> Check:
     scale = (1.0 + sol.certificate.a_sup) * (1.0 + biggest)
     limit = ORACLE_CONST * h * h * scale + 10.0 * max(sol.tail_bound.values())
     return _check("oracle_agreement", max_rel_err, limit)
+
+
+def verify(sol: SeriesSolution, report: SolveReport, max_rel_err: float,
+           tol: float) -> tuple[Check, ...]:
+    """Every check of a solved two-point problem, in reporting order.
+
+    Bound checks (from the report), boundary, residual, consistency, then
+    the Wronskian (``report.wronskian_dev``), the fixed-point defect at
+    ``tol`` and the oracle agreement ``max_rel_err`` (``oracle.compare``).
+    """
+    return (
+        *report.bound_checks,
+        *boundary_checks(sol),
+        *residual_checks(sol),
+        *consistency_checks(sol),
+        wronskian_entry(sol, report.wronskian_dev),
+        fixed_point_entry(report.fixedpoint_err, tol, report.c2, report.c1),
+        oracle_entry(max_rel_err, sol),
+    )

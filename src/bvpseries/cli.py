@@ -16,15 +16,15 @@ import os
 import sys
 from dataclasses import dataclass
 
-from . import checks as checks_mod
-from .bvp import ProblemD, SolveReport, solve_problem_d, wronskian_check
+from .bvp import ProblemD, SolveReport, solve_problem_d
+from .bvp import wronskian_check  # unused here; bench/traced_op.py looks it up on cli
+from .checks import verify
 from .errors import (
     ContractionViolation,
     Diverged,
     EvalError,
     InvalidDomain,
     MaxTermsExceeded,
-    MissingForcing,
     OracleSingular,
     ParseError,
     SingularI2,
@@ -229,15 +229,7 @@ def _cmd_verify(config: RunConfig):
         a_eval=config.a_spec.evaluate, f_eval=config.f_spec.evaluate,
     )
     max_rel_err = compare(sol, oracle)
-    _, wronskian_dev = wronskian_check(sol)
-    all_checks = list(report.bound_checks)
-    all_checks += checks_mod.boundary_checks(sol)
-    all_checks += checks_mod.residual_checks(sol)
-    all_checks += checks_mod.consistency_checks(sol)
-    all_checks.append(checks_mod.wronskian_entry(sol, wronskian_dev))
-    all_checks.append(checks_mod.fixed_point_entry(
-        report.fixedpoint_err, config.tol, config.alpha, config.beta))
-    all_checks.append(checks_mod.oracle_entry(max_rel_err, sol))
+    all_checks = verify(sol, report, max_rel_err, config.tol)
     passed = all(c.passed for c in all_checks)
     payload = _common_payload(config, sol)
     payload.update({
@@ -319,8 +311,7 @@ def run(config: RunConfig) -> tuple[int, str | None]:
     except SingularI2 as exc:
         print(f"bvpseries: {exc}", file=sys.stderr)
         return EXIT_SINGULAR, None
-    except (ParseError, TableDomainError, InvalidDomain, EvalError,
-            MissingForcing, OSError) as exc:
+    except (ParseError, TableDomainError, InvalidDomain, EvalError, OSError) as exc:
         print(f"bvpseries: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT, None
     except (OracleSingular, Diverged) as exc:

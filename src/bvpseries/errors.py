@@ -67,20 +67,21 @@ class ContractionViolation(SolverError):
 
 
 class MaxTermsExceeded(SolverError):
-    """Certified tail cannot reach the tolerance within the term cap."""
+    """Measured tail still above the tolerance after the term cap was summed.
+
+    ``needed`` is the a-priori count, an upper bound on the terms the
+    measured stopping rule would have used.
+    """
 
     def __init__(self, needed: int, cap: int, q: float):
         self.needed = needed
         self.cap = cap
         self.q = q
         super().__init__(
-            f"series needs {needed} terms to certify the requested tolerance "
-            f"(cap {cap}, q = {q:.6g}); raise the cap or relax the tolerance"
+            f"series tail not certified within the term cap (cap {cap}, "
+            f"q = {q:.6g}; a-priori count {needed}); raise the cap or relax "
+            "the tolerance"
         )
-
-
-class MissingForcing(SolverError):
-    """Derivative of the particular solution requested without the forcing term."""
 
 
 class SingularI2(SolverError):

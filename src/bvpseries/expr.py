@@ -367,6 +367,8 @@ def _render(e: Expr) -> tuple[str, int]:
     if isinstance(e, Const):
         v = float(e.value)
         text = repr(int(v)) if v.is_integer() and abs(v) < 1e16 else repr(v)
+        if text == "0" and math.copysign(1.0, v) < 0.0:
+            text = "-0"  # int() drops the sign; "-0" parses to -(0) = -0.0
         return text, _LEVEL_NEG if text.startswith("-") else _LEVEL_ATOM
     if isinstance(e, Var):
         return "x", _LEVEL_ATOM

@@ -270,8 +270,3 @@ def prefix_trapz(values: np.ndarray, h: float) -> np.ndarray:
     out[0] = 0.0
     out[1:] = np.cumsum(h * (values[1:] + values[:-1]) / 2.0)
     return out
-
-
-def cumulative_integral(u: SampledFn) -> SampledFn:
-    """Antiderivative of u vanishing at 0, under trapezoid quadrature."""
-    return SampledFn(u.grid, prefix_trapz(u.values, u.grid.h))

@@ -22,8 +22,8 @@ and u = c1*I1 + c2*I2 + F is the general solution. This module builds those
 series on a grid, certifies convergence up front, and stops each sum at the
 first term t_m = B^m seed whose measured tail bound q ||t_m|| / (1 - q) meets
 the tolerance. The a-priori count, the smallest m with
-2 ||seed|| q^(m+1) / (1 - q) <= tol, is kept only as the term-cap pre-check
-and as the loop's upper limit.
+2 ||seed|| q^(m+1) / (1 - q) <= tol, is kept only as the loop's upper
+limit; the term cap is tested against the terms actually summed.
 
 The measured bound is rigorous for the discrete operator B_h as well: the
 inner trapezoid of a constant is exact and the outer trapezoid integrates
@@ -42,19 +42,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    ContractionViolation,
-    GridMismatch,
-    InvalidDomain,
-    MaxTermsExceeded,
-    MissingForcing,
-)
+from .errors import ContractionViolation, GridMismatch, InvalidDomain, MaxTermsExceeded
 from .grid import Grid, SampledFn, prefix_trapz, same_grid, sup_norm
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_TERMS = 10_000
-
-SERIES_NAMES = ("I1", "I2", "F")
 
 
 @dataclass(frozen=True)
@@ -136,8 +128,9 @@ def _apply_B_values(w: np.ndarray, grid: Grid) -> np.ndarray:
 def apply_B(u: SampledFn, a: SampledFn) -> SampledFn:
     """Apply the double-integral operator B to u, in O(n).
 
-    Node-wise identical (to rounding) to ``apply_B_reference``; the grid's
-    piecewise-linear quadrature is shared by both paths.
+    Node-wise identical (to rounding) to the direct O(n^2) nested-trapezoid
+    transcription of B; the grid's piecewise-linear quadrature is shared by
+    both.
 
     Raises
     ------
@@ -147,27 +140,6 @@ def apply_B(u: SampledFn, a: SampledFn) -> SampledFn:
     if not same_grid(u.grid, a.grid):
         raise GridMismatch("u and a must share a grid")
     return SampledFn(u.grid, _apply_B_values(a.values * u.values, u.grid))
-
-
-def apply_B_reference(u: SampledFn, a: SampledFn) -> SampledFn:
-    """Direct O(n^2) nested-trapezoid transcription of B, kept as an oracle.
-
-    Computes the inner integral G(y) = int_y^{x1} a*u separately for every
-    node, then the outer integral int_0^x G for every node, each with a
-    fresh trapezoid pass.
-    """
-    if not same_grid(u.grid, a.grid):
-        raise GridMismatch("u and a must share a grid")
-    grid = u.grid
-    w = a.values * u.values
-    m = grid.n + 1
-    inner = np.empty(m)
-    for j in range(m):
-        inner[j] = np.trapezoid(w[j:], dx=grid.h)
-    out = np.empty(m)
-    for i in range(m):
-        out[i] = np.trapezoid(inner[: i + 1], dx=grid.h)
-    return SampledFn(grid, out)
 
 
 def compute_g(f: SampledFn) -> SampledFn:
@@ -180,18 +152,12 @@ def compute_g(f: SampledFn) -> SampledFn:
     return SampledFn(f.grid, 0.0 - _apply_B_values(f.values, f.grid))
 
 
-def _certified_terms(seed_sup: float, q: float, tol: float,
-                     max_terms: int) -> tuple[int, float]:
+def _certified_terms(seed_sup: float, q: float, tol: float) -> tuple[int, float]:
     """Smallest term count whose a-priori geometric tail bound meets tol.
 
     Returns (terms, tail) where terms counts the partial sum's terms
     including the seed and tail = 2*seed_sup*q^terms/(1-q) bounds everything
     omitted.
-
-    Raises
-    ------
-    MaxTermsExceeded
-        If that count exceeds ``max_terms``.
     """
     if seed_sup == 0.0 or q == 0.0:
         return 1, 0.0
@@ -203,18 +169,34 @@ def _certified_terms(seed_sup: float, q: float, tol: float,
         while 2.0 * seed_sup * q ** (m + 1) / (1.0 - q) > tol:
             m += 1
     terms = m + 1
-    if terms > max_terms:
-        raise MaxTermsExceeded(terms, max_terms, q)
     return terms, 2.0 * seed_sup * q ** terms / (1.0 - q)
 
 
-def _sum_series(seed: SampledFn, a: SampledFn, cert: ContractionCertificate,
-                tol: float, max_terms: int):
-    """Partial sum of sum_k B^k seed, stopped at its measured tail bound.
+def sum_series(seed: SampledFn, a: SampledFn, cert: ContractionCertificate,
+               tol: float = DEFAULT_TOL, max_terms: int = DEFAULT_MAX_TERMS):
+    """Sum the operator series sum_k B^k seed to a certified tolerance.
 
-    Adds t_m = B^m seed until q*||t_m||/(1-q) <= tol, at most the a-priori
-    count of terms. Returns the sum, the terms used, the a-priori count,
-    the tail bound, and the sup of every summed term.
+    Terms t_m = B^m seed are added until the measured tail bound
+    q * ||t_m|| / (1 - q) meets tol, the Banach fixed-point a-posteriori
+    estimate. The a-priori count, the smallest m with
+    2 * ||seed|| * q^(m+1) / (1 - q) <= tol, caps the loop, so the sum never
+    runs longer than that count. Seeds t, 1, and g = compute_g(f) produce
+    I1, I2, and F respectively.
+
+    Returns
+    -------
+    (SampledFn, int, int, float, list)
+        The partial sum, the number of terms used (seed included), the
+        a-priori count, the certified tail bound (always <= tol), and the
+        sup of every summed term, seed first.
+
+    Raises
+    ------
+    GridMismatch, InvalidDomain
+        If inputs are inconsistent with each other or the certificate.
+    MaxTermsExceeded
+        If ``max_terms`` terms are summed and the measured tail bound still
+        exceeds tol; q is too close to 1 for the requested tolerance.
     """
     if not same_grid(seed.grid, a.grid):
         raise GridMismatch("seed and a must share a grid")
@@ -222,98 +204,24 @@ def _sum_series(seed: SampledFn, a: SampledFn, cert: ContractionCertificate,
     if not (isinstance(tol, (int, float)) and math.isfinite(tol) and tol > 0):
         raise InvalidDomain(f"tolerance must be positive and finite, got {tol!r}")
     q = cert.q
-    apriori, apriori_tail = _certified_terms(sup_norm(seed), q, float(tol), max_terms)
+    apriori, apriori_tail = _certified_terms(sup_norm(seed), q, float(tol))
+    limit = min(apriori, max_terms)
     grid = seed.grid
     a_values = a.values
     term = seed.values.copy()
     total = seed.values.copy()
     term_sups = [float(np.max(np.abs(term)))]
     tail = q * term_sups[0] / (1.0 - q)
-    while tail > tol and len(term_sups) < apriori:
+    while tail > tol and len(term_sups) < limit:
         term = _apply_B_values(a_values * term, grid)
         total += term
         term_sups.append(float(np.max(np.abs(term))))
         tail = q * term_sups[-1] / (1.0 - q)
-    if tail > tol:  # only rounding can get here; the a-priori bound then holds
-        tail = apriori_tail
+    if tail > tol:
+        if limit < apriori:
+            raise MaxTermsExceeded(apriori, max_terms, q)
+        tail = apriori_tail  # only rounding can get here; the a-priori bound holds
     return SampledFn(grid, total), len(term_sups), apriori, tail, term_sups
-
-
-def sum_series(seed: SampledFn, a: SampledFn, cert: ContractionCertificate,
-               tol: float = DEFAULT_TOL,
-               max_terms: int = DEFAULT_MAX_TERMS) -> tuple[SampledFn, int, float]:
-    """Sum the operator series sum_k B^k seed to a certified tolerance.
-
-    Terms t_k = B^k seed are added until the measured tail bound
-    q * ||t_m|| / (1 - q) meets tol, the Banach fixed-point a-posteriori
-    estimate. The a-priori count, the smallest m with
-    2 * ||seed|| * q^(m+1) / (1 - q) <= tol, only gates ``max_terms`` and
-    caps the loop, so the sum never runs longer than that count.
-    Seeds t, 1, and g = compute_g(f) produce I1, I2, and F respectively.
-
-    Returns
-    -------
-    (SampledFn, int, float)
-        The partial sum, the number of terms used (seed included), and the
-        certified tail bound (always <= tol).
-
-    Raises
-    ------
-    GridMismatch, InvalidDomain
-        If inputs are inconsistent with each other or the certificate.
-    MaxTermsExceeded
-        If the a-priori term count exceeds ``max_terms``; q is too close
-        to 1 for the requested tolerance.
-    """
-    total, terms, _, tail, _ = _sum_series(seed, a, cert, tol, max_terms)
-    return total, terms, tail
-
-
-SEED_KINDS = ("identity", "one", "g")
-
-
-def derivative_of(series_sum: SampledFn, seed_kind: str, a: SampledFn,
-                  f: SampledFn | None = None) -> SampledFn:
-    """First derivative of a converged series limit, from its integral form.
-
-    The limits obey
-        I1'(x) = 1 + int_x^{x1} a*I1,
-        I2'(x) =     int_x^{x1} a*I2,
-        F'(x)  = -int_x^{x1} f + int_x^{x1} a*F,
-    so each derivative costs one cumulative-integral pass, with the tail
-    integral taken as total minus prefix. At x1 every tail integral vanishes
-    identically, which pins I1'(x1) = 1, I2'(x1) = 0, F'(x1) = 0 exactly.
-
-    Parameters
-    ----------
-    series_sum : SampledFn
-        A converged I1, I2, or F.
-    seed_kind : {"identity", "one", "g"}
-        Which seed produced ``series_sum``.
-    a, f : SampledFn
-        Coefficient and forcing term; f is required exactly when
-        seed_kind == "g".
-
-    Raises
-    ------
-    GridMismatch, MissingForcing
-    """
-    if seed_kind not in SEED_KINDS:
-        raise ValueError(f"seed_kind must be one of {SEED_KINDS}, got {seed_kind!r}")
-    if not same_grid(series_sum.grid, a.grid):
-        raise GridMismatch("series and a must share a grid")
-    prefix = prefix_trapz(a.values * series_sum.values, series_sum.grid.h)
-    tail = prefix[-1] - prefix
-    if seed_kind == "identity":
-        return SampledFn(series_sum.grid, 1.0 + tail)
-    if seed_kind == "one":
-        return SampledFn(series_sum.grid, tail)
-    if f is None:
-        raise MissingForcing("the derivative of F needs the forcing term f")
-    if not same_grid(series_sum.grid, f.grid):
-        raise GridMismatch("series and f must share a grid")
-    f_prefix = prefix_trapz(f.values, series_sum.grid.h)
-    return SampledFn(series_sum.grid, tail - (f_prefix[-1] - f_prefix))
 
 
 @dataclass(frozen=True, eq=False)
@@ -330,8 +238,7 @@ class SeriesSolution:
         Term count per series, keyed "I1", "I2", "F".
     terms_apriori : dict
         The a-priori count per series, 2*||seed||*q^terms/(1-q) <= tol; an
-        upper bound on ``terms_used`` and the figure the term cap is tested
-        against.
+        upper bound on ``terms_used``.
     tail_bound : dict
         Certified truncation bound per series; each <= the requested tol.
     certificate : ContractionCertificate
@@ -371,6 +278,16 @@ def fundamental_system(a: SampledFn, f: SampledFn, cert: ContractionCertificate,
                        max_terms: int = DEFAULT_MAX_TERMS) -> SeriesSolution:
     """Sum all three series and their derivatives into a SeriesSolution.
 
+    The derivatives come from the integral forms of the limits,
+
+        I1'(x) = 1 + int_x^{x1} a*I1,
+        I2'(x) =     int_x^{x1} a*I2,
+        F'(x)  = -int_x^{x1} f + int_x^{x1} a*F,
+
+    each tail integral taken as the total minus the prefix of one trapezoid
+    pass. At x1 every tail integral vanishes identically, which pins
+    I1'(x1) = 1, I2'(x1) = 0, F'(x1) = 0 exactly.
+
     Raises
     ------
     GridMismatch, InvalidDomain, MaxTermsExceeded
@@ -378,6 +295,11 @@ def fundamental_system(a: SampledFn, f: SampledFn, cert: ContractionCertificate,
     if not same_grid(a.grid, f.grid):
         raise GridMismatch("a and f must share a grid")
     grid = a.grid
+
+    def tail_integral(values: np.ndarray) -> np.ndarray:
+        prefix = prefix_trapz(values, grid.h)
+        return prefix[-1] - prefix
+
     seeds = {
         "I1": SampledFn(grid, grid.nodes.copy()),
         "I2": SampledFn(grid, np.ones(grid.n + 1)),
@@ -386,14 +308,15 @@ def fundamental_system(a: SampledFn, f: SampledFn, cert: ContractionCertificate,
     sums, terms_used, terms_apriori, tail_bound, term_sups = {}, {}, {}, {}, {}
     for name, seed in seeds.items():
         (sums[name], terms_used[name], terms_apriori[name], tail_bound[name],
-         term_sups[name]) = _sum_series(seed, a, cert, tol, max_terms)
+         term_sups[name]) = sum_series(seed, a, cert, tol, max_terms)
     return SeriesSolution(
         I1=sums["I1"],
         I2=sums["I2"],
         F=sums["F"],
-        dI1=derivative_of(sums["I1"], "identity", a),
-        dI2=derivative_of(sums["I2"], "one", a),
-        dF=derivative_of(sums["F"], "g", a, f),
+        dI1=SampledFn(grid, 1.0 + tail_integral(a.values * sums["I1"].values)),
+        dI2=SampledFn(grid, tail_integral(a.values * sums["I2"].values)),
+        dF=SampledFn(grid, tail_integral(a.values * sums["F"].values)
+                     - tail_integral(f.values)),
         terms_used=terms_used,
         terms_apriori=terms_apriori,
         tail_bound=tail_bound,

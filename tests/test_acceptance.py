@@ -18,13 +18,9 @@ from bvpseries.checks import bound_checks, boundary_checks
 from bvpseries.errors import ContractionViolation, SingularI2
 from bvpseries.grid import CoefficientSpec, SampledFn, make_grid, sample, sup_norm
 from bvpseries.oracle import compare, oracle_fundamental
-from bvpseries.series_core import (
-    apply_B,
-    apply_B_reference,
-    contraction_ratio,
-    fundamental_system,
-)
+from bvpseries.series_core import apply_B, contraction_ratio, fundamental_system
 
+from b_reference import apply_B_reference
 from conftest import make_suite
 
 

@@ -178,6 +178,16 @@ class TestExitCodes:
         assert r.returncode == 2
         assert "cap 5" in r.stderr
 
+    def test_env_cap_counts_summed_terms(self):
+        # q = 0.99: the a-priori count is 2819, but the measured tail meets
+        # tol after about 128 terms, so a cap of 200 is enough
+        r = run_cli("solve", "--a", "1.98", "--f", "1", "--x1", "1", "--n", "64",
+                    env={"SOLVER_MAX_TERMS": "200"})
+        assert r.returncode == 0, r.stderr
+        payload = json.loads(r.stdout)
+        assert payload["terms_apriori"]["I1"] == 2819
+        assert all(t <= 200 for t in payload["terms"].values())
+
     def test_bad_env_cap(self):
         r = run_cli("solve", "--a", "1", "--f", "0", "--x1", "1",
                     env={"SOLVER_MAX_TERMS": "abc"})

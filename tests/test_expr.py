@@ -204,6 +204,14 @@ class TestPrinter:
         e = parse_expr("exp(-x^2/2) + sqrt(x + 4)")
         assert to_text(parse_expr(to_text(e))) == to_text(e)
 
+    def test_negative_zero_keeps_its_sign(self):
+        for tree in (Const(-0.0), Binary("*", Var(), Const(-0.0)),
+                     Binary("^", Const(-0.0), Const(3.0))):
+            want = eval_expr(tree, 0.5)
+            got = eval_expr(parse_expr(to_text(tree)), 0.5)
+            assert math.copysign(1.0, got) == math.copysign(1.0, want) == -1.0
+        assert math.copysign(1.0, eval_expr(parse_expr(to_text(Const(0.0))), 0.5)) == 1.0
+
 
 _const = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False,
                    allow_infinity=False).map(Const)

@@ -26,6 +26,10 @@ CASES = {
     "solve.csv": ["solve", *_SOLVE, "--format", "csv"],
     "fundamental.json": ["fundamental", *_FUNDAMENTAL],
     "fundamental.csv": ["fundamental", *_FUNDAMENTAL, "--format", "csv"],
+    "verify.json": ["verify", *_SOLVE],
+    "verify.csv": ["verify", *_SOLVE, "--format", "csv"],
+    "fundamental_neg0.json": ["fundamental", "--a", "-0", "--f", "1",
+                              "--x1", "1", "--n", "16"],
 }
 
 

@@ -17,8 +17,8 @@ from bvpseries.grid import (
     MAX_INTERVALS,
     CoefficientSpec,
     SampledFn,
-    cumulative_integral,
     make_grid,
+    prefix_trapz,
     sample,
     same_grid,
     sup_norm,
@@ -189,20 +189,22 @@ class TestSupNorm:
 
 
 class TestCumulativeIntegral:
+    """grid.prefix_trapz, the running trapezoid integral every integral uses."""
+
     def test_linear_integrand_exact(self):
         # the trapezoid rule integrates the piecewise-linear interpolant
         # exactly, so node values of int_0^x t dt match x^2/2 to rounding
         g = make_grid(2.0, 64)
         u = SampledFn(g, g.nodes.copy())
-        got = cumulative_integral(u)
-        assert np.max(np.abs(got.values - g.nodes ** 2 / 2.0)) < 1e-14
+        got = prefix_trapz(u.values, g.h)
+        assert np.max(np.abs(got - g.nodes ** 2 / 2.0)) < 1e-14
 
     def test_reference_summation(self):
         # same quadrature, independently accumulated with exact fsum
         rng = np.random.default_rng(7)
         g = make_grid(1.3, 97)
         u = SampledFn(g, rng.standard_normal(98))
-        got = cumulative_integral(u).values
+        got = prefix_trapz(u.values, g.h)
         for i in (0, 1, 17, 97):
             cells = [g.h * (u.values[j] + u.values[j + 1]) / 2.0 for j in range(i)]
             assert got[i] == pytest.approx(math.fsum(cells), rel=1e-13, abs=1e-15)
@@ -210,7 +212,7 @@ class TestCumulativeIntegral:
     def test_starts_at_zero(self):
         g = make_grid(1.0, 8)
         u = SampledFn(g, np.arange(9.0))
-        assert cumulative_integral(u).values[0] == 0.0
+        assert prefix_trapz(u.values, g.h)[0] == 0.0
 
     @given(st.floats(-5, 5), st.floats(-5, 5), st.integers(2, 200))
     @settings(max_examples=60, deadline=None)
@@ -219,8 +221,8 @@ class TestCumulativeIntegral:
         rng = np.random.default_rng(n)
         u = SampledFn(g, rng.standard_normal(n + 1))
         v = SampledFn(g, rng.standard_normal(n + 1))
-        lhs = cumulative_integral(s * u + t * v).values
-        rhs = s * cumulative_integral(u).values + t * cumulative_integral(v).values
+        lhs = prefix_trapz((s * u + t * v).values, g.h)
+        rhs = s * prefix_trapz(u.values, g.h) + t * prefix_trapz(v.values, g.h)
         assert np.max(np.abs(lhs - rhs)) < 1e-12 * (1.0 + abs(s) + abs(t))
 
     def test_second_order_convergence(self):
@@ -229,6 +231,6 @@ class TestCumulativeIntegral:
         for n in (64, 128, 256):
             g = make_grid(1.0, n)
             u = SampledFn(g, np.sin(g.nodes))
-            errs.append(abs(cumulative_integral(u).values[-1] - (1.0 - math.cos(1.0))))
+            errs.append(abs(prefix_trapz(u.values, g.h)[-1] - (1.0 - math.cos(1.0))))
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.05)
         assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.05)

@@ -12,18 +12,17 @@ from bvpseries.errors import (
     GridMismatch,
     InvalidDomain,
     MaxTermsExceeded,
-    MissingForcing,
 )
 from bvpseries.grid import SampledFn, make_grid, sample, sup_norm, CoefficientSpec
 from bvpseries.series_core import (
     apply_B,
-    apply_B_reference,
     compute_g,
     contraction_ratio,
-    derivative_of,
     fundamental_system,
     sum_series,
 )
+
+from b_reference import apply_B_reference
 
 
 def _const(grid, value):
@@ -163,7 +162,7 @@ class TestSumSeries:
         a = _const(g, 0.0)
         cert = contraction_ratio(0.0, 1.0)
         seed = SampledFn(g, g.nodes.copy())
-        total, terms, tail = sum_series(seed, a, cert)
+        total, terms, _, tail, _ = sum_series(seed, a, cert)
         assert np.array_equal(total.values, g.nodes)
         assert terms == 1
         assert tail == 0.0
@@ -174,8 +173,8 @@ class TestSumSeries:
         g = make_grid(1.0, 2048)
         a = _const(g, 1.0)
         cert = contraction_ratio(1.0, 1.0)
-        i1, _, _ = sum_series(SampledFn(g, g.nodes.copy()), a, cert)
-        i2, _, _ = sum_series(_const(g, 1.0), a, cert)
+        i1 = sum_series(SampledFn(g, g.nodes.copy()), a, cert)[0]
+        i2 = sum_series(_const(g, 1.0), a, cert)[0]
         assert abs(i1.values[-1] - math.tan(1.0)) < 1e-6
         assert abs(i2.values[-1] - 1.0 / math.cos(1.0)) < 1e-6
         want_i1 = np.sin(g.nodes) / math.cos(1.0)
@@ -189,8 +188,8 @@ class TestSumSeries:
         a = SampledFn(g, 1.5 * np.cos(g.nodes))
         cert = contraction_ratio(sup_norm(a), 0.9)
         seed = _const(g, 1.0)
-        coarse, _, tail_c = sum_series(seed, a, cert, tol=1e-6)
-        fine, _, tail_f = sum_series(seed, a, cert, tol=1e-12)
+        coarse, _, _, tail_c, _ = sum_series(seed, a, cert, tol=1e-6)
+        fine, _, _, tail_f, _ = sum_series(seed, a, cert, tol=1e-12)
         gap = np.max(np.abs(coarse.values - fine.values))
         assert gap <= tail_c + tail_f
         assert tail_c <= 1e-6
@@ -205,6 +204,23 @@ class TestSumSeries:
         assert info.value.cap == 100
         assert info.value.needed > 1000
         assert "0.99" in str(info.value)
+
+    def test_cap_counts_summed_terms(self):
+        # the cap refuses only a sum that reaches it before the measured
+        # tail meets tol, whatever the a-priori count
+        g = make_grid(1.0, 64)
+        a = _const(g, 1.98)
+        cert = contraction_ratio(1.98, 1.0)
+        seed = SampledFn(g, g.nodes.copy())
+        total, terms, apriori, tail, _ = sum_series(seed, a, cert)
+        assert terms < apriori
+        capped = sum_series(seed, a, cert, max_terms=terms)
+        assert np.array_equal(capped[0].values, total.values)
+        assert capped[1:4] == (terms, apriori, tail)
+        with pytest.raises(MaxTermsExceeded) as info:
+            sum_series(seed, a, cert, max_terms=terms - 1)
+        assert info.value.cap == terms - 1
+        assert f"cap {terms - 1}" in str(info.value)
 
     def test_certificate_mismatch(self):
         g = make_grid(1.0, 16)
@@ -258,31 +274,19 @@ class TestDerivativeOf:
     def test_forced_seed_zero_coefficient(self):
         # a = 0, f = 1: the forced sum is g itself and its derivative x - 1
         g = make_grid(1.0, 32)
-        f = _const(g, 1.0)
-        a = _const(g, 0.0)
-        d = derivative_of(compute_g(f), "g", a, f=f)
-        assert np.max(np.abs(d.values - (g.nodes - 1.0))) < 1e-15
+        sol = fundamental_system(_const(g, 0.0), _const(g, 1.0),
+                                 contraction_ratio(0.0, 1.0))
+        assert np.array_equal(sol.F.values, compute_g(_const(g, 1.0)).values)
+        assert np.max(np.abs(sol.dF.values - (g.nodes - 1.0))) < 1e-15
 
     def test_identity_seed_unit_coefficient(self):
         g = make_grid(1.0, 2048)
-        a = _const(g, 1.0)
-        cert = contraction_ratio(1.0, 1.0)
-        i1, _, _ = sum_series(SampledFn(g, g.nodes.copy()), a, cert)
-        d = derivative_of(i1, "identity", a)
+        sol = fundamental_system(_const(g, 1.0), _const(g, 0.0),
+                                 contraction_ratio(1.0, 1.0))
         # I1' = cos(x)/cos(1)
-        assert np.max(np.abs(d.values - np.cos(g.nodes) / math.cos(1.0))) < 1e-6
-        assert d.values[-1] == 1.0
-
-    def test_missing_forcing(self):
-        g = make_grid(1.0, 16)
-        a = _const(g, 0.0)
-        with pytest.raises(MissingForcing):
-            derivative_of(_const(g, 0.0), "g", a)
-
-    def test_unknown_seed_kind(self):
-        g = make_grid(1.0, 16)
-        with pytest.raises(ValueError):
-            derivative_of(_const(g, 0.0), "seed", _const(g, 0.0))
+        want = np.cos(g.nodes) / math.cos(1.0)
+        assert np.max(np.abs(sol.dI1.values - want)) < 1e-6
+        assert sol.dI1.values[-1] == 1.0
 
 
 class TestFundamentalSystem:
