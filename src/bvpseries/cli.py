@@ -14,9 +14,11 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass
 
-from .bvp import ProblemD, SolveReport, solve_problem_d
+import numpy as np
+
+from .bvp import ProblemD, solve_problem_d
 from .bvp import wronskian_check  # unused here; bench/traced_op.py looks it up on cli
 from .checks import verify
 from .errors import (
@@ -159,17 +161,6 @@ def _prepare(config: RunConfig):
     return sol
 
 
-def _float_list(values) -> list:
-    return [float(v) for v in values]
-
-
-def _check_dicts(check_list) -> list:
-    return [
-        {"name": c.name, "passed": c.passed, "value": c.value, "limit": c.limit}
-        for c in check_list
-    ]
-
-
 def _common_payload(config: RunConfig, sol: SeriesSolution) -> dict:
     return {
         "x1": float(config.x1),
@@ -183,42 +174,44 @@ def _common_payload(config: RunConfig, sol: SeriesSolution) -> dict:
     }
 
 
-def _solve_payload(config: RunConfig, sol: SeriesSolution, report: SolveReport) -> dict:
+def _cmd_solve(config: RunConfig):
+    sol = _prepare(config)
+    code, message = EXIT_OK, None
+    try:
+        report = solve_problem_d(sol, ProblemD(config.alpha, config.beta))
+    except SingularI2 as exc:
+        report, code, message = exc.report, EXIT_SINGULAR, str(exc)
+    u = None if report.u is None else report.u.values
+    du = None if report.du is None else report.du.values
     payload = _common_payload(config, sol)
     payload.update({
         "c1": float(report.c1),
         "c2": float(report.c2),
-        "nodes": _float_list(sol.grid.nodes),
-        "u": None if report.u is None else _float_list(report.u.values),
-        "du": None if report.du is None else _float_list(report.du.values),
+        "nodes": sol.grid.nodes,
+        "u": u,
+        "du": du,
         "report": {
             "boundary_err": None if report.boundary_err is None
-            else [float(report.boundary_err[0]), float(report.boundary_err[1])],
+            else list(report.boundary_err),
             "residual_max": report.residual_max,
             "fixedpoint_err": report.fixedpoint_err,
             "wronskian_dev": report.wronskian_dev,
-            "bound_checks": _check_dicts(report.bound_checks),
+            "bound_checks": [asdict(c) for c in report.bound_checks],
         },
     })
-    return payload
+    columns = () if u is None else (sol.grid.nodes, u, du)
+    return payload, ("x,u,du", columns), code, message
 
 
-def _cmd_solve(config: RunConfig):
-    sol = _prepare(config)
-    try:
-        report = solve_problem_d(sol, ProblemD(config.alpha, config.beta))
-    except SingularI2 as exc:
-        return _solve_payload(config, sol, exc.report), EXIT_SINGULAR, str(exc)
-    return _solve_payload(config, sol, report), EXIT_OK, None
+_FUNDAMENTAL = ("I1", "I2", "F", "dI1", "dI2", "dF")
 
 
 def _cmd_fundamental(config: RunConfig):
     sol = _prepare(config)
+    columns = [sol.grid.nodes, *(getattr(sol, name).values for name in _FUNDAMENTAL)]
     payload = _common_payload(config, sol)
-    payload["nodes"] = _float_list(sol.grid.nodes)
-    for name in ("I1", "I2", "F", "dI1", "dI2", "dF"):
-        payload[name] = _float_list(getattr(sol, name).values)
-    return payload, EXIT_OK, None
+    payload.update(zip(("nodes", *_FUNDAMENTAL), columns))
+    return payload, (",".join(("x", *_FUNDAMENTAL)), columns), EXIT_OK, None
 
 
 def _cmd_verify(config: RunConfig):
@@ -237,12 +230,13 @@ def _cmd_verify(config: RunConfig):
         "beta": float(config.beta),
         "max_rel_err": max_rel_err,
         "passed": passed,
-        "checks": _check_dicts(all_checks),
+        "checks": [asdict(c) for c in all_checks],
     })
+    table = ("name,passed,value,limit", list(zip(*map(astuple, all_checks))))
     if passed:
-        return payload, EXIT_OK, None
+        return payload, table, EXIT_OK, None
     failed = [c.name for c in all_checks if not c.passed]
-    return payload, EXIT_VERIFY_FAILED, (
+    return payload, table, EXIT_VERIFY_FAILED, (
         f"verification failed: {len(failed)} of {len(all_checks)} checks: "
         + ", ".join(failed)
     )
@@ -251,50 +245,30 @@ def _cmd_verify(config: RunConfig):
 _COMMANDS = {"solve": _cmd_solve, "fundamental": _cmd_fundamental, "verify": _cmd_verify}
 
 
-def _preamble_value(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def _render(payload: dict, table: tuple, output_format: str) -> str:
+    """Serialize a payload as JSON, or as CSV: '# key = value' lines for the
+    payload's scalars (nested objects flattened one level, arrays left out),
+    then the table's header and rows.
 
-
-def _csv_text(payload: dict, columns: list[str]) -> str:
-    """Render a payload as '#'-prefixed metadata plus a node table."""
+    ``table`` is a header line and its columns (ndarrays or sequences); each
+    row's cells are formatted as that row is joined, so no column of cell
+    strings is ever held whole.
+    """
+    if output_format == "json":
+        return json.dumps(payload, indent=2, allow_nan=False, default=np.ndarray.tolist) + "\n"
     lines = []
     for key, value in payload.items():
-        if key in columns or key == "checks":
-            continue
         if isinstance(value, dict):
-            for sub, subval in value.items():
-                if isinstance(subval, (list, dict)):
-                    continue
-                lines.append(f"# {key}_{sub} = {_preamble_value(subval)}")
-        elif isinstance(value, (int, float, bool)) or value is None:
-            lines.append(f"# {key} = {_preamble_value(value)}")
-    if "checks" in payload:
-        lines.append("name,passed,value,limit")
-        for c in payload["checks"]:
-            lines.append(f"{c['name']},{c['passed']},{c['value']!r},{c['limit']!r}")
-    else:
-        lines.append(",".join(columns))
-        series = [payload.get(col) for col in columns]
-        if all(s is not None for s in series):
-            for row in zip(*series):
-                lines.append(",".join(repr(v) for v in row))
+            lines += [f"# {key}_{sub} = {subval}" for sub, subval in value.items()
+                      if not isinstance(subval, list)]
+        elif isinstance(value, (int, float)):
+            lines.append(f"# {key} = {value}")
+    header, columns = table
+    lines.append(header)
+    cells = [map(str, col.tolist() if isinstance(col, np.ndarray) else col)
+             for col in columns]
+    lines += map(",".join, zip(*cells))
     return "\n".join(lines) + "\n"
-
-
-def _render(payload: dict, config: RunConfig) -> str:
-    if config.output_format == "json":
-        return json.dumps(payload, indent=2, allow_nan=False) + "\n"
-    if config.command == "solve":
-        table = dict(payload)
-        table["x"] = table.pop("nodes")
-        return _csv_text(table, ["x", "u", "du"])
-    if config.command == "fundamental":
-        table = dict(payload)
-        table["x"] = table.pop("nodes")
-        return _csv_text(table, ["x", "I1", "I2", "F", "dI1", "dI2", "dF"])
-    return _csv_text(payload, [])
 
 
 def run(config: RunConfig) -> tuple[int, str | None]:
@@ -304,7 +278,7 @@ def run(config: RunConfig) -> tuple[int, str | None]:
     precedes any result). Messages for non-zero codes go to stderr here.
     """
     try:
-        payload, code, message = _COMMANDS[config.command](config)
+        payload, table, code, message = _COMMANDS[config.command](config)
     except (ContractionViolation, MaxTermsExceeded) as exc:
         print(f"bvpseries: {exc}", file=sys.stderr)
         return EXIT_NOT_CONTRACTIVE, None
@@ -319,7 +293,7 @@ def run(config: RunConfig) -> tuple[int, str | None]:
         return EXIT_VERIFY_FAILED, None
     if message is not None:
         print(f"bvpseries: {message}", file=sys.stderr)
-    return code, _render(payload, config)
+    return code, _render(payload, table, config.output_format)
 
 
 def main(argv=None) -> int:

@@ -58,9 +58,6 @@ class Expr:
 
     __slots__ = ()
 
-    def __call__(self, x: float) -> float:
-        return eval_expr(self, x)
-
 
 @dataclass(frozen=True)
 class Const(Expr):

@@ -20,13 +20,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EvalError, GridMismatch, InvalidDomain, TableDomainError
+from .errors import EvalError, InvalidDomain, TableDomainError
 from .expr import Expr, eval_array, eval_expr, parse_expr
 
-# Largest interval count a grid accepts. A run's peak resident memory grows
-# by about 1.8 KiB per node at worst (116 MiB at n = 65536 for fundamental
-# with JSON output, the largest payload), so 2**20 intervals stay within a
-# 2 GiB budget. Larger n is refused before anything of size n is allocated.
+# Largest interval count a grid accepts. A run's peak resident memory is
+# about 30 MiB plus 0.9 KiB per node at worst (fundamental with JSON output,
+# the largest payload: 87.7 MiB at n = 65536 and 260 MiB at n = 2**18), so
+# 2**20 intervals need about 0.95 GiB and stay within a 2 GiB budget. Larger
+# n is refused before anything of size n is allocated.
 MAX_INTERVALS = 2**20
 
 
@@ -50,9 +51,6 @@ class Grid:
     n: int
     h: float
     nodes: np.ndarray = field(repr=False)
-
-    def __len__(self) -> int:
-        return self.n + 1
 
 
 def make_grid(x1: float, n: int) -> Grid:
@@ -88,9 +86,7 @@ def same_grid(g1: Grid, g2: Grid) -> bool:
 class SampledFn:
     """Real function represented by its values at grid nodes.
 
-    Between nodes the function is the piecewise-linear interpolant. Instances
-    are immutable; the arithmetic operators below return new instances, so
-    concurrent use is safe.
+    Between nodes the function is the piecewise-linear interpolant.
     """
 
     grid: Grid
@@ -105,32 +101,6 @@ class SampledFn:
         if not np.all(np.isfinite(values)):
             raise InvalidDomain("node values must all be finite")
         object.__setattr__(self, "values", values)
-
-    def _check(self, other: "SampledFn") -> None:
-        if not same_grid(self.grid, other.grid):
-            raise GridMismatch(
-                f"grids differ: [0, {self.grid.x1}] with n={self.grid.n} vs "
-                f"[0, {other.grid.x1}] with n={other.grid.n}"
-            )
-
-    def __add__(self, other: "SampledFn") -> "SampledFn":
-        self._check(other)
-        return SampledFn(self.grid, self.values + other.values)
-
-    def __sub__(self, other: "SampledFn") -> "SampledFn":
-        self._check(other)
-        return SampledFn(self.grid, self.values - other.values)
-
-    def __mul__(self, other):
-        if isinstance(other, SampledFn):
-            self._check(other)
-            return SampledFn(self.grid, self.values * other.values)
-        return SampledFn(self.grid, self.values * float(other))
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "SampledFn":
-        return SampledFn(self.grid, -self.values)
 
 
 class CoefficientSpec:
@@ -187,10 +157,6 @@ class CoefficientSpec:
             raise TableDomainError(f"{path}: need at least two data rows")
         return cls.table(xs, values)
 
-    @property
-    def is_expression(self) -> bool:
-        return self._expr is not None
-
     def check_span(self, x1: float) -> None:
         """Tables must cover [0, x1]; expressions are checked per point."""
         if self._table is not None:
@@ -241,19 +207,16 @@ def sample(spec: CoefficientSpec, grid: Grid) -> SampledFn:
         If a table does not span [0, x1].
     """
     spec.check_span(grid.x1)
-    if spec.is_expression:
-        try:
-            values = spec.evaluate(grid.nodes)
-        except EvalError:
-            for x in grid.nodes:  # name the first node that fails
-                try:
-                    spec.evaluate(float(x))
-                except EvalError as exc:
-                    raise EvalError(f"{spec.source!r} at x = {x}: {exc}") from exc
-            raise
-        return SampledFn(grid, values)
-    xs, table_values = spec._table
-    return SampledFn(grid, np.interp(grid.nodes, xs, table_values))
+    try:
+        values = spec.evaluate(grid.nodes)
+    except EvalError:
+        for x in grid.nodes:  # name the first node that fails
+            try:
+                spec.evaluate(float(x))
+            except EvalError as exc:
+                raise EvalError(f"{spec.source!r} at x = {x}: {exc}") from exc
+        raise
+    return SampledFn(grid, values)
 
 
 def sup_norm(u: SampledFn) -> float:

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from bvpseries.errors import (
     EvalError,
-    GridMismatch,
     InvalidDomain,
     TableDomainError,
 )
@@ -30,7 +29,6 @@ class TestMakeGrid:
         g = make_grid(1.0, 4)
         assert g.h == 0.25
         assert np.array_equal(g.nodes, [0.0, 0.25, 0.5, 0.75, 1.0])
-        assert len(g) == 5
 
     def test_endpoints_exact(self):
         g = make_grid(0.7301, 1024)
@@ -85,22 +83,6 @@ class TestSampledFn:
         with pytest.raises(InvalidDomain):
             SampledFn(g, np.array([0.0, 1.0, np.nan, 0.0, 0.0]))
 
-    def test_arithmetic(self):
-        g = make_grid(1.0, 4)
-        u = SampledFn(g, g.nodes.copy())
-        v = SampledFn(g, np.ones(5))
-        assert np.array_equal((u + v).values, g.nodes + 1.0)
-        assert np.array_equal((u - v).values, g.nodes - 1.0)
-        assert np.array_equal((2.0 * u).values, 2.0 * g.nodes)
-        assert np.array_equal((u * u).values, g.nodes ** 2)
-        assert np.array_equal((-u).values, -g.nodes)
-
-    def test_mismatched_grids_rejected(self):
-        u = SampledFn(make_grid(1.0, 4), np.ones(5))
-        v = SampledFn(make_grid(1.0, 8), np.ones(9))
-        with pytest.raises(GridMismatch):
-            u + v
-
 
 class TestCoefficientSpec:
     def test_expression_sampling(self):
@@ -118,6 +100,13 @@ class TestCoefficientSpec:
         g = make_grid(1.0, 2)
         t = CoefficientSpec.table([0.0, 1.0], [1.0, 3.0])
         assert np.array_equal(sample(t, g).values, [1.0, 2.0, 3.0])
+        # sampling goes through evaluate's np.interp, bit for bit
+        g = make_grid(1.3, 1000)
+        xs = 1.4 * np.linspace(0.0, 1.0, 37) ** 2
+        values = np.sin(7.0 * xs)
+        t = CoefficientSpec.table(xs, values)
+        assert np.array_equal(sample(t, g).values.view(np.int64),
+                              np.interp(g.nodes, xs, values).view(np.int64))
 
     def test_table_must_cover_domain(self):
         t = CoefficientSpec.table([0.0, 0.5], [1.0, 1.0])
@@ -221,7 +210,7 @@ class TestCumulativeIntegral:
         rng = np.random.default_rng(n)
         u = SampledFn(g, rng.standard_normal(n + 1))
         v = SampledFn(g, rng.standard_normal(n + 1))
-        lhs = prefix_trapz((s * u + t * v).values, g.h)
+        lhs = prefix_trapz(s * u.values + t * v.values, g.h)
         rhs = s * prefix_trapz(u.values, g.h) + t * prefix_trapz(v.values, g.h)
         assert np.max(np.abs(lhs - rhs)) < 1e-12 * (1.0 + abs(s) + abs(t))
 
