@@ -5,6 +5,15 @@ Exit codes: 0 success, 2 series not certified to converge (or term cap hit),
 messages go to standard error; machine output (JSON or CSV) to standard
 output or --out. Output is deterministic for a fixed configuration: floats
 are serialized with their shortest round-trip representation.
+
+The node table is formatted in whole column slices: a JSON array is the
+repr of the column's float list, a CSV table one %-format over its cells in
+row order; scalars and nested objects go through json.dumps. When the
+table's columns are float arrays, os.fork exists, the process may run on
+two or more CPUs and no other Python thread runs, the second half of the
+rows is formatted in a forked child that sends its text back through a
+pipe, while this process formats the first half; if the child fails, this
+process formats its half too. The bytes are the same on every path.
 """
 
 from __future__ import annotations
@@ -14,7 +23,9 @@ import json
 import math
 import os
 import sys
+import threading
 from dataclasses import asdict, astuple, dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -245,17 +256,98 @@ def _cmd_verify(config: RunConfig):
 _COMMANDS = {"solve": _cmd_solve, "fundamental": _cmd_fundamental, "verify": _cmd_verify}
 
 
+def _available_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _json_rows(columns, lo: int, hi: int) -> list[str]:
+    """Rows lo..hi of each column as the items of an indented JSON array:
+    repr of a float list is the shortest round-trip form json writes."""
+    return [repr(col[lo:hi].tolist())[1:-1].replace(", ", ",\n    ") for col in columns]
+
+
+def _csv_rows(columns, lo: int, hi: int) -> list[str]:
+    """Rows lo..hi of a table as CSV lines, every cell printed as ``str``."""
+    slices = [col[lo:hi] for col in columns]
+    cells = chain.from_iterable(zip(*(s.tolist() if isinstance(s, np.ndarray) else s
+                                      for s in slices)))
+    rows = len(slices[0]) if slices else 0
+    return [(("%s," * (len(slices) - 1) + "%s\n") * rows) % tuple(cells)]
+
+
+def _format_halves(fmt, columns) -> tuple[list[str], list[str]]:
+    """``fmt`` applied to the first and the second half of the rows.
+
+    When the columns are all float arrays, ``os.fork`` exists, the process
+    may run on two or more CPUs and no other Python thread is running (a
+    fork copies only the calling thread), the second half is formatted in a
+    forked child. The child sends its pieces back through a pipe, joined by
+    NUL (which no float prints), and always leaves through ``os._exit``. If
+    the fork or the child fails, this process formats that half itself.
+    """
+    rows = max(map(len, columns), default=0)
+    mid = rows // 2
+    floats = columns and all(isinstance(c, np.ndarray) and c.dtype.kind == "f"
+                             for c in columns)
+    pid = None
+    if (floats and hasattr(os, "fork") and _available_cpus() >= 2
+            and threading.active_count() == 1):
+        read_fd, write_fd = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(read_fd)
+            os.close(write_fd)
+    if pid is None:
+        return fmt(columns, 0, mid), fmt(columns, mid, rows)
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_fd)
+            with open(write_fd, "wb") as pipe:
+                pipe.write("\0".join(fmt(columns, mid, rows)).encode())
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    try:
+        with open(read_fd, "rb") as pipe:
+            first = fmt(columns, 0, mid)
+            second = pipe.read().decode().split("\0")
+    finally:
+        status = os.waitpid(pid, 0)[1]
+    if os.waitstatus_to_exitcode(status) != 0:
+        return first, fmt(columns, mid, rows)
+    return first, second
+
+
 def _render(payload: dict, table: tuple, output_format: str) -> str:
     """Serialize a payload as JSON, or as CSV: '# key = value' lines for the
     payload's scalars (nested objects flattened one level, arrays left out),
     then the table's header and rows.
 
-    ``table`` is a header line and its columns (ndarrays or sequences); each
-    row's cells are formatted as that row is joined, so no column of cell
-    strings is ever held whole.
+    ``table`` is a header line and its columns (ndarrays or sequences). The
+    float columns (the payload's ndarrays for JSON, the table for CSV) are
+    formatted in whole slices by ``_format_halves``. They hold grid nodes or
+    SampledFn values: finite, so no nan or inf reaches the JSON, and at
+    least three rows (n >= 2), so neither half is empty. Everything else in
+    the JSON goes through ``json.dumps``. The text is built by one join.
     """
     if output_format == "json":
-        return json.dumps(payload, indent=2, allow_nan=False, default=np.ndarray.tolist) + "\n"
+        arrays = [value for value in payload.values() if isinstance(value, np.ndarray)]
+        halves = zip(*_format_halves(_json_rows, arrays))
+        parts = []
+        for key, value in payload.items():
+            parts += [",\n  " if parts else "{\n  ", json.dumps(key), ": "]
+            if not isinstance(value, np.ndarray):
+                parts.append(json.dumps(value, indent=2, allow_nan=False).replace("\n", "\n  "))
+                continue
+            first, second = next(halves)
+            parts += ["[\n    ", first, ",\n    ", second, "\n  ]"]
+        parts.append("\n}\n")
+        return "".join(parts)
     lines = []
     for key, value in payload.items():
         if isinstance(value, dict):
@@ -265,10 +357,8 @@ def _render(payload: dict, table: tuple, output_format: str) -> str:
             lines.append(f"# {key} = {value}")
     header, columns = table
     lines.append(header)
-    cells = [map(str, col.tolist() if isinstance(col, np.ndarray) else col)
-             for col in columns]
-    lines += map(",".join, zip(*cells))
-    return "\n".join(lines) + "\n"
+    first, second = _format_halves(_csv_rows, columns)
+    return "".join(["\n".join(lines), "\n", *first, *second])
 
 
 def run(config: RunConfig) -> tuple[int, str | None]:

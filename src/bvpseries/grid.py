@@ -23,11 +23,12 @@ import numpy as np
 from .errors import EvalError, InvalidDomain, TableDomainError
 from .expr import Expr, eval_array, eval_expr, parse_expr
 
-# Largest interval count a grid accepts. A run's peak resident memory is
-# about 30 MiB plus 0.9 KiB per node at worst (fundamental with JSON output,
-# the largest payload: 87.7 MiB at n = 65536 and 260 MiB at n = 2**18), so
-# 2**20 intervals need about 0.95 GiB and stay within a 2 GiB budget. Larger
-# n is refused before anything of size n is allocated.
+# Largest interval count a grid accepts. A run's peak resident memory,
+# counting the child that formats half the output, is about 30 MiB plus
+# 0.44 KiB per node at worst (fundamental with JSON output, the largest
+# payload: 57.5 MiB at n = 65536, 141 MiB at n = 2**18), so 2**20 intervals
+# need about 0.45 GiB (measured: 457 MiB) and stay well within a 2 GiB
+# budget. Larger n is refused before anything of size n is allocated.
 MAX_INTERVALS = 2**20
 
 

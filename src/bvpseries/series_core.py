@@ -273,6 +273,9 @@ class SeriesSolution:
         return float(self.I2.values[-1])
 
 
+# Overflow in the sums shows up as a non-finite value, which SampledFn
+# rejects with its own message, so numpy need not warn about it too.
+@np.errstate(over="ignore", invalid="ignore")
 def fundamental_system(a: SampledFn, f: SampledFn, cert: ContractionCertificate,
                        tol: float = DEFAULT_TOL,
                        max_terms: int = DEFAULT_MAX_TERMS) -> SeriesSolution:

@@ -188,6 +188,15 @@ class TestExitCodes:
         assert payload["terms_apriori"]["I1"] == 2819
         assert all(t <= 200 for t in payload["terms"].values())
 
+    @pytest.mark.parametrize("command", ["solve", "fundamental", "verify"])
+    def test_overflowing_forcing_prints_one_line(self, command):
+        # f = 1e308 overflows the first trapezoid pass; numpy must not warn
+        # about it, since the finiteness check on the sums reports it
+        r = run_cli(command, "--a", "0.5", "--f", "1e308", "--x1", "1", "--n", "8")
+        assert r.returncode == 4
+        assert r.stdout == ""
+        assert r.stderr == "bvpseries: node values must all be finite\n"
+
     def test_bad_env_cap(self):
         r = run_cli("solve", "--a", "1", "--f", "0", "--x1", "1",
                     env={"SOLVER_MAX_TERMS": "abc"})
