@@ -8,12 +8,18 @@ are serialized with their shortest round-trip representation.
 
 The node table is formatted in whole column slices: a JSON array is the
 repr of the column's float list, a CSV table one %-format over its cells in
-row order; scalars and nested objects go through json.dumps. When the
-table's columns are float arrays, os.fork exists, the process may run on
-two or more CPUs and no other Python thread runs, the second half of the
-rows is formatted in a forked child that sends its text back through a
-pipe, while this process formats the first half; if the child fails, this
-process formats its half too. The bytes are the same on every path.
+row order; scalars and nested objects go through json.dumps.
+
+Work that can run beside this process's own goes to one forked child at a
+time, when os.fork exists, the process may run on two or more CPUs and no
+other Python thread runs. The child sends its result back through a pipe
+as bytes. verify forks the RK4 oracle as soon as a and f are sampled and
+certified, and sums the series and solves meanwhile; every command that
+renders float columns forks the second half of the rows, while this
+process formats the first. If a child fails, this process does its work
+itself, so an oracle error is raised here with its usual exit code and
+message; if this process fails first, it kills the child. Every child is
+reaped, and the bytes are the same on every path.
 """
 
 from __future__ import annotations
@@ -43,8 +49,8 @@ from .errors import (
     SingularI2,
     TableDomainError,
 )
-from .grid import CoefficientSpec, make_grid, sample, sup_norm
-from .oracle import compare, oracle_fundamental
+from .grid import CoefficientSpec, SampledFn, make_grid, sample, sup_norm
+from .oracle import OracleFundamental, compare, oracle_fundamental
 from .series_core import (
     DEFAULT_MAX_TERMS,
     DEFAULT_TOL,
@@ -163,13 +169,16 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     )
 
 
-def _prepare(config: RunConfig):
+def _prepare(config: RunConfig, certified=None):
+    """Sample a and f, certify them and sum the series. ``certified(a, f)``,
+    if given, is called between the certificate and the sums."""
     grid = make_grid(config.x1, config.n)
     a = sample(config.a_spec, grid)
     f = sample(config.f_spec, grid)
     cert = contraction_ratio(sup_norm(a), grid.x1)
-    sol = fundamental_system(a, f, cert, tol=config.tol, max_terms=config.max_terms)
-    return sol
+    if certified is not None:
+        certified(a, f)
+    return fundamental_system(a, f, cert, tol=config.tol, max_terms=config.max_terms)
 
 
 def _common_payload(config: RunConfig, sol: SeriesSolution) -> dict:
@@ -226,12 +235,22 @@ def _cmd_fundamental(config: RunConfig):
 
 
 def _cmd_verify(config: RunConfig):
-    sol = _prepare(config)
-    report = solve_problem_d(sol, ProblemD(config.alpha, config.beta))
-    oracle = oracle_fundamental(
-        sol.a, sol.f,
-        a_eval=config.a_spec.evaluate, f_eval=config.f_spec.evaluate,
-    )
+    evals = {"a_eval": config.a_spec.evaluate, "f_eval": config.f_spec.evaluate}
+
+    def shoot(a, f):
+        oracle = oracle_fundamental(a, f, **evals)
+        return b"".join(getattr(oracle, name).values.tobytes() for name in _FUNDAMENTAL)
+
+    with _Child() as child:
+        sol = _prepare(config, lambda a, f: child.start(lambda: shoot(a, f)))
+        report = solve_problem_d(sol, ProblemD(config.alpha, config.beta))
+        shot = child.result()
+    if shot is None:
+        oracle = oracle_fundamental(sol.a, sol.f, **evals)
+    else:
+        columns = np.frombuffer(shot).reshape(len(_FUNDAMENTAL), -1)
+        oracle = OracleFundamental(**{name: SampledFn(sol.grid, col)
+                                      for name, col in zip(_FUNDAMENTAL, columns)})
     max_rel_err = compare(sol, oracle)
     all_checks = verify(sol, report, max_rel_err, config.tol)
     passed = all(c.passed for c in all_checks)
@@ -277,50 +296,87 @@ def _csv_rows(columns, lo: int, hi: int) -> list[str]:
     return [(("%s," * (len(slices) - 1) + "%s\n") * rows) % tuple(cells)]
 
 
-def _format_halves(fmt, columns) -> tuple[list[str], list[str]]:
-    """``fmt`` applied to the first and the second half of the rows.
+class _Child:
+    """At most one forked child that computes bytes for this process.
 
-    When the columns are all float arrays, ``os.fork`` exists, the process
-    may run on two or more CPUs and no other Python thread is running (a
-    fork copies only the calling thread), the second half is formatted in a
-    forked child. The child sends its pieces back through a pipe, joined by
-    NUL (which no float prints), and always leaves through ``os._exit``. If
-    the fork or the child fails, this process formats that half itself.
+    ``start(work)`` forks when ``os.fork`` exists, the process may run on
+    two or more CPUs and no other Python thread runs (a fork copies only the
+    calling thread); otherwise it does nothing. The child writes what
+    ``work()`` returns to a pipe and always leaves through ``os._exit``,
+    with code 1 if ``work`` raised. ``result()`` reads the pipe and reaps
+    the child: it returns the bytes, or None when no child ran or it
+    failed, and the caller then does the work itself. Leaving the ``with``
+    block before ``result()`` kills and reaps the child.
     """
-    rows = max(map(len, columns), default=0)
-    mid = rows // 2
-    floats = columns and all(isinstance(c, np.ndarray) and c.dtype.kind == "f"
-                             for c in columns)
+
     pid = None
-    if (floats and hasattr(os, "fork") and _available_cpus() >= 2
-            and threading.active_count() == 1):
+
+    def start(self, work) -> None:
+        if not (hasattr(os, "fork") and _available_cpus() >= 2
+                and threading.active_count() == 1):
+            return
         read_fd, write_fd = os.pipe()
         try:
             pid = os.fork()
         except OSError:
             os.close(read_fd)
             os.close(write_fd)
-    if pid is None:
-        return fmt(columns, 0, mid), fmt(columns, mid, rows)
-    if pid == 0:
-        code = 1
+            return
+        if pid == 0:
+            code = 1
+            try:
+                os.close(read_fd)
+                with open(write_fd, "wb") as pipe:
+                    pipe.write(work())
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(write_fd)
+        self.pid, self._pipe = pid, open(read_fd, "rb")
+
+    def result(self) -> bytes | None:
+        if self.pid is None:
+            return None
         try:
-            os.close(read_fd)
-            with open(write_fd, "wb") as pipe:
-                pipe.write("\0".join(fmt(columns, mid, rows)).encode())
-            code = 0
+            data = self._pipe.read()
         finally:
-            os._exit(code)
-    os.close(write_fd)
-    try:
-        with open(read_fd, "rb") as pipe:
-            first = fmt(columns, 0, mid)
-            second = pipe.read().decode().split("\0")
-    finally:
-        status = os.waitpid(pid, 0)[1]
-    if os.waitstatus_to_exitcode(status) != 0:
+            code = self._reap()
+        return data if code == 0 else None
+
+    def _reap(self) -> int:
+        self._pipe.close()
+        pid, self.pid = self.pid, None
+        return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        if self.pid is not None:
+            import signal  # only on this failure path: its import costs about 1 ms
+
+            os.kill(self.pid, signal.SIGKILL)
+            self._reap()
+
+
+def _format_halves(fmt, columns) -> tuple[list[str], list[str]]:
+    """``fmt`` applied to the first and the second half of the rows.
+
+    When the columns are all float arrays, the second half is formatted in
+    a ``_Child``, whose pieces come back joined by NUL (which no float
+    prints); if there is no child, this process formats that half too.
+    """
+    rows = max(map(len, columns), default=0)
+    mid = rows // 2
+    with _Child() as child:
+        if columns and all(isinstance(c, np.ndarray) and c.dtype.kind == "f"
+                           for c in columns):
+            child.start(lambda: "\0".join(fmt(columns, mid, rows)).encode())
+        first = fmt(columns, 0, mid)
+        second = child.result()
+    if second is None:
         return first, fmt(columns, mid, rows)
-    return first, second
+    return first, second.decode().split("\0")
 
 
 def _render(payload: dict, table: tuple, output_format: str) -> str:

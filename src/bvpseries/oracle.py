@@ -8,15 +8,19 @@ I1, I2, F come out by construction. Nothing here touches the trapezoid
 quadrature of the series path; independence is the point.
 
 The system is linear, so each RK4 step is an affine map of the state
-z = (u, u'): z_{i+1} = M_i z_i + b_i. In homogeneous coordinates (u, u', w),
-with w weighting the forcing, the step is the 3x3 matrix [[M_i, b_i],
-[0, 0, 1]]. The maps of all steps are built at once from the node and
-midpoint samples, and the states are their prefix products, computed by a
-Hillis-Steele doubling scan (log2 of the block length passes of stacked 3x3
-products; Blelloch 1990, "Prefix Sums and Their Applications"). The scan
-runs over blocks of SCAN_BLOCK steps and carries each block's end state into
-the next, so its temporaries stay small. The starts (1, 0, 0), (0, 1, 0)
-and (0, 0, 1) give phi, psi and the forced p from one scan.
+z = (u, u'): z_{i+1} = M_i z_i + c_i. The maps of all steps are built at
+once from the node and midpoint samples and held as six float arrays, the
+rows (m00, m01, c0) and (m10, m11, c1) of [M_i | c_i]. The states are the
+maps' prefix compositions, computed by a Hillis-Steele doubling scan
+(log2 of the block length passes; Blelloch 1990, "Prefix Sums and Their
+Applications"): each pass composes A_i with A_{i-d} elementwise, M_i M_{i-d}
+and M_i c_{i-d} + c_i, in plain ufunc products and sums, so no BLAS call is
+made and the bits do not depend on the CPU. The scan runs over blocks of
+SCAN_BLOCK steps and carries each block's end state into the next, so its
+temporaries stay small. A start (u0, u0', w), with w weighting the forcing,
+maps to (m00 u0 + m01 u0' + c0 w, m10 u0 + m11 u0' + c1 w); the starts
+(1, 0, 0), (0, 1, 0) and (0, 0, 1) give phi, psi and the forced p from one
+scan.
 """
 
 from __future__ import annotations
@@ -99,24 +103,33 @@ def _shoot(a: SampledFn, f: SampledFn, starts: np.ndarray, a_eval, f_eval):
             hi = min(lo + SCAN_BLOCK, n)
             coeffs = (h, an[lo:hi], am[lo:hi], an[lo + 1:hi + 1],
                       fn[lo:hi], fm[lo:hi], fn[lo + 1:hi + 1])
-            maps = np.zeros((hi - lo, 3, 3))
+            maps = np.empty((6, hi - lo))  # rows m00 m01 c0 m10 m11 c1
             for col, (u, v, w) in enumerate(np.eye(3)):  # column = image of a unit start
-                maps[:, 0, col], maps[:, 1, col] = _rk4_step(u, v, w, *coeffs)
-            maps[:, 2, 2] = 1.0
+                maps[col], maps[3 + col] = _rk4_step(u, v, w, *coeffs)
             d = 1
-            while d < hi - lo:  # maps[i] becomes the product of maps[i], ..., maps[0]
-                maps[d:] = maps[d:] @ maps[:-d]
+            while d < hi - lo:  # maps[:, i] becomes A_i o ... o A_0
+                later, earlier = maps[:, d:], maps[:, :-d]
+                top = later[0] * earlier[:3] + later[1] * earlier[3:]
+                bottom = later[3] * earlier[:3] + later[4] * earlier[3:]
+                top[2] += later[2]
+                bottom[2] += later[5]
+                later[:3], later[3:] = top, bottom
                 d *= 2
-            states = maps @ carry
-            bad = ~((np.abs(states[:, :2]) < OVERFLOW_GUARD).all(axis=(1, 2)))
+            u = np.multiply.outer(carry[0], maps[0])
+            u += np.multiply.outer(carry[1], maps[1])
+            u += np.multiply.outer(carry[2], maps[2])
+            du = np.multiply.outer(carry[0], maps[3])
+            du += np.multiply.outer(carry[1], maps[4])
+            du += np.multiply.outer(carry[2], maps[5])
+            bad = ~((np.abs(u) < OVERFLOW_GUARD) & (np.abs(du) < OVERFLOW_GUARD)).all(axis=0)
             if bad.any():
                 node = lo + 1 + int(np.argmax(bad))
                 raise Diverged(
                     f"initial-value state exceeded {OVERFLOW_GUARD:g} at x = {grid.nodes[node]}"
                 )
-            u_out[:, lo + 1:hi + 1] = states[:, 0].T
-            du_out[:, lo + 1:hi + 1] = states[:, 1].T
-            carry = states[-1]
+            u_out[:, lo + 1:hi + 1] = u
+            du_out[:, lo + 1:hi + 1] = du
+            carry = np.array([u[:, -1], du[:, -1], carry[2]])
     return u_out, du_out
 
 

@@ -148,8 +148,18 @@ def compute_g(f: SampledFn) -> SampledFn:
     Returns g(x) = -int_0^x int_y^{x1} f(t) dt dy, so that g'' = f and
     g'(x1) = 0: g is itself the particular solution when a vanishes, and
     u = Bu + g + c1*x + c2 holds for every solution of the equation.
+
+    Raises
+    ------
+    InvalidDomain
+        If g overflows, as it can for a finite f near the float limit.
     """
-    return SampledFn(f.grid, 0.0 - _apply_B_values(f.values, f.grid))
+    g = 0.0 - _apply_B_values(f.values, f.grid)
+    if not np.all(np.isfinite(g)):
+        raise InvalidDomain(
+            "the forcing's double integral g overflowed, although every node of f is finite"
+        )
+    return SampledFn(f.grid, g)
 
 
 def _certified_terms(seed_sup: float, q: float, tol: float) -> tuple[int, float]:
@@ -273,8 +283,9 @@ class SeriesSolution:
         return float(self.I2.values[-1])
 
 
-# Overflow in the sums shows up as a non-finite value, which SampledFn
-# rejects with its own message, so numpy need not warn about it too.
+# Overflow in g or in the sums shows up as a non-finite value, which
+# compute_g or SampledFn rejects with its own message, so numpy need not
+# warn about it too.
 @np.errstate(over="ignore", invalid="ignore")
 def fundamental_system(a: SampledFn, f: SampledFn, cert: ContractionCertificate,
                        tol: float = DEFAULT_TOL,

@@ -190,12 +190,13 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["solve", "fundamental", "verify"])
     def test_overflowing_forcing_prints_one_line(self, command):
-        # f = 1e308 overflows the first trapezoid pass; numpy must not warn
-        # about it, since the finiteness check on the sums reports it
+        # f = 1e308 overflows the first trapezoid pass of g; numpy must not
+        # warn about it, since compute_g reports it
         r = run_cli(command, "--a", "0.5", "--f", "1e308", "--x1", "1", "--n", "8")
         assert r.returncode == 4
         assert r.stdout == ""
-        assert r.stderr == "bvpseries: node values must all be finite\n"
+        assert r.stderr == ("bvpseries: the forcing's double integral g overflowed, "
+                            "although every node of f is finite\n")
 
     def test_bad_env_cap(self):
         r = run_cli("solve", "--a", "1", "--f", "0", "--x1", "1",

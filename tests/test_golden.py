@@ -11,14 +11,20 @@ report with no node table, and a failing verify (exit 5) renders its check
 list with ``passed`` false.
 
 Every case runs twice: in process through ``cli.main`` to stdout, and as a
-``python -m bvpseries ... --out FILE`` child whose file is compared.
+``python -m bvpseries ... --out FILE`` child whose file is compared. Where
+numpy links an OpenBLAS that picks its kernels by CPU at run time, all
+cases also run under the default kernels and under the oldest x86-64 ones
+(no FMA): no BLAS call may change a byte.
 """
 
+import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from bvpseries import cli
@@ -88,3 +94,56 @@ def test_out_file_matches_golden(name, tmp_path):
     assert r.returncode == code, r.stderr
     assert r.stdout == b""
     assert target.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+def _openblas_dynamic_arch() -> bool:
+    """Whether numpy reports an x86-64 OpenBLAS built to choose its kernels
+    at run time, which OPENBLAS_CORETYPE then overrides."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return False
+    return (platform.machine().lower() in ("x86_64", "amd64")
+            and "openblas" in blas.get("name", "").lower()
+            and "DYNAMIC_ARCH" in blas.get("openblas configuration", ""))
+
+
+# Runs every case in one interpreter, each to its own --out file, with its
+# patches applied only while it runs; prints the exit codes as JSON.
+_ALL_CASES = """
+import importlib, json, sys
+from bvpseries import cli
+codes = []
+for argv, patches in json.loads(sys.argv[1]):
+    saved = []
+    for module, constants in patches.items():
+        mod = importlib.import_module("bvpseries." + module)
+        for constant, value in constants.items():
+            saved.append((mod, constant, getattr(mod, constant)))
+            setattr(mod, constant, value)
+    codes.append(cli.main(argv))
+    for mod, constant, value in saved:
+        setattr(mod, constant, value)
+print(json.dumps(codes))
+"""
+
+
+@pytest.mark.skipif(not _openblas_dynamic_arch(),
+                    reason="needs numpy on an x86-64 OpenBLAS DYNAMIC_ARCH build")
+@pytest.mark.parametrize("coretype", [None, "Prescott"])
+def test_goldens_do_not_depend_on_blas_kernels(coretype, tmp_path):
+    names = sorted(CASES)
+    cases = [([*CASES[name][0], "--out", str(tmp_path / name)], CASES[name][2])
+             for name in names]
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(REPO / "src"), path]))}
+    env.pop("OPENBLAS_CORETYPE", None)
+    if coretype is not None:
+        env["OPENBLAS_CORETYPE"] = coretype
+    r = subprocess.run([sys.executable, "-c", _ALL_CASES, json.dumps(cases)],
+                       capture_output=True, text=True, env=env, timeout=120)
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout) == [CASES[name][1] for name in names]
+    for name in names:
+        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name

@@ -155,6 +155,13 @@ class TestComputeG:
         got = compute_g(SampledFn(g, np.exp(g.nodes)))
         assert got.values[0] == 0.0
 
+    def test_overflow_names_g(self):
+        # f is finite at every node, but f_0 + f_1 in the first pass is not
+        g = make_grid(1.0, 8)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(InvalidDomain, match="double integral g overflowed"):
+                compute_g(_const(g, 1e308))
+
 
 class TestSumSeries:
     def test_zero_coefficient_returns_seed(self):
