@@ -1,8 +1,6 @@
 """Allow ``python -m bvpseries``."""
 
-import sys
-
-from .cli import main
+from .cli import entry
 
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

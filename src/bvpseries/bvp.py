@@ -114,6 +114,8 @@ def solve_problem_d(sol: SeriesSolution, prob: ProblemD) -> SolveReport:
     SingularI2
         If |I2(x1)| <= 1e-8 * max(1, sup|I2|); the solution formula is then
         not certified. The exception carries the partial report.
+    InvalidDomain
+        If alpha or beta is so large that u, u' or the residual overflows.
     """
     c1, c2 = prob.beta, prob.alpha
     _, wronskian_dev = wronskian_check(sol)
@@ -127,8 +129,17 @@ def solve_problem_d(sol: SeriesSolution, prob: ProblemD) -> SolveReport:
             bound_checks=bchecks, fixedpoint_err=None,
         )
         raise SingularI2(i2_at_x1, singular_tol, report=partial)
-    u, du = general_solution(sol, c1, c2)
-    residual_max, fixedpoint_err = residual_report(u, sol.a, sol.f, c1, c2, sol.g)
+    # Overflow shows up as a non-finite value, which SampledFn rejects; the
+    # only inputs large enough to cause it here are alpha and beta.
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            u, du = general_solution(sol, c1, c2)
+            residual_max, fixedpoint_err = residual_report(u, sol.a, sol.f, c1, c2, sol.g)
+    except InvalidDomain:
+        raise InvalidDomain(
+            f"alpha = {prob.alpha!r}, beta = {prob.beta!r} are too large: "
+            "the solution or its residual overflows"
+        ) from None
     boundary_err = (
         abs(float(u.values[0]) - prob.alpha),
         abs(float(du.values[-1]) - prob.beta),

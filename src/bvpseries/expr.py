@@ -13,9 +13,13 @@ literals with an optional exponent. ``^`` is right-associative and binds
 tighter than unary minus; whitespace is insignificant.
 
 Parsed trees are immutable and evaluation is pure, so a single Expr can be
-evaluated concurrently from many threads. ``eval_array`` evaluates a tree
-over an array of points and gives, bit for bit, what ``eval_expr`` gives at
-each of them.
+evaluated concurrently from many threads. ``eval_arrays`` evaluates one or
+more trees over an array of points and gives, bit for bit, what
+``eval_expr`` gives at each of them. It compiles the trees into one
+straight-line program of their distinct subtrees (hash-consing on the
+operator and the children's step numbers, constants on their bits), so a
+subtree the trees share runs once per point for all of them: with
+f = u'' + a*u, each sin, cos or exp of a and of u runs once, not twice.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ _FUNC_IMPL = {
 _ARRAY_UNARY = {"neg": np.negative, "abs": np.abs, "sqrt": np.sqrt}
 _ARRAY_BINARY = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}
 
-# Points per block in eval_array; keeps each temporary at 32 KiB.
+# Points per block in eval_arrays; keeps each temporary at 32 KiB.
 EVAL_BLOCK = 4096
 
 _MAX_DEPTH = 100
@@ -299,58 +303,111 @@ class _NonFinite(Exception):
 
 
 def _pointwise(fn, *args: np.ndarray) -> np.ndarray:
-    """Apply a scalar math function to each point, as eval_expr does."""
-    return np.fromiter(map(fn, *(arg.tolist() for arg in args)), float, len(args[0]))
+    """Apply a scalar math function to each point, as eval_expr does.
+    Iterating a memoryview yields the same Python floats as ``tolist``
+    without building the list."""
+    return np.fromiter(map(fn, *map(memoryview, args)), float, len(args[0]))
 
 
-def _eval_block(e: Expr, xs: np.ndarray) -> np.ndarray:
-    if isinstance(e, Const):
-        value = np.full(len(xs), e.value)
-    elif isinstance(e, Var):
-        value = xs
-    elif isinstance(e, Unary):
-        arg = _eval_block(e.arg, xs)
-        if e.op in _ARRAY_UNARY:
-            value = _ARRAY_UNARY[e.op](arg)
+def _compile(trees, width: int) -> tuple[list, list[int]]:
+    """The distinct subtrees of ``trees`` as one straight-line program over
+    blocks of at most ``width`` points.
+
+    Each step is ``(op, payload, args)``: args are the indices of earlier
+    steps, and payload is the constant over a whole block for "const", the
+    ufunc for the operations numpy rounds as Python does, or the math
+    function applied point by point. Steps are found by hash-consing on the operator and the
+    indices of the children, so a subtree that recurs, within one tree or
+    across trees, is one step. Constants are keyed on their bits
+    (``float.hex``), not on ``==``, which would merge 0.0 with -0.0. Returns
+    the steps and the index of each tree's root.
+    """
+    steps, index = [], {}
+
+    def visit(e) -> int:
+        if isinstance(e, Const):
+            key = ("const", float(e.value).hex())
+            step = ("const", np.full(width, float(e.value)), ())
+        elif isinstance(e, Var):
+            key = step = ("x", None, ())
+        elif isinstance(e, Unary):
+            args = (visit(e.arg),)
+            key = (e.op, args)
+            if e.op in _ARRAY_UNARY:
+                step = ("ufunc", _ARRAY_UNARY[e.op], args)
+            else:
+                step = ("math", _FUNC_IMPL[e.op], args)
+        elif isinstance(e, Binary):
+            args = (visit(e.lhs), visit(e.rhs))
+            key = (e.op, args)
+            if e.op == "^":
+                step = ("math", math.pow, args)
+            else:
+                step = ("ufunc", _ARRAY_BINARY[e.op], args)
         else:
-            value = _pointwise(_FUNC_IMPL[e.op], arg)
-    elif isinstance(e, Binary):
-        lhs = _eval_block(e.lhs, xs)
-        rhs = _eval_block(e.rhs, xs)
-        if e.op == "^":
-            value = _pointwise(math.pow, lhs, rhs)
-        else:
-            value = _ARRAY_BINARY[e.op](lhs, rhs)
-    else:
-        raise TypeError(f"not an Expr node: {e!r}")
-    if not np.isfinite(value).all():
-        raise _NonFinite
-    return value
+            raise TypeError(f"not an Expr node: {e!r}")
+        if key not in index:
+            index[key] = len(steps)
+            steps.append(step)
+        return index[key]
+
+    return steps, [visit(tree) for tree in trees]
 
 
-def eval_array(e: Expr, xs) -> np.ndarray:
-    """Evaluate an expression tree at every point of a 1-D array.
+def _run_block(steps, xs: np.ndarray) -> list:
+    """Every step's values over one block of points. No step's array is
+    written after it is made, since later steps may share it."""
+    values = []
+    for op, payload, args in steps:
+        if op == "x":
+            value = xs
+        elif op == "const":
+            value = payload[:len(xs)]
+        elif op == "ufunc":
+            value = payload(*(values[i] for i in args))
+        else:  # finite in, finite out, or the math function raises
+            values.append(_pointwise(payload, *(values[i] for i in args)))
+            continue
+        if not np.isfinite(value).all():
+            raise _NonFinite
+        values.append(value)
+    return values
 
-    The tree is walked once per block of EVAL_BLOCK points. Each value is
-    bit-identical to ``eval_expr(e, x)`` at the same point.
+
+def eval_arrays(trees, xs) -> list[np.ndarray]:
+    """Evaluate expression trees at every point of a 1-D array.
+
+    The trees are compiled into one program of their distinct subtrees
+    (``_compile``), which runs once per block of EVAL_BLOCK points, so a
+    subtree that several trees share, above all a ``sin cos exp log tanh``
+    or ``^``, is evaluated once per point for all of them. Each value is
+    bit-identical to ``eval_expr(tree, x)`` at the same point.
 
     Raises
     ------
     EvalError
-        The error ``eval_expr`` raises at the first point where evaluation
-        fails: a block that leaves the finite reals, or whose math call
-        raises, is walked again point by point with ``eval_expr``.
+        The error ``eval_expr`` raises at the first point of a failing
+        block, for the first tree that fails there: a block that leaves the
+        finite reals, or whose math call raises, is walked again point by
+        point with ``eval_expr``. With several trees, that need not be the
+        error the trees would raise one at a time; callers that must
+        blame the first failing tree evaluate them one at a time on error.
     """
     xs = np.asarray(xs, dtype=float)
-    out = np.empty(len(xs))
+    steps, roots = _compile(trees, min(len(xs), EVAL_BLOCK))
+    outs = [np.empty(len(xs)) for _ in roots]
     with np.errstate(all="ignore"):
         for start in range(0, len(xs), EVAL_BLOCK):
             block = xs[start:start + EVAL_BLOCK]
             try:
-                out[start:start + len(block)] = _eval_block(e, block)
+                values = _run_block(steps, block)
+                rows = [values[root] for root in roots]
             except (_NonFinite, ValueError, OverflowError):
-                out[start:start + len(block)] = [eval_expr(e, x) for x in block.tolist()]
-    return out
+                points = block.tolist()
+                rows = [[eval_expr(tree, x) for x in points] for tree in trees]
+            for out, row in zip(outs, rows):
+                out[start:start + len(block)] = row
+    return outs
 
 
 _LEVEL_ADD = 1

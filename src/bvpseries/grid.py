@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import EvalError, InvalidDomain, TableDomainError
-from .expr import Expr, eval_array, eval_expr, parse_expr
+from .expr import Expr, eval_arrays, eval_expr, parse_expr
 
 # Largest interval count a grid accepts. A run's peak resident memory,
 # counting the child that formats half the output, is about 30 MiB plus
@@ -60,8 +61,11 @@ def make_grid(x1: float, n: int) -> Grid:
     Raises
     ------
     InvalidDomain
-        If x1 is not a positive finite real or n is not an integer in
-        [2, MAX_INTERVALS].
+        If x1 is not a positive finite real, n is not an integer in
+        [2, MAX_INTERVALS], or x1*x1 or h*h is not a normal finite float:
+        the residual stencil divides by h*h and the series bounds scale with
+        x1*x1, so a square that overflows or underflows turns them to inf or
+        nan.
     """
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
         raise InvalidDomain(f"interval count must be an integer, got {n!r}")
@@ -74,9 +78,15 @@ def make_grid(x1: float, n: int) -> Grid:
     x1 = float(x1)
     if not math.isfinite(x1) or x1 <= 0.0:
         raise InvalidDomain(f"right endpoint must be positive and finite, got {x1!r}")
+    h = x1 / n
+    for name, square in (("x1*x1", x1 * x1), ("h*h", h * h)):
+        if not sys.float_info.min <= square < math.inf:
+            raise InvalidDomain(
+                f"{name} = {square!r} is not a normal finite float (x1 = {x1!r}, n = {n})"
+            )
     nodes = np.linspace(0.0, x1, n + 1)
     nodes.setflags(write=False)
-    return Grid(x1=x1, n=int(n), h=x1 / n, nodes=nodes)
+    return Grid(x1=x1, n=int(n), h=h, nodes=nodes)
 
 
 def same_grid(g1: Grid, g2: Grid) -> bool:
@@ -172,7 +182,7 @@ class CoefficientSpec:
 
         Tables are interpolated linearly. An expression evaluated over an
         ndarray gives, bit for bit, its values at each point as a float
-        (``expr.eval_array``).
+        (``expr.eval_arrays``).
 
         Raises
         ------
@@ -183,7 +193,7 @@ class CoefficientSpec:
         """
         array = isinstance(x, np.ndarray)
         if self._expr is not None:
-            return eval_array(self._expr, x) if array else eval_expr(self._expr, x)
+            return eval_arrays([self._expr], x)[0] if array else eval_expr(self._expr, x)
         xs, values = self._table
         outside = (x < xs[0]) | (x > xs[-1])
         if np.any(outside):
@@ -218,6 +228,42 @@ def sample(spec: CoefficientSpec, grid: Grid) -> SampledFn:
                 raise EvalError(f"{spec.source!r} at x = {x}: {exc}") from exc
         raise
     return SampledFn(grid, values)
+
+
+def _evaluate_joint(specs, xs: np.ndarray) -> list[np.ndarray]:
+    """Each spec's values at ``xs``, the expressions run as one program."""
+    joint = iter(eval_arrays([spec._expr for spec in specs if spec._expr is not None], xs))
+    return [spec.evaluate(xs) if spec._expr is None else next(joint) for spec in specs]
+
+
+def evaluate_together(specs, xs: np.ndarray) -> list[np.ndarray]:
+    """``[spec.evaluate(xs) for spec in specs]``, value for value and error
+    for error, with the expressions among the specs evaluated as one program
+    (``expr.eval_arrays``): a subtree they share runs once per point.
+
+    The joint run only ever supplies values. If it fails anywhere, the specs
+    are evaluated one at a time, in order, so the error is the first
+    failing spec's, as it would be without the joint run.
+    """
+    try:
+        return _evaluate_joint(specs, xs)
+    except (EvalError, TableDomainError):
+        return [spec.evaluate(xs) for spec in specs]
+
+
+def sample_together(specs, grid: Grid) -> list[SampledFn]:
+    """``[sample(spec, grid) for spec in specs]``, value for value and error
+    for error, with the expressions evaluated as one program, as in
+    ``evaluate_together``. If a table does not span [0, x1] or the joint
+    run fails anywhere, the specs are sampled one at a time, in order.
+    """
+    try:
+        for spec in specs:
+            spec.check_span(grid.x1)
+        values = _evaluate_joint(specs, grid.nodes)
+    except (EvalError, TableDomainError):
+        return [sample(spec, grid) for spec in specs]
+    return [SampledFn(grid, v) for v in values]
 
 
 def sup_norm(u: SampledFn) -> float:

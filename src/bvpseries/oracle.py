@@ -48,11 +48,15 @@ class IvpTrajectory:
     du: np.ndarray
 
 
+def midpoints(grid: Grid) -> np.ndarray:
+    """The n half-step abscissae x_i + h/2 at which RK4 evaluates a and f."""
+    return grid.nodes[:-1] + grid.h / 2.0
+
+
 def _midpoint_values(fn: SampledFn, fn_eval) -> np.ndarray:
-    grid = fn.grid
     if fn_eval is None:
         return (fn.values[:-1] + fn.values[1:]) / 2.0
-    mids = grid.nodes[:-1] + grid.h / 2.0
+    mids = midpoints(fn.grid)
     return np.broadcast_to(np.asarray(fn_eval(mids), dtype=float), mids.shape)
 
 

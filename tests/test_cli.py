@@ -198,6 +198,34 @@ class TestExitCodes:
         assert r.stderr == ("bvpseries: the forcing's double integral g overflowed, "
                             "although every node of f is finite\n")
 
+    @pytest.mark.parametrize("x1, n, square", [
+        ("1e-160", "1024", "x1*x1 = 1e-320"),
+        ("1.5e154", "8", "x1*x1 = inf"),
+        ("1e160", "8", "x1*x1 = inf"),
+    ])
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_extreme_x1_is_refused_in_every_format(self, x1, n, square, fmt):
+        # once a crash on nan in JSON, a nan residual in CSV, or a blamed
+        # forcing for f = 0
+        r = run_cli("solve", "--a", "1", "--f", "0", "--x1", x1, "--n", n, "--format", fmt)
+        assert r.returncode == 4
+        assert r.stdout == ""
+        assert r.stderr.startswith(f"bvpseries: {square} is not a normal finite float")
+        assert r.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    @pytest.mark.parametrize("flags", [["--alpha", "1e308"], ["--alpha", "8e307", "--n", "4096"],
+                                       ["--beta=-1e308"]])
+    def test_overflowing_boundary_data_prints_one_line(self, command, flags):
+        # u = beta*I1 + alpha*I2 + F overflows (or B u in the residual does);
+        # numpy must not warn, and the message names alpha and beta
+        r = run_cli(command, "--a", "1", "--f", "1", "--x1", "1", *flags)
+        assert r.returncode == 4
+        assert r.stdout == ""
+        assert r.stderr.startswith("bvpseries: alpha = ")
+        assert r.stderr.endswith(" are too large: the solution or its residual overflows\n")
+        assert r.stderr.count("\n") == 1
+
     def test_bad_env_cap(self):
         r = run_cli("solve", "--a", "1", "--f", "0", "--x1", "1",
                     env={"SOLVER_MAX_TERMS": "abc"})

@@ -1,0 +1,187 @@
+"""The process entry point: ``python -m bvpseries`` runs ``cli.main``,
+flushes stdout and stderr, and ends through ``os._exit``, skipping the
+interpreter's teardown. Nothing a caller sees may change: every exit code
+and stderr line, every output byte through a pipe or a file, the exit code
+a reader that hangs up early sees, and no child left unreaped.
+
+The exit codes and messages in ``_CASES`` were recorded from
+``python -m bvpseries`` when it still left through ``sys.exit(main())`` and
+sampled a and f one at a time. The error cases pin which of a and f is
+blamed now that the two are sampled, at the nodes and at the RK4 midpoints,
+as one program.
+"""
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+from bvpseries import cli
+
+# The entry point as it was: main's code through sys.exit.
+_SYS_EXIT = ["-c", "import sys; from bvpseries.cli import main; sys.exit(main())"]
+
+# table name -> its rows; "short" stops at 0.5, short of x1 = 1
+_TABLES = {"short": "x,v\n0,1\n0.5,2\n", "long": "x,v\n0,1\n2,2\n"}
+
+_N8 = ["--x1", "1", "--n", "8"]
+
+# name -> (argv, env, exit code, stderr); "{short}" and "{long}" are tables.
+# With n = 8 on [0, 1] the midpoints are 0.0625, 0.1875, ..., 0.9375, so
+# log(abs(x - 0.0625)) and 1/(x - 0.1875) fail only where the oracle looks.
+_CASES = {
+    "a_fails_beside_short_f_table": (
+        ["solve", "--a", "log(x - 0.5)", "--f-table", "{short}", *_N8], {}, 4,
+        "bvpseries: 'log(x - 0.5)' at x = 0.0: log(-0.5) is undefined: math domain error\n"),
+    "short_a_table_beside_failing_f": (
+        ["verify", "--a-table", "{short}", "--f", "log(x - 0.5)", *_N8], {}, 4,
+        "bvpseries: table spans [0.0, 0.5] but must cover [0, 1.0]\n"),
+    "both_fail": (
+        ["verify", "--a", "log(x - 0.5)", "--f", "1/(x - 0.25)", *_N8], {}, 4,
+        "bvpseries: 'log(x - 0.5)' at x = 0.0: log(-0.5) is undefined: math domain error\n"),
+    "only_f_fails": (
+        ["solve", "--a", "sin(x)", "--f", "1/(x - 0.25)", *_N8], {}, 4,
+        "bvpseries: '1/(x - 0.25)' at x = 0.25: division by zero at x = 0.25\n"),
+    "only_a_fails": (
+        ["verify", "--a", "1/(x - 0.25)", "--f", "sin(x)", *_N8], {}, 4,
+        "bvpseries: '1/(x - 0.25)' at x = 0.25: division by zero at x = 0.25\n"),
+    "both_fail_at_midpoints_a_first": (
+        ["verify", "--a", "0.1*log(abs(x - 0.0625))^0", "--f", "1/(x - 0.1875)", *_N8], {}, 4,
+        "bvpseries: log(0.0) is undefined: math domain error\n"),
+    "both_fail_at_midpoints_f_first": (
+        ["verify", "--a", "0.1*(1/(x - 0.1875))^0", "--f", "log(abs(x - 0.0625))", *_N8], {}, 4,
+        "bvpseries: division by zero at x = 0.1875\n"),
+    # a fails at the last midpoint, f at the first: a is still blamed
+    "both_fail_at_midpoints_a_later": (
+        ["verify", "--a", "0.1*(1/(x - 0.9375))^0", "--f", "log(abs(x - 0.0625))", *_N8], {}, 4,
+        "bvpseries: division by zero at x = 0.9375\n"),
+    "only_f_fails_at_midpoints_beside_a_table": (
+        ["verify", "--a-table", "{long}", "--f", "log(abs(x - 0.0625))", *_N8], {}, 4,
+        "bvpseries: log(0.0) is undefined: math domain error\n"),
+    "f_overflows": (
+        ["solve", "--a", "0.5", "--f", "1e308*(1+x)", *_N8], {}, 4,
+        "bvpseries: '1e308*(1+x)' at x = 0.875: non-finite intermediate value inf at x = 0.875\n"),
+    "verify_passes": (
+        ["verify", "--a", "0.5", "--f", "1", "--x1", "1", "--n", "16"], {}, 0, ""),
+    "not_contractive": (
+        ["solve", "--a", "3", "--f", "1", "--x1", "1"], {}, 2,
+        "bvpseries: series not certified to converge: q = sup|a|*x1^2/2 = 1.5 >= 1; "
+        "right endpoint must satisfy x1 < 0.81650 for sup|a| = 3\n"),
+    "term_cap": (
+        ["solve", "--a", "0.9", "--f", "1", "--x1", "1"], {"SOLVER_MAX_TERMS": "2"}, 2,
+        "bvpseries: series tail not certified within the term cap (cap 2, q = 0.45; "
+        "a-priori count 31); raise the cap or relax the tolerance\n"),
+    "verify_fails": (
+        ["verify", "--a", "1.9*cos(120*x)", "--f", "1", "--x1", "1", "--n", "512"], {}, 5,
+        "bvpseries: verification failed: 3 of 23 checks: "
+        "ode_residual:I1, ode_residual:I2, ode_residual:F\n"),
+    "parse_error": (
+        ["solve", "--a", "sin(", "--f", "1", "--x1", "1"], {}, 4,
+        "bvpseries: parse error at byte 4: expected a number, 'x', a function call, or '('\n"),
+    "bad_n": (
+        ["solve", "--a", "1", "--f", "1", "--x1", "1", "--n", "1"], {}, 4,
+        "bvpseries: interval count must be >= 2, got 1\n"),
+    "bad_env_cap": (
+        ["solve", "--a", "1", "--f", "1", "--x1", "1"], {"SOLVER_MAX_TERMS": "abc"}, 4,
+        "bvpseries: SOLVER_MAX_TERMS must be an integer, got 'abc'\n"),
+}
+
+
+# Children run with stdout block-buffered, as it is by default, so output
+# left in the buffer at os._exit would be lost.
+_ENV = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+
+
+def _python(args, env=None):
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={**_ENV, **(env or {})}, timeout=120)
+
+
+@pytest.mark.parametrize("name", sorted(_CASES))
+def test_exit_code_and_stderr_are_unchanged(name, tmp_path):
+    argv, env, code, stderr = _CASES[name]
+    tables = {}
+    for key, text in _TABLES.items():
+        tables[key] = tmp_path / f"{key}.csv"
+        tables[key].write_text(text)
+    r = _python(["-m", "bvpseries", *(arg.format(**tables) for arg in argv)], env)
+    assert (r.returncode, r.stderr) == (code, stderr)
+    assert (r.stdout == "") == (code in (2, 4))
+
+
+def test_usage_error_is_unchanged():
+    r = _python(["-m", "bvpseries", "solve", "--a", "1", "--f", "1"])
+    assert r.returncode == 4
+    assert r.stderr.splitlines()[-1] == (
+        "bvpseries solve: error: the following arguments are required: --x1")
+
+
+_BULK = ["fundamental", "--a", "0.5*sin(x)", "--f", "cos(x)", "--x1", "1", "--n", "65536"]
+
+
+@pytest.mark.parametrize("argv", [
+    _BULK,  # 11 MB of JSON
+    # 2 KB, less than the stdout buffer: only the flush sends it
+    ["solve", "--a", "0.5", "--f", "1", "--x1", "1", "--n", "4"],
+])
+def test_payload_arrives_whole_through_a_pipe_and_a_file(argv, tmp_path):
+    code, text = cli.run(cli.config_from_args(cli.build_parser().parse_args(argv)))
+    assert code == 0
+    r = _python(["-m", "bvpseries", *argv])
+    assert (r.returncode, r.stderr) == (0, "")
+    assert r.stdout == text
+    out = tmp_path / "out.txt"
+    r = _python(["-m", "bvpseries", *argv, "--out", str(out)])
+    assert (r.returncode, r.stdout, r.stderr) == (0, "", "")
+    assert out.read_text() == text
+
+
+def _hang_up(launcher, read_first):
+    """Exit code and last stderr line of a run whose reader closes stdout
+    after ``read_first`` bytes (None: before the run starts)."""
+    read_fd, write_fd = os.pipe()
+    if read_first is None:
+        os.close(read_fd)
+    proc = subprocess.Popen([sys.executable, *launcher, *_BULK, "--format", "csv"],
+                            stdout=write_fd, stderr=subprocess.PIPE, env=_ENV)
+    os.close(write_fd)
+    if read_first is not None:
+        os.read(read_fd, read_first)
+        os.close(read_fd)
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    return proc.wait(timeout=120), err.strip().splitlines()[-1:]
+
+
+@pytest.mark.parametrize("read_first", [None, 10])
+def test_reader_that_hangs_up_sees_the_old_exit_code(read_first):
+    assert _hang_up(["-m", "bvpseries"], read_first) == _hang_up(_SYS_EXIT, read_first)
+
+
+# Runs the CLI with os._exit replaced by a check that no child of this
+# process is left, running or unreaped; a forked child passes it too.
+_REAPED = """
+import os, runpy, sys
+_exit = os._exit
+def checked(code):
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        _exit(code)
+    _exit(99)
+os._exit = checked
+sys.argv[0] = "bvpseries"
+runpy.run_module("bvpseries", run_name="__main__")
+"""
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["verify", "--a", "sin(x)", "--f", "exp(-x)", "--x1", "0.9", "--n", "4096"], 0),
+    (["fundamental", "--a", "sin(x)", "--f", "exp(-x)", "--x1", "0.9", "--n", "4096"], 0),
+    # the oracle child fails at a midpoint, and this process reruns it
+    (["verify", "--a", "0.01/(x - 0.0625)", "--f", "1", "--x1", "1", "--n", "8"], 4),
+])
+def test_no_child_is_left_unreaped(argv, code):
+    r = _python(["-c", _REAPED, *argv])
+    assert r.returncode == code, r.stderr

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bvpseries import expr
 from bvpseries.expr import (
     EVAL_BLOCK,
     FUNCTIONS,
@@ -14,12 +15,13 @@ from bvpseries.expr import (
     Const,
     Unary,
     Var,
+    eval_arrays,
     eval_expr,
     parse_expr,
     to_text,
 )
 from bvpseries.errors import EvalError, ParseError, UnknownFunction
-from bvpseries.grid import CoefficientSpec, make_grid, sample
+from bvpseries.grid import CoefficientSpec, make_grid, sample, sample_together
 
 
 class TestParseExamples:
@@ -278,3 +280,88 @@ class TestFuzz:
         got = spec.evaluate(grid.nodes)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
         assert np.array_equal(sample(spec, grid).values.view(np.int64), want.view(np.int64))
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+def _sequential(specs, grid):
+    """What sampling the specs one at a time gives: values or the error."""
+    try:
+        return [sample(spec, grid).values for spec in specs]
+    except EvalError as exc:
+        return str(exc)
+
+
+class TestSharedProgram:
+    """Several trees evaluated as one program of their distinct subtrees."""
+
+    @given(_ast, _ast, _ast, st.sampled_from(("neg",) + tuple(FUNCTIONS)),
+           st.sampled_from("+-*/^"), st.sampled_from([2, 7, 100, EVAL_BLOCK + 3]),
+           st.floats(0.1, 3.0))
+    @settings(max_examples=200, deadline=None)
+    def test_shared_subtrees_keep_the_scalar_bits(self, shared, left, right, fn, op, n, x1):
+        # a and f both hold `shared`, f twice and under a function, the way
+        # f = u'' + a*u repeats a and each sin(k*x + p) of u
+        a = Binary(op, left, shared)
+        f = Binary("+", Binary("*", a, Unary(fn, shared)), Binary(op, shared, right))
+        specs = [CoefficientSpec(tree, to_text(tree), None) for tree in (a, f)]
+        grid = make_grid(x1, n)
+        want = _sequential(specs, grid)
+        try:
+            got = [s.values for s in sample_together(specs, grid)]
+        except EvalError as exc:
+            got = str(exc)
+        if isinstance(want, str):
+            assert got == want
+            return
+        for tree, values, other in zip((a, f), got, want):
+            scalar = [eval_expr(tree, x) for x in grid.nodes.tolist()]
+            assert np.array_equal(_bits(values), _bits(scalar))
+            assert np.array_equal(_bits(values), _bits(other))
+
+    def test_signed_zero_constants_stay_apart(self):
+        # the dataclasses compare equal, so a program keyed on == would
+        # share one step between them and give x*-0 the sign of x*0
+        assert Const(0.0) == Const(-0.0)
+        pos = Binary("*", Var(), Const(0.0))
+        neg = Binary("*", Var(), Const(-0.0))
+        xs = np.array([0.5, 1.5, 2.5])
+        got_pos, got_neg = eval_arrays([pos, neg], xs)
+        assert np.array_equal(_bits(got_pos), _bits([0.0] * 3))
+        assert np.array_equal(_bits(got_neg), _bits([-0.0] * 3))
+        got_neg, got_pos = eval_arrays([neg, pos], xs)
+        assert np.array_equal(_bits(got_neg), _bits([-0.0] * 3))
+        assert np.array_equal(_bits(got_pos), _bits([0.0] * 3))
+
+    def test_shared_steps_are_not_written_in_place(self):
+        # x is the block itself; a step that wrote into it would change x
+        # for every later step and for the caller's array
+        xs = np.linspace(0.0, 1.0, 9)
+        before = xs.copy()
+        trees = [parse_expr(t) for t in ("x", "-x", "x + 1", "abs(x - 0.5)", "x")]
+        got = eval_arrays(trees, xs)
+        assert np.array_equal(xs, before)
+        for tree, values in zip(trees, got):
+            assert np.array_equal(_bits(values), _bits([eval_expr(tree, x) for x in xs.tolist()]))
+
+    def test_each_distinct_function_call_runs_once_per_point(self, monkeypatch):
+        # a verify-fine-shaped pair: a has two terms, u two terms, and
+        # f = u'' + a*u, so f repeats all of a and every sin/cos/exp of u
+        a = "0.31*(0.9*sin(1.7*x + 0.4) + -1.2*cos(2.3*x + -1.1))"
+        u = "0.5*sin(1.1*x + 0.2) + 1.3*exp(0.7*x)"
+        f = f"(-0.605*sin(1.1*x + 0.2) + 0.637*exp(0.7*x)) + ({a})*({u})"
+        specs = [CoefficientSpec.expression(a), CoefficientSpec.expression(f)]
+        calls = []
+        for name in ("sin", "cos", "exp"):
+            fn = expr._FUNC_IMPL[name]
+            monkeypatch.setitem(expr._FUNC_IMPL, name,
+                                lambda x, fn=fn, name=name: calls.append(name) or fn(x))
+        for spec in specs:  # the scalar walk calls each occurrence
+            spec.evaluate(0.5)
+        assert len(calls) == 8
+        calls.clear()
+        grid = make_grid(1.2, 100)
+        sample_together(specs, grid)
+        assert sorted(calls) == sorted(["sin", "cos", "sin", "exp"] * (grid.n + 1))

@@ -45,6 +45,26 @@ class TestMakeGrid:
         with pytest.raises(InvalidDomain):
             make_grid(x1, 8)
 
+    @pytest.mark.parametrize("x1, n, square", [
+        (1e-160, 1024, "x1*x1 = 1e-320"),  # underflows to a subnormal
+        (1e-150, 2**20, "h*h = "),  # x1*x1 is normal, h*h is not
+        (1.5e154, 8, "x1*x1 = inf"),
+        (1e160, 8, "x1*x1 = inf"),
+    ])
+    def test_x1_whose_squares_leave_the_normal_floats(self, x1, n, square, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("make_grid allocated nodes for a refused x1")
+
+        monkeypatch.setattr(np, "linspace", refuse)
+        with pytest.raises(InvalidDomain, match="is not a normal finite float") as info:
+            make_grid(x1, n)
+        assert str(info.value).startswith(square)
+
+    @pytest.mark.parametrize("x1", [1e-150, 1e150])
+    def test_extreme_x1_with_normal_squares(self, x1):
+        g = make_grid(x1, 8)
+        assert g.nodes[-1] == x1 and g.h * g.h > 0.0
+
     @pytest.mark.parametrize("n", [1, 0, -4, 2.0, True])
     def test_bad_n(self, n):
         with pytest.raises(InvalidDomain):
