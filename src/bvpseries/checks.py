@@ -38,11 +38,11 @@ WRONSKIAN_CONST = 50.0
 ORACLE_CONST = 200.0
 
 UNIT_ROUNDOFF = float(np.finfo(float).eps) / 2.0
-# Second difference of the rounding one pass of series_core._apply_B_values
-# leaves, in units of UNIT_ROUNDOFF * x1^2 * sup|w|; see _rounding_floor.
+# Bounds on the rounding one pass of series_core._apply_B_values leaves, in
+# units of UNIT_ROUNDOFF * x1^2 * sup|w|: in its second difference (at most
+# 4.75, _rounding_floor) and in h times its central difference (4.25,
+# _slope_rounding_floor); kept at their earlier values, as are verify's limits.
 B_ROUNDING_CONST = 20.0
-# Central first difference of that rounding, in units of
-# UNIT_ROUNDOFF * x1^2 * sup|w| / h; see _slope_rounding_floor.
 B_SLOPE_CONST = 7.0
 
 
@@ -146,11 +146,16 @@ def _rounding_floor(sol: SeriesSolution, name: str) -> float:
       |u[i-1]| + 2|u[i]| + |u[i+1]| <= 4 sup|S| (recursive summation,
       Higham (4.4)), so 8u sum_k s_k; plus 4u s_0 for the seed's own node
       rounding;
-    * each pass of B on w = a t_{k-1}: the prefix-sum errors are random
-      walks whose steps are one rounding each, so their second differences
-      are at most 2u times the partial sums, and the pointwise products and
-      sums after them add at most 4u times their size. Term by term this is
-      below 20 u x1^2 sup|w| (B_ROUNDING_CONST), and sup|w| <= sup|a| s_{k-1};
+    * each pass of B on w = a t_{k-1}, sup|w| <= sup|a| s_{k-1}: the tail
+      G = P_n - P of the prefix sum P of w, then the prefix sum of G. A
+      prefix sum rounds each increment h (v_j + v_{j-1}) / 2 twice and each
+      partial sum once, a second difference of its error is a difference of
+      two such roundings, and the outer pass turns G's error into h/2 times
+      its central difference. With |P|, |G| <= x1 sup|w|, r = 1/n and
+      |B w| <= x1^2 sup|w| / 2, in units of u x1^2 sup|w|: the product
+      a t_{k-1} r^2, the inner increments 2 r^2, its partial sums and the
+      subtraction 2r, the outer increments 4r, its partial sums 1; in all
+      1 + 6r + 3r^2 <= 4.75 for n >= 2, below B_ROUNDING_CONST;
     * each addition total += t_k: at most u |S_k| <= u sum_{j<=k} s_j per
       node, so 4u times that in the second difference;
     * for F, the pass of B that builds the seed g from f: 20 u x1^2 sup|f|.
@@ -172,25 +177,21 @@ def _slope_rounding_floor(sol: SeriesSolution, name: str) -> float:
     that B carries from one term into the next satisfies the derivative
     identity and cancels; what remains is the rounding each step adds on
     its own. A per-node error e contributes at most 2 max|e| / (2h) to the
-    central difference; the error of a prefix sum contributes its two steps
-    at i and i+1, over 2h, plus, where the prefix sum is subtracted from its
-    total, |E_n - E_{i-1}| <= n u x1 sup|w| = u x1^2 sup|w| / h. Keeping the
-    terms of order u/h (the others are O(u) and far below the h^2 envelope
-    at every admissible n), with s_k = term_sups[name][k], m + 1 summed
-    terms and w the integrand of a pass:
+    central difference. With s_k = term_sups[name][k], m + 1 summed terms
+    and w the integrand of a pass:
 
     * the seed's own node rounding: u s_0 / h;
-    * each pass of B on w = a t_{k-1}, sup|w| <= sup|a| s_{k-1}: the two
-      prefix-sum walks give 0.5 and 1 (times x_i <= x1), the subtraction
-      from the total gives 1, and the four pointwise roundings (of
-      total - prefix times x_i, of that product, of the sum with the
-      weighted prefix, of the final add) give 1 + 1 + 1.5 + 0.5; in all
-      6.5, rounded up to B_SLOPE_CONST = 7, in units of u x1^2 sup|w| / h;
+    * each pass of B on w = a t_{k-1}, sup|w| <= sup|a| s_{k-1}, in units
+      of u x1^2 sup|w| / h with r = 1/n: the outer pass turns an error e of
+      G into at most max|e| here, and the tail G = P_n - P carries the walk
+      of its prefix sum, 2r for the increments and (1 + r) / 2 for the partial
+      sums, plus r for the subtraction; the outer increments add 2r, its
+      partial sums 0.5, the product a t_{k-1} r: 1 + 6.5r <= 4.25 < 7;
     * each addition total += t_k: at most u |S_k| <= u sum_{j<=k} s_j per
       node, so that over h;
-    * in the derivative identity (series_core.fundamental_system), the
-      prefix sum of a S subtracted from its total: u x1^2 sup|a| sum_k s_k / h;
-    * for F, the pass of B that builds the seed g from f and the prefix sum
+    * in the derivative identity (series_core.fundamental_system), the tail
+      pass of a S: u x1^2 sup|a| sum_k s_k / h;
+    * for F, the pass of B that builds the seed g from f and the tail pass
       of f in the derivative identity: (7 + 1) u x1^2 sup|f| / h.
 
     The central difference's own two roundings are O(u |S'|) and dropped.

@@ -16,15 +16,14 @@ as one program of their distinct subtrees (``grid.sample_together``,
 a first, so every message and exit code is the one-at-a-time one.
 
 Work that can run beside this process's own goes to one forked child at a
-time, when os.fork exists, the process may run on two or more CPUs and no
-other Python thread runs. The child sends its result back through a pipe
-as bytes. verify forks the RK4 oracle as soon as a and f are sampled and
-certified, and sums the series and solves meanwhile; every command that
-renders float columns forks the second half of the rows, while this
-process formats the first. If a child fails, this process does its work
-itself, so an oracle error is raised here with its usual exit code and
-message; if this process fails first, it kills the child. Every child is
-reaped, and the bytes are the same on every path.
+time (``_Child``), which sends its result back as bytes. verify forks the
+RK4 oracle as soon as a and f are sampled and certified, and sums the
+series and solves meanwhile; every command that renders float columns
+forks the second half of the rows, while this process formats the first.
+If a child fails, this process does its work itself, so an oracle error is
+raised here with its usual exit code and message; if this process fails
+first, it kills the child. Every child is reaped, and the bytes are the
+same on every path.
 
 ``python -m bvpseries`` and the ``bvpseries`` script enter through
 ``entry``, which flushes stdout and stderr after ``main`` returns and ends
@@ -39,6 +38,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 import threading
 from dataclasses import asdict, astuple, dataclass
@@ -105,7 +105,15 @@ class RunConfig:
 
 class _ArgumentParser(argparse.ArgumentParser):
     """argparse maps usage errors to exit code 2 by default; we reserve 2
-    for the convergence gate, so usage errors exit 4 instead."""
+    for the convergence gate, so usage errors exit 4 instead.
+
+    argparse reads ``-1`` as a value but ``-1e-3``, ``-x`` or ``-sin(x)`` as an
+    unknown option; here any token with one leading '-' that is none of the
+    parser's options is a value (argparse's negative-number matcher)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-[^-]")
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -273,6 +281,11 @@ def _cmd_verify(config: RunConfig):
                                       for name, col in zip(_FUNDAMENTAL, columns)})
     max_rel_err = compare(sol, oracle)
     all_checks = verify(sol, report, max_rel_err, config.tol)
+    overflowed = ", ".join(c.name for c in all_checks if not math.isfinite(c.limit))
+    if overflowed:  # every limit grows with tol, fixed_point's with alpha and beta too
+        ends = (f", --alpha = {config.alpha!r}, --beta = {config.beta!r}"
+                if "fixed_point" in overflowed else "")
+        raise InvalidDomain(f"the limit of {overflowed} overflows at --tol = {config.tol!r}{ends}")
     passed = all(c.passed for c in all_checks)
     payload = _common_payload(config, sol)
     payload.update({

@@ -33,7 +33,11 @@ class UnknownFunction(ParseError):
 
 
 class EvalError(SolverError):
-    """Expression evaluation left the real line (NaN/inf, log of a negative, ...)."""
+    """Expression evaluation left the finite reals at the point ``x`` (None if unknown)."""
+
+    def __init__(self, message: str, x: float | None = None):
+        super().__init__(message)
+        self.x = x
 
 
 class InvalidDomain(SolverError):

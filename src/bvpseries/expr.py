@@ -258,7 +258,7 @@ def eval_expr(e: Expr, x: float) -> float:
     EvalError
         If any sub-expression leaves the finite reals: NaN or infinity,
         log or sqrt of a negative number, division by zero, or a negative
-        base raised to a non-integer power.
+        base raised to a non-integer power. Its ``x`` is the point.
     """
     if isinstance(e, Const):
         value = e.value
@@ -272,7 +272,7 @@ def eval_expr(e: Expr, x: float) -> float:
             try:
                 value = _FUNC_IMPL[e.op](arg)
             except (ValueError, OverflowError) as exc:
-                raise EvalError(f"{e.op}({arg!r}) is undefined: {exc}") from None
+                raise EvalError(f"{e.op}({arg!r}) is undefined: {exc}", x) from None
     elif isinstance(e, Binary):
         lhs = eval_expr(e.lhs, x)
         rhs = eval_expr(e.rhs, x)
@@ -288,13 +288,13 @@ def eval_expr(e: Expr, x: float) -> float:
             else:
                 value = math.pow(lhs, rhs)
         except ZeroDivisionError:
-            raise EvalError(f"division by zero at x = {x!r}") from None
+            raise EvalError(f"division by zero at x = {x!r}", x) from None
         except (ValueError, OverflowError) as exc:
-            raise EvalError(f"{lhs!r} ^ {rhs!r} is undefined: {exc}") from None
+            raise EvalError(f"{lhs!r} ^ {rhs!r} is undefined: {exc}", x) from None
     else:
         raise TypeError(f"not an Expr node: {e!r}")
     if not math.isfinite(value):
-        raise EvalError(f"non-finite intermediate value {value!r} at x = {x!r}")
+        raise EvalError(f"non-finite intermediate value {value!r} at x = {x!r}", x)
     return value
 
 

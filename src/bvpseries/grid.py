@@ -3,8 +3,8 @@
 Every function in the solve pipeline is represented by its values at the
 nodes of a uniform grid on [0, x1] and interpreted as the piecewise-linear
 interpolant between nodes. All integrals in the package reduce to the single
-composite-trapezoid prefix sum implemented here, so that the various
-quadrature compositions stay mutually consistent.
+composite-trapezoid prefix sum implemented here (or its tail), so that the
+various quadrature compositions stay mutually consistent.
 
 Norms are computed as node maxima. That is the correct supremum for the
 piecewise-linear representatives used here; it under-estimates the essential
@@ -220,13 +220,8 @@ def sample(spec: CoefficientSpec, grid: Grid) -> SampledFn:
     spec.check_span(grid.x1)
     try:
         values = spec.evaluate(grid.nodes)
-    except EvalError:
-        for x in grid.nodes:  # name the first node that fails
-            try:
-                spec.evaluate(float(x))
-            except EvalError as exc:
-                raise EvalError(f"{spec.source!r} at x = {x}: {exc}") from exc
-        raise
+    except EvalError as exc:  # raised at the first node that fails
+        raise EvalError(f"{spec.source!r} at x = {exc.x}: {exc}", exc.x) from exc
     return SampledFn(grid, values)
 
 
@@ -280,3 +275,10 @@ def prefix_trapz(values: np.ndarray, h: float) -> np.ndarray:
     out[0] = 0.0
     out[1:] = np.cumsum(h * (values[1:] + values[:-1]) / 2.0)
     return out
+
+
+def tail_trapz(values: np.ndarray, h: float) -> np.ndarray:
+    """Running trapezoid integral toward x1: out[i] = integral over [x_i, x1],
+    the total minus the prefix sum; out[-1] is 0.0 exactly."""
+    prefix = prefix_trapz(values, h)
+    return prefix[-1] - prefix

@@ -25,10 +25,12 @@ the tolerance. The a-priori count, the smallest m with
 2 ||seed|| q^(m+1) / (1 - q) <= tol, is kept only as the loop's upper
 limit; the term cap is tested against the terms actually summed.
 
-The measured bound is rigorous for the discrete operator B_h as well: the
-inner trapezoid of a constant is exact and the outer trapezoid integrates
-the linear envelope sup|a w| (x1 - y) exactly, so ||B_h w|| <= q ||w|| holds
-node by node and the omitted terms sum to at most
+On the grid B is the nested trapezoid rule B_h: a tail pass
+G_i = int_{x_i}^{x1} w, which the derivatives of the limits share, then a
+prefix pass (B_h w)_i = int_0^{x_i} G. The measured bound is rigorous for
+B_h as well: the inner trapezoid of a constant is exact and the outer
+trapezoid integrates the linear envelope sup|a w| (x1 - y) exactly, so
+||B_h w|| <= q ||w|| holds node by node and the omitted terms sum to at most
 sum_{k>m} q^(k-m) ||t_m|| = q ||t_m|| / (1 - q).
 
 Everything here is a pure function of immutable inputs; the three series may
@@ -43,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractionViolation, GridMismatch, InvalidDomain, MaxTermsExceeded
-from .grid import Grid, SampledFn, prefix_trapz, same_grid, sup_norm
+from .grid import Grid, SampledFn, prefix_trapz, same_grid, sup_norm, tail_trapz
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_TERMS = 10_000
@@ -107,30 +109,15 @@ def _check_certificate(cert: ContractionCertificate, a: SampledFn) -> None:
 
 
 def _apply_B_values(w: np.ndarray, grid: Grid) -> np.ndarray:
-    """Trapezoid discretization of x -> int_0^x int_y^{x1} w(t) dt dy.
-
-    Swapping the integration order collapses the double integral to
-
-        int_0^x t*w(t) dt  +  x * int_x^{x1} w(t) dt,
-
-    two prefix-trapezoid passes, O(n) in total. The final term restores the
-    exact value of the nested trapezoid rule applied to the double integral
-    directly: discrete summation by parts of the prefix sums leaves the
-    boundary mismatch h^2 (w_0 - w_i) / 4, nothing else.
-    """
-    h = grid.h
-    weighted = prefix_trapz(grid.nodes * w, h)
-    prefix = prefix_trapz(w, h)
-    total = prefix[-1]
-    return weighted + grid.nodes * (total - prefix) + h * h * (w[0] - w) / 4.0
+    """Nested trapezoid rule for x -> int_0^x int_y^{x1} w(t) dt dy: a tail
+    pass G(y) = int_y^{x1} w, then a prefix pass int_0^x G; O(n) in all."""
+    return prefix_trapz(tail_trapz(w, grid.h), grid.h)
 
 
 def apply_B(u: SampledFn, a: SampledFn) -> SampledFn:
-    """Apply the double-integral operator B to u, in O(n).
-
-    Node-wise identical (to rounding) to the direct O(n^2) nested-trapezoid
-    transcription of B; the grid's piecewise-linear quadrature is shared by
-    both.
+    """Apply the double-integral operator B to u, in O(n), as the nested
+    trapezoid rule: node-wise identical, to rounding, to the direct O(n^2)
+    transcription that takes a fresh trapezoid pass for every integral.
 
     Raises
     ------
@@ -167,19 +154,17 @@ def _certified_terms(seed_sup: float, q: float, tol: float) -> tuple[int, float]
 
     Returns (terms, tail) where terms counts the partial sum's terms
     including the seed and tail = 2*seed_sup*q^terms/(1-q) bounds everything
-    omitted.
+    omitted. The count comes from logarithms, since the products underflow
+    for a tiny tol or a huge seed.
     """
     if seed_sup == 0.0 or q == 0.0:
         return 1, 0.0
-    budget = tol * (1.0 - q) / (2.0 * seed_sup)
-    if budget >= q:
-        m = 0
-    else:
-        m = max(0, math.ceil(math.log(budget) / math.log(q)) - 1)
-        while 2.0 * seed_sup * q ** (m + 1) / (1.0 - q) > tol:
-            m += 1
-    terms = m + 1
-    return terms, 2.0 * seed_sup * q ** terms / (1.0 - q)
+    log_budget = math.log(tol) + math.log(1.0 - q) - math.log(2.0) - math.log(seed_sup)
+    log_q = math.log(q)
+    terms = max(1, math.ceil(log_budget / log_q))
+    while terms * log_q > log_budget:
+        terms += 1
+    return terms, seed_sup * q ** terms * 2.0 / (1.0 - q)  # 2 * seed_sup may overflow
 
 
 def sum_series(seed: SampledFn, a: SampledFn, cert: ContractionCertificate,
@@ -298,9 +283,8 @@ def fundamental_system(a: SampledFn, f: SampledFn, cert: ContractionCertificate,
         I2'(x) =     int_x^{x1} a*I2,
         F'(x)  = -int_x^{x1} f + int_x^{x1} a*F,
 
-    each tail integral taken as the total minus the prefix of one trapezoid
-    pass. At x1 every tail integral vanishes identically, which pins
-    I1'(x1) = 1, I2'(x1) = 0, F'(x1) = 0 exactly.
+    each tail integral the inner pass of B_h (grid.tail_trapz), which is 0.0
+    at x1: I1'(x1) = 1, I2'(x1) = 0, F'(x1) = 0 hold exactly.
 
     Raises
     ------
@@ -308,12 +292,7 @@ def fundamental_system(a: SampledFn, f: SampledFn, cert: ContractionCertificate,
     """
     if not same_grid(a.grid, f.grid):
         raise GridMismatch("a and f must share a grid")
-    grid = a.grid
-
-    def tail_integral(values: np.ndarray) -> np.ndarray:
-        prefix = prefix_trapz(values, grid.h)
-        return prefix[-1] - prefix
-
+    grid, h = a.grid, a.grid.h
     seeds = {
         "I1": SampledFn(grid, grid.nodes.copy()),
         "I2": SampledFn(grid, np.ones(grid.n + 1)),
@@ -327,10 +306,10 @@ def fundamental_system(a: SampledFn, f: SampledFn, cert: ContractionCertificate,
         I1=sums["I1"],
         I2=sums["I2"],
         F=sums["F"],
-        dI1=SampledFn(grid, 1.0 + tail_integral(a.values * sums["I1"].values)),
-        dI2=SampledFn(grid, tail_integral(a.values * sums["I2"].values)),
-        dF=SampledFn(grid, tail_integral(a.values * sums["F"].values)
-                     - tail_integral(f.values)),
+        dI1=SampledFn(grid, 1.0 + tail_trapz(a.values * sums["I1"].values, h)),
+        dI2=SampledFn(grid, tail_trapz(a.values * sums["I2"].values, h)),
+        dF=SampledFn(grid, tail_trapz(a.values * sums["F"].values, h)
+                     - tail_trapz(f.values, h)),
         terms_used=terms_used,
         terms_apriori=terms_apriori,
         tail_bound=tail_bound,

@@ -226,6 +226,35 @@ class TestExitCodes:
         assert r.stderr.endswith(" are too large: the solution or its residual overflows\n")
         assert r.stderr.count("\n") == 1
 
+    @pytest.mark.parametrize("flags", [["--tol", "5e-324"], ["--f", "1e300", "--tol", "1e-300"]])
+    def test_tiny_tol_or_huge_forcing(self, capsys, flags):
+        # the a-priori budget tol*(1-q)/(2*seed_sup) underflows to 0 here
+        code, out, err = run_main(capsys, "solve", "--a", "1", "--f", "1", "--x1", "1",
+                                  "--n", "8", *flags)
+        assert code == 0, err
+        payload = json.loads(out)
+        for name in ("I1", "I2", "F"):
+            assert payload["terms"][name] <= payload["terms_apriori"][name]
+            assert payload["tails"][name] <= payload["tol"]
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("flags, named", [
+        (["--tol", "1e308"], "--tol = 1e+308, --alpha = 0.0, --beta = 0.0"),
+        (["--tol", "1e300", "--alpha", "1e9"],
+         "--tol = 1e+300, --alpha = 1000000000.0, --beta = 0.0"),
+    ])
+    def test_overflowing_check_limit(self, capsys, flags, named, fmt):
+        # a limit of inf once crashed the JSON renderer and printed inf in CSV
+        args = ("--a", "1", "--f", "1", "--x1", "1", "--n", "8", *flags, "--format", fmt)
+        code, out, err = run_main(capsys, "verify", *args)
+        assert code == 4
+        assert out == ""
+        assert err == f"bvpseries: the limit of fixed_point overflows at {named}\n"
+        # solve has no such limits: it still succeeds
+        code, out, err = run_main(capsys, "solve", *args)
+        assert code == 0, err
+        assert out
+
     def test_bad_env_cap(self):
         r = run_cli("solve", "--a", "1", "--f", "0", "--x1", "1",
                     env={"SOLVER_MAX_TERMS": "abc"})
@@ -277,9 +306,31 @@ class TestExitCodes:
         ("solve", "--a", "1", "--f", "0"),
         ("frobnicate", "--a", "1", "--f", "0", "--x1", "1"),
         (),
+        ("solve", "--a", "--f", "1", "--x1", "1"),  # an option is never a value
     ])
     def test_usage_errors(self, args):
         assert run_cli(*args).returncode == 4
+
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    @pytest.mark.parametrize("flag, value", [
+        ("--a", "-x"), ("--f", "-sin(x)"), ("--x1", "-1e-3"), ("--alpha", "-2.5e+3"),
+        ("--beta", "-1e-3"), ("--tol", "-1e-3"), ("--n", "-8"),
+    ])
+    def test_option_values_may_start_with_minus(self, capsys, command, flag, value):
+        # argparse alone takes -1e-3, -x and -sin(x) for options and refuses
+        # them as values; the split and the = form must agree
+        base = {"--a": "1", "--f": "1", "--x1": "1", "--n": "8"}
+        base.pop(flag, None)
+        args = [command, *(item for pair in base.items() for item in pair)]
+        split = run_main(capsys, *args, flag, value)
+        joined = run_main(capsys, *args, f"{flag}={value}")
+        assert split == joined
+        assert "expected one argument" not in split[2]
+        if flag == "--tol":
+            assert split[0] == 4
+            assert split[2] == "bvpseries: --tol must be positive, got -0.001\n"
+        if flag in ("--a", "--f", "--alpha", "--beta"):
+            assert split[0] == 0, split[2]
 
     def test_conflicting_sources(self, tmp_path):
         table = tmp_path / "a.csv"

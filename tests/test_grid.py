@@ -12,6 +12,8 @@ from bvpseries.errors import (
     InvalidDomain,
     TableDomainError,
 )
+from bvpseries import expr, grid
+from bvpseries.expr import EVAL_BLOCK
 from bvpseries.grid import (
     MAX_INTERVALS,
     CoefficientSpec,
@@ -21,6 +23,7 @@ from bvpseries.grid import (
     sample,
     same_grid,
     sup_norm,
+    tail_trapz,
 )
 
 
@@ -115,6 +118,33 @@ class TestCoefficientSpec:
         with pytest.raises(EvalError) as info:
             sample(CoefficientSpec.expression("1/(x - 0.5)"), g)
         assert "x = 0.5" in str(info.value)
+        assert info.value.x == 0.5
+
+    def test_eval_error_names_the_node_without_a_second_walk(self, monkeypatch):
+        # the failure is at the last node: the array walk has already found
+        # it, so sampling must not evaluate every node again point by point
+        points = []
+        depth = 0
+        original = expr.eval_expr
+
+        def counting(e, x):
+            nonlocal depth
+            if depth == 0:
+                points.append(x)
+            depth += 1
+            try:
+                return original(e, x)
+            finally:
+                depth -= 1
+
+        monkeypatch.setattr(expr, "eval_expr", counting)
+        monkeypatch.setattr(grid, "eval_expr", counting)
+        g = make_grid(1.0, 65536)
+        with pytest.raises(EvalError) as info:
+            sample(CoefficientSpec.expression("1/(x-1)"), g)
+        assert 0 < len(points) <= 3 * EVAL_BLOCK
+        assert str(info.value) == "'1/(x-1)' at x = 1.0: division by zero at x = 1.0"
+        assert info.value.x == 1.0
 
     def test_table_interpolation(self):
         g = make_grid(1.0, 2)
@@ -233,6 +263,17 @@ class TestCumulativeIntegral:
         lhs = prefix_trapz(s * u.values + t * v.values, g.h)
         rhs = s * prefix_trapz(u.values, g.h) + t * prefix_trapz(v.values, g.h)
         assert np.max(np.abs(lhs - rhs)) < 1e-12 * (1.0 + abs(s) + abs(t))
+
+    def test_tail_is_total_minus_prefix(self):
+        # grid.tail_trapz, the integral over [x_i, x1]: exactly 0 at x1
+        rng = np.random.default_rng(5)
+        g = make_grid(1.3, 97)
+        values = rng.standard_normal(98)
+        prefix = prefix_trapz(values, g.h)
+        tail = tail_trapz(values, g.h)
+        assert tail[-1] == 0.0
+        assert tail[0] == prefix[-1]
+        assert np.array_equal(tail, prefix[-1] - prefix)
 
     def test_second_order_convergence(self):
         # integrating sin on [0, 1]: endpoint error shrinks by 4x per halving

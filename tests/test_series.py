@@ -15,6 +15,7 @@ from bvpseries.errors import (
 )
 from bvpseries.grid import SampledFn, make_grid, sample, sup_norm, CoefficientSpec
 from bvpseries.series_core import (
+    _certified_terms,
     apply_B,
     compute_g,
     contraction_ratio,
@@ -103,6 +104,27 @@ class TestApplyB:
             scale = max(1.0, np.max(np.abs(ref)))
             assert np.max(np.abs(fast - ref)) / scale < 1e-13
 
+    @pytest.mark.parametrize("n", [2, 7, 256, 4099])
+    @pytest.mark.parametrize("shape", ["smooth", "random"])
+    def test_second_difference_identity(self, n, shape):
+        # the nested trapezoid rule's discrete identity
+        #   (B w)[i-1] - 2 (B w)[i] + (B w)[i+1] = -h^2 (w[i-1] + 2 w[i] + w[i+1]) / 4
+        # up to rounding, in units of u x1^2 sup|w|: at most 4.75 from the
+        # pass (checks._rounding_floor), 3.5 from the stencil and 1 from the
+        # right side, so 10 in all
+        x1 = 1.3
+        g = make_grid(x1, n)
+        if shape == "smooth":
+            w = np.cos(3.0 * g.nodes) + g.nodes
+        else:
+            w = np.random.default_rng(n).standard_normal(n + 1)
+        b = apply_B(SampledFn(g, w), _const(g, 1.0)).values
+        d2 = b[:-2] - 2.0 * b[1:-1] + b[2:]
+        want = -g.h * g.h * (w[:-2] + 2.0 * w[1:-1] + w[2:]) / 4.0
+        unit_roundoff = np.finfo(float).eps / 2.0
+        bound = 10.0 * unit_roundoff * x1 * x1 * np.max(np.abs(w))
+        assert np.max(np.abs(d2 - want)) <= bound
+
     def test_grid_mismatch(self):
         u = _const(make_grid(1.0, 8), 1.0)
         a = _const(make_grid(1.0, 16), 1.0)
@@ -161,6 +183,36 @@ class TestComputeG:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(InvalidDomain, match="double integral g overflowed"):
                 compute_g(_const(g, 1e308))
+
+
+class TestCertifiedTerms:
+    @pytest.mark.parametrize("seed_sup, q, tol", [
+        (1.0, 0.5, 5e-324),       # the budget underflows to 0
+        (0.5e300, 0.5, 1e-300),   # a huge forcing's seed
+        (1.7e308, 0.99, 1e-300),  # 2 * seed_sup overflows
+        (1e-300, 0.5, 1e300),     # the budget overflows: one term
+        (1.0, 0.5, 1e-10),
+        (2.0, 0.99, 1e-10),
+    ])
+    def test_count_meets_apriori_inequality(self, seed_sup, q, tol):
+        # the smallest count with 2 seed_sup q^terms / (1 - q) <= tol, checked
+        # in logarithms, where the products under- or overflow
+        terms, tail = _certified_terms(seed_sup, q, tol)
+        assert isinstance(terms, int) and terms >= 1
+
+        def log_bound(k):
+            return math.log(2.0) + math.log(seed_sup) + k * math.log(q) - math.log(1.0 - q)
+
+        slack = 1e-12 * abs(math.log(tol))
+        assert log_bound(terms) <= math.log(tol) + slack
+        assert terms == 1 or log_bound(terms - 1) > math.log(tol) - slack
+        assert tail <= tol
+
+    def test_known_counts(self):
+        assert _certified_terms(0.0, 0.5, 1e-10) == (1, 0.0)
+        assert _certified_terms(1.0, 0.0, 1e-10) == (1, 0.0)
+        assert _certified_terms(1.0, 0.5, 5e-324)[0] == 1076
+        assert _certified_terms(0.5e300, 0.5, 1e-300)[0] == 1995
 
 
 class TestSumSeries:
