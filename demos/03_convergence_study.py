@@ -30,7 +30,7 @@ from bvpseries import (
 )
 
 x1 = 0.9
-# numpy forms, so the oracle can evaluate them over its array of midpoints
+# numpy forms, so the oracle can evaluate them over its array of step midpoints
 A_EVAL = lambda x: 1.5 * np.cos(x)
 F_EVAL = lambda x: np.exp(-x)
 
@@ -55,7 +55,7 @@ for n in (256, 512, 1024, 2048, 4096):
     _, dev = wronskian_check(sol)
 
     # psi is the homogeneous shot, so its forcing is zero at nodes and
-    # half steps alike
+    # step midpoints alike
     f0 = SampledFn(grid, np.zeros(n + 1))
     psi = rk4_ivp(a, f0, 0.0, 1.0, a_eval=A_EVAL, f_eval=lambda x: 0.0)
     abel = abs(sol.i2_at_x1 * psi.du[-1] - 1.0)

@@ -10,20 +10,18 @@ The node table is formatted in whole column slices: a JSON array is the
 repr of the column's float list, a CSV table one %-format over its cells in
 row order; scalars and nested objects go through json.dumps.
 
-a and f are sampled together, at the nodes and at verify's RK4 midpoints,
-as one program of their distinct subtrees (``grid.sample_together``,
-``grid.evaluate_together``); on any error they are sampled one at a time,
-a first, so every message and exit code is the one-at-a-time one.
+a and f are sampled together, at the grid nodes, as one program of their
+distinct subtrees (``grid.sample_together``); on any error they are
+sampled one at a time, a first, so every message and exit code is the
+one-at-a-time one. verify's RK4 oracle steps on node pairs, so it needs no
+samples beyond the nodes; it runs in this process, after the series and
+the solve.
 
-Work that can run beside this process's own goes to one forked child at a
-time (``_Child``), which sends its result back as bytes. verify forks the
-RK4 oracle as soon as a and f are sampled and certified, and sums the
-series and solves meanwhile; every command that renders float columns
-forks the second half of the rows, while this process formats the first.
-If a child fails, this process does its work itself, so an oracle error is
-raised here with its usual exit code and message; if this process fails
-first, it kills the child. Every child is reaped, and the bytes are the
-same on every path.
+Every command that renders float columns forks one child (``_Child``) to
+format the second half of the rows while this process formats the first;
+the child sends its text back as bytes. If the child fails, this process
+formats that half itself; if this process fails first, it kills the
+child. Every child is reaped, and the bytes are the same on every path.
 
 ``python -m bvpseries`` and the ``bvpseries`` script enter through
 ``entry``, which flushes stdout and stderr after ``main`` returns and ends
@@ -60,15 +58,8 @@ from .errors import (
     SingularI2,
     TableDomainError,
 )
-from .grid import (
-    CoefficientSpec,
-    SampledFn,
-    evaluate_together,
-    make_grid,
-    sample_together,
-    sup_norm,
-)
-from .oracle import OracleFundamental, compare, midpoints, oracle_fundamental
+from .grid import CoefficientSpec, make_grid, sample_together, sup_norm
+from .oracle import compare, oracle_fundamental
 from .series_core import (
     DEFAULT_MAX_TERMS,
     DEFAULT_TOL,
@@ -195,14 +186,11 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     )
 
 
-def _prepare(config: RunConfig, certified=None):
-    """Sample a and f, certify them and sum the series. ``certified(a, f)``,
-    if given, is called between the certificate and the sums."""
+def _prepare(config: RunConfig):
+    """Sample a and f, certify them and sum the series."""
     grid = make_grid(config.x1, config.n)
     a, f = sample_together((config.a_spec, config.f_spec), grid)
     cert = contraction_ratio(sup_norm(a), grid.x1)
-    if certified is not None:
-        certified(a, f)
     return fundamental_system(a, f, cert, tol=config.tol, max_terms=config.max_terms)
 
 
@@ -260,26 +248,9 @@ def _cmd_fundamental(config: RunConfig):
 
 
 def _cmd_verify(config: RunConfig):
-    def shoot(a, f):
-        # a and f at the midpoints, together; the oracle asks for each once
-        am, fm = evaluate_together((config.a_spec, config.f_spec), midpoints(a.grid))
-        return oracle_fundamental(a, f, a_eval=lambda mids: am, f_eval=lambda mids: fm)
-
-    def shoot_bytes(a, f):
-        oracle = shoot(a, f)
-        return b"".join(getattr(oracle, name).values.tobytes() for name in _FUNDAMENTAL)
-
-    with _Child() as child:
-        sol = _prepare(config, lambda a, f: child.start(lambda: shoot_bytes(a, f)))
-        report = solve_problem_d(sol, ProblemD(config.alpha, config.beta))
-        shot = child.result()
-    if shot is None:
-        oracle = shoot(sol.a, sol.f)
-    else:
-        columns = np.frombuffer(shot).reshape(len(_FUNDAMENTAL), -1)
-        oracle = OracleFundamental(**{name: SampledFn(sol.grid, col)
-                                      for name, col in zip(_FUNDAMENTAL, columns)})
-    max_rel_err = compare(sol, oracle)
+    sol = _prepare(config)
+    report = solve_problem_d(sol, ProblemD(config.alpha, config.beta))
+    max_rel_err = compare(sol, oracle_fundamental(sol.a, sol.f))
     all_checks = verify(sol, report, max_rel_err, config.tol)
     overflowed = ", ".join(c.name for c in all_checks if not math.isfinite(c.limit))
     if overflowed:  # every limit grows with tol, fixed_point's with alpha and beta too
@@ -330,7 +301,8 @@ def _csv_rows(columns, lo: int, hi: int) -> list[str]:
 
 
 class _Child:
-    """At most one forked child that computes bytes for this process.
+    """At most one forked child that computes bytes for this process; the
+    row formatter (``_format_halves``) hands it the second half of a table.
 
     ``start(work)`` forks when ``os.fork`` exists, the process may run on
     two or more CPUs and no other Python thread runs (a fork copies only the

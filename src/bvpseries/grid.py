@@ -225,37 +225,23 @@ def sample(spec: CoefficientSpec, grid: Grid) -> SampledFn:
     return SampledFn(grid, values)
 
 
-def _evaluate_joint(specs, xs: np.ndarray) -> list[np.ndarray]:
-    """Each spec's values at ``xs``, the expressions run as one program."""
-    joint = iter(eval_arrays([spec._expr for spec in specs if spec._expr is not None], xs))
-    return [spec.evaluate(xs) if spec._expr is None else next(joint) for spec in specs]
-
-
-def evaluate_together(specs, xs: np.ndarray) -> list[np.ndarray]:
-    """``[spec.evaluate(xs) for spec in specs]``, value for value and error
-    for error, with the expressions among the specs evaluated as one program
-    (``expr.eval_arrays``): a subtree they share runs once per point.
-
-    The joint run only ever supplies values. If it fails anywhere, the specs
-    are evaluated one at a time, in order, so the error is the first
-    failing spec's, as it would be without the joint run.
-    """
-    try:
-        return _evaluate_joint(specs, xs)
-    except (EvalError, TableDomainError):
-        return [spec.evaluate(xs) for spec in specs]
-
-
 def sample_together(specs, grid: Grid) -> list[SampledFn]:
     """``[sample(spec, grid) for spec in specs]``, value for value and error
-    for error, with the expressions evaluated as one program, as in
-    ``evaluate_together``. If a table does not span [0, x1] or the joint
-    run fails anywhere, the specs are sampled one at a time, in order.
+    for error, with the expressions among the specs evaluated as one program
+    (``expr.eval_arrays``): a subtree they share runs once per node.
+
+    The joint run only ever supplies values. If a table does not span
+    [0, x1] or the joint run fails anywhere, the specs are sampled one at a
+    time, in order, so the error is the first failing spec's, as it would
+    be without the joint run.
     """
     try:
         for spec in specs:
             spec.check_span(grid.x1)
-        values = _evaluate_joint(specs, grid.nodes)
+        joint = iter(eval_arrays([spec._expr for spec in specs if spec._expr is not None],
+                                 grid.nodes))
+        values = [spec.evaluate(grid.nodes) if spec._expr is None else next(joint)
+                  for spec in specs]
     except (EvalError, TableDomainError):
         return [sample(spec, grid) for spec in specs]
     return [SampledFn(grid, v) for v in values]
@@ -266,19 +252,27 @@ def sup_norm(u: SampledFn) -> float:
     return float(np.max(np.abs(u.values)))
 
 
-def prefix_trapz(values: np.ndarray, h: float) -> np.ndarray:
+def prefix_trapz(values: np.ndarray, h: float, out: np.ndarray | None = None) -> np.ndarray:
     """Running composite-trapezoid integral: out[i] = integral over [0, x_i].
 
     Exact (to rounding) for the piecewise-linear interpolant of ``values``.
+    Written into ``out`` when given (same length, not ``values`` itself),
+    one ufunc at a time, so the pass allocates nothing.
     """
-    out = np.empty(len(values))
+    if out is None:
+        out = np.empty(len(values))
     out[0] = 0.0
-    out[1:] = np.cumsum(h * (values[1:] + values[:-1]) / 2.0)
+    steps = out[1:]
+    np.add(values[1:], values[:-1], out=steps)
+    np.multiply(h, steps, out=steps)
+    np.divide(steps, 2.0, out=steps)
+    np.cumsum(steps, out=steps)
     return out
 
 
-def tail_trapz(values: np.ndarray, h: float) -> np.ndarray:
+def tail_trapz(values: np.ndarray, h: float, out: np.ndarray | None = None) -> np.ndarray:
     """Running trapezoid integral toward x1: out[i] = integral over [x_i, x1],
-    the total minus the prefix sum; out[-1] is 0.0 exactly."""
-    prefix = prefix_trapz(values, h)
-    return prefix[-1] - prefix
+    the total minus the prefix sum; out[-1] is 0.0 exactly. ``out`` is as
+    for ``prefix_trapz``."""
+    prefix = prefix_trapz(values, h, out)
+    return np.subtract(prefix[-1], prefix, out=prefix)

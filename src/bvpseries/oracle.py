@@ -7,14 +7,20 @@ initial-value solutions by shooting so the mixed endpoint normalizations of
 I1, I2, F come out by construction. Nothing here touches the trapezoid
 quadrature of the series path; independence is the point.
 
+The scheme steps on node pairs: each step spans 2h, from x_2i to x_2i+2,
+and its midpoint is the node x_2i+1, so the node samples of a and f are
+all it needs. When n is odd the last step spans one h, from x_n-1 to x_n,
+with its midpoint values interpolated linearly. The states come out at the
+step ends, the even nodes and x_n (``step_ends``).
+
 The system is linear, so each RK4 step is an affine map of the state
 z = (u, u'): z_{i+1} = M_i z_i + c_i. The maps of all steps are built at
-once from the node and midpoint samples and held as six float arrays, the
-rows (m00, m01, c0) and (m10, m11, c1) of [M_i | c_i]. The states are the
-maps' prefix compositions, computed by a Hillis-Steele doubling scan
-(log2 of the block length passes; Blelloch 1990, "Prefix Sums and Their
-Applications"): each pass composes A_i with A_{i-d} elementwise, M_i M_{i-d}
-and M_i c_{i-d} + c_i, in plain ufunc products and sums, so no BLAS call is
+once and held as six float arrays, the rows (m00, m01, c0) and
+(m10, m11, c1) of [M_i | c_i]. The states are the maps' prefix
+compositions, computed by a Hillis-Steele doubling scan (log2 of the block
+length passes; Blelloch 1990, "Prefix Sums and Their Applications"): each
+pass composes A_i with A_{i-d} elementwise, M_i M_{i-d} and
+M_i c_{i-d} + c_i, in plain ufunc products and sums, so no BLAS call is
 made and the bits do not depend on the CPU. The scan runs over blocks of
 SCAN_BLOCK steps and carries each block's end state into the next, so its
 temporaries stay small. A start (u0, u0', w), with w weighting the forcing,
@@ -41,22 +47,32 @@ SCAN_BLOCK = 4096
 
 @dataclass(frozen=True, eq=False)
 class IvpTrajectory:
-    """Node-aligned initial-value solution: u and its derivative."""
+    """Initial-value solution at the step ends: u and its derivative at
+    ``grid.nodes[index]``."""
 
     grid: Grid
+    index: np.ndarray
     u: np.ndarray
     du: np.ndarray
 
 
-def midpoints(grid: Grid) -> np.ndarray:
-    """The n half-step abscissae x_i + h/2 at which RK4 evaluates a and f."""
-    return grid.nodes[:-1] + grid.h / 2.0
+def step_ends(n: int) -> np.ndarray:
+    """Node indices of the scheme's step ends: 0, 2, 4, ..., and n."""
+    ends = np.arange(0, n + 1, 2)
+    return ends if n % 2 == 0 else np.append(ends, n)
 
 
-def _midpoint_values(fn: SampledFn, fn_eval) -> np.ndarray:
+def _step_midpoint_values(fn: SampledFn, fn_eval) -> np.ndarray:
+    """fn at each step's midpoint: the odd nodes, then, for odd n, the
+    middle of the last interval. From ``fn_eval`` when given, else from the
+    node values, with that last midpoint interpolated linearly."""
+    grid, n = fn.grid, fn.grid.n
     if fn_eval is None:
-        return (fn.values[:-1] + fn.values[1:]) / 2.0
-    mids = midpoints(fn.grid)
+        odd = fn.values[1:n:2]
+        return odd if n % 2 == 0 else np.append(odd, (fn.values[-2] + fn.values[-1]) / 2.0)
+    mids = grid.nodes[1:n:2]
+    if n % 2:
+        mids = np.append(mids, grid.nodes[-2] + grid.h / 2.0)
     return np.broadcast_to(np.asarray(fn_eval(mids), dtype=float), mids.shape)
 
 
@@ -75,36 +91,41 @@ def _rk4_step(u, v, w, h, an, am, an1, fn, fm, fn1):
 
 
 def _shoot(a: SampledFn, f: SampledFn, starts: np.ndarray, a_eval, f_eval):
-    """States of the RK4 scheme from each column of ``starts`` at every node.
+    """States of the RK4 scheme from each column of ``starts`` at the step ends.
 
     ``starts`` is 3 x k: columns (u0, u0', w), with w = 1 for the forced
-    equation and 0 for the homogeneous one. Returns u and u' as k x (n+1)
-    arrays.
+    equation and 0 for the homogeneous one. Returns the step-end node
+    indices (``step_ends``) and u and u' there, as k x len(index) arrays.
 
     Raises
     ------
     GridMismatch
         If a and f live on different grids.
     Diverged
-        At the first node where some state leaves the finite reals or
+        At the first step end where some state leaves the finite reals or
         reaches 1e100 in magnitude.
     """
     if not same_grid(a.grid, f.grid):
         raise GridMismatch("a and f must share a grid")
     grid = a.grid
-    h = grid.h
-    an, fn = a.values, f.values
-    am = _midpoint_values(a, a_eval)
-    fm = _midpoint_values(f, f_eval)
     n = grid.n
+    ends = step_ends(n)
+    an, fn = a.values[ends], f.values[ends]
+    am = _step_midpoint_values(a, a_eval)
+    fm = _step_midpoint_values(f, f_eval)
+    # (first step, end step, step size): blocks of 2h steps, then the odd h step
+    pairs = n // 2
+    blocks = [(lo, min(lo + SCAN_BLOCK, pairs), 2.0 * grid.h)
+              for lo in range(0, pairs, SCAN_BLOCK)]
+    if n % 2:
+        blocks.append((pairs, pairs + 1, grid.h))
     k = starts.shape[1]
-    u_out = np.empty((k, n + 1))
-    du_out = np.empty((k, n + 1))
+    u_out = np.empty((k, len(ends)))
+    du_out = np.empty((k, len(ends)))
     u_out[:, 0], du_out[:, 0] = starts[0], starts[1]
     carry = starts
     with np.errstate(all="ignore"):
-        for lo in range(0, n, SCAN_BLOCK):
-            hi = min(lo + SCAN_BLOCK, n)
+        for lo, hi, h in blocks:
             coeffs = (h, an[lo:hi], am[lo:hi], an[lo + 1:hi + 1],
                       fn[lo:hi], fm[lo:hi], fn[lo + 1:hi + 1])
             maps = np.empty((6, hi - lo))  # rows m00 m01 c0 m10 m11 c1
@@ -127,26 +148,28 @@ def _shoot(a: SampledFn, f: SampledFn, starts: np.ndarray, a_eval, f_eval):
             du += np.multiply.outer(carry[2], maps[5])
             bad = ~((np.abs(u) < OVERFLOW_GUARD) & (np.abs(du) < OVERFLOW_GUARD)).all(axis=0)
             if bad.any():
-                node = lo + 1 + int(np.argmax(bad))
+                node = ends[lo + 1 + int(np.argmax(bad))]
                 raise Diverged(
                     f"initial-value state exceeded {OVERFLOW_GUARD:g} at x = {grid.nodes[node]}"
                 )
             u_out[:, lo + 1:hi + 1] = u
             du_out[:, lo + 1:hi + 1] = du
             carry = np.array([u[:, -1], du[:, -1], carry[2]])
-    return u_out, du_out
+    return ends, u_out, du_out
 
 
 def rk4_ivp(a: SampledFn, f: SampledFn, u0: float, du0: float, *,
             a_eval=None, f_eval=None) -> IvpTrajectory:
-    """Integrate the equation from x = 0 with the classic 4-stage scheme.
+    """Integrate the equation from x = 0 with the classic 4-stage scheme,
+    on node pairs (see the module docstring).
 
-    Half-step coefficient values come from ``a_eval``/``f_eval`` when given,
-    e.g. exact expression evaluation, and from linear interpolation of the
-    node samples otherwise, which keeps the scheme's accuracy limited by the
-    representation, not the stepping. Each is called once, with the ndarray
-    of the n midpoints, and returns an array of their values or a scalar,
-    which is taken as constant.
+    ``a_eval``/``f_eval``, when given, supply the coefficients at the step
+    midpoints, e.g. by exact expression evaluation; otherwise the node
+    samples do, with the midpoint of an odd last interval interpolated
+    linearly. Each is called once, with the ndarray of the step midpoints
+    (the odd nodes, and for odd n the middle of the last interval), and
+    returns an array of their values or a scalar, which is taken as
+    constant.
 
     This is the one-start form of the prefix scan in the module docstring.
 
@@ -158,20 +181,23 @@ def rk4_ivp(a: SampledFn, f: SampledFn, u0: float, du0: float, *,
         If the state exceeds 1e100 in magnitude or stops being finite.
     """
     starts = np.array([[float(u0)], [float(du0)], [1.0]])
-    u, du = _shoot(a, f, starts, a_eval, f_eval)
-    return IvpTrajectory(grid=a.grid, u=u[0], du=du[0])
+    index, u, du = _shoot(a, f, starts, a_eval, f_eval)
+    return IvpTrajectory(grid=a.grid, index=index, u=u[0], du=du[0])
 
 
 @dataclass(frozen=True, eq=False)
 class OracleFundamental:
-    """Shooting reconstruction of the fundamental system and its derivatives."""
+    """Shooting reconstruction of the fundamental system and its derivatives,
+    each an array of values at the step ends ``grid.nodes[index]``."""
 
-    I1: SampledFn
-    I2: SampledFn
-    F: SampledFn
-    dI1: SampledFn
-    dI2: SampledFn
-    dF: SampledFn
+    grid: Grid
+    index: np.ndarray
+    I1: np.ndarray
+    I2: np.ndarray
+    F: np.ndarray
+    dI1: np.ndarray
+    dI2: np.ndarray
+    dF: np.ndarray
 
 
 def oracle_fundamental(a: SampledFn, f: SampledFn, *,
@@ -187,9 +213,9 @@ def oracle_fundamental(a: SampledFn, f: SampledFn, *,
 
     each of which satisfies the endpoint normalizations by construction.
 
-    All three come from one prefix scan (see the module docstring), which
-    calls ``a_eval`` and ``f_eval`` once each with the ndarray of midpoints,
-    as ``rk4_ivp`` does.
+    All three come from one prefix scan (see the module docstring), at the
+    step ends; ``a_eval`` and ``f_eval`` are called once each with the
+    ndarray of step midpoints, as ``rk4_ivp`` does.
 
     Raises
     ------
@@ -197,11 +223,10 @@ def oracle_fundamental(a: SampledFn, f: SampledFn, *,
         If |psi'(x1)| <= 1e-12 * (1 + sup|psi|), making the recombination
         denominators uncertifiable.
     Diverged
-        At the first node where phi, psi or p exceeds 1e100 in magnitude
+        At the first step end where phi, psi or p exceeds 1e100 in magnitude
         or stops being finite.
     """
-    grid = a.grid
-    (phi, psi, p), (dphi, dpsi, dp) = _shoot(a, f, np.eye(3), a_eval, f_eval)
+    index, (phi, psi, p), (dphi, dpsi, dp) = _shoot(a, f, np.eye(3), a_eval, f_eval)
     dpsi_x1 = float(dpsi[-1])
     if abs(dpsi_x1) <= SHOOTING_REL_TOL * (1.0 + float(np.max(np.abs(psi)))):
         raise OracleSingular(
@@ -210,20 +235,25 @@ def oracle_fundamental(a: SampledFn, f: SampledFn, *,
     c_phi = float(dphi[-1]) / dpsi_x1
     c_p = float(dp[-1]) / dpsi_x1
     return OracleFundamental(
-        I1=SampledFn(grid, psi / dpsi_x1),
-        I2=SampledFn(grid, phi - c_phi * psi),
-        F=SampledFn(grid, p - c_p * psi),
-        dI1=SampledFn(grid, dpsi / dpsi_x1),
-        dI2=SampledFn(grid, dphi - c_phi * dpsi),
-        dF=SampledFn(grid, dp - c_p * dpsi),
+        grid=a.grid,
+        index=index,
+        I1=psi / dpsi_x1,
+        I2=phi - c_phi * psi,
+        F=p - c_p * psi,
+        dI1=dpsi / dpsi_x1,
+        dI2=dphi - c_phi * dpsi,
+        dF=dp - c_p * dpsi,
     )
 
 
-def compare(series, oracle) -> float:
-    """Largest node-wise relative gap between series and oracle limits.
+def compare(series, oracle: OracleFundamental) -> float:
+    """Largest relative gap between the series limits and the oracle's, at
+    the oracle's step ends.
 
     The gap for each of I1, I2, F is |series - oracle| / (1 + |oracle|),
-    maximized over nodes and over the three functions.
+    maximized over those nodes and over the three functions. ``series`` is
+    anything with SampledFn attributes I1, I2 and F, such as a
+    SeriesSolution.
 
     Raises
     ------
@@ -232,9 +262,9 @@ def compare(series, oracle) -> float:
     worst = 0.0
     for name in ("I1", "I2", "F"):
         s: SampledFn = getattr(series, name)
-        o: SampledFn = getattr(oracle, name)
-        if not same_grid(s.grid, o.grid):
+        o: np.ndarray = getattr(oracle, name)
+        if not same_grid(s.grid, oracle.grid):
             raise GridMismatch("series and oracle must share a grid")
-        gap = np.max(np.abs(s.values - o.values) / (1.0 + np.abs(o.values)))
+        gap = np.max(np.abs(s.values[oracle.index] - o) / (1.0 + np.abs(o)))
         worst = max(worst, float(gap))
     return worst

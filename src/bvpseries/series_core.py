@@ -154,8 +154,10 @@ def _certified_terms(seed_sup: float, q: float, tol: float) -> tuple[int, float]
 
     Returns (terms, tail) where terms counts the partial sum's terms
     including the seed and tail = 2*seed_sup*q^terms/(1-q) bounds everything
-    omitted. The count comes from logarithms, since the products underflow
-    for a tiny tol or a huge seed.
+    omitted. Both come from logarithms, since the products under- or
+    overflow for a tiny tol or a huge seed; the tail is kept within
+    [smallest positive float, tol], so a bound that underflows stays
+    positive.
     """
     if seed_sup == 0.0 or q == 0.0:
         return 1, 0.0
@@ -164,7 +166,8 @@ def _certified_terms(seed_sup: float, q: float, tol: float) -> tuple[int, float]
     terms = max(1, math.ceil(log_budget / log_q))
     while terms * log_q > log_budget:
         terms += 1
-    return terms, seed_sup * q ** terms * 2.0 / (1.0 - q)  # 2 * seed_sup may overflow
+    log_tail = math.log(seed_sup) + terms * log_q + math.log(2.0) - math.log(1.0 - q)
+    return terms, min(tol, max(math.exp(log_tail), math.ulp(0.0)))
 
 
 def sum_series(seed: SampledFn, a: SampledFn, cert: ContractionCertificate,
@@ -177,6 +180,12 @@ def sum_series(seed: SampledFn, a: SampledFn, cert: ContractionCertificate,
     2 * ||seed|| * q^(m+1) / (1 - q) <= tol, caps the loop, so the sum never
     runs longer than that count. Seeds t, 1, and g = compute_g(f) produce
     I1, I2, and F respectively.
+
+    Each term is computed in place: a * t_m overwrites t_m, the tail pass
+    of B_h writes into one scratch buffer and the prefix pass back into the
+    term (grid.tail_trapz, grid.prefix_trapz with ``out``). The loop
+    allocates nothing of size n, and its passes keep the operation order,
+    and so the bits, of the allocating ones.
 
     Returns
     -------
@@ -201,22 +210,25 @@ def sum_series(seed: SampledFn, a: SampledFn, cert: ContractionCertificate,
     q = cert.q
     apriori, apriori_tail = _certified_terms(sup_norm(seed), q, float(tol))
     limit = min(apriori, max_terms)
-    grid = seed.grid
+    h = seed.grid.h
     a_values = a.values
     term = seed.values.copy()
     total = seed.values.copy()
-    term_sups = [float(np.max(np.abs(term)))]
+    scratch = np.empty_like(total)  # the tail pass, then |term|
+    term_sups = [float(np.abs(term, out=scratch).max())]
     tail = q * term_sups[0] / (1.0 - q)
     while tail > tol and len(term_sups) < limit:
-        term = _apply_B_values(a_values * term, grid)
+        # term <- B_h(a * term) = prefix_trapz(tail_trapz(a * term)), in place
+        np.multiply(a_values, term, out=term)
+        prefix_trapz(tail_trapz(term, h, out=scratch), h, out=term)
         total += term
-        term_sups.append(float(np.max(np.abs(term))))
+        term_sups.append(float(np.abs(term, out=scratch).max()))
         tail = q * term_sups[-1] / (1.0 - q)
     if tail > tol:
         if limit < apriori:
             raise MaxTermsExceeded(apriori, max_terms, q)
         tail = apriori_tail  # only rounding can get here; the a-priori bound holds
-    return SampledFn(grid, total), len(term_sups), apriori, tail, term_sups
+    return SampledFn(seed.grid, total), len(term_sups), apriori, tail, term_sups
 
 
 @dataclass(frozen=True, eq=False)

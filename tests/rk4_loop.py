@@ -1,8 +1,11 @@
 """Step-by-step RK4 shooting: the reference the oracle's prefix scan must match.
 
 It integrates u' = v, v' = f - a*u from x = 0 one step at a time, in the
-order the scheme is written, and calls the half-step callables once per
-point, so it shares no arithmetic order with the scan.
+order the scheme is written, on node pairs: steps of 2h from x_2i to x_2i+2
+whose midpoint is the node x_2i+1, then, for odd n, one step of h from
+x_n-1 to x_n whose midpoint value is interpolated linearly. It calls the
+midpoint callables once per point, so it shares no arithmetic order with
+the scan.
 """
 
 from types import SimpleNamespace
@@ -14,42 +17,47 @@ from bvpseries.grid import SampledFn
 from bvpseries.oracle import OVERFLOW_GUARD, IvpTrajectory
 
 
-def _midpoint_values(fn, fn_eval):
+def _steps(fn, fn_eval):
+    """(start node, end node, midpoint value) of every step."""
     grid = fn.grid
-    if fn_eval is None:
-        return (fn.values[:-1] + fn.values[1:]) / 2.0
-    mids = grid.nodes[:-1] + grid.h / 2.0
-    return np.array([float(fn_eval(float(x))) for x in mids])
+    n, v = grid.n, fn.values
+    steps = []
+    for i in range(0, n - 1, 2):
+        mid = v[i + 1] if fn_eval is None else float(fn_eval(float(grid.nodes[i + 1])))
+        steps.append((i, i + 2, mid))
+    if n % 2:
+        x = float(grid.nodes[n - 1] + grid.h / 2.0)
+        mid = (v[n - 1] + v[n]) / 2.0 if fn_eval is None else float(fn_eval(x))
+        steps.append((n - 1, n, mid))
+    return steps
 
 
 def rk4_loop(a, f, u0, du0, *, a_eval=None, f_eval=None) -> IvpTrajectory:
     grid = a.grid
-    h = grid.h
     an, fn = a.values, f.values
-    am = _midpoint_values(a, a_eval)
-    fm = _midpoint_values(f, f_eval)
-    n = grid.n
-    u_out = np.empty(n + 1)
-    du_out = np.empty(n + 1)
     u, v = float(u0), float(du0)
-    u_out[0], du_out[0] = u, v
-    for i in range(n):
+    index, u_out, du_out = [0], [u], [v]
+    for (i, j, am), (_, _, fm) in zip(_steps(a, a_eval), _steps(f, f_eval)):
+        h = (j - i) * grid.h
         k1u = v
         k1v = fn[i] - an[i] * u
         k2u = v + 0.5 * h * k1v
-        k2v = fm[i] - am[i] * (u + 0.5 * h * k1u)
+        k2v = fm - am * (u + 0.5 * h * k1u)
         k3u = v + 0.5 * h * k2v
-        k3v = fm[i] - am[i] * (u + 0.5 * h * k2u)
+        k3v = fm - am * (u + 0.5 * h * k2u)
         k4u = v + h * k3v
-        k4v = fn[i + 1] - an[i + 1] * (u + h * k3u)
+        k4v = fn[j] - an[j] * (u + h * k3u)
         u += h * (k1u + 2.0 * k2u + 2.0 * k3u + k4u) / 6.0
         v += h * (k1v + 2.0 * k2v + 2.0 * k3v + k4v) / 6.0
         if not (abs(u) < OVERFLOW_GUARD and abs(v) < OVERFLOW_GUARD):
             raise Diverged(
-                f"initial-value state exceeded {OVERFLOW_GUARD:g} at x = {grid.nodes[i + 1]}"
+                f"initial-value state exceeded {OVERFLOW_GUARD:g} at x = {grid.nodes[j]}"
             )
-        u_out[i + 1], du_out[i + 1] = u, v
-    return IvpTrajectory(grid=grid, u=u_out, du=du_out)
+        index.append(j)
+        u_out.append(u)
+        du_out.append(v)
+    return IvpTrajectory(grid=grid, index=np.array(index), u=np.array(u_out),
+                         du=np.array(du_out))
 
 
 def loop_fundamental(a, f, *, a_eval=None, f_eval=None) -> SimpleNamespace:
@@ -61,7 +69,9 @@ def loop_fundamental(a, f, *, a_eval=None, f_eval=None) -> SimpleNamespace:
     p = rk4_loop(a, f, 0.0, 0.0, a_eval=a_eval, f_eval=f_eval)
     dpsi_x1 = psi.du[-1]
     return SimpleNamespace(
-        I1=SampledFn(grid, psi.u / dpsi_x1),
-        I2=SampledFn(grid, phi.u - phi.du[-1] / dpsi_x1 * psi.u),
-        F=SampledFn(grid, p.u - p.du[-1] / dpsi_x1 * psi.u),
+        grid=grid,
+        index=psi.index,
+        I1=psi.u / dpsi_x1,
+        I2=phi.u - phi.du[-1] / dpsi_x1 * psi.u,
+        F=p.u - p.du[-1] / dpsi_x1 * psi.u,
     )

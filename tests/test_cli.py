@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from bvpseries import cli
+from bvpseries import cli, grid
 from bvpseries.bvp import SolveReport
 from bvpseries.errors import SingularI2
 from bvpseries.grid import MAX_INTERVALS
@@ -128,6 +128,22 @@ class TestFundamental:
         assert rows[0] == "x,I1,I2,F,dI1,dI2,dF"
 
 
+_SMALL = ["--a", "sin(x)", "--f", "exp(-x)", "--x1", "0.9", "--n", "8"]
+
+# name -> (argv, env, {attribute: patched value}, exit code, stderr)
+_VERIFY_FAILURES = {
+    # the oracle's state passes a lowered guard at the first step end
+    "diverged": (["verify", *_SMALL], {}, {"bvpseries.oracle.OVERFLOW_GUARD": 0.5}, 5,
+                 "bvpseries: verification aborted: initial-value state exceeded 0.5 "
+                 "at x = 0.225\n"),
+    # the series stop at the cap before the oracle runs
+    "max_terms": (["verify", "--a", "0.9", "--f", "1", "--x1", "1.4", "--n", "64"],
+                  {"SOLVER_MAX_TERMS": "2"}, {}, 2,
+                  "bvpseries: series tail not certified within the term cap (cap 2, "
+                  "q = 0.882; a-priori count 209); raise the cap or relax the tolerance\n"),
+}
+
+
 class TestVerify:
     def test_fine_grid_passes(self):
         # the second difference at n = 65536 is dominated by rounding, which
@@ -156,6 +172,41 @@ class TestVerify:
         assert "fixed_point" in names
         assert "oracle_agreement" in names
         assert "wronskian_constant" in names
+
+    @pytest.mark.parametrize("n", [8, 9, 4096])
+    def test_samples_a_and_f_at_the_nodes_only(self, n, capsys, monkeypatch):
+        # the oracle steps on node pairs: a and f are evaluated, as one
+        # program, at the n + 1 nodes and nowhere else
+        sizes = []
+        joint = grid.eval_arrays
+
+        def spy(exprs, xs):
+            sizes.append((len(exprs), len(xs)))
+            return joint(exprs, xs)
+
+        monkeypatch.setattr(grid, "eval_arrays", spy)
+        monkeypatch.setattr(grid, "eval_expr", None)  # no scalar evaluation either
+        code, out, _ = run_main(capsys, "verify", "--a", "sin(x)", "--f", "exp(-x)",
+                                "--x1", "0.9", "--n", str(n))
+        assert code == 0
+        assert json.loads(out)["passed"] is True
+        assert sizes == [(2, n + 1)]
+
+    def test_oracle_runs_in_process(self, capsys, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(os, "fork", None, raising=False)  # a fork would raise
+        code, _, _ = run_main(capsys, "verify", "--a", "sin(x)", "--f", "exp(-x)",
+                              "--x1", "0.9", "--n", "4096")
+        assert code == 0
+
+    @pytest.mark.parametrize("name", sorted(_VERIFY_FAILURES))
+    def test_failure_exit_code_and_message(self, name, capsys, monkeypatch):
+        argv, env, patches, code, message = _VERIFY_FAILURES[name]
+        for key, value in env.items():
+            monkeypatch.setenv(key, value)
+        for target, value in patches.items():
+            monkeypatch.setattr(target, value)
+        assert run_main(capsys, *argv) == (code, "", message)
 
     def test_verify_csv(self, capsys):
         code, out, _ = run_main(capsys, "verify", "--a", "0.5", "--f", "x",

@@ -275,6 +275,24 @@ class TestCumulativeIntegral:
         assert tail[0] == prefix[-1]
         assert np.array_equal(tail, prefix[-1] - prefix)
 
+    @pytest.mark.parametrize("n", [2, 3, 97, 4097])
+    def test_buffer_path_keeps_the_operation_order(self, n):
+        # h*(v[1:] + v[:-1]), then /2.0, then cumsum, then last - prefix: the
+        # passes written into a buffer give the one-expression forms' bits
+        rng = np.random.default_rng(n)
+        h = 1.3 / n
+        values = rng.standard_normal(n + 1)
+        steps = np.cumsum(h * (values[1:] + values[:-1]) / 2.0)
+        prefix = np.concatenate(([0.0], steps))
+        buffer = np.full(n + 1, np.nan)
+        assert prefix_trapz(values, h, out=buffer) is buffer
+        assert np.array_equal(buffer.view(np.int64), prefix.view(np.int64))
+        assert np.array_equal(prefix_trapz(values, h).view(np.int64), prefix.view(np.int64))
+        tail = prefix[-1] - prefix
+        assert tail_trapz(values, h, out=buffer) is buffer
+        assert np.array_equal(buffer.view(np.int64), tail.view(np.int64))
+        assert np.array_equal(tail_trapz(values, h).view(np.int64), tail.view(np.int64))
+
     def test_second_order_convergence(self):
         # integrating sin on [0, 1]: endpoint error shrinks by 4x per halving
         errs = []

@@ -1,6 +1,7 @@
 """Shooting-oracle tests: the independent check on the series construction."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from hypothesis import strategies as st
 
 from bvpseries.checks import ORACLE_CONST
 from bvpseries.errors import Diverged, GridMismatch, OracleSingular
-from bvpseries.grid import SampledFn, make_grid, sup_norm
-from bvpseries.oracle import SCAN_BLOCK, compare, oracle_fundamental, rk4_ivp
+from bvpseries.grid import SampledFn, make_grid
+from bvpseries.oracle import SCAN_BLOCK, compare, oracle_fundamental, rk4_ivp, step_ends
 from bvpseries.series_core import contraction_ratio, fundamental_system
 from rk4_loop import loop_fundamental, rk4_loop
 
@@ -40,14 +41,36 @@ class TestRk4:
     def test_linear_solution_exact(self):
         g = make_grid(1.0, 128)
         t = rk4_ivp(_free(g), _free(g), 2.0, 3.0)
-        assert np.max(np.abs(t.u - (2.0 + 3.0 * g.nodes))) < 1e-13
+        assert np.max(np.abs(t.u - (2.0 + 3.0 * g.nodes[t.index]))) < 1e-13
         assert np.max(np.abs(t.du - 3.0)) < 1e-14
 
     def test_interpolated_coefficients(self):
-        # without callables the scheme falls back to midpoint interpolation
-        g = make_grid(1.0, 1024)
+        # without callables the step midpoints take the odd nodes' samples,
+        # and the odd last interval's midpoint is interpolated
+        g = make_grid(1.0, 1025)
         t = rk4_ivp(_const(g, 1.0), _free(g), 1.0, 0.0)
         assert abs(t.u[-1] - math.cos(1.0)) < 1e-7
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 9])
+    def test_states_at_the_step_ends(self, n):
+        g = make_grid(0.2, n)
+        t = rk4_ivp(_const(g, 1.0), _free(g), 1.0, 0.0)
+        want = [*range(0, n + 1, 2), *([n] if n % 2 else [])]
+        assert t.index.tolist() == step_ends(n).tolist() == want
+        assert t.u.shape == t.du.shape == (len(want),)
+        assert np.max(np.abs(t.u - np.cos(g.nodes[t.index]))) < 1e-5
+
+    def test_midpoint_callables_see_the_step_midpoints(self):
+        g = make_grid(1.0, 5)
+        seen = []
+
+        def a_eval(x):
+            seen.append(x.copy())
+            return 1.0
+
+        rk4_ivp(_const(g, 1.0), _free(g), 1.0, 0.0, a_eval=a_eval)
+        (mids,) = seen
+        assert mids.tolist() == [g.nodes[1], g.nodes[3], g.nodes[4] + g.h / 2.0]
 
     def test_fourth_order(self):
         errs = []
@@ -64,34 +87,48 @@ class TestRk4:
             rk4_ivp(_const(g, -1e6), _free(g), 1.0, 0.0,
                     a_eval=lambda x: -1e6, f_eval=lambda x: 0.0)
 
+    @pytest.mark.parametrize("n", [64, 65])
+    def test_divergence_names_the_step_end(self, n):
+        # the state first passes the guard at a step end, never at an odd node
+        g = make_grid(1.0, n)
+        with pytest.raises(Diverged) as info:
+            rk4_ivp(_const(g, -1e6), _free(g), 1.0, 0.0)
+        x = float(str(info.value).rsplit("x = ", 1)[1])
+        ends = g.nodes[step_ends(n)]
+        assert x in ends.tolist() and x < g.x1
+        with pytest.raises(Diverged) as loop_info:
+            rk4_loop(_const(g, -1e6), _free(g), 1.0, 0.0)
+        assert str(loop_info.value) == str(info.value)
+
 
 class TestOracleFundamental:
     def test_free_problem_exact(self):
         g = make_grid(1.0, 128)
         oc = oracle_fundamental(_free(g), _free(g))
-        assert np.max(np.abs(oc.I1.values - g.nodes)) < 1e-13
-        assert np.max(np.abs(oc.I2.values - 1.0)) < 1e-13
-        assert np.max(np.abs(oc.F.values)) < 1e-13
+        assert np.max(np.abs(oc.I1 - g.nodes[oc.index])) < 1e-13
+        assert np.max(np.abs(oc.I2 - 1.0)) < 1e-13
+        assert np.max(np.abs(oc.F)) < 1e-13
 
     def test_unit_coefficient_closed_forms(self):
         g = make_grid(1.0, 1024)
         oc = oracle_fundamental(_const(g, 1.0), _free(g),
                                 a_eval=lambda x: 1.0, f_eval=lambda x: 0.0)
-        assert np.max(np.abs(oc.I1.values - np.sin(g.nodes) / math.cos(1.0))) < 1e-6
-        want_i2 = np.cos(g.nodes) + math.tan(1.0) * np.sin(g.nodes)
-        assert np.max(np.abs(oc.I2.values - want_i2)) < 1e-6
+        x = g.nodes[oc.index]
+        assert np.max(np.abs(oc.I1 - np.sin(x) / math.cos(1.0))) < 1e-6
+        want_i2 = np.cos(x) + math.tan(1.0) * np.sin(x)
+        assert np.max(np.abs(oc.I2 - want_i2)) < 1e-6
 
     def test_boundary_normalization(self):
         g = make_grid(0.9, 512)
         a = SampledFn(g, np.sin(g.nodes))
         f = SampledFn(g, np.cos(g.nodes))
         oc = oracle_fundamental(a, f, a_eval=np.sin, f_eval=np.cos)
-        assert abs(oc.I1.values[0]) < 1e-10
-        assert abs(oc.I2.values[0] - 1.0) < 1e-10
-        assert abs(oc.F.values[0]) < 1e-10
-        assert abs(oc.dI1.values[-1] - 1.0) < 1e-10
-        assert abs(oc.dI2.values[-1]) < 1e-10
-        assert abs(oc.dF.values[-1]) < 1e-10
+        assert abs(oc.I1[0]) < 1e-10
+        assert abs(oc.I2[0] - 1.0) < 1e-10
+        assert abs(oc.F[0]) < 1e-10
+        assert abs(oc.dI1[-1] - 1.0) < 1e-10
+        assert abs(oc.dI2[-1]) < 1e-10
+        assert abs(oc.dF[-1]) < 1e-10
 
     def test_abel_identity(self):
         # the Wronskian constant ties the series endpoint to the shooting
@@ -119,9 +156,16 @@ class TestOracleFundamental:
 
 class TestCompare:
     def test_self_comparison_is_zero(self):
-        g = make_grid(1.0, 256)
+        # the oracle's own values, at its step ends only
+        n = 257
+        g = make_grid(1.0, n)
         oc = oracle_fundamental(_free(g), _const(g, 1.0))
-        assert compare(oc, oc) == 0.0
+        series = {}
+        for name in ("I1", "I2", "F"):
+            values = np.full(n + 1, 1e6)  # far off everywhere but the step ends
+            values[oc.index] = getattr(oc, name)
+            series[name] = SampledFn(g, values)
+        assert compare(SimpleNamespace(**series), oc) == 0.0
 
     def test_series_against_oracle(self):
         g = make_grid(1.0, 1024)
@@ -132,10 +176,11 @@ class TestCompare:
         assert compare(sol, oc) < 1e-5
 
     def test_grid_mismatch(self):
-        oc1 = oracle_fundamental(_free(make_grid(1.0, 64)), _free(make_grid(1.0, 64)))
-        oc2 = oracle_fundamental(_free(make_grid(1.0, 128)), _free(make_grid(1.0, 128)))
+        g = make_grid(1.0, 64)
+        sol = fundamental_system(_free(g), _free(g), contraction_ratio(0.0, 1.0))
+        oc = oracle_fundamental(_free(make_grid(1.0, 128)), _free(make_grid(1.0, 128)))
         with pytest.raises(GridMismatch):
-            compare(oc1, oc2)
+            compare(sol, oc)
 
 
 def _shaped(shape, scale):
@@ -149,6 +194,14 @@ def _sampled(fn, grid):
     return SampledFn(grid, np.broadcast_to(fn(grid.nodes), grid.nodes.shape))
 
 
+def _gap(scan, loop):
+    """Largest relative gap between two shooting results at their step ends."""
+    assert scan.index.tolist() == loop.index.tolist()
+    return max(float(np.max(np.abs(getattr(scan, name) - getattr(loop, name))
+                            / (1.0 + np.abs(getattr(loop, name)))))
+               for name in ("I1", "I2", "F"))
+
+
 class TestScanAgainstLoop:
     """The prefix scan against the step-by-step loop it replaced."""
 
@@ -158,6 +211,7 @@ class TestScanAgainstLoop:
         x1=st.floats(0.2, 2.0),
         shape=st.sampled_from(["const", "cos"]),
         n=st.sampled_from([2, 3, 17, 1000, SCAN_BLOCK - 1, SCAN_BLOCK, SCAN_BLOCK + 1,
+                           2 * SCAN_BLOCK - 1, 2 * SCAN_BLOCK, 2 * SCAN_BLOCK + 1,
                            3 * SCAN_BLOCK + 5, 65536]),
     )
     def test_agrees_within_oracle_limit(self, q, x1, shape, n):
@@ -168,9 +222,27 @@ class TestScanAgainstLoop:
         a, f = _sampled(a_eval, grid), _sampled(f_eval, grid)
         scan = oracle_fundamental(a, f, a_eval=a_eval, f_eval=f_eval)
         loop = loop_fundamental(a, f, a_eval=a_eval, f_eval=f_eval)
-        biggest = max(sup_norm(loop.I1), sup_norm(loop.I2), sup_norm(loop.F))
+        biggest = max(np.max(np.abs(getattr(loop, name))) for name in ("I1", "I2", "F"))
         limit = ORACLE_CONST * grid.h ** 2 * (1.0 + a_sup) * (1.0 + biggest)
-        assert compare(scan, loop) <= 1e-3 * limit
+        assert _gap(scan, loop) <= 1e-3 * limit
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 4097])
+    @pytest.mark.parametrize("callables", [False, True])
+    def test_matches_the_loop_on_node_pairs(self, n, callables):
+        grid = make_grid(1.3, n)
+        a_eval = _shaped("cos", 0.9)
+        f_eval = lambda x: 1.0 + 0.5 * np.sin(2.0 * x)  # noqa: E731
+        a, f = _sampled(a_eval, grid), _sampled(f_eval, grid)
+        evals = {"a_eval": a_eval, "f_eval": f_eval} if callables else {}
+        scan = oracle_fundamental(a, f, **evals)
+        loop = loop_fundamental(a, f, **evals)
+        assert _gap(scan, loop) <= 1e-13
+        for start in ((1.0, 0.0), (0.3, -2.0)):
+            one = rk4_ivp(a, f, *start, **evals)
+            ref = rk4_loop(a, f, *start, **evals)
+            assert one.index.tolist() == ref.index.tolist()
+            assert np.max(np.abs(one.u - ref.u)) <= 1e-13
+            assert np.max(np.abs(one.du - ref.du)) <= 1e-13
 
     @settings(max_examples=40, deadline=None)
     @given(

@@ -2,9 +2,8 @@
 paths it takes when the second half cannot be formatted in a forked child.
 
 ``cli._render`` formats float columns in whole slices and, on a machine
-with two CPUs, hands the second half of the rows to a forked child (verify
-forks for its oracle instead; tests/test_oracle_child.py covers that). The
-references below are the plain forms of the same output: ``json.dumps``
+with two CPUs, hands the second half of the rows to a forked child; verify
+renders no float columns and forks nothing. The references below are the plain forms of the same output: ``json.dumps``
 with ndarrays converted by ``tolist``, and CSV joined row by row. A new
 interpreter imports ``bvpseries.cli`` without ``multiprocessing`` or
 ``concurrent.futures``, whose import would add to every run's start-up.
@@ -12,8 +11,10 @@ interpreter imports ``bvpseries.cli`` without ``multiprocessing`` or
 
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -23,10 +24,9 @@ from test_golden import CASES, GOLDEN, REPO
 
 # Golden cases that render float columns, and so fork to format them when
 # they can; verify renders its check list, and a singular solve's CSV table
-# is empty. verify forks once instead, to run the oracle.
+# is empty.
 _FORKING = {name for name in CASES
             if not name.startswith("verify") and name != "solve_singular.csv"}
-_ORACLE_FORKING = {name for name in CASES if name.startswith("verify")}
 
 _PROBLEM = ["--a", "0.6*exp(-x)*tanh(x + 0.3)", "--f", "exp(x) - log(2 + x)",
             "--x1", "1.1", "--alpha", "0.7", "--beta", "-0.4"]
@@ -154,7 +154,37 @@ def test_golden_with_failing_child(name, capsysbinary, monkeypatch):
 
     monkeypatch.setattr(os, "waitpid", recorded)
     _run_golden(name, capsysbinary, monkeypatch)
-    assert exit_codes == [0] * (name in _ORACLE_FORKING) + [1] * (name in _FORKING)
+    assert exit_codes == [1] * (name in _FORKING)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_parent_failure_kills_the_running_child(monkeypatch):
+    # the child stalls on its half while this process fails on its own
+    payload, table = _payload("fundamental", 4096)
+    _report_cpus(monkeypatch, 2)
+    parent = os.getpid()
+
+    def rows(columns, lo, hi):
+        if os.getpid() != parent:
+            time.sleep(60)
+        raise RuntimeError("formatting failed in this process")
+
+    monkeypatch.setattr(cli, "_json_rows", rows)
+    exit_codes = []
+    waitpid = os.waitpid
+
+    def recorded(pid, options):
+        reaped = waitpid(pid, options)
+        exit_codes.append(os.waitstatus_to_exitcode(reaped[1]))
+        return reaped
+
+    monkeypatch.setattr(os, "waitpid", recorded)
+    start = time.monotonic()
+    with pytest.raises(RuntimeError, match="in this process"):
+        cli._render(payload, table, "json")
+    assert exit_codes == [-signal.SIGKILL]
+    assert time.monotonic() - start < 30
+    _assert_no_child_left()
 
 
 def test_import_loads_no_process_pool():

@@ -1,6 +1,7 @@
 """Series construction tests: operator B, seeds, certified summation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,15 @@ from bvpseries.errors import (
     InvalidDomain,
     MaxTermsExceeded,
 )
-from bvpseries.grid import SampledFn, make_grid, sample, sup_norm, CoefficientSpec
+from bvpseries.grid import (
+    CoefficientSpec,
+    SampledFn,
+    make_grid,
+    prefix_trapz,
+    sample,
+    sup_norm,
+    tail_trapz,
+)
 from bvpseries.series_core import (
     _certified_terms,
     apply_B,
@@ -214,6 +223,17 @@ class TestCertifiedTerms:
         assert _certified_terms(1.0, 0.5, 5e-324)[0] == 1076
         assert _certified_terms(0.5e300, 0.5, 1e-300)[0] == 1995
 
+    @pytest.mark.parametrize("seed_sup, q, tol, want", [
+        # 2 * 1.0 * 0.5^1076 / 0.5 = 2^-1074, the smallest positive float
+        (1.0, 0.5, 5e-324, 5e-324),
+        # 0.5e300 * 0.5^1995 * 4 = 2e300 * 2^-1995 = 4.9e-301; 0.5^1995 underflows
+        (0.5e300, 0.5, 1e-300, 2e300 * 2.0 ** -997 * 2.0 ** -998),
+    ])
+    def test_tail_stays_positive_when_the_power_underflows(self, seed_sup, q, tol, want):
+        _, tail = _certified_terms(seed_sup, q, tol)
+        assert 0.0 < tail <= tol
+        assert tail == pytest.approx(want, rel=1e-9)
+
 
 class TestSumSeries:
     def test_zero_coefficient_returns_seed(self):
@@ -296,6 +316,64 @@ class TestSumSeries:
         cert = contraction_ratio(1.0, 1.0)
         with pytest.raises(InvalidDomain):
             sum_series(seed, _const(g, 1.0), cert, tol=0.0)
+
+
+def _reference_sum(seed, a, q, tol):
+    """sum_series' loop with the allocating nested rule, one fresh array per
+    pass: the sum and the term sups."""
+    h = seed.grid.h
+    term = seed.values.copy()
+    total = seed.values.copy()
+    sups = [float(np.max(np.abs(term)))]
+    while q * sups[-1] / (1.0 - q) > tol:
+        term = prefix_trapz(tail_trapz(a.values * term, h), h)
+        total += term
+        sups.append(float(np.max(np.abs(term))))
+    return total, sups
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+class TestInPlaceSum:
+    """sum_series computes each term in place, into preallocated buffers, bit
+    for bit as the allocating nested rule."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4097, 65536])
+    @pytest.mark.parametrize("q", [0.05, 0.99])
+    def test_matches_the_allocating_loop(self, n, q):
+        g = make_grid(1.0, n)
+        a = SampledFn(g, 2.0 * q * np.cos(3.0 * g.nodes + 0.2))
+        cert = contraction_ratio(sup_norm(a), 1.0)
+        assert cert.q == pytest.approx(q, rel=0.05)
+        f = SampledFn(g, 1.0 + np.sin(2.0 * g.nodes))
+        for seed in (SampledFn(g, g.nodes.copy()), _const(g, 1.0), compute_g(f)):
+            total, terms, _, _, sups = sum_series(seed, a, cert)
+            want_total, want_sups = _reference_sum(seed, a, cert.q, 1e-10)
+            assert terms == len(want_sups) > 1
+            assert np.array_equal(_bits(total.values), _bits(want_total))
+            assert np.array_equal(_bits(sups), _bits(want_sups))
+
+    def test_peak_memory_does_not_grow_with_terms(self):
+        # the sum, the term and one scratch buffer, however many terms
+        g = make_grid(1.0, 65536)
+        a = SampledFn(g, np.cos(g.nodes))
+        cert = contraction_ratio(1.0, 1.0)
+        seed = SampledFn(g, g.nodes.copy())
+        array = 8 * (g.n + 1)
+        runs = {}
+        for tol in (1e-4, 1e-14):
+            tracemalloc.start()
+            try:
+                terms = sum_series(seed, a, cert, tol=tol)[1]
+                runs[tol] = terms, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        (coarse_terms, coarse_peak), (fine_terms, fine_peak) = runs[1e-4], runs[1e-14]
+        assert fine_terms > 2 * coarse_terms
+        assert abs(fine_peak - coarse_peak) <= array
+        assert fine_peak < 4 * array
 
 
 class TestMeasuredTruncation:
