@@ -6,13 +6,13 @@ messages go to standard error; machine output (JSON or CSV) to standard
 output or --out. Output is deterministic for a fixed configuration: floats
 are serialized with their shortest round-trip representation.
 
-Node columns are formatted in whole slices by ``shortest.join``, a
-vectorised Ryu kernel whose bytes are those of repr for every finite
-float: a JSON array is its items joined by ",\n    ", a CSV table of
-float columns its cells in row order, each followed by ',' or a newline.
-verify's check list (names, flags and floats) is one %-format over its
-cells; scalars and nested objects go through json.dumps. The kernel is
-imported only to render float columns.
+Node columns are formatted in this process, in blocks of ``ROWS`` rows,
+by ``shortest.join``, a vectorised Ryu kernel whose bytes are those of
+repr for every finite float: a JSON array is its items joined by
+",\n    ", a CSV table of float columns its cells in row order, each
+followed by ',' or a newline. verify's check list (names, flags and
+floats) is one %-format over its cells; scalars and nested objects go
+through json.dumps. The kernel is imported only to render float columns.
 
 a and f are sampled together, at the grid nodes, as one program of their
 distinct subtrees (``grid.sample_together``); on any error they are
@@ -20,12 +20,6 @@ sampled one at a time, a first, so every message and exit code is the
 one-at-a-time one. verify's RK4 oracle steps on node pairs, so it needs no
 samples beyond the nodes; it runs in this process, after the series and
 the solve.
-
-Every command that renders float columns forks one child (``_Child``) to
-format the second half of the rows while this process formats the first;
-the child sends its text back as bytes. If the child fails, this process
-formats that half itself; if this process fails first, it kills the
-child. Every child is reaped, and the bytes are the same on every path.
 
 ``python -m bvpseries`` and the ``bvpseries`` script enter through
 ``entry``, which flushes stdout and stderr after ``main`` returns and ends
@@ -42,7 +36,6 @@ import math
 import os
 import re
 import sys
-import threading
 from dataclasses import asdict, astuple, dataclass
 from itertools import chain
 
@@ -79,6 +72,12 @@ EXIT_BAD_INPUT = 4
 EXIT_VERIFY_FAILED = 5
 
 MAX_TERMS_ENV = "SOLVER_MAX_TERMS"
+
+# Rows formatted at a time. Only one block's digits, and for CSV its
+# stacked cells, are held beside the columns. Blocks of 2**12 to 2**16
+# rows rendered equally fast; 2**14 kept fundamental's peak memory within
+# 4 MiB of the lowest of them at n = 65536 and 2**20.
+ROWS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -283,12 +282,6 @@ def _cmd_verify(config: RunConfig):
 _COMMANDS = {"solve": _cmd_solve, "fundamental": _cmd_fundamental, "verify": _cmd_verify}
 
 
-def _available_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _float_columns(columns) -> bool:
     return bool(columns) and all(isinstance(c, np.ndarray) and c.dtype.kind == "f"
                                  for c in columns)
@@ -325,94 +318,10 @@ def _csv_rows(columns, lo: int, hi: int) -> list[str]:
     return [(("%s," * (len(slices) - 1) + "%s\n") * rows) % tuple(cells)]
 
 
-class _Child:
-    """At most one forked child that computes bytes for this process; the
-    row formatter (``_format_halves``) hands it the second half of a table.
-
-    ``start(work)`` forks when ``os.fork`` exists, the process may run on
-    two or more CPUs and no other Python thread runs (a fork copies only the
-    calling thread); otherwise it does nothing. The child writes what
-    ``work()`` returns to a pipe and always leaves through ``os._exit``,
-    with code 1 if ``work`` raised. ``result()`` reads the pipe and reaps
-    the child: it returns the bytes, or None when no child ran or it
-    failed, and the caller then does the work itself. Leaving the ``with``
-    block before ``result()`` kills and reaps the child.
-    """
-
-    pid = None
-
-    def start(self, work) -> None:
-        if not (hasattr(os, "fork") and _available_cpus() >= 2
-                and threading.active_count() == 1):
-            return
-        read_fd, write_fd = os.pipe()
-        try:
-            pid = os.fork()
-        except OSError:
-            os.close(read_fd)
-            os.close(write_fd)
-            return
-        if pid == 0:
-            code = 1
-            try:
-                os.close(read_fd)
-                with open(write_fd, "wb") as pipe:
-                    pipe.write(work())
-                code = 0
-            finally:
-                os._exit(code)
-        os.close(write_fd)
-        self.pid, self._pipe = pid, open(read_fd, "rb")
-
-    def result(self) -> bytes | None:
-        if self.pid is None:
-            return None
-        try:
-            data = self._pipe.read()
-        finally:
-            code = self._reap()
-        return data if code == 0 else None
-
-    def _reap(self) -> int:
-        self._pipe.close()
-        pid, self.pid = self.pid, None
-        return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        if self.pid is not None:
-            import signal  # only on this failure path: its import costs about 1 ms
-
-            os.kill(self.pid, signal.SIGKILL)
-            self._reap()
-
-
-def _format_halves(fmt, columns) -> tuple[list[str], list[str]]:
-    """``fmt`` applied to the first and the second half of the rows.
-
-    When the columns are all float arrays, the second half is formatted in
-    a ``_Child``, whose pieces come back joined by NUL (which no float
-    prints) and are decoded one by one from its bytes; if there is no
-    child, this process formats that half too.
-    """
+def _blocks(fmt, columns) -> list[list[str]]:
+    """``fmt(columns, lo, hi)`` for each block of ``ROWS`` rows, in order."""
     rows = max(map(len, columns), default=0)
-    mid = rows // 2
-    with _Child() as child:
-        if _float_columns(columns):
-            from . import shortest  # noqa: F401  (its tables, built once, go to the child)
-
-            child.start(lambda: "\0".join(fmt(columns, mid, rows)).encode())
-        first = fmt(columns, 0, mid)
-        second = child.result()
-    if second is None:
-        return first, fmt(columns, mid, rows)
-    view, pieces, start = memoryview(second), [], 0
-    while (end := second.find(b"\0", start)) >= 0:
-        pieces.append(str(view[start:end], "ascii"))
-        start = end + 1
-    return first, [*pieces, str(view[start:], "ascii")]
+    return [fmt(columns, lo, lo + ROWS) for lo in range(0, rows, ROWS)]
 
 
 def _render(payload: dict, table: tuple, output_format: str) -> str:
@@ -422,22 +331,25 @@ def _render(payload: dict, table: tuple, output_format: str) -> str:
 
     ``table`` is a header line and its columns (ndarrays or sequences). The
     float columns (the payload's ndarrays for JSON, the table for CSV) are
-    formatted in whole slices by ``_format_halves``. They hold grid nodes or
-    SampledFn values: finite, so no nan or inf reaches the JSON, and at
-    least three rows (n >= 2), so neither half is empty. Everything else in
-    the JSON goes through ``json.dumps``. The text is built by one join.
+    formatted block by block (``_blocks``), and a JSON array's blocks are
+    joined by ",\n    ". They hold grid nodes or SampledFn values: finite,
+    so no nan or inf reaches the JSON, and at least three rows (n >= 2), so
+    every JSON array has a block. Everything else in the JSON goes through
+    ``json.dumps``. The text is built by one join.
     """
     if output_format == "json":
         arrays = [value for value in payload.values() if isinstance(value, np.ndarray)]
-        halves = zip(*_format_halves(_json_rows, arrays))
+        blocks = zip(*_blocks(_json_rows, arrays))  # each array's blocks, in order
         parts = []
         for key, value in payload.items():
             parts += [",\n  " if parts else "{\n  ", json.dumps(key), ": "]
             if not isinstance(value, np.ndarray):
                 parts.append(json.dumps(value, indent=2, allow_nan=False).replace("\n", "\n  "))
                 continue
-            first, second = next(halves)
-            parts += ["[\n    ", first, ",\n    ", second, "\n  ]"]
+            parts.append("[\n    ")
+            for block in next(blocks):
+                parts += [block, ",\n    "]
+            parts[-1] = "\n  ]"
         parts.append("\n}\n")
         return "".join(parts)
     lines = []
@@ -449,8 +361,7 @@ def _render(payload: dict, table: tuple, output_format: str) -> str:
             lines.append(f"# {key} = {value}")
     header, columns = table
     lines.append(header)
-    first, second = _format_halves(_csv_rows, columns)
-    return "".join(["\n".join(lines), "\n", *first, *second])
+    return "".join(["\n".join(lines), "\n", *chain.from_iterable(_blocks(_csv_rows, columns))])
 
 
 def run(config: RunConfig) -> tuple[int, str | None]:
@@ -511,9 +422,9 @@ def entry() -> None:
     """Process entry point of ``python -m bvpseries`` and the ``bvpseries``
     script: run ``main``, flush stdout and stderr, and end the process with
     ``os._exit``, skipping the interpreter's teardown (about 30 ms with numpy
-    loaded), which has nothing left to do: every output is written and
-    every child reaped. If a flush raises (say, the reader closed the pipe),
-    the process exits through ``sys.exit`` instead, as it always did.
+    loaded), which has nothing left to do: every output is written. If a
+    flush raises (say, the reader closed the pipe), the process exits
+    through ``sys.exit`` instead, as it always did.
     """
     code = main()
     try:

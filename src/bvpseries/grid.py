@@ -24,12 +24,12 @@ import numpy as np
 from .errors import EvalError, InvalidDomain, TableDomainError
 from .expr import Expr, eval_arrays, eval_expr, parse_expr
 
-# Largest interval count a grid accepts. A run's peak resident memory,
-# counting the child that formats half the output, is about 30 MiB plus
-# 0.41 KiB per node at worst (fundamental, the largest payload: 56.5 MiB as
-# JSON at n = 65536, 140 MiB as CSV at n = 2**18), so 2**20 intervals need
-# about 0.44 GiB (measured: 447 MiB as JSON) and stay well within a 2 GiB
-# budget. Larger n is refused before anything of size n is allocated.
+# Largest interval count a grid accepts. A run's peak resident memory is
+# about 33 MiB plus 0.39 KiB per node at worst (fundamental, the largest
+# payload, as JSON: 58 MiB at n = 65536, 135 MiB at n = 2**18), so 2**20
+# intervals need about 0.43 GiB (measured: 437 MiB as JSON, 371 MiB as
+# CSV) and stay well within a 2 GiB budget. Larger n is refused before
+# anything of size n is allocated.
 MAX_INTERVALS = 2**20
 
 

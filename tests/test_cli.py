@@ -192,13 +192,6 @@ class TestVerify:
         assert json.loads(out)["passed"] is True
         assert sizes == [(2, n + 1)]
 
-    def test_oracle_runs_in_process(self, capsys, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        monkeypatch.setattr(os, "fork", None, raising=False)  # a fork would raise
-        code, _, _ = run_main(capsys, "verify", "--a", "sin(x)", "--f", "exp(-x)",
-                              "--x1", "0.9", "--n", "4096")
-        assert code == 0
-
     @pytest.mark.parametrize("name", sorted(_VERIFY_FAILURES))
     def test_failure_exit_code_and_message(self, name, capsys, monkeypatch):
         argv, env, patches, code, message = _VERIFY_FAILURES[name]
@@ -215,6 +208,17 @@ class TestVerify:
         rows = [l for l in out.splitlines() if not l.startswith("#")]
         assert rows[0] == "name,passed,value,limit"
         assert len(rows) == 24
+
+
+@pytest.mark.parametrize("output_format", ["json", "csv"])
+@pytest.mark.parametrize("command", ["solve", "fundamental", "verify"])
+def test_no_command_forks(command, output_format, capsys, monkeypatch):
+    # the series, the oracle and the rendering all run in this process
+    monkeypatch.setattr(os, "fork", None, raising=False)  # a fork would raise
+    code, out, _ = run_main(capsys, command, "--a", "sin(x)", "--f", "exp(-x)",
+                            "--x1", "0.9", "--n", "4096", "--format", output_format)
+    assert code == 0
+    assert out
 
 
 class TestExitCodes:

@@ -162,7 +162,7 @@ def test_reader_that_hangs_up_sees_the_old_exit_code(read_first):
 
 
 # Runs the CLI with os._exit replaced by a check that no child of this
-# process is left, running or unreaped; a forked child passes it too.
+# process is left, running or unreaped.
 _REAPED = """
 import os, runpy, sys
 _exit = os._exit
@@ -181,7 +181,7 @@ runpy.run_module("bvpseries", run_name="__main__")
 @pytest.mark.parametrize("argv, code", [
     (["verify", "--a", "sin(x)", "--f", "exp(-x)", "--x1", "0.9", "--n", "4096"], 0),
     (["fundamental", "--a", "sin(x)", "--f", "exp(-x)", "--x1", "0.9", "--n", "4096"], 0),
-    # verify fails at a node while sampling, before any work could fork
+    # verify fails at a node while sampling, before any output
     (["verify", "--a", "0.01/(x - 0.125)", "--f", "1", "--x1", "1", "--n", "8"], 4),
 ])
 def test_no_child_is_left_unreaped(argv, code):

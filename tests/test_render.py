@@ -1,36 +1,27 @@
-"""The node-table writer: byte identity with the plain renderers, and the
-paths it takes when the second half cannot be formatted in a forked child.
+"""The node-table writer: byte identity with the plain renderers, block by
+block, in this process.
 
-``cli._render`` formats float columns in whole slices with the vectorised
-shortest-digit kernel (``bvpseries.shortest``, whose bytes are repr's for
-every finite float; tests/test_shortest.py checks it alone) and, on a
-machine with two CPUs, hands the second half of the rows to a forked
-child; verify renders no float columns and forks nothing. The references
-below are the plain forms of the same output: ``json.dumps`` with ndarrays
-converted by ``tolist``, and CSV joined row by row with ``str``. A new
-interpreter imports ``bvpseries.cli`` without ``multiprocessing`` or
-``concurrent.futures``, whose import would add to every run's start-up, and
-without the kernel, which only runs that render float columns import.
+``cli._render`` formats float columns with the vectorised shortest-digit
+kernel (``bvpseries.shortest``, whose bytes are repr's for every finite
+float; tests/test_shortest.py checks it alone), in blocks of ``cli.ROWS``
+rows, and forks nothing. The references below are the plain forms of the
+same output: ``json.dumps`` with ndarrays converted by ``tolist``, and CSV
+joined row by row with ``str``. A new interpreter imports ``bvpseries.cli``
+without ``multiprocessing`` or ``concurrent.futures``, whose import would
+add to every run's start-up, and without the kernel, which only runs that
+render float columns import.
 """
 
 import json
 import os
-import signal
 import subprocess
 import sys
-import time
 
 import numpy as np
 import pytest
 
 from bvpseries import cli
 from test_golden import CASES, GOLDEN, REPO
-
-# Golden cases that render float columns, and so fork to format them when
-# they can; verify renders its check list, and a singular solve's CSV table
-# is empty.
-_FORKING = {name for name in CASES
-            if not name.startswith("verify") and name != "solve_singular.csv"}
 
 _PROBLEM = ["--a", "0.6*exp(-x)*tanh(x + 0.3)", "--f", "exp(x) - log(2 + x)",
             "--x1", "1.1", "--alpha", "0.7", "--beta", "-0.4"]
@@ -56,26 +47,6 @@ def _reference_csv(payload, table):
     return "\n".join(lines) + "\n"
 
 
-def _report_cpus(monkeypatch, count):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
-                        raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: count)
-
-
-def _count_forks(monkeypatch):
-    forks = []
-    fork = os.fork
-
-    def counted():
-        pid = fork()
-        if pid:
-            forks.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counted)
-    return forks
-
-
 def _assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -96,18 +67,22 @@ def _payload(command, n):
             (header, [special if col is old else col for col in columns]))
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-@pytest.mark.parametrize("cpus", [2, 1])
+def _no_fork():
+    raise AssertionError("rendering forked")
+
+
+@pytest.mark.parametrize("kilorows", [2, 1])
 @pytest.mark.parametrize("n", [4096, 4097])
 @pytest.mark.parametrize("command", ["fundamental", "solve"])
-def test_large_tables_match_references(command, n, cpus, monkeypatch):
+def test_large_tables_match_references(command, n, kilorows, monkeypatch):
+    # blocks of 1024 * kilorows rows: for either size the n + 1 rows end in
+    # a block of one row (n = 4096) or two (n = 4097), and the last special
+    # values cross the last seam
     payload, table = _payload(command, n)
-    _report_cpus(monkeypatch, cpus)
-    forks = _count_forks(monkeypatch)
+    monkeypatch.setattr(os, "fork", _no_fork, raising=False)
+    monkeypatch.setattr(cli, "ROWS", 1024 * kilorows)
     assert cli._render(payload, table, "json") == _reference_json(payload)
     assert cli._render(payload, table, "csv") == _reference_csv(payload, table)
-    assert len(forks) == (2 if cpus == 2 else 0)
-    _assert_no_child_left()
 
 
 def _run_golden(name, capsysbinary, monkeypatch):
@@ -124,71 +99,6 @@ def _run_golden(name, capsysbinary, monkeypatch):
 def test_golden_without_fork(name, capsysbinary, monkeypatch):
     monkeypatch.delattr(os, "fork", raising=False)
     _run_golden(name, capsysbinary, monkeypatch)
-
-
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_golden_on_one_cpu(name, capsysbinary, monkeypatch):
-    _report_cpus(monkeypatch, 1)
-    forks = _count_forks(monkeypatch) if hasattr(os, "fork") else []
-    _run_golden(name, capsysbinary, monkeypatch)
-    assert forks == []
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_golden_with_failing_child(name, capsysbinary, monkeypatch):
-    _report_cpus(monkeypatch, 2)
-    parent = os.getpid()
-    for fmt in ("_json_rows", "_csv_rows"):
-        real = getattr(cli, fmt)
-
-        def failing(columns, lo, hi, real=real):
-            if os.getpid() != parent:
-                raise RuntimeError("formatting child forced to fail")
-            return real(columns, lo, hi)
-
-        monkeypatch.setattr(cli, fmt, failing)
-    exit_codes = []
-    waitpid = os.waitpid
-
-    def recorded(pid, options):
-        reaped = waitpid(pid, options)
-        exit_codes.append(os.waitstatus_to_exitcode(reaped[1]))
-        return reaped
-
-    monkeypatch.setattr(os, "waitpid", recorded)
-    _run_golden(name, capsysbinary, monkeypatch)
-    assert exit_codes == [1] * (name in _FORKING)
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_parent_failure_kills_the_running_child(monkeypatch):
-    # the child stalls on its half while this process fails on its own
-    payload, table = _payload("fundamental", 4096)
-    _report_cpus(monkeypatch, 2)
-    parent = os.getpid()
-
-    def rows(columns, lo, hi):
-        if os.getpid() != parent:
-            time.sleep(60)
-        raise RuntimeError("formatting failed in this process")
-
-    monkeypatch.setattr(cli, "_json_rows", rows)
-    exit_codes = []
-    waitpid = os.waitpid
-
-    def recorded(pid, options):
-        reaped = waitpid(pid, options)
-        exit_codes.append(os.waitstatus_to_exitcode(reaped[1]))
-        return reaped
-
-    monkeypatch.setattr(os, "waitpid", recorded)
-    start = time.monotonic()
-    with pytest.raises(RuntimeError, match="in this process"):
-        cli._render(payload, table, "json")
-    assert exit_codes == [-signal.SIGKILL]
-    assert time.monotonic() - start < 30
-    _assert_no_child_left()
 
 
 def test_import_loads_no_process_pool():
@@ -218,3 +128,22 @@ def test_digit_kernel_loads_only_to_render_float_columns():
                        env={**os.environ, "PYTHONPATH": path}, timeout=120)
     assert r.returncode == 0, r.stderr
     assert r.stdout == "[False, False, True]\n"
+
+
+# README "Caveats": fundamental's peak resident memory as JSON at n = 2**18.
+_DOCUMENTED_PEAK_MIB = 135
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
+def test_peak_memory_stays_at_the_documented_figure():
+    # a bare launcher (no numpy) runs one CLI process and reports its peak
+    code = ("import resource, subprocess, sys\n"
+            "subprocess.run([sys.executable, '-m', 'bvpseries', *sys.argv[1:]], check=True)\n"
+            "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)")
+    argv = ["fundamental", "--a", "sin(x)", "--f", "exp(-x)", "--x1", "0.9",
+            "--n", "262144", "--format", "json", "--out", os.devnull]
+    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    r = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                       env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert r.returncode == 0, r.stderr
+    assert int(r.stdout) / 1024 <= 1.1 * _DOCUMENTED_PEAK_MIB
