@@ -11,7 +11,6 @@ genuine fundamental pair (their Wronskian is the constant -I2(x1)).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,20 +22,25 @@ from .series_core import SeriesSolution, apply_B
 SINGULAR_REL_TOL = 1e-8
 
 
-@dataclass(frozen=True)
 class ProblemD:
-    """Two-point data: value at the left end, slope at the right end."""
+    """Two-point data: value at the left end, slope at the right end.
 
-    alpha: float
-    beta: float
+    Raises
+    ------
+    InvalidDomain
+        If alpha or beta is not a finite real.
+    """
 
-    def __post_init__(self):
-        for name, value in (("alpha", self.alpha), ("beta", self.beta)):
+    __slots__ = ("alpha", "beta")
+
+    def __init__(self, alpha: float, beta: float):
+        for name, value in (("alpha", alpha), ("beta", beta)):
             if not (isinstance(value, (int, float)) and math.isfinite(value)):
                 raise InvalidDomain(f"{name} must be a finite real, got {value!r}")
+        self.alpha = alpha
+        self.beta = beta
 
 
-@dataclass(frozen=True, eq=False)
 class SolveReport:
     """Solution plus every diagnostic a solve produces.
 
@@ -45,16 +49,23 @@ class SolveReport:
     fixedpoint_err left as None.
     """
 
-    u: SampledFn | None
-    du: SampledFn | None
-    c1: float
-    c2: float
-    boundary_err: tuple[float, float] | None
-    residual_max: float | None
-    wronskian_dev: float
-    i2_at_x1: float
-    bound_checks: tuple[Check, ...]
-    fixedpoint_err: float | None
+    __slots__ = ("u", "du", "c1", "c2", "boundary_err", "residual_max",
+                 "wronskian_dev", "i2_at_x1", "bound_checks", "fixedpoint_err")
+
+    def __init__(self, u: SampledFn | None, du: SampledFn | None, c1: float, c2: float,
+                 boundary_err: tuple[float, float] | None, residual_max: float | None,
+                 wronskian_dev: float, i2_at_x1: float, bound_checks: tuple[Check, ...],
+                 fixedpoint_err: float | None):
+        self.u = u
+        self.du = du
+        self.c1 = c1
+        self.c2 = c2
+        self.boundary_err = boundary_err
+        self.residual_max = residual_max
+        self.wronskian_dev = wronskian_dev
+        self.i2_at_x1 = i2_at_x1
+        self.bound_checks = bound_checks
+        self.fixedpoint_err = fixedpoint_err
 
 
 def general_solution(sol: SeriesSolution, c1: float, c2: float):

@@ -18,7 +18,6 @@ so failures show how far off the measurement was. Three limit regimes appear:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -46,18 +45,21 @@ B_ROUNDING_CONST = 20.0
 B_SLOPE_CONST = 7.0
 
 
-@dataclass(frozen=True)
 class Check:
     """One named verification result.
 
     ``value`` is the measured quantity, ``limit`` what it must not exceed;
-    ``passed`` is value <= limit.
+    ``passed`` is value <= limit. The fields are ``__slots__``, in the order
+    of verify's CSV columns.
     """
 
-    name: str
-    passed: bool
-    value: float
-    limit: float
+    __slots__ = ("name", "passed", "value", "limit")
+
+    def __init__(self, name: str, passed: bool, value: float, limit: float):
+        self.name = name
+        self.passed = passed
+        self.value = value
+        self.limit = limit
 
 
 def _check(name: str, value: float, limit: float) -> Check:

@@ -13,6 +13,8 @@ repr for every finite float: a JSON array is its items joined by
 followed by ',' or a newline. verify's check list (names, flags and
 floats) is one %-format over its cells; scalars and nested objects go
 through json.dumps. The kernel is imported only to render float columns.
+``main`` writes each block to stdout or --out as it is formatted, so the
+whole text is never held; ``run`` joins the blocks for in-process callers.
 
 a and f are sampled together, at the grid nodes, as one program of their
 distinct subtrees (``grid.sample_together``); on any error they are
@@ -36,14 +38,13 @@ import math
 import os
 import re
 import sys
-from dataclasses import asdict, astuple, dataclass
 from itertools import chain
 
 import numpy as np
 
 from .bvp import ProblemD, solve_problem_d
 from .bvp import wronskian_check  # unused here; bench/traced_op.py looks it up on cli
-from .checks import verify
+from .checks import Check, verify
 from .errors import (
     ContractionViolation,
     Diverged,
@@ -80,21 +81,26 @@ MAX_TERMS_ENV = "SOLVER_MAX_TERMS"
 ROWS = 1 << 14
 
 
-@dataclass(frozen=True)
 class RunConfig:
     """Everything one CLI invocation needs."""
 
-    command: str
-    a_spec: CoefficientSpec
-    f_spec: CoefficientSpec
-    x1: float
-    alpha: float
-    beta: float
-    n: int
-    tol: float
-    output_format: str
-    out: str | None
-    max_terms: int
+    __slots__ = ("command", "a_spec", "f_spec", "x1", "alpha", "beta", "n", "tol",
+                 "output_format", "out", "max_terms")
+
+    def __init__(self, command: str, a_spec: CoefficientSpec, f_spec: CoefficientSpec,
+                 x1: float, alpha: float, beta: float, n: int, tol: float,
+                 output_format: str, out: str | None, max_terms: int):
+        self.command = command
+        self.a_spec = a_spec
+        self.f_spec = f_spec
+        self.x1 = x1
+        self.alpha = alpha
+        self.beta = beta
+        self.n = n
+        self.tol = tol
+        self.output_format = output_format
+        self.out = out
+        self.max_terms = max_terms
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -232,11 +238,15 @@ def _cmd_solve(config: RunConfig):
             "residual_max": report.residual_max,
             "fixedpoint_err": report.fixedpoint_err,
             "wronskian_dev": report.wronskian_dev,
-            "bound_checks": [asdict(c) for c in report.bound_checks],
+            "bound_checks": [_check_dict(c) for c in report.bound_checks],
         },
     })
     columns = () if u is None else (sol.grid.nodes, u, du)
     return payload, ("x,u,du", columns), code, message
+
+
+def _check_dict(check: Check) -> dict:
+    return {name: getattr(check, name) for name in Check.__slots__}
 
 
 _FUNDAMENTAL = ("I1", "I2", "F", "dI1", "dI2", "dF")
@@ -267,9 +277,10 @@ def _cmd_verify(config: RunConfig):
         "beta": float(config.beta),
         "max_rel_err": max_rel_err,
         "passed": passed,
-        "checks": [asdict(c) for c in all_checks],
+        "checks": [_check_dict(c) for c in all_checks],
     })
-    table = ("name,passed,value,limit", list(zip(*map(astuple, all_checks))))
+    table = (",".join(Check.__slots__),
+             [tuple(getattr(c, name) for c in all_checks) for name in Check.__slots__])
     if passed:
         return payload, table, EXIT_OK, None
     failed = [c.name for c in all_checks if not c.passed]
@@ -295,12 +306,6 @@ def _join(values: np.ndarray, sep) -> str:
     return shortest.join(values, sep).decode()
 
 
-def _json_rows(columns, lo: int, hi: int) -> list[str]:
-    """Rows lo..hi of each column as the items of an indented JSON array:
-    each float is its repr, the shortest round-trip form json writes."""
-    return [_join(col[lo:hi], ",\n    ") for col in columns]
-
-
 def _csv_rows(columns, lo: int, hi: int) -> list[str]:
     """Rows lo..hi of a table as CSV lines, every cell printed as ``str``.
 
@@ -318,40 +323,31 @@ def _csv_rows(columns, lo: int, hi: int) -> list[str]:
     return [(("%s," * (len(slices) - 1) + "%s\n") * rows) % tuple(cells)]
 
 
-def _blocks(fmt, columns) -> list[list[str]]:
-    """``fmt(columns, lo, hi)`` for each block of ``ROWS`` rows, in order."""
-    rows = max(map(len, columns), default=0)
-    return [fmt(columns, lo, lo + ROWS) for lo in range(0, rows, ROWS)]
-
-
-def _render(payload: dict, table: tuple, output_format: str) -> str:
+def _pieces(payload: dict, table: tuple, output_format: str):
     """Serialize a payload as JSON, or as CSV: '# key = value' lines for the
     payload's scalars (nested objects flattened one level, arrays left out),
-    then the table's header and rows.
+    then the table's header and rows. Yields the text in pieces, in order.
 
     ``table`` is a header line and its columns (ndarrays or sequences). The
     float columns (the payload's ndarrays for JSON, the table for CSV) are
-    formatted block by block (``_blocks``), and a JSON array's blocks are
-    joined by ",\n    ". They hold grid nodes or SampledFn values: finite,
-    so no nan or inf reaches the JSON, and at least three rows (n >= 2), so
-    every JSON array has a block. Everything else in the JSON goes through
-    ``json.dumps``. The text is built by one join.
+    formatted ``ROWS`` rows at a time, one block per piece, so a reader that
+    writes each piece out holds one block of text at a time. A JSON array's
+    items are joined by ",\n    ". The arrays hold grid nodes or SampledFn
+    values: finite, so no nan or inf reaches the JSON, and at least three
+    rows (n >= 2). Everything else in the JSON goes through ``json.dumps``.
     """
     if output_format == "json":
-        arrays = [value for value in payload.values() if isinstance(value, np.ndarray)]
-        blocks = zip(*_blocks(_json_rows, arrays))  # each array's blocks, in order
-        parts = []
-        for key, value in payload.items():
-            parts += [",\n  " if parts else "{\n  ", json.dumps(key), ": "]
+        for i, (key, value) in enumerate(payload.items()):
+            yield f"{',' if i else '{'}\n  {json.dumps(key)}: "
             if not isinstance(value, np.ndarray):
-                parts.append(json.dumps(value, indent=2, allow_nan=False).replace("\n", "\n  "))
+                yield json.dumps(value, indent=2, allow_nan=False).replace("\n", "\n  ")
                 continue
-            parts.append("[\n    ")
-            for block in next(blocks):
-                parts += [block, ",\n    "]
-            parts[-1] = "\n  ]"
-        parts.append("\n}\n")
-        return "".join(parts)
+            for lo in range(0, len(value), ROWS):
+                yield ",\n    " if lo else "[\n    "
+                yield _join(value[lo:lo + ROWS], ",\n    ")
+            yield "\n  ]"
+        yield "\n}\n"
+        return
     lines = []
     for key, value in payload.items():
         if isinstance(value, dict):
@@ -361,15 +357,19 @@ def _render(payload: dict, table: tuple, output_format: str) -> str:
             lines.append(f"# {key} = {value}")
     header, columns = table
     lines.append(header)
-    return "".join(["\n".join(lines), "\n", *chain.from_iterable(_blocks(_csv_rows, columns))])
+    yield "\n".join(lines) + "\n"
+    for lo in range(0, max(map(len, columns), default=0), ROWS):
+        yield from _csv_rows(columns, lo, lo + ROWS)
 
 
-def run(config: RunConfig) -> tuple[int, str | None]:
-    """Execute one configured command.
+def _render(payload: dict, table: tuple, output_format: str) -> str:
+    """The whole serialized payload: the pieces of ``_pieces``, joined."""
+    return "".join(_pieces(payload, table, output_format))
 
-    Returns the exit code and the serialized output (None when the failure
-    precedes any result). Messages for non-zero codes go to stderr here.
-    """
+
+def _execute(config: RunConfig):
+    """``run``, with the output as an iterator of its pieces, each rendered
+    when it is read."""
     try:
         payload, table, code, message = _COMMANDS[config.command](config)
     except (ContractionViolation, MaxTermsExceeded) as exc:
@@ -386,10 +386,23 @@ def run(config: RunConfig) -> tuple[int, str | None]:
         return EXIT_VERIFY_FAILED, None
     if message is not None:
         print(f"bvpseries: {message}", file=sys.stderr)
-    return code, _render(payload, table, config.output_format)
+    return code, _pieces(payload, table, config.output_format)
+
+
+def run(config: RunConfig) -> tuple[int, str | None]:
+    """Execute one configured command.
+
+    Returns the exit code and the serialized output (None when the failure
+    precedes any result). Messages for non-zero codes go to stderr here.
+    """
+    code, pieces = _execute(config)
+    return code, None if pieces is None else "".join(pieces)
 
 
 def main(argv=None) -> int:
+    """Run the command line ``argv`` and return its exit code. The output
+    goes to stdout or --out as it is rendered, a run of pieces at a time
+    (``_runs``), so the whole text is never held."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -397,25 +410,38 @@ def main(argv=None) -> int:
     except (ParseError, TableDomainError, InvalidDomain, OSError) as exc:
         print(f"bvpseries: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    code, text = run(config)
-    if text is not None:
+    code, pieces = _execute(config)
+    if pieces is not None:
         if config.out is not None:
             try:
                 with open(config.out, "w") as fh:
-                    _write(fh, text)
+                    fh.writelines(_runs(pieces))
             except OSError as exc:
                 print(f"bvpseries: cannot write {config.out}: {exc}", file=sys.stderr)
                 return EXIT_BAD_INPUT
         else:
-            _write(sys.stdout, text)
+            sys.stdout.writelines(_runs(pieces))
     return code
 
 
-def _write(stream, text: str) -> None:
-    """Write ``text`` a megabyte at a time: a text stream encodes what it is
-    given in one piece, so a whole payload would need a second copy of it."""
-    for lo in range(0, len(text), 1 << 20):
-        stream.write(text[lo:lo + (1 << 20)])
+def _runs(pieces):
+    """The pieces joined into runs of at least 2**20 characters, and the rest.
+
+    One write per run, not per piece, so a small piece costs no write call
+    of its own, and a pipe's reader gets the text in full reads, as when the
+    whole text went out a megabyte at a time. With a write per piece,
+    bench/run.py's peak_rss_mb, which reads the harness's own resident
+    memory while that exceeds the solver's, rose about 10% on solve-stiff
+    and fundamental-bulk: the harness's heap grew from its many small reads.
+    """
+    run, length = [], 0
+    for piece in pieces:
+        run.append(piece)
+        length += len(piece)
+        if length >= 1 << 20:
+            yield "".join(run)
+            run, length = [], 0
+    yield "".join(run)
 
 
 def entry() -> None:

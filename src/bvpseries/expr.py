@@ -12,21 +12,23 @@ with IDENT one of sin, cos, exp, log, sqrt, abs, tanh. Numbers are decimal
 literals with an optional exponent. ``^`` is right-associative and binds
 tighter than unary minus; whitespace is insignificant.
 
-Parsed trees are immutable and evaluation is pure, so a single Expr can be
-evaluated concurrently from many threads. ``eval_arrays`` evaluates one or
-more trees over an array of points and gives, bit for bit, what
-``eval_expr`` gives at each of them. It compiles the trees into one
-straight-line program of their distinct subtrees (hash-consing on the
-operator and the children's step numbers, constants on their bits), so a
-subtree the trees share runs once per point for all of them: with
-f = u'' + a*u, each sin, cos or exp of a and of u runs once, not twice.
+Nothing in the package changes a parsed tree after it is built, and
+evaluation is pure, so a single Expr can be evaluated concurrently from many
+threads. Trees compare and hash by structure (``Expr.__eq__``).
+
+``eval_arrays`` evaluates one or more trees over an array of points and
+gives, bit for bit, what ``eval_expr`` gives at each of them. It compiles
+the trees into one straight-line program of their distinct subtrees
+(hash-consing on the operator and the children's step numbers, constants
+on their bits), so a subtree the trees share runs once per point for all
+of them: with f = u'' + a*u, each sin, cos or exp of a and of u runs once,
+not twice.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,32 +60,60 @@ _MAX_DEPTH = 100
 
 
 class Expr:
-    """Base class for expression tree nodes."""
+    """Base class for expression tree nodes.
+
+    A node's fields are its ``__slots__``. Two nodes are equal when they are
+    of the same class and their fields are equal, children compared the same
+    way, so two trees are equal exactly when they are the same tree; equal
+    trees hash alike. ``Const(0.0) == Const(-0.0)``, as for the floats.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash((self.__class__, self._fields()))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__name__}({fields})"
+
+
+class Const(Expr):
+    __slots__ = ("value",)
+
+    def __init__(self, value: float):
+        self.value = value
+
+
+class Var(Expr):
+    """The free variable x."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Const(Expr):
-    value: float
-
-
-@dataclass(frozen=True)
-class Var(Expr):
-    """The free variable x."""
-
-
-@dataclass(frozen=True)
 class Unary(Expr):
-    op: str  # "neg" or a name from FUNCTIONS
-    arg: Expr
+    __slots__ = ("op", "arg")
+
+    def __init__(self, op: str, arg: Expr):
+        self.op = op  # "neg" or a name from FUNCTIONS
+        self.arg = arg
 
 
-@dataclass(frozen=True)
 class Binary(Expr):
-    op: str  # one of + - * / ^
-    lhs: Expr
-    rhs: Expr
+    __slots__ = ("op", "lhs", "rhs")
+
+    def __init__(self, op: str, lhs: Expr, rhs: Expr):
+        self.op = op  # one of + - * / ^
+        self.lhs = lhs
+        self.rhs = rhs
 
 
 _NUMBER = re.compile(r"\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?")
@@ -93,11 +123,13 @@ _SPACE = re.compile(r"\s*")
 _ATOM_EXPECTED = "a number, 'x', a function call, or '('"
 
 
-@dataclass(frozen=True)
 class _Token:
-    kind: str  # NUM IDENT OP LPAREN RPAREN EOF
-    text: str
-    pos: int  # character index into the source
+    __slots__ = ("kind", "text", "pos")
+
+    def __init__(self, kind: str, text: str, pos: int):
+        self.kind = kind  # NUM IDENT OP LPAREN RPAREN EOF
+        self.text = text
+        self.pos = pos  # character index into the source
 
 
 def _byte_offset(text: str, pos: int) -> int:

@@ -14,10 +14,8 @@ are restricted to piecewise-continuous inputs.
 
 from __future__ import annotations
 
-import csv
 import math
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,15 +23,14 @@ from .errors import EvalError, InvalidDomain, TableDomainError
 from .expr import Expr, eval_arrays, eval_expr, parse_expr
 
 # Largest interval count a grid accepts. A run's peak resident memory is
-# about 33 MiB plus 0.39 KiB per node at worst (fundamental, the largest
-# payload, as JSON: 58 MiB at n = 65536, 135 MiB at n = 2**18), so 2**20
-# intervals need about 0.43 GiB (measured: 437 MiB as JSON, 371 MiB as
-# CSV) and stay well within a 2 GiB budget. Larger n is refused before
+# about 31 MiB plus 0.1 KiB per node at worst (fundamental, the largest
+# payload, whose text cli.main writes block by block: 56 MiB as JSON or as
+# CSV at n = 2**18), so 2**20 intervals need about 134 MiB (measured, JSON
+# and CSV) and stay well within a 2 GiB budget. Larger n is refused before
 # anything of size n is allocated.
 MAX_INTERVALS = 2**20
 
 
-@dataclass(frozen=True, eq=False)
 class Grid:
     """Uniform partition of [0, x1] into n intervals.
 
@@ -49,10 +46,13 @@ class Grid:
         The n+1 node coordinates, strictly increasing from 0.0 to x1.
     """
 
-    x1: float
-    n: int
-    h: float
-    nodes: np.ndarray = field(repr=False)
+    __slots__ = ("x1", "n", "h", "nodes")
+
+    def __init__(self, x1: float, n: int, h: float, nodes: np.ndarray):
+        self.x1 = x1
+        self.n = n
+        self.h = h
+        self.nodes = nodes
 
 
 def make_grid(x1: float, n: int) -> Grid:
@@ -93,25 +93,27 @@ def same_grid(g1: Grid, g2: Grid) -> bool:
     return g1 is g2 or (g1.n == g2.n and g1.x1 == g2.x1)
 
 
-@dataclass(frozen=True, eq=False)
 class SampledFn:
     """Real function represented by its values at grid nodes.
 
     Between nodes the function is the piecewise-linear interpolant.
+
+    Raises
+    ------
+    InvalidDomain
+        If ``values`` is not n+1 finite reals.
     """
 
-    grid: Grid
-    values: np.ndarray
+    __slots__ = ("grid", "values")
 
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.shape != (self.grid.n + 1,):
-            raise InvalidDomain(
-                f"need {self.grid.n + 1} node values, got shape {values.shape}"
-            )
+    def __init__(self, grid: Grid, values: np.ndarray):
+        values = np.asarray(values, dtype=float)
+        if values.shape != (grid.n + 1,):
+            raise InvalidDomain(f"need {grid.n + 1} node values, got shape {values.shape}")
         if not np.all(np.isfinite(values)):
             raise InvalidDomain("node values must all be finite")
-        object.__setattr__(self, "values", values)
+        self.grid = grid
+        self.values = values
 
 
 class CoefficientSpec:
@@ -149,6 +151,8 @@ class CoefficientSpec:
     @classmethod
     def from_csv(cls, path) -> "CoefficientSpec":
         """Read a two-column ``x,value`` CSV; a non-numeric first row is a header."""
+        import csv  # here, not at the top: only tables need it, and every run imports grid
+
         xs, values = [], []
         with open(path, newline="") as fh:
             for row in csv.reader(fh):

@@ -31,8 +31,6 @@ scan.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import Diverged, GridMismatch, OracleSingular
@@ -45,15 +43,17 @@ SHOOTING_REL_TOL = 1e-12
 SCAN_BLOCK = 4096
 
 
-@dataclass(frozen=True, eq=False)
 class IvpTrajectory:
     """Initial-value solution at the step ends: u and its derivative at
     ``grid.nodes[index]``."""
 
-    grid: Grid
-    index: np.ndarray
-    u: np.ndarray
-    du: np.ndarray
+    __slots__ = ("grid", "index", "u", "du")
+
+    def __init__(self, grid: Grid, index: np.ndarray, u: np.ndarray, du: np.ndarray):
+        self.grid = grid
+        self.index = index
+        self.u = u
+        self.du = du
 
 
 def step_ends(n: int) -> np.ndarray:
@@ -185,19 +185,22 @@ def rk4_ivp(a: SampledFn, f: SampledFn, u0: float, du0: float, *,
     return IvpTrajectory(grid=a.grid, index=index, u=u[0], du=du[0])
 
 
-@dataclass(frozen=True, eq=False)
 class OracleFundamental:
     """Shooting reconstruction of the fundamental system and its derivatives,
     each an array of values at the step ends ``grid.nodes[index]``."""
 
-    grid: Grid
-    index: np.ndarray
-    I1: np.ndarray
-    I2: np.ndarray
-    F: np.ndarray
-    dI1: np.ndarray
-    dI2: np.ndarray
-    dF: np.ndarray
+    __slots__ = ("grid", "index", "I1", "I2", "F", "dI1", "dI2", "dF")
+
+    def __init__(self, grid: Grid, index: np.ndarray, I1: np.ndarray, I2: np.ndarray,
+                 F: np.ndarray, dI1: np.ndarray, dI2: np.ndarray, dF: np.ndarray):
+        self.grid = grid
+        self.index = index
+        self.I1 = I1
+        self.I2 = I2
+        self.F = F
+        self.dI1 = dI1
+        self.dI2 = dI2
+        self.dF = dF
 
 
 def oracle_fundamental(a: SampledFn, f: SampledFn, *,

@@ -33,14 +33,13 @@ trapezoid integrates the linear envelope sup|a w| (x1 - y) exactly, so
 ||B_h w|| <= q ||w|| holds node by node and the omitted terms sum to at most
 sum_{k>m} q^(k-m) ||t_m|| = q ||t_m|| / (1 - q).
 
-Everything here is a pure function of immutable inputs; the three series may
-be summed concurrently.
+Everything here is a pure function of its inputs, none of which it changes;
+the three series may be summed concurrently.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,7 +50,6 @@ DEFAULT_TOL = 1e-10
 DEFAULT_MAX_TERMS = 10_000
 
 
-@dataclass(frozen=True)
 class ContractionCertificate:
     """Proof token that the series converge for this coefficient and interval.
 
@@ -68,10 +66,13 @@ class ContractionCertificate:
         1 - q, the distance from the convergence boundary.
     """
 
-    a_sup: float
-    x1: float
-    q: float
-    margin: float
+    __slots__ = ("a_sup", "x1", "q", "margin")
+
+    def __init__(self, a_sup: float, x1: float, q: float, margin: float):
+        self.a_sup = a_sup
+        self.x1 = x1
+        self.q = q
+        self.margin = margin
 
 
 def contraction_ratio(a_sup: float, x1: float) -> ContractionCertificate:
@@ -231,7 +232,6 @@ def sum_series(seed: SampledFn, a: SampledFn, cert: ContractionCertificate,
     return SampledFn(seed.grid, total), len(term_sups), apriori, tail, term_sups
 
 
-@dataclass(frozen=True, eq=False)
 class SeriesSolution:
     """Converged fundamental system and particular solution with derivatives.
 
@@ -256,20 +256,28 @@ class SeriesSolution:
         decay-rate checks.
     """
 
-    I1: SampledFn
-    I2: SampledFn
-    F: SampledFn
-    dI1: SampledFn
-    dI2: SampledFn
-    dF: SampledFn
-    terms_used: dict
-    terms_apriori: dict
-    tail_bound: dict
-    certificate: ContractionCertificate
-    a: SampledFn = field(repr=False)
-    f: SampledFn = field(repr=False)
-    g: SampledFn = field(repr=False)
-    term_sups: dict = field(repr=False)
+    __slots__ = ("I1", "I2", "F", "dI1", "dI2", "dF", "terms_used", "terms_apriori",
+                 "tail_bound", "certificate", "a", "f", "g", "term_sups")
+
+    def __init__(self, I1: SampledFn, I2: SampledFn, F: SampledFn,
+                 dI1: SampledFn, dI2: SampledFn, dF: SampledFn,
+                 terms_used: dict, terms_apriori: dict, tail_bound: dict,
+                 certificate: ContractionCertificate,
+                 a: SampledFn, f: SampledFn, g: SampledFn, term_sups: dict):
+        self.I1 = I1
+        self.I2 = I2
+        self.F = F
+        self.dI1 = dI1
+        self.dI2 = dI2
+        self.dF = dF
+        self.terms_used = terms_used
+        self.terms_apriori = terms_apriori
+        self.tail_bound = tail_bound
+        self.certificate = certificate
+        self.a = a
+        self.f = f
+        self.g = g
+        self.term_sups = term_sups
 
     @property
     def grid(self) -> Grid:

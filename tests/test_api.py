@@ -25,3 +25,49 @@ def test_library_example_runs(capsys):
     code = _library_section().split("```python\n")[1].split("```")[0]
     exec(compile(code, str(README), "exec"), {})
     assert capsys.readouterr().out.splitlines()[-1] == "True 23"
+
+
+def _records():
+    """One instance of each record class, built by the library, with the
+    parameters of its constructor in order."""
+    from bvpseries import cli, expr, grid, oracle, series_core
+
+    args = cli.build_parser().parse_args(["solve", "--a", "0.5", "--f", "1", "--x1", "1",
+                                          "--n", "8"])
+    config = cli.config_from_args(args)
+    sol = cli._prepare(config)
+    report = bvpseries.solve_problem_d(sol, bvpseries.ProblemD(0.25, -0.5))
+    tree = expr.parse_expr("-sin(x) + 2")
+    return [
+        (expr.Const, tree.rhs, ("value",)),
+        (expr.Var, tree.lhs.arg.arg, ()),
+        (expr.Unary, tree.lhs, ("op", "arg")),
+        (expr.Binary, tree, ("op", "lhs", "rhs")),
+        (grid.Grid, sol.grid, ("x1", "n", "h", "nodes")),
+        (grid.SampledFn, sol.I1, ("grid", "values")),
+        (series_core.ContractionCertificate, sol.certificate, ("a_sup", "x1", "q", "margin")),
+        (series_core.SeriesSolution, sol,
+         ("I1", "I2", "F", "dI1", "dI2", "dF", "terms_used", "terms_apriori", "tail_bound",
+          "certificate", "a", "f", "g", "term_sups")),
+        (bvpseries.ProblemD, bvpseries.ProblemD(0.25, -0.5), ("alpha", "beta")),
+        (bvpseries.SolveReport, report,
+         ("u", "du", "c1", "c2", "boundary_err", "residual_max", "wronskian_dev", "i2_at_x1",
+          "bound_checks", "fixedpoint_err")),
+        (bvpseries.Check, report.bound_checks[0], ("name", "passed", "value", "limit")),
+        (oracle.IvpTrajectory, bvpseries.rk4_ivp(sol.a, sol.f, 0.0, 1.0),
+         ("grid", "index", "u", "du")),
+        (oracle.OracleFundamental, bvpseries.oracle_fundamental(sol.a, sol.f),
+         ("grid", "index", "I1", "I2", "F", "dI1", "dI2", "dF")),
+        (cli.RunConfig, config,
+         ("command", "a_spec", "f_spec", "x1", "alpha", "beta", "n", "tol", "output_format",
+          "out", "max_terms")),
+    ]
+
+
+def test_each_record_builds_by_keyword_and_by_position():
+    for cls, record, names in _records():
+        assert type(record) is cls
+        values = [getattr(record, name) for name in names]
+        for built in (cls(*values), cls(**dict(zip(names, values)))):
+            for name, value in zip(names, values):
+                assert getattr(built, name) is value, (cls, name)

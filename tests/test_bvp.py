@@ -1,6 +1,5 @@
 """Assembly and two-point solve tests, including the diagnostic checks."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -23,11 +22,22 @@ from bvpseries.checks import (
 )
 from bvpseries.errors import InvalidDomain, SingularI2
 from bvpseries.grid import CoefficientSpec, SampledFn, make_grid, sample, sup_norm
-from bvpseries.series_core import compute_g, contraction_ratio, fundamental_system
+from bvpseries.series_core import (
+    SeriesSolution,
+    compute_g,
+    contraction_ratio,
+    fundamental_system,
+)
 
 
 def _const(grid, value):
     return SampledFn(grid, np.full(grid.n + 1, float(value)))
+
+
+def _replaced(sol, **changes):
+    """A copy of ``sol`` with the given fields replaced."""
+    fields = {name: getattr(sol, name) for name in SeriesSolution.__slots__}
+    return SeriesSolution(**{**fields, **changes})
 
 
 def _free_solution(n=64, x1=1.0):
@@ -124,6 +134,10 @@ class TestProblemD:
             ProblemD(math.inf, 0.0)
         with pytest.raises(InvalidDomain):
             ProblemD(0.0, math.nan)
+        with pytest.raises(InvalidDomain):
+            ProblemD(alpha="1", beta=0.0)
+        with pytest.raises(InvalidDomain):
+            ProblemD(alpha=0.0, beta=-math.inf)
 
     def test_linear_solve(self):
         report = solve_problem_d(_free_solution(), ProblemD(alpha=2.0, beta=3.0))
@@ -174,7 +188,7 @@ class TestProblemD:
     def test_singular_gate(self):
         sol = _unit_solution(n=256)
         shifted = SampledFn(sol.grid, sol.I2.values - sol.i2_at_x1)
-        doctored = dataclasses.replace(sol, I2=shifted)
+        doctored = _replaced(sol, I2=shifted)
         with pytest.raises(SingularI2) as info:
             solve_problem_d(doctored, ProblemD(1.0, 1.0))
         exc = info.value
@@ -202,7 +216,7 @@ class TestCheckFunctions:
                                  contraction_ratio(0.1, 1.3))
         check = {c.name: c for c in bound_checks(sol)}["sup_bound:I1"]
         assert check.passed, (check.value, check.limit)
-        inflated = dataclasses.replace(sol, I1=SampledFn(g, 1.5 * sol.I1.values))
+        inflated = _replaced(sol, I1=SampledFn(g, 1.5 * sol.I1.values))
         check = {c.name: c for c in bound_checks(inflated)}["sup_bound:I1"]
         assert not check.passed
 
@@ -218,7 +232,7 @@ class TestCheckFunctions:
         for name in ("I1", "I2", "F"):
             values = getattr(sol, name).values.copy()
             values[40000] += 1e-11
-            corrupted = dataclasses.replace(sol, **{name: SampledFn(g, values)})
+            corrupted = _replaced(sol, **{name: SampledFn(g, values)})
             check = {c.name: c for c in residual_checks(corrupted)}[f"ode_residual:{name}"]
             assert not check.passed, name
 
@@ -243,7 +257,7 @@ class TestCheckFunctions:
             for shift in (1e-9, -1e-9):
                 values = getattr(sol, name).values.copy()
                 values[300000] += shift
-                corrupted = dataclasses.replace(sol, **{name: SampledFn(g, values)})
+                corrupted = _replaced(sol, **{name: SampledFn(g, values)})
                 check = {c.name: c for c in consistency_checks(corrupted)}[
                     f"derivative_consistency:{name[1:]}"]
                 assert not check.passed, (name, shift, check.value, check.limit)

@@ -228,6 +228,39 @@ _ast = st.recursive(
 )
 
 
+def _shape(e):
+    """A tree as nested tuples, each constant as its float, so that two
+    shapes are equal exactly when the trees are the same tree."""
+    if isinstance(e, Const):
+        return ("const", e.value)
+    if isinstance(e, Var):
+        return ("x",)
+    if isinstance(e, Unary):
+        return (e.op, _shape(e.arg))
+    return (e.op, _shape(e.lhs), _shape(e.rhs))
+
+
+class TestStructuralEquality:
+    @given(_ast, _ast)
+    @settings(max_examples=300, deadline=None)
+    def test_parsed_trees_are_equal_exactly_when_they_are_the_same_tree(self, a, b):
+        p, again, q = (parse_expr(to_text(tree)) for tree in (a, a, b))
+        assert p is not again and p == again and hash(p) == hash(again)
+        assert (p == q) is (_shape(p) == _shape(q))
+        assert (p != q) is not (p == q)
+        if p == q:
+            assert hash(p) == hash(q)
+
+    def test_examples(self):
+        assert parse_expr("x + 1") == parse_expr("(x) + 1.0")
+        assert parse_expr("x + 1") != parse_expr("1 + x")
+        assert parse_expr("sin(x)") != parse_expr("cos(x)")
+        assert parse_expr("-x") != parse_expr("0 - x")
+        assert len({parse_expr("2*x"), parse_expr("2.0 * (x)"), parse_expr("x*2")}) == 2
+        assert Var() == Var() and Const(1.0) != 1.0 and Var() != Const(0.0)
+        assert Const(0.0) == Const(-0.0) and hash(Const(0.0)) == hash(Const(-0.0))
+
+
 class TestFuzz:
     @given(st.text(max_size=80))
     @settings(max_examples=300, deadline=None)
@@ -322,7 +355,7 @@ class TestSharedProgram:
             assert np.array_equal(_bits(values), _bits(other))
 
     def test_signed_zero_constants_stay_apart(self):
-        # the dataclasses compare equal, so a program keyed on == would
+        # the nodes compare equal, so a program keyed on == would
         # share one step between them and give x*-0 the sign of x*0
         assert Const(0.0) == Const(-0.0)
         pos = Binary("*", Var(), Const(0.0))

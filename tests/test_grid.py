@@ -100,11 +100,19 @@ class TestSampledFn:
         g = make_grid(1.0, 4)
         with pytest.raises(InvalidDomain):
             SampledFn(g, np.zeros(4))
+        with pytest.raises(InvalidDomain):
+            SampledFn(grid=g, values=np.zeros((5, 1)))
 
     def test_finite_checked(self):
         g = make_grid(1.0, 4)
         with pytest.raises(InvalidDomain):
             SampledFn(g, np.array([0.0, 1.0, np.nan, 0.0, 0.0]))
+        with pytest.raises(InvalidDomain):
+            SampledFn(grid=g, values=[0.0, 1.0, 2.0, 3.0, -np.inf])
+
+    def test_values_become_a_float_array(self):
+        got = SampledFn(make_grid(1.0, 4), [0, 1, 2, 3, 4]).values
+        assert isinstance(got, np.ndarray) and got.dtype == float
 
 
 class TestCoefficientSpec:

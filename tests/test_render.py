@@ -6,10 +6,12 @@ kernel (``bvpseries.shortest``, whose bytes are repr's for every finite
 float; tests/test_shortest.py checks it alone), in blocks of ``cli.ROWS``
 rows, and forks nothing. The references below are the plain forms of the
 same output: ``json.dumps`` with ndarrays converted by ``tolist``, and CSV
-joined row by row with ``str``. A new interpreter imports ``bvpseries.cli``
-without ``multiprocessing`` or ``concurrent.futures``, whose import would
-add to every run's start-up, and without the kernel, which only runs that
-render float columns import.
+joined row by row with ``str``; ``cli.main`` writes, a run of blocks at a
+time, the text ``cli._render`` returns. A new interpreter imports
+``bvpseries.cli`` without ``multiprocessing``, ``concurrent.futures``,
+``dataclasses`` or ``csv``, whose import would add to every run's
+start-up, and without the kernel, which only runs that render float
+columns import.
 """
 
 import json
@@ -85,6 +87,19 @@ def test_large_tables_match_references(command, n, kilorows, monkeypatch):
     assert cli._render(payload, table, "csv") == _reference_csv(payload, table)
 
 
+@pytest.mark.parametrize("output_format", ["json", "csv"])
+def test_main_writes_what_render_returns(output_format, capsysbinary):
+    # main writes the blocks as they are made, in runs of a megabyte or
+    # more: at n = 65536 a fundamental table is several runs of many blocks
+    argv = ["fundamental", *_PROBLEM, "--n", "65536", "--format", output_format]
+    assert cli.main(argv) == 0
+    payload, table, _, _ = cli._COMMANDS["fundamental"](
+        cli.config_from_args(cli.build_parser().parse_args(argv)))
+    want = cli._render(payload, table, output_format)
+    assert len(want) > 5 << 20
+    assert capsysbinary.readouterr().out == want.encode()
+
+
 def _run_golden(name, capsysbinary, monkeypatch):
     argv, code, patches = CASES[name]
     for module, constants in patches.items():
@@ -101,15 +116,36 @@ def test_golden_without_fork(name, capsysbinary, monkeypatch):
     _run_golden(name, capsysbinary, monkeypatch)
 
 
+def _fresh_python(code, *args):
+    """Run ``code`` in a new interpreter that imports this checkout's
+    bvpseries; return its stdout."""
+    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    r = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                       env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert r.returncode == 0, r.stderr
+    return r.stdout
+
+
 def test_import_loads_no_process_pool():
     code = ("import sys, bvpseries.cli; "
             "print(sorted(m for m in sys.modules "
             "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
-    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
-    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                       env={**os.environ, "PYTHONPATH": path}, timeout=120)
-    assert r.returncode == 0, r.stderr
-    assert r.stdout == "[]\n"
+    assert _fresh_python(code) == "[]\n"
+
+
+def test_import_generates_no_code_and_loads_no_csv_reader(tmp_path):
+    # the record classes are plain slotted classes, so no dataclass source
+    # is built and exec-compiled at start-up; csv is imported by the one
+    # reader of tables, which --a-table still reaches
+    table = tmp_path / "a.csv"
+    table.write_text("x,a\n0,0.5\n1,0.5\n")
+    code = ("import contextlib, io, sys, bvpseries.cli as cli\n"
+            "print(sorted(m for m in ('dataclasses', 'csv') if m in sys.modules))\n"
+            "argv = ['solve', '--a-table', sys.argv[1], '--f', '1', '--x1', '1', '--n', '8']\n"
+            "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+            "    assert cli.main(argv) == 0\n"
+            "print('csv' in sys.modules, out.getvalue().startswith('{'))")
+    assert _fresh_python(code, str(table)) == "[]\nTrue True\n"
 
 
 def test_digit_kernel_loads_only_to_render_float_columns():
@@ -123,27 +159,27 @@ def test_digit_kernel_loads_only_to_render_float_columns():
             "        assert cli.main([command, *argv]) == 0\n"
             "    loaded.append('bvpseries.shortest' in sys.modules)\n"
             "print(loaded)")
-    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
-    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                       env={**os.environ, "PYTHONPATH": path}, timeout=120)
-    assert r.returncode == 0, r.stderr
-    assert r.stdout == "[False, False, True]\n"
+    assert _fresh_python(code) == "[False, False, True]\n"
 
 
-# README "Caveats": fundamental's peak resident memory as JSON at n = 2**18.
-_DOCUMENTED_PEAK_MIB = 135
+# README "Caveats": fundamental's peak resident memory grows by about
+# 0.1 KiB per node, as JSON or as CSV, since main writes the text block by
+# block. A whole-table block (ROWS = 2**20) or a joined text is 0.14 KiB or
+# more per node in either format.
+_DOCUMENTED_KIB_PER_NODE = 0.1
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
 def test_peak_memory_stays_at_the_documented_figure():
-    # a bare launcher (no numpy) runs one CLI process and reports its peak
+    # a bare launcher (no numpy) runs one CLI process and reports its peak;
+    # the growth from n = 1024 to 2**18 leaves out the interpreter's own
     code = ("import resource, subprocess, sys\n"
             "subprocess.run([sys.executable, '-m', 'bvpseries', *sys.argv[1:]], check=True)\n"
             "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)")
-    argv = ["fundamental", "--a", "sin(x)", "--f", "exp(-x)", "--x1", "0.9",
-            "--n", "262144", "--format", "json", "--out", os.devnull]
-    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
-    r = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
-                       env={**os.environ, "PYTHONPATH": path}, timeout=120)
-    assert r.returncode == 0, r.stderr
-    assert int(r.stdout) / 1024 <= 1.1 * _DOCUMENTED_PEAK_MIB
+    for output_format in ("json", "csv"):
+        peaks = [int(_fresh_python(code, "fundamental", "--a", "sin(x)", "--f", "exp(-x)",
+                                   "--x1", "0.9", "--n", str(n), "--format", output_format,
+                                   "--out", os.devnull))
+                 for n in (1024, 2**18)]
+        per_node = (peaks[1] - peaks[0]) / (2**18 - 1024)
+        assert per_node <= 1.1 * _DOCUMENTED_KIB_PER_NODE, (output_format, peaks)
