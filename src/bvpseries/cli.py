@@ -6,15 +6,18 @@ messages go to standard error; machine output (JSON or CSV) to standard
 output or --out. Output is deterministic for a fixed configuration: floats
 are serialized with their shortest round-trip representation.
 
-Node columns are formatted in this process, in blocks of ``ROWS`` rows,
-by ``shortest.join``, a vectorised Ryu kernel whose bytes are those of
-repr for every finite float: a JSON array is its items joined by
-",\n    ", a CSV table of float columns its cells in row order, each
-followed by ',' or a newline. verify's check list (names, flags and
+Node columns are formatted in this process, in equal blocks of at most
+``ROWS`` rows, by ``shortest.join``, a vectorised Ryu kernel whose bytes
+are those of repr for every finite float: a JSON array is its items
+joined by ",\n    ", a CSV table of float columns its cells in row order,
+each followed by ',' or a newline. verify's check list (names, flags and
 floats) is one %-format over its cells; scalars and nested objects go
 through json.dumps. The kernel is imported only to render float columns.
-``main`` writes each block to stdout or --out as it is formatted, so the
-whole text is never held; ``run`` joins the blocks for in-process callers.
+The payload is ASCII bytes: ``main`` writes each block, as it is
+formatted, to stdout's binary buffer or to --out opened in binary mode,
+so the whole text is never held and no stream encoding or newline
+translation touches it; ``run`` joins the blocks and decodes them once for
+in-process callers.
 
 a and f are sampled together, at the grid nodes, as one program of their
 distinct subtrees (``grid.sample_together``); on any error they are
@@ -24,15 +27,20 @@ samples beyond the nodes; it runs in this process, after the series and
 the solve.
 
 ``python -m bvpseries`` and the ``bvpseries`` script enter through
-``entry``, which flushes stdout and stderr after ``main`` returns and ends
-the process with ``os._exit``, skipping the interpreter's teardown; if a
-flush fails it exits through ``sys.exit``. ``main`` itself returns the exit
-code to in-process callers.
+``entry``. It first has glibc keep the memory the process frees for reuse
+(``mallopt``; nothing where the C library has none), so blocks that free
+and allocate the same sizes again do not fault their pages back in each
+time; then it runs ``main``, flushes stdout and stderr, and ends the
+process with ``os._exit``, skipping the interpreter's teardown; if a flush
+fails it exits through ``sys.exit``. Importing the package or calling
+``main`` leaves the allocator as it is, and ``main`` returns the exit code
+to in-process callers.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import math
 import os
@@ -73,6 +81,11 @@ EXIT_BAD_INPUT = 4
 EXIT_VERIFY_FAILED = 5
 
 MAX_TERMS_ENV = "SOLVER_MAX_TERMS"
+
+# glibc's mallopt parameters (malloc.h) and the values ``entry`` gives them
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_HEAP_POLICY = ((_M_TRIM_THRESHOLD, 1 << 30), (_M_MMAP_THRESHOLD, 1 << 25))
 
 # Rows formatted at a time. Only one block's digits, and for CSV its
 # stacked cells, are held beside the columns. Blocks of 2**12 to 2**16
@@ -298,15 +311,25 @@ def _float_columns(columns) -> bool:
                                  for c in columns)
 
 
-def _join(values: np.ndarray, sep) -> str:
-    """``sep.join(map(repr, values.tolist()))``, by ``shortest.join``, which
-    is imported (and its tables built) on the first call."""
+def _join(values: np.ndarray, sep) -> bytes:
+    """The bytes of ``sep.join(map(repr, values.tolist()))``, by
+    ``shortest.join``, which is imported on the first call."""
     from . import shortest
 
-    return shortest.join(values, sep).decode()
+    return shortest.join(values, sep)
 
 
-def _csv_rows(columns, lo: int, hi: int) -> list[str]:
+def _blocks(rows: int):
+    """Bounds (lo, hi) of the blocks rows are formatted in: ceil(rows /
+    ROWS) blocks whose lengths differ by at most one, so no block is a
+    short tail, whose fixed cost (some 0.4 ms per ``shortest.join`` call)
+    buys few rows."""
+    count = -(-rows // ROWS)
+    ends = [rows * k // count for k in range(1, count + 1)]
+    return zip([0, *ends], ends)
+
+
+def _csv_rows(columns, lo: int, hi: int) -> list[bytes]:
     """Rows lo..hi of a table as CSV lines, every cell printed as ``str``.
 
     A table of float columns is written by ``shortest.join`` over its cells
@@ -316,37 +339,39 @@ def _csv_rows(columns, lo: int, hi: int) -> list[str]:
     slices = [col[lo:hi] for col in columns]
     if _float_columns(slices):
         text = _join(np.column_stack(slices).ravel(), (",",) * (len(slices) - 1) + ("\n",))
-        return [text, "\n"] if text else []
+        return [text, b"\n"] if text else []
     cells = chain.from_iterable(zip(*(s.tolist() if isinstance(s, np.ndarray) else s
                                       for s in slices)))
     rows = len(slices[0]) if slices else 0
-    return [(("%s," * (len(slices) - 1) + "%s\n") * rows) % tuple(cells)]
+    return [((("%s," * (len(slices) - 1) + "%s\n") * rows) % tuple(cells)).encode()]
 
 
 def _pieces(payload: dict, table: tuple, output_format: str):
     """Serialize a payload as JSON, or as CSV: '# key = value' lines for the
     payload's scalars (nested objects flattened one level, arrays left out),
-    then the table's header and rows. Yields the text in pieces, in order.
+    then the table's header and rows. Yields the text in pieces, in order,
+    as bytes: ASCII, since ``json.dumps`` escapes every other character.
 
     ``table`` is a header line and its columns (ndarrays or sequences). The
     float columns (the payload's ndarrays for JSON, the table for CSV) are
-    formatted ``ROWS`` rows at a time, one block per piece, so a reader that
-    writes each piece out holds one block of text at a time. A JSON array's
-    items are joined by ",\n    ". The arrays hold grid nodes or SampledFn
-    values: finite, so no nan or inf reaches the JSON, and at least three
-    rows (n >= 2). Everything else in the JSON goes through ``json.dumps``.
+    formatted in blocks of at most ``ROWS`` rows (``_blocks``), one block
+    per piece, so a reader that writes each piece out holds one block of
+    text at a time. A JSON array's items are joined by ",\n    ". The
+    arrays hold grid nodes or SampledFn values: finite, so no nan or inf
+    reaches the JSON, and at least three rows (n >= 2). Everything else in
+    the JSON goes through ``json.dumps``.
     """
     if output_format == "json":
         for i, (key, value) in enumerate(payload.items()):
-            yield f"{',' if i else '{'}\n  {json.dumps(key)}: "
+            yield f"{',' if i else '{'}\n  {json.dumps(key)}: ".encode()
             if not isinstance(value, np.ndarray):
-                yield json.dumps(value, indent=2, allow_nan=False).replace("\n", "\n  ")
+                yield json.dumps(value, indent=2, allow_nan=False).replace("\n", "\n  ").encode()
                 continue
-            for lo in range(0, len(value), ROWS):
-                yield ",\n    " if lo else "[\n    "
-                yield _join(value[lo:lo + ROWS], ",\n    ")
-            yield "\n  ]"
-        yield "\n}\n"
+            for lo, hi in _blocks(len(value)):
+                yield b",\n    " if lo else b"[\n    "
+                yield _join(value[lo:hi], ",\n    ")
+            yield b"\n  ]"
+        yield b"\n}\n"
         return
     lines = []
     for key, value in payload.items():
@@ -357,14 +382,14 @@ def _pieces(payload: dict, table: tuple, output_format: str):
             lines.append(f"# {key} = {value}")
     header, columns = table
     lines.append(header)
-    yield "\n".join(lines) + "\n"
-    for lo in range(0, max(map(len, columns), default=0), ROWS):
-        yield from _csv_rows(columns, lo, lo + ROWS)
+    yield ("\n".join(lines) + "\n").encode()
+    for lo, hi in _blocks(max(map(len, columns), default=0)):
+        yield from _csv_rows(columns, lo, hi)
 
 
 def _render(payload: dict, table: tuple, output_format: str) -> str:
     """The whole serialized payload: the pieces of ``_pieces``, joined."""
-    return "".join(_pieces(payload, table, output_format))
+    return b"".join(_pieces(payload, table, output_format)).decode()
 
 
 def _execute(config: RunConfig):
@@ -396,13 +421,17 @@ def run(config: RunConfig) -> tuple[int, str | None]:
     precedes any result). Messages for non-zero codes go to stderr here.
     """
     code, pieces = _execute(config)
-    return code, None if pieces is None else "".join(pieces)
+    return code, None if pieces is None else b"".join(pieces).decode()
 
 
 def main(argv=None) -> int:
     """Run the command line ``argv`` and return its exit code. The output
     goes to stdout or --out as it is rendered, a run of pieces at a time
-    (``_runs``), so the whole text is never held."""
+    (``_runs``), so the whole text is never held. It is written as bytes,
+    to stdout's binary buffer (after flushing its text layer) or to --out
+    opened in binary mode, so the payload is the same ASCII whatever the
+    stream's encoding or newline translation; a stdout without a buffer
+    (``contextlib.redirect_stdout`` to a StringIO) is given text."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -414,18 +443,22 @@ def main(argv=None) -> int:
     if pieces is not None:
         if config.out is not None:
             try:
-                with open(config.out, "w") as fh:
+                with open(config.out, "wb") as fh:
                     fh.writelines(_runs(pieces))
             except OSError as exc:
                 print(f"bvpseries: cannot write {config.out}: {exc}", file=sys.stderr)
                 return EXIT_BAD_INPUT
+        elif hasattr(sys.stdout, "buffer"):
+            sys.stdout.flush()
+            sys.stdout.buffer.writelines(_runs(pieces))
         else:
-            sys.stdout.writelines(_runs(pieces))
+            sys.stdout.writelines(bytes(run).decode() for run in _runs(pieces))
     return code
 
 
 def _runs(pieces):
-    """The pieces joined into runs of at least 2**20 characters, and the rest.
+    """The pieces, bytes, cut into runs of whole mebibytes (2**20 bytes, or
+    a multiple), and the rest.
 
     One write per run, not per piece, so a small piece costs no write call
     of its own, and a pipe's reader gets the text in full reads, as when the
@@ -433,25 +466,58 @@ def _runs(pieces):
     bench/run.py's peak_rss_mb, which reads the harness's own resident
     memory while that exceeds the solver's, rose about 10% on solve-stiff
     and fundamental-bulk: the harness's heap grew from its many small reads.
+    The runs end on mebibyte boundaries, not where a piece ends, so the
+    reader's reads are whole pipe buffers however the rows are cut into
+    blocks: with runs ending at the first piece past 2**20 bytes, cutting
+    the same rows into equal blocks raised that peak_rss_mb on
+    fundamental-bulk from 114.7 to 124-131 MiB. A run is a memoryview of
+    the joined pieces, so cutting copies nothing.
     """
     run, length = [], 0
     for piece in pieces:
         run.append(piece)
         length += len(piece)
         if length >= 1 << 20:
-            yield "".join(run)
-            run, length = [], 0
-    yield "".join(run)
+            joined = memoryview(b"".join(run))
+            cut = length - length % (1 << 20)
+            yield joined[:cut]
+            run, length = [joined[cut:]], length - cut
+    yield b"".join(run)
+
+
+def _keep_freed_heap() -> None:
+    """Set glibc's ``_HEAP_POLICY`` for this process: freed memory stays in
+    the heap for reuse, up to 1 GiB of it, instead of going back to the
+    kernel and being faulted in again page by page, and blocks below
+    32 MiB come from that heap instead of from mappings of their own. A C
+    library without ``mallopt`` (macOS, Windows) is left as it is.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # Windows: CDLL(None) is a TypeError
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    for param, value in _HEAP_POLICY:
+        mallopt(param, value)
 
 
 def entry() -> None:
     """Process entry point of ``python -m bvpseries`` and the ``bvpseries``
-    script: run ``main``, flush stdout and stderr, and end the process with
-    ``os._exit``, skipping the interpreter's teardown (about 30 ms with numpy
-    loaded), which has nothing left to do: every output is written. If a
-    flush raises (say, the reader closed the pipe), the process exits
-    through ``sys.exit`` instead, as it always did.
+    script. It first keeps the process's freed heap for reuse
+    (``_keep_freed_heap``): the digit kernel's per-block temporaries, the
+    output runs and the sampling blocks are freed and allocated again block
+    after block, and by default glibc hands that memory back to the kernel
+    each time, so it is faulted in again. Only the process entry sets this;
+    importing the package or calling ``main`` leaves the allocator alone.
+
+    Then it runs ``main``, flushes stdout and stderr, and ends the process
+    with ``os._exit``, skipping the interpreter's teardown (about 30 ms
+    with numpy loaded), which has nothing left to do: every output is
+    written. If a flush raises (say, the reader closed the pipe), the
+    process exits through ``sys.exit`` instead, as it always did.
     """
+    _keep_freed_heap()
     code = main()
     try:
         sys.stdout.flush()

@@ -28,8 +28,10 @@ the bytes repr would print. repr writes scientific notation iff the
 decimal point position ``decpt`` (value = 0.d1d2... * 10**decpt) is
 at most -4 or above 16.
 
-The tables are built when this module is first imported; the command
-line imports it only when it renders float columns.
+The per-exponent and per-decpt tables are built a row at a time, the
+first time a block meets that exponent or decpt, and kept, so importing
+this module builds nothing; the command line imports it only when it
+renders float columns.
 """
 
 from __future__ import annotations
@@ -40,10 +42,16 @@ import numpy as np
 
 __all__ = ["join"]
 
-# Values per block: each temporary is one 8192-word (64 KiB) array, below
-# glibc's 128 KiB mmap threshold, so the allocator reuses its memory
-# instead of mapping and faulting in fresh pages for every operation.
-BLOCK = 8192
+# Values per block. Each block costs some 100 numpy calls, about 0.3 ms,
+# on top of its values, so a block of a JSON column, at most cli.ROWS
+# (16384) rows, is one block here. Each temporary is one 128 KiB array:
+# within a block the allocator reuses its memory, and between blocks
+# glibc, by default, returns the freed heap to the kernel and the next
+# block faults the same pages in again, unless the process keeps its
+# freed heap, as the command line's process entry (``cli.entry``) does.
+# With the heap kept, a 65,536-node fundamental table rendered about 10%
+# faster in blocks of 16384 than of 8192, and no faster in larger ones.
+BLOCK = 16384
 
 _U = np.uint64
 _MASK32 = _U(0xFFFFFFFF)
@@ -61,17 +69,45 @@ def _pow5bits(e):
     return ((e * 1217359) >> 19) + 1
 
 
-def _exponent_tables():
-    """Ryu's per-exponent parameters, indexed by the biased exponent field.
+class _Rows:
+    """Tables whose rows are built on demand: row j of each is the last-axis
+    entry of ``build`` for index j, built the first time ``at`` is asked
+    for it and kept. A run formats the values of a few dozen exponents and
+    decimal point positions, not all of them."""
 
-    For each of the 2047 finite exponents: the two 64-bit words of the
-    125-bit multiplier M (Ryu's DOUBLE_POW5_INV_SPLIT[q], about
-    2**k / 5**q, for e2 >= 0; DOUBLE_POW5_SPLIT[i], 5**i cut to 125 bits,
-    for e2 < 0), the shifts that take floor(mv * M / 2**j) out of the
-    192-bit product's upper words, the decimal exponent e10 of the scaled
-    values, and the data of Ryu's trailing-zero tests.
+    def __init__(self, build, size):
+        self._build = build
+        self._built = np.zeros(size, dtype=bool)
+        self._tables = None
+
+    def at(self, index):
+        """The tables, their rows at ``index`` built."""
+        missing = np.zeros_like(self._built)
+        missing[index] = True
+        missing &= ~self._built
+        if missing.any():
+            new = np.flatnonzero(missing)
+            rows = self._build(new)
+            if self._tables is None:
+                self._tables = [np.zeros(r.shape[:-1] + self._built.shape, r.dtype)
+                                for r in rows]
+            for table, r in zip(self._tables, rows):
+                table[..., new] = r
+            self._built[new] = True
+        return self._tables
+
+
+def _exponent_rows(ie):
+    """Ryu's parameters for the distinct biased exponent fields ``ie``.
+
+    Per exponent: the implicit leading bit of m2 (absent for subnormals),
+    the two 64-bit words of the 125-bit multiplier M (Ryu's
+    DOUBLE_POW5_INV_SPLIT[q], about 2**k / 5**q, for e2 >= 0;
+    DOUBLE_POW5_SPLIT[i], 5**i cut to 125 bits, for e2 < 0) and of 2M,
+    the shifts that take floor(mv * M / 2**j) out of the 192-bit product's
+    upper words, the decimal exponent e10 of the scaled values, and the
+    data of Ryu's trailing-zero tests.
     """
-    ie = np.arange(2047, dtype=np.int64)
     e2 = np.maximum(ie, 1) - 1077
     pos = e2 >= 0
     # Ryu's log10Pow2 and log10Pow5, exact over this range
@@ -81,16 +117,13 @@ def _exponent_tables():
     i = np.where(pos, 0, -e2 - q)
     shift = np.where(pos, -e2 + q + 124 + _pow5bits(q), q - _pow5bits(i) + 125)
     assert shift.min() > 64 and shift.max() < 128  # what _shifted relies on
-    powers = [1]
-    for _ in range(max(q.max(), i.max())):
-        powers.append(powers[-1] * 5)
-    inverse = [(1 << (p.bit_length() + 124)) // p + 1 for p in powers[:q.max() + 1]]
-    split = [p >> (p.bit_length() - 125) if p.bit_length() > 125
-             else p << (125 - p.bit_length()) for p in powers[:i.max() + 1]]
-    words = [np.frombuffer(b"".join(m.to_bytes(16, "little") for m in table),
-                           dtype="<u8").reshape(-1, 2).astype(np.uint64)
-             for table in (inverse, split)]
-    lo, hi = np.where(pos[:, None], words[0].take(q, axis=0), words[1].take(i, axis=0)).T.copy()
+    words = []
+    for positive, k in zip(pos.tolist(), np.where(pos, q, i).tolist()):
+        p = 5**k
+        # floor(2**(bits + 124) / p) + 1, or p cut or padded to 125 bits
+        m = (1 << (p.bit_length() + 124)) // p + 1 if positive else (p << 125) >> p.bit_length()
+        words += [m & ((1 << 64) - 1), m >> 64]
+    lo, hi = np.array(words, dtype=np.uint64).reshape(-1, 2).T
     # e2 < 0, 2 <= q: vr has trailing zeros iff 2**q divides mv; for
     # q >= 55 no mv < 2**55 passes, so the mask saturates harmlessly.
     qm = np.clip(q, 0, 62)
@@ -99,24 +132,21 @@ def _exponent_tables():
     # makes vr exact. Both are rare, and handled on their subset only.
     five_q = np.where(pos & (q <= 21), 5 ** np.minimum(q, 21), 0).astype(np.uint64)
     exact = ~pos & (q <= 1)
-    return (lo, hi, (lo << _U(1)), (hi << _U(1)) | (lo >> _U(63)),
+    return (np.where(ie > 0, _U(1 << 52), _U(0)), lo, hi,
+            lo << _U(1), (hi << _U(1)) | (lo >> _U(63)),
             (shift - 64).astype(np.uint64), (128 - shift).astype(np.uint64),
             e10, two_q, five_q, exact)
 
 
-(_M_LO, _M_HI, _M2_LO, _M2_HI, _SHIFT_LO, _SHIFT_HI,
- _E10, _TWO_Q, _FIVE_Q, _EXACT) = _exponent_tables()
-# the implicit leading bit of m2, absent for subnormals
-_HIDDEN = np.where(np.arange(2047) > 0, _U(1 << 52), _U(0))
+_EXPONENTS = _Rows(_exponent_rows, 2047)
 
-
-# decpt offset of the layout tables; finite floats have -323 <= decpt <= 309
+# decpt offset of the layout rows; finite floats have -323 <= decpt <= 309
 _DECPT = 340
 
 
-def _layout_tables():
-    """repr's layout for each decimal point position decpt (index
-    decpt + _DECPT) and digit count n.
+def _layout_rows(at):
+    """repr's layout for the distinct decimal point positions decpt =
+    ``at`` - _DECPT, for each digit count n.
 
     Per text word: the bytes left of '.' (``low``), the bytes right of it
     (``high``, of the words shifted one byte up) and '.' itself (``dot``),
@@ -125,11 +155,10 @@ def _layout_tables():
     '0' are put in front). The exponent suffix of scientific notation,
     'e+XX' or 'e-XXX', right-aligned in the last word (0 in fixed
     notation). Whether the four '0' go in front (-3 <= decpt <= 0). Per
-    (n, decpt), index n * size + decpt + _DECPT, the bits of the kept text
-    bytes, each run shifted up by 8 past the separator word: [0, first) and
-    [start, stop).
+    n (rows 0 to 17), the bits of the kept text bytes, each run shifted up
+    by 8 past the separator word: [0, first) and [start, stop).
     """
-    decpt = np.arange(-_DECPT, _DECPT + 1)
+    decpt = at - _DECPT
     scientific = (decpt <= -4) | (decpt > 16)
     small = ~scientific & (decpt <= 0)
     point = np.where(scientific | small, 1, decpt)
@@ -157,10 +186,10 @@ def _layout_tables():
     start = np.where(scientific, 24 - length, np.where(small, decpt + 5, 0))
     stop = np.where(scientific, 24, np.where(small, n + 5, 0))
     keep = (((1 << first) - 1) | ((1 << stop) - (1 << start))) << 8
-    return low, high, dot, suffix, small, keep.astype(np.uint64).ravel()
+    return low, high, dot, suffix, small, keep.astype(np.uint64)
 
 
-_LOW, _HIGH, _DOT, _SUFFIX, _SMALL, _KEEP = _layout_tables()
+_LAYOUT = _Rows(_layout_rows, 2 * _DECPT + 1)
 
 
 def _mul(a_lo, a_hi, b):
@@ -187,13 +216,13 @@ def _decimal(bits):
     Returns (output, exponent) with value = output * 10**exponent.
     """
     ie = (bits >> _U(52)).astype(np.intp)
+    (hidden, m_lo, m_hi, m2_lo, m2_hi, shift_lo, shift_hi,
+     e10, two_q, five_q, exact) = (t.take(ie) for t in _EXPONENTS.at(ie))
     mantissa = bits & _U((1 << 52) - 1)
-    mv = (mantissa | _HIDDEN.take(ie)) << _U(2)
+    mv = (mantissa | hidden) << _U(2)
     even = (bits & _U(1)) == 0
     mm_shift = ((mantissa != 0) | (ie <= 1)).astype(np.uint64)
 
-    m_lo = _M_LO.take(ie)
-    m_hi = _M_HI.take(ie)
     mv_lo = mv & _MASK32
     mv_hi = mv >> _U(32)
     l0, h0 = _mul(mv_lo, mv_hi, m_lo)
@@ -201,18 +230,14 @@ def _decimal(bits):
     w0 = l0
     w1 = h0 + l1
     w2 = h1 + (w1 < l1)
-    lo_shift = _SHIFT_LO.take(ie)
-    hi_shift = _SHIFT_HI.take(ie)
-    vr = _shifted(w1, w2, lo_shift, hi_shift)
+    vr = _shifted(w1, w2, shift_lo, shift_hi)
     # vp: W + 2M
-    d0 = _M2_LO.take(ie)
-    d1 = _M2_HI.take(ie)
-    s0 = w0 + d0
-    t = w1 + d1
-    carry = (t < d1).astype(np.uint64)
-    s1 = t + (s0 < d0)
+    s0 = w0 + m2_lo
+    t = w1 + m2_hi
+    carry = (t < m2_hi).astype(np.uint64)
+    s1 = t + (s0 < m2_lo)
     carry += s1 < t
-    vp = _shifted(s1, w2 + carry, lo_shift, hi_shift)
+    vp = _shifted(s1, w2 + carry, shift_lo, shift_hi)
     # vm: W - M, or W - 2M for a power of two (its lower gap is half)
     e0 = m_lo << mm_shift
     e1 = (m_hi << mm_shift) | ((m_lo >> _U(63)) & mm_shift)
@@ -220,16 +245,14 @@ def _decimal(bits):
     borrow = (w1 < e1).astype(np.uint64)
     s1 = t - (w0 < e0)
     borrow += s1 > t
-    vm = _shifted(s1, w2 - borrow, lo_shift, hi_shift)
+    vm = _shifted(s1, w2 - borrow, shift_lo, shift_hi)
 
-    vr_zeros = (mv & _TWO_Q.take(ie)) == 0
+    vr_zeros = (mv & two_q) == 0
     vm_zeros = np.zeros(bits.size, dtype=bool)
-    exact = _EXACT.take(ie)
     if exact.any():  # e2 < 0, q <= 1: vr is exact
         vr_zeros |= exact
         vm_zeros |= exact & even & (mm_shift == 1)
         vp -= (exact & ~even).astype(np.uint64)
-    five_q = _FIVE_Q.take(ie)
     big = np.flatnonzero(five_q)
     if big.size:  # e2 >= 0, q <= 21: divisibility of the bounds by 5**q
         p5 = five_q[big]
@@ -254,7 +277,7 @@ def _decimal(bits):
         out[special], removed[special], round_up[special] = _exact_lanes(
             out[special], below[special], removed[special], vm[special],
             vr_zeros[special], even[special])
-    return out + round_up, _E10.take(ie) + removed
+    return out + round_up, e10 + removed
 
 
 def _removed_digits(vp, vm):
@@ -356,8 +379,9 @@ def _block(values, sep_word, sep_bits):
     f1 = (a >> _U(56)) | (b << _U(8))
     f2 = b >> _U(56)
     at = decpt + _DECPT
+    low, high, dot, suffix, small, keep = _LAYOUT.at(at)
     # 0.000ddd: for -3 <= decpt <= 0, four '0' in front, then '.' after one
-    small = _SMALL.take(at)
+    small = small.take(at)
     f2 = np.where(small, (f1 >> _U(32)) | (f2 << _U(32)), f2)
     f1 = np.where(small, (f0 >> _U(32)) | (f1 << _U(32)), f1)
     f0 = np.where(small, (f0 << _U(32)) | _U(0x30303030), f0)
@@ -368,9 +392,9 @@ def _block(values, sep_word, sep_bits):
     slots = np.empty((values.size, 4), dtype="<u8")
     slots[:, 0] = sep_word | (negative * _U(0x2D << 56))
     for w, (f, g) in enumerate(((f0, g0), (f1, g1), (f2, g2))):
-        slots[:, w + 1] = (f & _LOW[w].take(at)) | (g & _HIGH[w].take(at)) | _DOT[w].take(at)
-    slots[:, 3] |= _SUFFIX.take(at)
-    keep = _KEEP.take(n * _SMALL.size + at) | sep_bits | (negative << _U(7))
+        slots[:, w + 1] = (f & low[w].take(at)) | (g & high[w].take(at)) | dot[w].take(at)
+    slots[:, 3] |= suffix.take(at)
+    keep = keep.take(n * keep.shape[1] + at) | sep_bits | (negative << _U(7))
     mask = np.unpackbits(keep.astype("<u4").view(np.uint8), bitorder="little")
     return slots, mask
 
@@ -391,8 +415,8 @@ def _separators(seps: tuple) -> tuple:
     return block, words.take(order), bits.take(order)
 
 
-def join(values, sep) -> bytearray:
-    """The bytes of ``sep.join(map(repr, values.tolist()))``, as a bytearray.
+def join(values, sep) -> bytes:
+    """The bytes of ``sep.join(map(repr, values.tolist()))``.
 
     ``values`` is a 1-D array of finite floats (ValueError otherwise).
     ``sep`` is an ASCII str of at most 7 characters, or a tuple of them
@@ -403,11 +427,11 @@ def join(values, sep) -> bytearray:
     if values.ndim != 1 or not np.isfinite(values).all():
         raise ValueError("join takes a 1-D array of finite floats")
     block, sep_words, sep_bits = _separators((sep,) if isinstance(sep, str) else tuple(sep))
-    text = bytearray()
+    text = []
     for lo in range(0, values.size, block):
         chunk = values[lo:lo + block]
         slots, mask = _block(chunk, sep_words[:chunk.size], sep_bits[:chunk.size])
         if lo == 0:
             mask[:7] = 0  # no separator before the first value
-        text += memoryview(slots.view(np.uint8).ravel()[mask.view(bool)])
-    return text
+        text.append(slots.view(np.uint8).ravel()[mask.view(bool)])
+    return b"".join(text)

@@ -1,6 +1,8 @@
-"""The process entry point: ``python -m bvpseries`` runs ``cli.main``,
-flushes stdout and stderr, and ends through ``os._exit``, skipping the
-interpreter's teardown. Nothing a caller sees may change: every exit code
+"""The process entry point: ``python -m bvpseries`` has glibc keep freed
+heap for reuse (``mallopt``; importing bvpseries or calling ``cli.main``
+does not), runs ``cli.main``, flushes stdout and stderr, and ends through
+``os._exit``, skipping the interpreter's teardown. Nothing a caller sees
+may change, whether or not the C library has ``mallopt``: every exit code
 and stderr line, every output byte through a pipe or a file, the exit code
 a reader that hangs up early sees, and no child left unreaped.
 
@@ -187,3 +189,81 @@ runpy.run_module("bvpseries", run_name="__main__")
 def test_no_child_is_left_unreaped(argv, code):
     r = _python(["-c", _REAPED, *argv])
     assert r.returncode == code, r.stderr
+
+
+# The heap policy: cli.entry, and only cli.entry, has glibc keep freed
+# memory for reuse through mallopt, before main runs. Each script below
+# replaces ctypes.CDLL (numpy has imported ctypes before bvpseries does)
+# with a stand-in C library.
+# CDLL(None), then M_TRIM_THRESHOLD (-1) and M_MMAP_THRESHOLD (-3) from malloc.h
+_MALLOPT_CALLS = [("CDLL", None), (-1, 1 << 30), (-3, 1 << 25)]
+
+_LIBC = """
+import ctypes, numpy, sys
+calls = []
+class Mallopt:
+    def __call__(self, param, value):
+        calls.append((param, value))
+        return 1
+class Libc:
+    def __init__(self, name):
+        calls.append(("CDLL", name))
+        self.mallopt = Mallopt()
+ctypes.CDLL = Libc
+"""
+
+# main replaced by one that prints the calls made before it and returns 7
+_ENTRY_WITH_RECORDER = _LIBC + """
+from bvpseries import cli
+def main():
+    print(calls)
+    return 7
+cli.main = main
+cli.entry()
+"""
+
+
+def test_entry_sets_the_heap_policy_before_main_and_keeps_its_exit_code():
+    r = _python(["-c", _ENTRY_WITH_RECORDER])
+    assert (r.returncode, r.stderr) == (7, "")
+    assert r.stdout == f"{_MALLOPT_CALLS}\n"
+
+
+_IMPORT_AND_MAIN = _LIBC + """
+import contextlib, io
+import bvpseries, bvpseries.cli as cli
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = cli.main(["fundamental", "--a", "0.5", "--f", "1", "--x1", "1", "--n", "8"])
+print(code, out.getvalue().startswith("{"), calls)
+"""
+
+
+def test_import_and_main_leave_the_allocator_alone():
+    r = _python(["-c", _IMPORT_AND_MAIN])
+    assert (r.returncode, r.stderr, r.stdout) == (0, "", "0 True []\n")
+
+
+# python -m bvpseries with a C library that has no mallopt, or that cannot
+# be loaded: sys.argv[1] picks which
+_WITHOUT_MALLOPT = """
+import ctypes, numpy, runpy, sys
+class NoMallopt:
+    def __init__(self, name):
+        pass
+def unloadable(name):
+    raise OSError("no C library")
+ctypes.CDLL = {"no_mallopt": NoMallopt, "oserror": unloadable}[sys.argv.pop(1)]
+runpy.run_module("bvpseries", run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.parametrize("libc", ["no_mallopt", "oserror"])
+def test_without_mallopt_the_output_and_exit_code_are_unchanged(libc):
+    argv = _CASES["verify_fails"][0]
+    want = subprocess.run([sys.executable, "-m", "bvpseries", *argv],
+                          capture_output=True, env=_ENV, timeout=120)
+    got = subprocess.run([sys.executable, "-c", _WITHOUT_MALLOPT, libc, *argv],
+                         capture_output=True, env=_ENV, timeout=120)
+    assert want.returncode == 5 and want.stdout.startswith(b"{")
+    assert (got.returncode, got.stdout, got.stderr) == (want.returncode, want.stdout,
+                                                        want.stderr)

@@ -147,3 +147,20 @@ def test_goldens_do_not_depend_on_blas_kernels(coretype, tmp_path):
     assert json.loads(r.stdout) == [CASES[name][1] for name in names]
     for name in names:
         assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("name", ["solve.json", "fundamental.csv", "verify_failed.csv"])
+def test_stdout_is_the_golden_whatever_the_stream_encoding(name, tmp_path):
+    # the payload is written as bytes, past the text layer whose encoding
+    # PYTHONIOENCODING sets; through a pipe it equals the --out file
+    argv, code, patches = CASES[name]
+    target = tmp_path / name
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONIOENCODING": "utf-16",
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(REPO / "src"), path]))}
+    piped = subprocess.run(_child_command(argv, patches), capture_output=True, env=env,
+                           timeout=120)
+    written = subprocess.run(_child_command([*argv, "--out", str(target)], patches),
+                             capture_output=True, env=env, timeout=120)
+    assert (piped.returncode, written.returncode, written.stdout) == (code, code, b"")
+    assert piped.stdout == target.read_bytes() == (GOLDEN / name).read_bytes()

@@ -3,8 +3,8 @@ block, in this process.
 
 ``cli._render`` formats float columns with the vectorised shortest-digit
 kernel (``bvpseries.shortest``, whose bytes are repr's for every finite
-float; tests/test_shortest.py checks it alone), in blocks of ``cli.ROWS``
-rows, and forks nothing. The references below are the plain forms of the
+float; tests/test_shortest.py checks it alone), in equal blocks of at
+most ``cli.ROWS`` rows, and forks nothing. The references below are the plain forms of the
 same output: ``json.dumps`` with ndarrays converted by ``tolist``, and CSV
 joined row by row with ``str``; ``cli.main`` writes, a run of blocks at a
 time, the text ``cli._render`` returns. A new interpreter imports
@@ -77,14 +77,39 @@ def _no_fork():
 @pytest.mark.parametrize("n", [4096, 4097])
 @pytest.mark.parametrize("command", ["fundamental", "solve"])
 def test_large_tables_match_references(command, n, kilorows, monkeypatch):
-    # blocks of 1024 * kilorows rows: for either size the n + 1 rows end in
-    # a block of one row (n = 4096) or two (n = 4097), and the last special
-    # values cross the last seam
+    # blocks of at most 1024 * kilorows rows: the n + 1 rows are cut into 3
+    # or 5 blocks of 819 to 1366 rows, odd and even lengths, where blocks of
+    # exactly that many rows would end in a tail of one row or two
     payload, table = _payload(command, n)
     monkeypatch.setattr(os, "fork", _no_fork, raising=False)
     monkeypatch.setattr(cli, "ROWS", 1024 * kilorows)
     assert cli._render(payload, table, "json") == _reference_json(payload)
     assert cli._render(payload, table, "csv") == _reference_csv(payload, table)
+
+
+@pytest.mark.parametrize("rows", [0, 1, 3, cli.ROWS, cli.ROWS + 1, 4 * cli.ROWS + 1])
+def test_blocks_are_equal_and_at_most_rows_long(rows):
+    # 65537 rows (n = 65536) are 5 blocks of 13107 or 13108, not 4 full
+    # blocks and a block of one row
+    bounds = list(cli._blocks(rows))
+    lengths = [hi - lo for lo, hi in bounds]
+    assert len(bounds) == -(-rows // cli.ROWS)
+    assert [lo for lo, _ in bounds] + [rows] == [0] + [hi for _, hi in bounds]
+    assert max(lengths, default=0) <= cli.ROWS
+    assert max(lengths, default=0) - min(lengths, default=0) <= 1
+
+
+def test_runs_end_on_mebibyte_boundaries():
+    # pieces of several sizes, as blocks of JSON and CSV are; every run but
+    # the last is a whole number of mebibytes, whatever the pieces' sizes
+    rng = np.random.default_rng(5)
+    pieces = [bytes([65 + k % 26]) * int(size)
+              for k, size in enumerate(rng.integers(1, 3 << 20, size=12))]
+    runs = [bytes(run) for run in cli._runs(iter(pieces))]
+    assert b"".join(runs) == b"".join(pieces)
+    assert len(runs) > 3
+    assert all(len(run) % (1 << 20) == 0 and run for run in runs[:-1])
+    assert len(runs[-1]) < 1 << 20
 
 
 @pytest.mark.parametrize("output_format", ["json", "csv"])

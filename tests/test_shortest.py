@@ -5,10 +5,15 @@ values.tolist()))``: on hypothesis-drawn floats, on fixed edge sets (zeros,
 subnormals, the extremes, every power of two with both neighbours, the
 bounds of repr's fixed notation, integers near 2**53, short decimals at
 every exponent), on a million random bit patterns, and across block
-boundaries and separators.
+boundaries and separators. The per-exponent and per-decpt tables are
+built a row at a time, as blocks meet them; importing builds none.
 """
 
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -88,7 +93,8 @@ def test_a_million_random_bit_patterns():
 
 
 @pytest.mark.parametrize("sep", [",", ",\n    "])
-@pytest.mark.parametrize("size", [0, 1, 8191, 8192, 8193])
+@pytest.mark.parametrize("size", [0, 1, 8191, 8192, 8193,
+                                  shortest.BLOCK - 1, shortest.BLOCK, shortest.BLOCK + 1])
 def test_separators_and_block_boundaries(sep, size):
     rng = np.random.default_rng(size)
     values = rng.standard_normal(size) * 10.0 ** rng.integers(-8, 20, size)
@@ -97,7 +103,7 @@ def test_separators_and_block_boundaries(sep, size):
 
 
 def test_separators_used_in_turn():
-    values = np.random.default_rng(3).random(3 * 8192 + 6)
+    values = np.random.default_rng(3).random(3 * shortest.BLOCK + 6)
     rows = values.reshape(-1, 3).tolist()
     expected = "\n".join(",".join(map(repr, row)) for row in rows).encode()
     assert shortest.join(values, (",", ",", "\n")) == expected
@@ -107,3 +113,25 @@ def test_separators_used_in_turn():
 def test_rejects_what_it_cannot_render(values):
     with pytest.raises(ValueError):
         shortest.join(np.array(values), ",")
+
+
+# imports the kernel, joins 1.5, 2e10 and 1.25 (biased exponents 1023 and
+# 1057, decimal point positions 1 and 11) and prints the rows built
+_ROWS_BUILT = """
+import numpy as np
+from bvpseries import shortest as s
+tables = (s._EXPONENTS, s._LAYOUT)
+print([np.flatnonzero(t._built).tolist() for t in tables])
+s.join(np.array([1.5, 2e10, 1.25]), ",")
+print([np.flatnonzero(t._built).tolist() for t in tables])
+"""
+
+
+def test_import_builds_no_table_row_and_a_join_only_its_own():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    r = subprocess.run([sys.executable, "-c", _ROWS_BUILT], capture_output=True, text=True,
+                       env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert r.returncode == 0, r.stderr
+    decpt = shortest._DECPT
+    assert r.stdout == f"[[], []]\n[[1023, 1057], [{decpt + 1}, {decpt + 11}]]\n"
