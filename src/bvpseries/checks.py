@@ -3,10 +3,11 @@
 Each check compares a measured quantity against a limit and reports the pair,
 so failures show how far off the measurement was. Three limit regimes appear:
 
-* Analytic bounds (decay rates, sup bounds) hold with margin in exact
-  arithmetic; they are asserted with a fixed 1e-12 slack for rounding.
+* Analytic bounds (term decay rates against q, series sups against seed
+  sup / (1 - q)) hold in exact arithmetic; their limits add the derived
+  rounding of the passes of B and of the additions, and a relative 1e-12.
 * Constructive identities (boundary values) hold exactly on the grid and get
-  the same 1e-12 slack.
+  an absolute 1e-12 slack.
 * Discretization diagnostics (ODE residuals, derivative consistency,
   Wronskian constancy, oracle agreement) shrink like h^2; their limits are
   scale-aware O(h^2) envelopes, with empirically calibrated constants and a
@@ -68,51 +69,48 @@ def _check(name: str, value: float, limit: float) -> Check:
     return Check(name=name, passed=bool(value <= limit), value=value, limit=limit)
 
 
-def _worst_excess(sups, bound_at) -> float:
-    """Largest amount by which a term sup exceeds its per-index bound."""
-    return max(s - bound_at(k) for k, s in enumerate(sups))
+def _pass_rounding(sol: SeriesSolution) -> float:
+    """(3n + 8) u x1^2 sup|a|: the rounding one pass of B on a t adds, per
+    unit of sup|t| (derived in ``fixed_point_rounding``)."""
+    grid = sol.grid
+    return UNIT_ROUNDOFF * (3.0 * grid.n + 8.0) * grid.x1 * grid.x1 * sol.certificate.a_sup
+
+
+def _term_sums(sol: SeriesSolution, name: str) -> tuple:
+    """For s_k = term_sups[name][k], k = 0..m: s_0, sum_k s_k, sum_{k<m} s_k
+    (the terms B was applied to) and sum_{k>=1} sum_{j<=k} s_j (bounds on
+    the partial sums |S_k| that the additions total += t_k round)."""
+    sups = np.asarray(sol.term_sups[name])
+    return sups[0], sups.sum(), sups[:-1].sum(), np.cumsum(sups)[1:].sum()
 
 
 def bound_checks(sol: SeriesSolution) -> list[Check]:
-    """Decay-rate and sup-norm bounds for every computed series term.
+    """Per series, the decay of its terms and the sup of its sum.
 
-    For each series the k-th term is bounded by 2*||seed||*q^k; the
-    homogeneous iterates obey the sharper ||B^k t|| <= q^k*x1 and
-    ||B^k 1|| <= 2*q^k; and with c = sup|a|*x1^2 = 2q the limits obey
-    sup|I1| <= x1/(1-q) = 2*x1/(2-c) (the sum of the iterate bounds),
-    sup|I2| <= (2+c)/(2-c), sup|F| <= ||g||*(2+c)/(2-c).
-    Values reported are worst-case excesses over the bound (negative means
-    margin); the limit is the rounding slack.
+    B_h contracts by q node by node, so with seed sup s_0 (x1, 1, sup|g|)
+    the terms obey ||t_k|| <= s_0 q^k and the sum sup|S| <= s_0 / (1 - q).
+    A pass adds at most p = ``_pass_rounding`` times its input's sup, so the
+    computed s_k = term_sups[S][k] obey s_k <= (q + p) s_{k-1}.
+    ``term_bound:S`` checks the worst rate max_{k>=1} (s_k / s_0)^(1/k), 0.0
+    with no k >= 1 or s_0 = 0, against q + p; ``sup_bound:S`` checks sup|S|
+    against (s_0 + p sum_{k<m} s_k) / (1 - q), the passes' rounding carried
+    on by later passes, plus u sum_{k>=1} |S_k| for the additions. Both
+    limits take a relative BOUND_SLACK for their own arithmetic.
     """
-    cert = sol.certificate
-    q, x1 = cert.q, cert.x1
-    c = cert.a_sup * x1 * x1
-    g_sup = sup_norm(sol.g)
-    seed_sups = {"I1": x1, "I2": 1.0, "F": g_sup}
+    q = sol.certificate.q
+    p = _pass_rounding(sol)
+    rate_limit = (q + p) * (1.0 + BOUND_SLACK)
     checks = []
-    for name in ("I1", "I2", "F"):
-        seed = seed_sups[name]
+    for name, series, s_0 in (("I1", sol.I1, sol.grid.x1), ("I2", sol.I2, 1.0),
+                              ("F", sol.F, sup_norm(sol.g))):
+        sups = sol.term_sups[name]
+        rates = [(s / s_0) ** (1.0 / k) for k, s in enumerate(sups[1:], 1)] if s_0 > 0.0 else []
+        checks.append(_check(f"term_bound:{name}", max(rates, default=0.0), rate_limit))
+        _, _, passed, partial = _term_sums(sol, name)
         checks.append(_check(
-            f"geometric_decay:{name}",
-            _worst_excess(sol.term_sups[name], lambda k, s=seed: 2.0 * s * q**k),
-            BOUND_SLACK,
+            f"sup_bound:{name}", sup_norm(series),
+            (s_0 + p * passed) / (1.0 - q) * (1.0 + BOUND_SLACK) + UNIT_ROUNDOFF * partial,
         ))
-    checks.append(_check(
-        "iterate_bound:a_k",
-        _worst_excess(sol.term_sups["I1"], lambda k: q**k * x1),
-        BOUND_SLACK,
-    ))
-    checks.append(_check(
-        "iterate_bound:b_k",
-        _worst_excess(sol.term_sups["I2"], lambda k: 2.0 * q**k),
-        BOUND_SLACK,
-    ))
-    checks.append(_check(
-        "sup_bound:I1", sup_norm(sol.I1) - 2.0 * x1 / (2.0 - c), BOUND_SLACK))
-    checks.append(_check(
-        "sup_bound:I2", sup_norm(sol.I2) - (2.0 + c) / (2.0 - c), BOUND_SLACK))
-    checks.append(_check(
-        "sup_bound:F", sup_norm(sol.F) - g_sup * (2.0 + c) / (2.0 - c), BOUND_SLACK))
     return checks
 
 
@@ -163,11 +161,11 @@ def _rounding_floor(sol: SeriesSolution, name: str) -> float:
     * for F, the pass of B that builds the seed g from f: 20 u x1^2 sup|f|.
     """
     grid = sol.grid
-    sups = np.asarray(sol.term_sups[name])
+    s_0, total, passed, partial = _term_sums(sol, name)
     x1_sq = grid.x1 * grid.x1
-    stencil = 8.0 * sups.sum() + 4.0 * sups[0]
-    passes = B_ROUNDING_CONST * x1_sq * sol.certificate.a_sup * sups[:-1].sum()
-    additions = 4.0 * np.cumsum(sups)[1:].sum()
+    stencil = 8.0 * total + 4.0 * s_0
+    passes = B_ROUNDING_CONST * x1_sq * sol.certificate.a_sup * passed
+    additions = 4.0 * partial
     seed = B_ROUNDING_CONST * x1_sq * sup_norm(sol.f) if name == "F" else 0.0
     return UNIT_ROUNDOFF * (stencil + passes + additions + seed) / (grid.h * grid.h)
 
@@ -199,15 +197,13 @@ def _slope_rounding_floor(sol: SeriesSolution, name: str) -> float:
     The central difference's own two roundings are O(u |S'|) and dropped.
     """
     grid = sol.grid
-    sups = np.asarray(sol.term_sups[name])
+    s_0, total, passed, partial = _term_sums(sol, name)
     x1_sq = grid.x1 * grid.x1
     a_sup = sol.certificate.a_sup
-    seed = sups[0]
-    passes = B_SLOPE_CONST * x1_sq * a_sup * sups[:-1].sum()
-    additions = np.cumsum(sups)[1:].sum()
-    derivative = x1_sq * a_sup * sups.sum()
+    passes = B_SLOPE_CONST * x1_sq * a_sup * passed
+    derivative = x1_sq * a_sup * total
     forcing = (B_SLOPE_CONST + 1.0) * x1_sq * sup_norm(sol.f) if name == "F" else 0.0
-    return UNIT_ROUNDOFF * (seed + passes + additions + derivative + forcing) / grid.h
+    return UNIT_ROUNDOFF * (s_0 + passes + partial + derivative + forcing) / grid.h
 
 
 def ode_residual(u: np.ndarray, a: np.ndarray, f: np.ndarray | None, h: float) -> float:
@@ -309,12 +305,11 @@ def fixed_point_rounding(sol: SeriesSolution, report: SolveReport) -> float:
     """
     grid = sol.grid
     c1, c2 = abs(report.c1), abs(report.c2)
-    pass_const = UNIT_ROUNDOFF * (3.0 * grid.n + 8.0) * grid.x1 * grid.x1 * sol.certificate.a_sup
+    pass_const = _pass_rounding(sol)
     series = 0.0
     for name, weight in (("I1", c1), ("I2", c2), ("F", 1.0)):
-        sups = np.asarray(sol.term_sups[name])
-        series += weight * (pass_const * sups[:-1].sum()
-                            + 2.0 * UNIT_ROUNDOFF * np.cumsum(sups)[1:].sum())
+        _, _, passed, partial = _term_sums(sol, name)
+        series += weight * (pass_const * passed + 2.0 * UNIT_ROUNDOFF * partial)
     u_sup = sup_norm(report.u)
     sizes = c1 * sup_norm(sol.I1) + c2 * sup_norm(sol.I2) + sup_norm(sol.F)
     chain = 2.0 * u_sup + sup_norm(sol.g) + c1 * grid.x1 + c2

@@ -7,7 +7,7 @@ output or --out. Output is deterministic for a fixed configuration: floats
 are serialized with their shortest round-trip representation.
 
 Node columns are formatted in this process, in equal blocks of at most
-``ROWS`` rows, by ``shortest.join``, a vectorised Ryu kernel whose bytes
+``ROWS`` cells, by ``shortest.join``, a vectorised Ryu kernel whose bytes
 are those of repr for every finite float: a JSON array is its items
 joined by ",\n    ", a CSV table of float columns its cells in row order,
 each followed by ',' or a newline. verify's check list (names, flags and
@@ -87,10 +87,14 @@ _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
 _HEAP_POLICY = ((_M_TRIM_THRESHOLD, 1 << 30), (_M_MMAP_THRESHOLD, 1 << 25))
 
-# Rows formatted at a time. Only one block's digits, and for CSV its
-# stacked cells, are held beside the columns. Blocks of 2**12 to 2**16
-# rows rendered equally fast; 2**14 kept fundamental's peak memory within
-# 4 MiB of the lowest of them at n = 65536 and 2**20.
+# Cells formatted at a time: a block of a JSON column is at most ROWS
+# rows, a block of a CSV table at most ROWS // width rows of its width
+# cells, in each case one block of shortest.join. Only one block's digits,
+# and for CSV its stacked cells, are held beside the columns. Blocks of
+# 2**12 to 2**16 rows rendered equally fast; 2**14 kept fundamental's peak
+# memory within 4 MiB of the lowest of them at n = 65536 and 2**20. CSV
+# blocks of ROWS rows, seven cells each, raised fundamental's peak at
+# n = 2**18 by 2-6 MiB, as the imports happened to shape the heap.
 ROWS = 1 << 14
 
 
@@ -319,12 +323,12 @@ def _join(values: np.ndarray, sep) -> bytes:
     return shortest.join(values, sep)
 
 
-def _blocks(rows: int):
-    """Bounds (lo, hi) of the blocks rows are formatted in: ceil(rows /
-    ROWS) blocks whose lengths differ by at most one, so no block is a
-    short tail, whose fixed cost (some 0.4 ms per ``shortest.join`` call)
-    buys few rows."""
-    count = -(-rows // ROWS)
+def _blocks(rows: int, width: int = 1):
+    """Bounds (lo, hi) of the blocks that rows of ``width`` cells are
+    formatted in: ceil(rows / (ROWS // width)) blocks whose lengths differ
+    by at most one, so no block is a short tail, whose fixed cost (some
+    0.4 ms per ``shortest.join`` call) buys few rows."""
+    count = -(-rows // (ROWS // width))
     ends = [rows * k // count for k in range(1, count + 1)]
     return zip([0, *ends], ends)
 
@@ -354,7 +358,7 @@ def _pieces(payload: dict, table: tuple, output_format: str):
 
     ``table`` is a header line and its columns (ndarrays or sequences). The
     float columns (the payload's ndarrays for JSON, the table for CSV) are
-    formatted in blocks of at most ``ROWS`` rows (``_blocks``), one block
+    formatted in blocks of at most ``ROWS`` cells (``_blocks``), one block
     per piece, so a reader that writes each piece out holds one block of
     text at a time. A JSON array's items are joined by ",\n    ". The
     arrays hold grid nodes or SampledFn values: finite, so no nan or inf
@@ -383,13 +387,8 @@ def _pieces(payload: dict, table: tuple, output_format: str):
     header, columns = table
     lines.append(header)
     yield ("\n".join(lines) + "\n").encode()
-    for lo, hi in _blocks(max(map(len, columns), default=0)):
+    for lo, hi in _blocks(max(map(len, columns), default=0), max(len(columns), 1)):
         yield from _csv_rows(columns, lo, hi)
-
-
-def _render(payload: dict, table: tuple, output_format: str) -> str:
-    """The whole serialized payload: the pieces of ``_pieces``, joined."""
-    return b"".join(_pieces(payload, table, output_format)).decode()
 
 
 def _execute(config: RunConfig):

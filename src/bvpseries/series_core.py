@@ -253,7 +253,7 @@ class SeriesSolution:
         The inputs and the computed forcing double integral.
     term_sups : dict
         Sup norm of every summed term per series, seed first; feeds the
-        decay-rate checks.
+        term_bound and sup_bound checks and the rounding floors of checks.
     """
 
     __slots__ = ("I1", "I2", "F", "dI1", "dI2", "dF", "terms_used", "terms_apriori",

@@ -43,8 +43,8 @@ import numpy as np
 __all__ = ["join"]
 
 # Values per block. Each block costs some 100 numpy calls, about 0.3 ms,
-# on top of its values, so a block of a JSON column, at most cli.ROWS
-# (16384) rows, is one block here. Each temporary is one 128 KiB array:
+# on top of its values, so a block of the command line's, at most cli.ROWS
+# (16384) cells, is one block here. Each temporary is one 128 KiB array:
 # within a block the allocator reuses its memory, and between blocks
 # glibc, by default, returns the freed heap to the kernel and the next
 # block faults the same pages in again, unless the process keeps its

@@ -24,7 +24,7 @@ def test_every_exported_name_resolves_and_is_documented():
 def test_library_example_runs(capsys):
     code = _library_section().split("```python\n")[1].split("```")[0]
     exec(compile(code, str(README), "exec"), {})
-    assert capsys.readouterr().out.splitlines()[-1] == "True 23"
+    assert capsys.readouterr().out.splitlines()[-1] == "True 21"
 
 
 def _records():

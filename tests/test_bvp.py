@@ -182,7 +182,7 @@ class TestProblemD:
     def test_report_checks_populated(self, suite_solutions):
         _, sol = suite_solutions[1]
         report = solve_problem_d(sol, ProblemD(0.3, -0.7))
-        assert len(report.bound_checks) == 8
+        assert len(report.bound_checks) == 6
         assert all(c.passed for c in report.bound_checks)
 
     def test_singular_gate(self):
@@ -198,7 +198,11 @@ class TestProblemD:
         assert exc.report.du is None
         assert exc.report.boundary_err is None
         assert exc.report.wronskian_dev >= 0.0
-        assert len(exc.report.bound_checks) == 8
+        assert len(exc.report.bound_checks) == 6
+
+
+_BOUND_FAMILY = [f"{kind}:{name}" for name in ("I1", "I2", "F")
+                 for kind in ("term_bound", "sup_bound")]
 
 
 class TestCheckFunctions:
@@ -209,16 +213,59 @@ class TestCheckFunctions:
         for check in residual_checks(sol) + consistency_checks(sol):
             assert check.passed, (check.name, check.value, check.limit)
 
-    def test_sup_bound_scales_with_x1(self):
-        # x1 = 1.3 > 1: the bound is x1 / (1 - q); a 1.5x larger I1 breaks it
+    @pytest.mark.parametrize("check", _BOUND_FAMILY)
+    def test_sup_bound_scales_with_x1(self, check):
+        # x1 = 1.3 > 1: the I1 bounds scale with x1. One term sup raised to
+        # 1.01 s_0 q^k, or one series scaled to 1.01 s_0 / (1 - q), fails its
+        # own check and none of the other five
         g = make_grid(1.3, 1024)
         sol = fundamental_system(_const(g, 0.1), _const(g, 1.0),
                                  contraction_ratio(0.1, 1.3))
-        check = {c.name: c for c in bound_checks(sol)}["sup_bound:I1"]
-        assert check.passed, (check.value, check.limit)
-        inflated = _replaced(sol, I1=SampledFn(g, 1.5 * sol.I1.values))
-        check = {c.name: c for c in bound_checks(inflated)}["sup_bound:I1"]
-        assert not check.passed
+        for c in bound_checks(sol):
+            assert c.passed, (c.name, c.value, c.limit)
+        kind, name = check.split(":")
+        q = sol.certificate.q
+        s_0 = {"I1": 1.3, "I2": 1.0, "F": sup_norm(sol.g)}[name]
+        if kind == "term_bound":
+            sups = list(sol.term_sups[name])
+            k = len(sups) // 2
+            sups[k] = 1.01 * s_0 * q**k
+            corrupted = _replaced(sol, term_sups={**sol.term_sups, name: sups})
+        else:
+            values = getattr(sol, name).values
+            scaled = values * (1.01 * s_0 / (1.0 - q) / np.max(np.abs(values)))
+            corrupted = _replaced(sol, **{name: SampledFn(g, scaled)})
+        assert [c.name for c in bound_checks(corrupted) if not c.passed] == [check]
+
+    @pytest.mark.parametrize("a_value, f_value", [(0.7, 0.0), (0.0, 1.0), (1.9, 1.0)])
+    def test_bound_checks_at_the_edges(self, a_value, f_value):
+        # f = 0 gives s_0 = 0 for F, a = 0 one term per series, and constant
+        # a the first I2 term q exactly: each passes with finite values
+        g = make_grid(1.0, 4096)
+        sol = fundamental_system(_const(g, a_value), _const(g, f_value),
+                                 contraction_ratio(a_value, 1.0))
+        checks = {c.name: c for c in bound_checks(sol)}
+        assert list(checks) == _BOUND_FAMILY
+        for c in checks.values():
+            assert c.passed and math.isfinite(c.value) and math.isfinite(c.limit), c.name
+        q = sol.certificate.q
+        if f_value == 0.0:
+            assert checks["term_bound:F"].value == 0.0
+            assert checks["sup_bound:F"].value == 0.0
+        if a_value == 0.0:
+            assert [checks[f"term_bound:{name}"].value for name in ("I1", "I2", "F")] == [0.0] * 3
+        else:
+            assert checks["term_bound:I2"].value == pytest.approx(q, rel=1e-13)
+
+    def test_term_bound_admits_pass_rounding(self):
+        # constant a: the first I2 term is q exactly in exact arithmetic; at
+        # n = 2^20 rounding took it 7.3e-12 above q (x86-64), past a fixed
+        # 1e-12 slack, within the derived (3n + 8) u x1^2 sup|a| of a pass
+        g = make_grid(1.7, 2**20)
+        sol = fundamental_system(_const(g, 0.3), _const(g, 1.0),
+                                 contraction_ratio(0.3, 1.7))
+        for check in bound_checks(sol):
+            assert check.passed, (check.name, check.value, check.limit)
 
     def test_residual_rounding_floor(self):
         # at n = 65536 rounding dominates the second difference; the limit
@@ -289,6 +336,6 @@ class TestCheckFunctions:
         _, sol = suite_solutions[4]
         names = [c.name for c in bound_checks(sol)]
         assert "sup_bound:I1" in names
-        assert "geometric_decay:F" in names
+        assert "term_bound:F" in names
         for check in bound_checks(sol):
             assert check.value <= check.limit

@@ -167,7 +167,7 @@ class TestVerify:
         payload = json.loads(r.stdout)
         assert payload["passed"] is True
         assert payload["max_rel_err"] < 1e-5
-        assert len(payload["checks"]) == 23
+        assert len(payload["checks"]) == 21
         names = {c["name"] for c in payload["checks"]}
         assert "fixed_point" in names
         assert "oracle_agreement" in names
@@ -207,7 +207,7 @@ class TestVerify:
         assert code == 0
         rows = [l for l in out.splitlines() if not l.startswith("#")]
         assert rows[0] == "name,passed,value,limit"
-        assert len(rows) == 24
+        assert len(rows) == 22
 
 
 @pytest.mark.parametrize("output_format", ["json", "csv"])

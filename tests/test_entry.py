@@ -78,7 +78,7 @@ _CASES = {
         "a-priori count 31); raise the cap or relax the tolerance\n"),
     "verify_fails": (
         ["verify", "--a", "1.9*cos(120*x)", "--f", "1", "--x1", "1", "--n", "512"], {}, 5,
-        "bvpseries: verification failed: 3 of 23 checks: "
+        "bvpseries: verification failed: 3 of 21 checks: "
         "ode_residual:I1, ode_residual:I2, ode_residual:F\n"),
     "parse_error": (
         ["solve", "--a", "sin(", "--f", "1", "--x1", "1"], {}, 4,

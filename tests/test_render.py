@@ -1,13 +1,13 @@
 """The node-table writer: byte identity with the plain renderers, block by
 block, in this process.
 
-``cli._render`` formats float columns with the vectorised shortest-digit
+``cli._pieces`` formats float columns with the vectorised shortest-digit
 kernel (``bvpseries.shortest``, whose bytes are repr's for every finite
 float; tests/test_shortest.py checks it alone), in equal blocks of at
 most ``cli.ROWS`` rows, and forks nothing. The references below are the plain forms of the
 same output: ``json.dumps`` with ndarrays converted by ``tolist``, and CSV
 joined row by row with ``str``; ``cli.main`` writes, a run of blocks at a
-time, the text ``cli._render`` returns. A new interpreter imports
+time, the text the pieces join to. A new interpreter imports
 ``bvpseries.cli`` without ``multiprocessing``, ``concurrent.futures``,
 ``dataclasses`` or ``csv``, whose import would add to every run's
 start-up, and without the kernel, which only runs that render float
@@ -49,6 +49,11 @@ def _reference_csv(payload, table):
     return "\n".join(lines) + "\n"
 
 
+def _rendered(payload, table, output_format):
+    """The whole text of ``cli._pieces``, joined."""
+    return b"".join(cli._pieces(payload, table, output_format)).decode()
+
+
 def _assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -77,14 +82,15 @@ def _no_fork():
 @pytest.mark.parametrize("n", [4096, 4097])
 @pytest.mark.parametrize("command", ["fundamental", "solve"])
 def test_large_tables_match_references(command, n, kilorows, monkeypatch):
-    # blocks of at most 1024 * kilorows rows: the n + 1 rows are cut into 3
-    # or 5 blocks of 819 to 1366 rows, odd and even lengths, where blocks of
-    # exactly that many rows would end in a tail of one row or two
+    # JSON columns in blocks of at most 1024 * kilorows rows: the n + 1 rows
+    # are cut into 3 or 5 blocks of 819 to 1366 rows, odd and even lengths,
+    # where blocks of exactly that many rows would end in a tail of one row
+    # or two; CSV tables of w columns in blocks of at most ROWS // w rows
     payload, table = _payload(command, n)
     monkeypatch.setattr(os, "fork", _no_fork, raising=False)
     monkeypatch.setattr(cli, "ROWS", 1024 * kilorows)
-    assert cli._render(payload, table, "json") == _reference_json(payload)
-    assert cli._render(payload, table, "csv") == _reference_csv(payload, table)
+    assert _rendered(payload, table, "json") == _reference_json(payload)
+    assert _rendered(payload, table, "csv") == _reference_csv(payload, table)
 
 
 @pytest.mark.parametrize("rows", [0, 1, 3, cli.ROWS, cli.ROWS + 1, 4 * cli.ROWS + 1])
@@ -97,6 +103,17 @@ def test_blocks_are_equal_and_at_most_rows_long(rows):
     assert [lo for lo, _ in bounds] + [rows] == [0] + [hi for _, hi in bounds]
     assert max(lengths, default=0) <= cli.ROWS
     assert max(lengths, default=0) - min(lengths, default=0) <= 1
+
+
+@pytest.mark.parametrize("width", [3, 7])
+def test_csv_blocks_are_one_kernel_block(width):
+    # solve's and fundamental's CSV tables: a block of rows of width cells
+    # is at most ROWS cells, one block of shortest.join, in equal lengths
+    from bvpseries import shortest
+
+    lengths = [hi - lo for lo, hi in cli._blocks(2**18 + 1, width)]
+    assert max(lengths) * width <= min(cli.ROWS, shortest.BLOCK - shortest.BLOCK % width)
+    assert max(lengths) - min(lengths) <= 1
 
 
 def test_runs_end_on_mebibyte_boundaries():
@@ -120,7 +137,7 @@ def test_main_writes_what_render_returns(output_format, capsysbinary):
     assert cli.main(argv) == 0
     payload, table, _, _ = cli._COMMANDS["fundamental"](
         cli.config_from_args(cli.build_parser().parse_args(argv)))
-    want = cli._render(payload, table, output_format)
+    want = _rendered(payload, table, output_format)
     assert len(want) > 5 << 20
     assert capsysbinary.readouterr().out == want.encode()
 
