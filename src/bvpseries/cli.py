@@ -6,13 +6,15 @@ messages go to standard error; machine output (JSON or CSV) to standard
 output or --out. Output is deterministic for a fixed configuration: floats
 are serialized with their shortest round-trip representation.
 
-Node columns are formatted in this process, in equal blocks of at most
-``ROWS`` cells, by ``shortest.join``, a vectorised Ryu kernel whose bytes
-are those of repr for every finite float: a JSON array is its items
-joined by ",\n    ", a CSV table of float columns its cells in row order,
-each followed by ',' or a newline. verify's check list (names, flags and
-floats) is one %-format over its cells; scalars and nested objects go
-through json.dumps. The kernel is imported only to render float columns.
+Node columns are formatted in this process by ``shortest.rows``, a
+vectorised Ryu kernel whose bytes are those of repr for every finite
+float, and which cuts them into blocks and yields each block's text; this
+module writes only the JSON and CSV syntax around that text. A JSON
+array is its items joined by ",\n    ", a CSV table of float columns its
+cells in row order, each followed by ',' or a newline. verify's check
+list (names, flags and floats) is joined row by row with ``str``; scalars
+and nested objects go through json.dumps. The kernel is imported only to
+render float columns.
 The payload is ASCII bytes: ``main`` writes each block, as it is
 formatted, to stdout's binary buffer or to --out opened in binary mode,
 so the whole text is never held and no stream encoding or newline
@@ -46,7 +48,6 @@ import math
 import os
 import re
 import sys
-from itertools import chain
 
 import numpy as np
 
@@ -86,16 +87,6 @@ MAX_TERMS_ENV = "SOLVER_MAX_TERMS"
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
 _HEAP_POLICY = ((_M_TRIM_THRESHOLD, 1 << 30), (_M_MMAP_THRESHOLD, 1 << 25))
-
-# Cells formatted at a time: a block of a JSON column is at most ROWS
-# rows, a block of a CSV table at most ROWS // width rows of its width
-# cells, in each case one block of shortest.join. Only one block's digits,
-# and for CSV its stacked cells, are held beside the columns. Blocks of
-# 2**12 to 2**16 rows rendered equally fast; 2**14 kept fundamental's peak
-# memory within 4 MiB of the lowest of them at n = 65536 and 2**20. CSV
-# blocks of ROWS rows, seven cells each, raised fundamental's peak at
-# n = 2**18 by 2-6 MiB, as the imports happened to shape the heap.
-ROWS = 1 << 14
 
 
 class RunConfig:
@@ -315,41 +306,6 @@ def _float_columns(columns) -> bool:
                                  for c in columns)
 
 
-def _join(values: np.ndarray, sep) -> bytes:
-    """The bytes of ``sep.join(map(repr, values.tolist()))``, by
-    ``shortest.join``, which is imported on the first call."""
-    from . import shortest
-
-    return shortest.join(values, sep)
-
-
-def _blocks(rows: int, width: int = 1):
-    """Bounds (lo, hi) of the blocks that rows of ``width`` cells are
-    formatted in: ceil(rows / (ROWS // width)) blocks whose lengths differ
-    by at most one, so no block is a short tail, whose fixed cost (some
-    0.4 ms per ``shortest.join`` call) buys few rows."""
-    count = -(-rows // (ROWS // width))
-    ends = [rows * k // count for k in range(1, count + 1)]
-    return zip([0, *ends], ends)
-
-
-def _csv_rows(columns, lo: int, hi: int) -> list[bytes]:
-    """Rows lo..hi of a table as CSV lines, every cell printed as ``str``.
-
-    A table of float columns is written by ``shortest.join`` over its cells
-    in row order, a ',' or a newline after each; a table with other cells
-    (verify's check list) by one %-format.
-    """
-    slices = [col[lo:hi] for col in columns]
-    if _float_columns(slices):
-        text = _join(np.column_stack(slices).ravel(), (",",) * (len(slices) - 1) + ("\n",))
-        return [text, b"\n"] if text else []
-    cells = chain.from_iterable(zip(*(s.tolist() if isinstance(s, np.ndarray) else s
-                                      for s in slices)))
-    rows = len(slices[0]) if slices else 0
-    return [((("%s," * (len(slices) - 1) + "%s\n") * rows) % tuple(cells)).encode()]
-
-
 def _pieces(payload: dict, table: tuple, output_format: str):
     """Serialize a payload as JSON, or as CSV: '# key = value' lines for the
     payload's scalars (nested objects flattened one level, arrays left out),
@@ -358,12 +314,13 @@ def _pieces(payload: dict, table: tuple, output_format: str):
 
     ``table`` is a header line and its columns (ndarrays or sequences). The
     float columns (the payload's ndarrays for JSON, the table for CSV) are
-    formatted in blocks of at most ``ROWS`` cells (``_blocks``), one block
-    per piece, so a reader that writes each piece out holds one block of
-    text at a time. A JSON array's items are joined by ",\n    ". The
-    arrays hold grid nodes or SampledFn values: finite, so no nan or inf
-    reaches the JSON, and at least three rows (n >= 2). Everything else in
-    the JSON goes through ``json.dumps``.
+    formatted by ``shortest.rows``, one block of rows per piece, so a
+    reader that writes each piece out holds one block of text at a time.
+    A JSON array's items are joined by ",\n    ". The arrays hold grid
+    nodes or SampledFn values: finite, so no nan or inf reaches the JSON,
+    and at least three rows (n >= 2). Everything else in the JSON goes
+    through ``json.dumps``, and a table of other cells (verify's check
+    list) is joined row by row with ``str``.
     """
     if output_format == "json":
         for i, (key, value) in enumerate(payload.items()):
@@ -371,9 +328,10 @@ def _pieces(payload: dict, table: tuple, output_format: str):
             if not isinstance(value, np.ndarray):
                 yield json.dumps(value, indent=2, allow_nan=False).replace("\n", "\n  ").encode()
                 continue
-            for lo, hi in _blocks(len(value)):
-                yield b",\n    " if lo else b"[\n    "
-                yield _join(value[lo:hi], ",\n    ")
+            from . import shortest
+
+            yield b"[\n    "
+            yield from shortest.rows((value,), (",\n    ",))
             yield b"\n  ]"
         yield b"\n}\n"
         return
@@ -387,8 +345,13 @@ def _pieces(payload: dict, table: tuple, output_format: str):
     header, columns = table
     lines.append(header)
     yield ("\n".join(lines) + "\n").encode()
-    for lo, hi in _blocks(max(map(len, columns), default=0), max(len(columns), 1)):
-        yield from _csv_rows(columns, lo, hi)
+    if _float_columns(columns):
+        from . import shortest
+
+        yield from shortest.rows(columns, (",",) * (len(columns) - 1) + ("\n",))
+        yield b"\n"
+    else:
+        yield "".join(",".join(map(str, row)) + "\n" for row in zip(*columns)).encode()
 
 
 def _execute(config: RunConfig):

@@ -66,7 +66,7 @@ class ContractionViolation(SolverError):
         self.max_x1 = (2.0 / a_sup) ** 0.5 if a_sup > 0 else float("inf")
         super().__init__(
             f"series not certified to converge: q = sup|a|*x1^2/2 = {q:.6g} >= 1; "
-            f"right endpoint must satisfy x1 < {self.max_x1:.5f} for sup|a| = {a_sup:.6g}"
+            f"right endpoint must satisfy x1 < {self.max_x1:.6g} for sup|a| = {a_sup:.6g}"
         )
 
 

@@ -1,9 +1,11 @@
-"""Shortest round-trip text of float64 arrays, byte for byte Python's repr.
+"""Shortest round-trip text of float64 columns, byte for byte Python's repr.
 
-``join(values, sep)`` returns the bytes of ``sep.join(map(repr,
-values.tolist()))`` for an array of finite floats, computed with uint64
-array arithmetic in blocks of at most ``BLOCK`` values instead of one
-``repr`` call per float.
+``rows(columns, seps)`` yields the text of a table of float columns, a
+block of rows at a time: every cell as ``repr`` prints it, each followed
+by its column's separator, except the table's last cell. It is computed
+with uint64 array arithmetic, one block of at most ``BLOCK`` cells at a
+time, instead of one ``repr`` call per float. This module is the one
+place that cuts a table into blocks and stitches their seams.
 
 The digits come from Ryu's ``d2d`` (Ulf Adams, "Ryu: fast float-to-string
 conversion", PLDI 2018): for a float ``m2 * 2**e2`` it takes
@@ -40,15 +42,20 @@ import functools
 
 import numpy as np
 
-__all__ = ["join"]
+__all__ = ["rows"]
 
-# Values per block. Each block costs some 100 numpy calls, about 0.3 ms,
-# on top of its values, so a block of the command line's, at most cli.ROWS
-# (16384) cells, is one block here. Each temporary is one 128 KiB array:
-# within a block the allocator reuses its memory, and between blocks
-# glibc, by default, returns the freed heap to the kernel and the next
-# block faults the same pages in again, unless the process keeps its
-# freed heap, as the command line's process entry (``cli.entry``) does.
+# Cells per block. Each block costs some 100 numpy calls, about 0.3 ms,
+# on top of its values, so ``rows`` cuts a table into equal blocks, not
+# full ones and a short tail, and a block of a table of w columns is at
+# most BLOCK // w rows: blocks of 2**14 rows of seven cells raised
+# fundamental's peak at n = 2**18 by 2-6 MiB. Blocks of 2**12 to 2**16
+# rows rendered equally fast; 2**14 kept fundamental's peak memory within
+# 4 MiB of the lowest of them at n = 65536 and 2**20. Each temporary is
+# one 128 KiB array: within a block the allocator reuses its memory, and
+# between blocks glibc, by default, returns the freed heap to the kernel
+# and the next block faults the same pages in again, unless the process
+# keeps its freed heap, as the command line's process entry
+# (``cli.entry``) does.
 # With the heap kept, a 65,536-node fundamental table rendered about 10%
 # faster in blocks of 16384 than of 8192, and no faster in larger ones.
 BLOCK = 16384
@@ -401,37 +408,51 @@ def _block(values, sep_word, sep_bits):
 
 @functools.lru_cache(maxsize=8)
 def _separators(seps: tuple) -> tuple:
-    """Block length, and per position in a block the separator word and its
-    keep bits: separator i - 1 sits right-aligned below the sign byte of
-    value i."""
+    """Per column, the word of the separator that follows its cells,
+    right-aligned below the sign byte of the next cell, and its keep bits."""
     encoded = [s.encode("ascii") for s in seps]
     if not encoded or max(map(len, encoded)) > 7:
         raise ValueError("each separator must have 0 to 7 characters")
     words = np.array([int.from_bytes(s, "little") << (8 * (7 - len(s))) for s in encoded],
                      dtype=np.uint64)
     bits = np.array([((1 << len(s)) - 1) << (7 - len(s)) for s in encoded], dtype=np.uint64)
-    block = BLOCK - BLOCK % len(seps)
-    order = (np.arange(block) - 1) % len(seps)
-    return block, words.take(order), bits.take(order)
+    return words, bits
 
 
-def join(values, sep) -> bytes:
-    """The bytes of ``sep.join(map(repr, values.tolist()))``.
+def rows(columns, seps):
+    """The bytes of a table, a block of rows at a time: its cells in row
+    order, each as ``repr`` prints it and followed by its column's
+    separator, the table's last cell by nothing.
 
-    ``values`` is a 1-D array of finite floats (ValueError otherwise).
-    ``sep`` is an ASCII str of at most 7 characters, or a tuple of them
-    used in turn: the separator in front of value i (i >= 1) is
-    ``sep[(i - 1) % len(sep)]``.
+    ``columns`` are 1-D arrays of finite floats, all of one length, and
+    ``seps`` one ASCII str of at most 7 characters per column (ValueError
+    otherwise). The rows are cut into ceil(rows / (BLOCK // width)) blocks
+    whose lengths differ by at most one, so no block is a short tail; every
+    block but the first begins with the separator after the row above it.
+    Only one block's digits, and its stacked cells, are held at a time.
     """
-    values = np.ascontiguousarray(values, dtype=np.float64)
-    if values.ndim != 1 or not np.isfinite(values).all():
-        raise ValueError("join takes a 1-D array of finite floats")
-    block, sep_words, sep_bits = _separators((sep,) if isinstance(sep, str) else tuple(sep))
-    text = []
-    for lo in range(0, values.size, block):
-        chunk = values[lo:lo + block]
-        slots, mask = _block(chunk, sep_words[:chunk.size], sep_bits[:chunk.size])
+    columns = [np.ascontiguousarray(c, dtype=np.float64) for c in columns]
+    if len(seps) != len(columns) or any(
+            c.ndim != 1 or c.size != columns[0].size or not np.isfinite(c).all()
+            for c in columns):
+        raise ValueError("rows takes one separator per 1-D column of finite floats, "
+                         "all of one length")
+    words, bits = _separators(tuple(seps))
+    width, total = len(columns), columns[0].size
+    count = -(-total // max(BLOCK // width, 1))
+    if not count:
+        return
+    # the separator before each cell of the longest block: the one after the
+    # cell left of it, or for a row's first cell the one after the row above
+    longest = -(-total // count)
+    sep_words, sep_bits = (np.tile(np.roll(a, 1), longest) for a in (words, bits))
+    lo = 0
+    for k in range(1, count + 1):
+        hi = total * k // count
+        cells = (columns[0][lo:hi] if width == 1
+                 else np.column_stack([c[lo:hi] for c in columns]).ravel())
+        slots, mask = _block(cells, sep_words[:cells.size], sep_bits[:cells.size])
         if lo == 0:
-            mask[:7] = 0  # no separator before the first value
-        text.append(slots.view(np.uint8).ravel()[mask.view(bool)])
-    return b"".join(text)
+            mask[:7] = 0  # no separator before the table's first cell
+        yield slots.view(np.uint8).ravel()[mask.view(bool)].tobytes()
+        lo = hi

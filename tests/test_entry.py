@@ -71,7 +71,12 @@ _CASES = {
     "not_contractive": (
         ["solve", "--a", "3", "--f", "1", "--x1", "1"], {}, 2,
         "bvpseries: series not certified to converge: q = sup|a|*x1^2/2 = 1.5 >= 1; "
-        "right endpoint must satisfy x1 < 0.81650 for sup|a| = 3\n"),
+        "right endpoint must satisfy x1 < 0.816497 for sup|a| = 3\n"),
+    # a bound below 1e-5, printed in significant digits
+    "not_contractive_below_1e-5": (
+        ["solve", "--a", "1e12", "--f", "1", *_N8], {}, 2,
+        "bvpseries: series not certified to converge: q = sup|a|*x1^2/2 = 5e+11 >= 1; "
+        "right endpoint must satisfy x1 < 1.41421e-06 for sup|a| = 1e+12\n"),
     "term_cap": (
         ["solve", "--a", "0.9", "--f", "1", "--x1", "1"], {"SOLVER_MAX_TERMS": "2"}, 2,
         "bvpseries: series tail not certified within the term cap (cap 2, q = 0.45; "

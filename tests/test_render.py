@@ -1,13 +1,13 @@
 """The node-table writer: byte identity with the plain renderers, block by
 block, in this process.
 
-``cli._pieces`` formats float columns with the vectorised shortest-digit
-kernel (``bvpseries.shortest``, whose bytes are repr's for every finite
-float; tests/test_shortest.py checks it alone), in equal blocks of at
-most ``cli.ROWS`` rows, and forks nothing. The references below are the plain forms of the
-same output: ``json.dumps`` with ndarrays converted by ``tolist``, and CSV
-joined row by row with ``str``; ``cli.main`` writes, a run of blocks at a
-time, the text the pieces join to. A new interpreter imports
+``cli._pieces`` formats float columns with ``shortest.rows`` (whose bytes
+are repr's for every finite float, and whose blocks and seams
+tests/test_shortest.py checks alone) and writes the JSON and CSV syntax
+around them. The references below are the plain forms of the same output:
+``json.dumps`` with ndarrays converted by ``tolist``, and CSV joined row
+by row with ``str``; ``cli.main`` writes, a run of blocks at a time, the
+text the pieces join to. A new interpreter imports
 ``bvpseries.cli`` without ``multiprocessing``, ``concurrent.futures``,
 ``dataclasses`` or ``csv``, whose import would add to every run's
 start-up, and without the kernel, which only runs that render float
@@ -22,8 +22,8 @@ import sys
 import numpy as np
 import pytest
 
-from bvpseries import cli
-from test_golden import CASES, GOLDEN, REPO
+from bvpseries import cli, shortest
+from test_golden import REPO
 
 _PROBLEM = ["--a", "0.6*exp(-x)*tanh(x + 0.3)", "--f", "exp(x) - log(2 + x)",
             "--x1", "1.1", "--alpha", "0.7", "--beta", "-0.4"]
@@ -54,11 +54,6 @@ def _rendered(payload, table, output_format):
     return b"".join(cli._pieces(payload, table, output_format)).decode()
 
 
-def _assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def _payload(command, n):
     args = cli.build_parser().parse_args([command, *_PROBLEM, "--n", str(n)])
     payload, table, code, _ = cli._COMMANDS[command](cli.config_from_args(args))
@@ -74,46 +69,26 @@ def _payload(command, n):
             (header, [special if col is old else col for col in columns]))
 
 
-def _no_fork():
-    raise AssertionError("rendering forked")
-
-
 @pytest.mark.parametrize("kilorows", [2, 1])
 @pytest.mark.parametrize("n", [4096, 4097])
 @pytest.mark.parametrize("command", ["fundamental", "solve"])
 def test_large_tables_match_references(command, n, kilorows, monkeypatch):
-    # JSON columns in blocks of at most 1024 * kilorows rows: the n + 1 rows
+    # blocks of at most 1024 * kilorows cells: a JSON column's n + 1 rows
     # are cut into 3 or 5 blocks of 819 to 1366 rows, odd and even lengths,
     # where blocks of exactly that many rows would end in a tail of one row
-    # or two; CSV tables of w columns in blocks of at most ROWS // w rows
+    # or two; CSV tables of w columns in blocks of at most BLOCK // w rows
     payload, table = _payload(command, n)
-    monkeypatch.setattr(os, "fork", _no_fork, raising=False)
-    monkeypatch.setattr(cli, "ROWS", 1024 * kilorows)
+    monkeypatch.setattr(shortest, "BLOCK", 1024 * kilorows)
     assert _rendered(payload, table, "json") == _reference_json(payload)
     assert _rendered(payload, table, "csv") == _reference_csv(payload, table)
 
 
-@pytest.mark.parametrize("rows", [0, 1, 3, cli.ROWS, cli.ROWS + 1, 4 * cli.ROWS + 1])
-def test_blocks_are_equal_and_at_most_rows_long(rows):
-    # 65537 rows (n = 65536) are 5 blocks of 13107 or 13108, not 4 full
-    # blocks and a block of one row
-    bounds = list(cli._blocks(rows))
-    lengths = [hi - lo for lo, hi in bounds]
-    assert len(bounds) == -(-rows // cli.ROWS)
-    assert [lo for lo, _ in bounds] + [rows] == [0] + [hi for _, hi in bounds]
-    assert max(lengths, default=0) <= cli.ROWS
-    assert max(lengths, default=0) - min(lengths, default=0) <= 1
-
-
-@pytest.mark.parametrize("width", [3, 7])
-def test_csv_blocks_are_one_kernel_block(width):
-    # solve's and fundamental's CSV tables: a block of rows of width cells
-    # is at most ROWS cells, one block of shortest.join, in equal lengths
-    from bvpseries import shortest
-
-    lengths = [hi - lo for lo, hi in cli._blocks(2**18 + 1, width)]
-    assert max(lengths) * width <= min(cli.ROWS, shortest.BLOCK - shortest.BLOCK % width)
-    assert max(lengths) - min(lengths) <= 1
+@pytest.mark.parametrize("command", ["fundamental", "solve"])
+def test_tables_at_the_block_size_match_references(command):
+    # n = 65536: a JSON column is 5 blocks, fundamental's CSV table 29
+    payload, table = _payload(command, 65536)
+    assert _rendered(payload, table, "json") == _reference_json(payload)
+    assert _rendered(payload, table, "csv") == _reference_csv(payload, table)
 
 
 def test_runs_end_on_mebibyte_boundaries():
@@ -140,22 +115,6 @@ def test_main_writes_what_render_returns(output_format, capsysbinary):
     want = _rendered(payload, table, output_format)
     assert len(want) > 5 << 20
     assert capsysbinary.readouterr().out == want.encode()
-
-
-def _run_golden(name, capsysbinary, monkeypatch):
-    argv, code, patches = CASES[name]
-    for module, constants in patches.items():
-        for constant, value in constants.items():
-            monkeypatch.setattr(f"bvpseries.{module}.{constant}", value)
-    assert cli.main(argv) == code
-    assert capsysbinary.readouterr().out == (GOLDEN / name).read_bytes()
-    _assert_no_child_left()
-
-
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_golden_without_fork(name, capsysbinary, monkeypatch):
-    monkeypatch.delattr(os, "fork", raising=False)
-    _run_golden(name, capsysbinary, monkeypatch)
 
 
 def _fresh_python(code, *args):
@@ -206,8 +165,8 @@ def test_digit_kernel_loads_only_to_render_float_columns():
 
 # README "Caveats": fundamental's peak resident memory grows by about
 # 0.1 KiB per node, as JSON or as CSV, since main writes the text block by
-# block. A whole-table block (ROWS = 2**20) or a joined text is 0.14 KiB or
-# more per node in either format.
+# block. Whole-table blocks or a joined text were 0.14 KiB or more per
+# node in either format.
 _DOCUMENTED_KIB_PER_NODE = 0.1
 
 

@@ -55,6 +55,12 @@ class TestContractionRatio:
         assert info.value.max_x1 == pytest.approx(math.sqrt(2.0))
         assert "1.41421" in str(info.value)
 
+    @pytest.mark.parametrize("a_sup, bound", [(1e12, "1.41421e-06"), (3e5, "0.00258199")])
+    def test_violation_prints_the_bound_in_significant_digits(self, a_sup, bound):
+        with pytest.raises(ContractionViolation) as info:
+            contraction_ratio(a_sup, 1.0)
+        assert f"x1 < {bound} for sup|a| = {a_sup:g}" in str(info.value)
+
     def test_boundary_rejected(self):
         # q = 1 exactly is outside the contraction region
         with pytest.raises(ContractionViolation):

@@ -1,12 +1,14 @@
 """The vectorised shortest-digit kernel against Python's repr, byte for byte.
 
-``shortest.join(values, sep)`` must equal ``sep.join(map(repr,
-values.tolist()))``: on hypothesis-drawn floats, on fixed edge sets (zeros,
-subnormals, the extremes, every power of two with both neighbours, the
-bounds of repr's fixed notation, integers near 2**53, short decimals at
-every exponent), on a million random bit patterns, and across block
-boundaries and separators. The per-exponent and per-decpt tables are
-built a row at a time, as blocks meet them; importing builds none.
+``shortest.rows`` over one column of values with separator ``sep`` must
+join to ``sep.join(map(repr, values.tolist()))``: on hypothesis-drawn
+floats, on fixed edge sets (zeros, subnormals, the extremes, every power
+of two with both neighbours, the bounds of repr's fixed notation, integers
+near 2**53, short decimals at every exponent), on a million random bit
+patterns, and across block boundaries and separators. Tables of several
+columns are cut into equal blocks of at most ``BLOCK`` cells, whose seams
+carry the row separator. The per-exponent and per-decpt tables are built
+a row at a time, as blocks meet them; importing builds none.
 """
 
 import os
@@ -23,17 +25,26 @@ from hypothesis import strategies as st
 from bvpseries import shortest
 
 
+def _join(values, sep):
+    """The text of ``shortest.rows`` over ``values`` as one column, or, for
+    a tuple of separators, as rows of that many columns."""
+    seps = (sep,) if isinstance(sep, str) else tuple(sep)
+    values = np.asarray(values, dtype=np.float64)
+    columns = values.reshape(-1, len(seps)).T if values.ndim == 1 else [values]
+    return b"".join(shortest.rows(columns, seps))
+
+
 def _expected(values, sep):
     return sep.join(map(repr, values.tolist())).encode()
 
 
 def _assert_matches(values, sep=", "):
     values = np.asarray(values, dtype=np.float64)
-    got = shortest.join(values, sep)
+    got = _join(values, sep)
     if got != _expected(values, sep):
-        bad = [(repr(v), shortest.join(np.array([v]), sep))
+        bad = [(repr(v), _join(np.array([v]), sep))
                for v in values.tolist()
-               if shortest.join(np.array([v]), sep) != repr(v).encode()]
+               if _join(np.array([v]), sep) != repr(v).encode()]
         pytest.fail(f"{len(bad)} values differ from repr, first: {bad[:5]}")
 
 
@@ -86,7 +97,7 @@ def test_a_million_random_bit_patterns():
     values = bits.view(np.float64)
     values = values[np.isfinite(values)]
     start = time.perf_counter()
-    got = shortest.join(values, ",")
+    got = _join(values, ",")
     elapsed = time.perf_counter() - start
     assert got == _expected(values, ",")
     assert elapsed < 3.0
@@ -106,23 +117,46 @@ def test_separators_used_in_turn():
     values = np.random.default_rng(3).random(3 * shortest.BLOCK + 6)
     rows = values.reshape(-1, 3).tolist()
     expected = "\n".join(",".join(map(repr, row)) for row in rows).encode()
-    assert shortest.join(values, (",", ",", "\n")) == expected
+    assert _join(values, (",", ",", "\n")) == expected
 
 
 @pytest.mark.parametrize("values", [[1.0, np.nan], [np.inf], [[1.0]]])
 def test_rejects_what_it_cannot_render(values):
     with pytest.raises(ValueError):
-        shortest.join(np.array(values), ",")
+        _join(np.array(values), ",")
 
 
-# imports the kernel, joins 1.5, 2e10 and 1.25 (biased exponents 1023 and
+@pytest.mark.parametrize("size", [0, 1, 3, shortest.BLOCK, shortest.BLOCK + 1,
+                                  4 * shortest.BLOCK + 1])
+@pytest.mark.parametrize("width", [1, 3, 7])
+def test_rows_are_cut_into_equal_blocks_of_at_most_block_cells(width, size):
+    # a JSON column is one wide, fundamental's CSV table seven: 65,537 rows
+    # are 5 blocks of 13,107 or 13,108 rows, not 4 full blocks and a block
+    # of one row, and seven columns are blocks of at most 2,340 rows
+    rng = np.random.default_rng(width * size)
+    values = rng.standard_normal((size, width)) * 10.0 ** rng.integers(-8, 20, (size, width))
+    values[::5] = -values[::5]
+    seps = (",",) * (width - 1) + ("\n",)
+    blocks = list(shortest.rows(values.T, seps))
+    # every block but the first begins with the newline after the row above
+    assert all(block.startswith(b"\n") for block in blocks[1:])
+    lengths = [block.count(b"\n") + (k == 0) for k, block in enumerate(blocks)]
+    assert len(blocks) == -(-size // (shortest.BLOCK // width))
+    assert sum(lengths) == size
+    assert max(lengths, default=0) * width <= shortest.BLOCK
+    assert max(lengths, default=0) - min(lengths, default=0) <= 1
+    assert b"".join(blocks) == "\n".join(",".join(map(repr, row))
+                                        for row in values.tolist()).encode()
+
+
+# imports the kernel, renders 1.5, 2e10 and 1.25 (biased exponents 1023 and
 # 1057, decimal point positions 1 and 11) and prints the rows built
 _ROWS_BUILT = """
 import numpy as np
 from bvpseries import shortest as s
 tables = (s._EXPONENTS, s._LAYOUT)
 print([np.flatnonzero(t._built).tolist() for t in tables])
-s.join(np.array([1.5, 2e10, 1.25]), ",")
+b"".join(s.rows([np.array([1.5, 2e10, 1.25])], (",",)))
 print([np.flatnonzero(t._built).tolist() for t in tables])
 """
 
