@@ -4,70 +4,39 @@ Builds the general solution u = c1*I1 + c2*I2 + F and the two-point solution
 with u(0) = alpha, u'(x1) = beta from iterated double integrals of the
 coefficient, certified to converge whenever sup|a| * x1^2 / 2 < 1, and
 cross-checked by an independent Runge-Kutta shooting oracle.
+
+Each public name is loaded from its module on first use (PEP 562), so
+``import bvpseries`` imports no numpy and the process entry (``__main__``)
+runs before anything else is imported.
 """
 
-from .bvp import (
-    ProblemD,
-    SolveReport,
-    general_solution,
-    solve_problem_d,
-    wronskian_check,
-)
-from .checks import Check, verify
-from .errors import (
-    ContractionViolation,
-    Diverged,
-    EvalError,
-    GridMismatch,
-    InvalidDomain,
-    MaxTermsExceeded,
-    OracleSingular,
-    ParseError,
-    SingularI2,
-    SolverError,
-    TableDomainError,
-    UnknownFunction,
-)
-from .expr import eval_expr, parse_expr, to_text
-from .grid import CoefficientSpec, SampledFn, make_grid, sample, sup_norm
-from .oracle import compare, oracle_fundamental, rk4_ivp
-from .series_core import SeriesSolution, apply_B, contraction_ratio, fundamental_system
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Check",
-    "CoefficientSpec",
-    "ContractionViolation",
-    "Diverged",
-    "EvalError",
-    "GridMismatch",
-    "InvalidDomain",
-    "MaxTermsExceeded",
-    "OracleSingular",
-    "ParseError",
-    "ProblemD",
-    "SampledFn",
-    "SeriesSolution",
-    "SingularI2",
-    "SolveReport",
-    "SolverError",
-    "TableDomainError",
-    "UnknownFunction",
-    "apply_B",
-    "compare",
-    "contraction_ratio",
-    "eval_expr",
-    "fundamental_system",
-    "general_solution",
-    "make_grid",
-    "oracle_fundamental",
-    "parse_expr",
-    "rk4_ivp",
-    "sample",
-    "solve_problem_d",
-    "sup_norm",
-    "to_text",
-    "verify",
-    "wronskian_check",
-]
+# public name -> the module that defines it
+_ORIGIN = {name: module for module, names in (
+    ("bvp", "ProblemD SolveReport general_solution solve_problem_d wronskian_check"),
+    ("checks", "Check verify"),
+    ("errors", "ContractionViolation Diverged EvalError GridMismatch InvalidDomain "
+               "MaxTermsExceeded OracleSingular ParseError SingularI2 SolverError "
+               "TableDomainError UnknownFunction"),
+    ("expr", "eval_expr parse_expr to_text"),
+    ("grid", "CoefficientSpec SampledFn make_grid sample sup_norm"),
+    ("oracle", "compare oracle_fundamental rk4_ivp"),
+    ("series_core", "SeriesSolution apply_B contraction_ratio fundamental_system"),
+) for name in names.split()}
+
+__all__ = sorted(_ORIGIN)
+
+
+def __getattr__(name):
+    if name not in _ORIGIN:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_ORIGIN[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_ORIGIN})

@@ -29,20 +29,14 @@ samples beyond the nodes; it runs in this process, after the series and
 the solve.
 
 ``python -m bvpseries`` and the ``bvpseries`` script enter through
-``entry``. It first has glibc keep the memory the process frees for reuse
-(``mallopt``; nothing where the C library has none), so blocks that free
-and allocate the same sizes again do not fault their pages back in each
-time; then it runs ``main``, flushes stdout and stderr, and ends the
-process with ``os._exit``, skipping the interpreter's teardown; if a flush
-fails it exits through ``sys.exit``. Importing the package or calling
-``main`` leaves the allocator as it is, and ``main`` returns the exit code
-to in-process callers.
+``bvpseries.__main__``, which sets the process's heap policy before this
+module (and numpy) is imported, runs ``main`` and ends the process; this
+module keeps only the command line.
 """
 
 from __future__ import annotations
 
 import argparse
-import ctypes
 import json
 import math
 import os
@@ -82,34 +76,6 @@ EXIT_BAD_INPUT = 4
 EXIT_VERIFY_FAILED = 5
 
 MAX_TERMS_ENV = "SOLVER_MAX_TERMS"
-
-# glibc's mallopt parameters (malloc.h) and the values ``entry`` gives them
-_M_TRIM_THRESHOLD = -1
-_M_MMAP_THRESHOLD = -3
-_HEAP_POLICY = ((_M_TRIM_THRESHOLD, 1 << 30), (_M_MMAP_THRESHOLD, 1 << 25))
-
-
-class RunConfig:
-    """Everything one CLI invocation needs."""
-
-    __slots__ = ("command", "a_spec", "f_spec", "x1", "alpha", "beta", "n", "tol",
-                 "output_format", "out", "max_terms")
-
-    def __init__(self, command: str, a_spec: CoefficientSpec, f_spec: CoefficientSpec,
-                 x1: float, alpha: float, beta: float, n: int, tol: float,
-                 output_format: str, out: str | None, max_terms: int):
-        self.command = command
-        self.a_spec = a_spec
-        self.f_spec = f_spec
-        self.x1 = x1
-        self.alpha = alpha
-        self.beta = beta
-        self.n = n
-        self.tol = tol
-        self.output_format = output_format
-        self.out = out
-        self.max_terms = max_terms
-
 
 class _ArgumentParser(argparse.ArgumentParser):
     """argparse maps usage errors to exit code 2 by default; we reserve 2
@@ -181,29 +147,22 @@ def _max_terms_from_env() -> int:
     return cap
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
+def config_from_args(args: argparse.Namespace) -> argparse.Namespace:
+    """Check the parsed arguments and add ``a_spec``, ``f_spec`` and
+    ``max_terms`` to them; returns ``args``."""
     for name in ("x1", "alpha", "beta", "tol"):
         value = getattr(args, name)
         if not math.isfinite(value):
             raise InvalidDomain(f"--{name} must be finite, got {value!r}")
     if args.tol <= 0:
         raise InvalidDomain(f"--tol must be positive, got {args.tol!r}")
-    return RunConfig(
-        command=args.command,
-        a_spec=_spec_from_args(args.a, args.a_table),
-        f_spec=_spec_from_args(args.f, args.f_table),
-        x1=args.x1,
-        alpha=args.alpha,
-        beta=args.beta,
-        n=args.n,
-        tol=args.tol,
-        output_format=args.output_format,
-        out=args.out,
-        max_terms=_max_terms_from_env(),
-    )
+    args.a_spec = _spec_from_args(args.a, args.a_table)
+    args.f_spec = _spec_from_args(args.f, args.f_table)
+    args.max_terms = _max_terms_from_env()
+    return args
 
 
-def _prepare(config: RunConfig):
+def _prepare(config: argparse.Namespace):
     """Sample a and f, certify them and sum the series."""
     grid = make_grid(config.x1, config.n)
     a, f = sample_together((config.a_spec, config.f_spec), grid)
@@ -211,7 +170,7 @@ def _prepare(config: RunConfig):
     return fundamental_system(a, f, cert, tol=config.tol, max_terms=config.max_terms)
 
 
-def _common_payload(config: RunConfig, sol: SeriesSolution) -> dict:
+def _common_payload(config: argparse.Namespace, sol: SeriesSolution) -> dict:
     return {
         "x1": float(config.x1),
         "n": int(config.n),
@@ -224,7 +183,7 @@ def _common_payload(config: RunConfig, sol: SeriesSolution) -> dict:
     }
 
 
-def _cmd_solve(config: RunConfig):
+def _cmd_solve(config: argparse.Namespace):
     sol = _prepare(config)
     code, message = EXIT_OK, None
     try:
@@ -260,7 +219,7 @@ def _check_dict(check: Check) -> dict:
 _FUNDAMENTAL = ("I1", "I2", "F", "dI1", "dI2", "dF")
 
 
-def _cmd_fundamental(config: RunConfig):
+def _cmd_fundamental(config: argparse.Namespace):
     sol = _prepare(config)
     columns = [sol.grid.nodes, *(getattr(sol, name).values for name in _FUNDAMENTAL)]
     payload = _common_payload(config, sol)
@@ -268,7 +227,7 @@ def _cmd_fundamental(config: RunConfig):
     return payload, (",".join(("x", *_FUNDAMENTAL)), columns), EXIT_OK, None
 
 
-def _cmd_verify(config: RunConfig):
+def _cmd_verify(config: argparse.Namespace):
     sol = _prepare(config)
     report = solve_problem_d(sol, ProblemD(config.alpha, config.beta))
     max_rel_err = compare(sol, oracle_fundamental(sol.a, sol.f))
@@ -354,7 +313,7 @@ def _pieces(payload: dict, table: tuple, output_format: str):
         yield "".join(",".join(map(str, row)) + "\n" for row in zip(*columns)).encode()
 
 
-def _execute(config: RunConfig):
+def _execute(config: argparse.Namespace):
     """``run``, with the output as an iterator of its pieces, each rendered
     when it is read."""
     try:
@@ -376,7 +335,7 @@ def _execute(config: RunConfig):
     return code, _pieces(payload, table, config.output_format)
 
 
-def run(config: RunConfig) -> tuple[int, str | None]:
+def run(config: argparse.Namespace) -> tuple[int, str | None]:
     """Execute one configured command.
 
     Returns the exit code and the serialized output (None when the failure
@@ -393,7 +352,12 @@ def main(argv=None) -> int:
     to stdout's binary buffer (after flushing its text layer) or to --out
     opened in binary mode, so the payload is the same ASCII whatever the
     stream's encoding or newline translation; a stdout without a buffer
-    (``contextlib.redirect_stdout`` to a StringIO) is given text."""
+    (``contextlib.redirect_stdout`` to a StringIO) is given text.
+
+    Output that cannot be written (a full device, a reader that hung up)
+    is bad output, exit 4, for stdout as for --out: stdout is flushed here,
+    and after a failure fd 1 is pointed at ``os.devnull``, so the bytes
+    still buffered go nowhere when the interpreter flushes it at exit."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -411,8 +375,16 @@ def main(argv=None) -> int:
                 print(f"bvpseries: cannot write {config.out}: {exc}", file=sys.stderr)
                 return EXIT_BAD_INPUT
         elif hasattr(sys.stdout, "buffer"):
-            sys.stdout.flush()
-            sys.stdout.buffer.writelines(_runs(pieces))
+            try:
+                sys.stdout.flush()
+                sys.stdout.buffer.writelines(_runs(pieces))
+                sys.stdout.flush()
+            except OSError as exc:
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, sys.stdout.fileno())
+                os.close(devnull)
+                print(f"bvpseries: cannot write stdout: {exc}", file=sys.stderr)
+                return EXIT_BAD_INPUT
         else:
             sys.stdout.writelines(bytes(run).decode() for run in _runs(pieces))
     return code
@@ -445,49 +417,3 @@ def _runs(pieces):
             yield joined[:cut]
             run, length = [joined[cut:]], length - cut
     yield b"".join(run)
-
-
-def _keep_freed_heap() -> None:
-    """Set glibc's ``_HEAP_POLICY`` for this process: freed memory stays in
-    the heap for reuse, up to 1 GiB of it, instead of going back to the
-    kernel and being faulted in again page by page, and blocks below
-    32 MiB come from that heap instead of from mappings of their own. A C
-    library without ``mallopt`` (macOS, Windows) is left as it is.
-    """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):  # Windows: CDLL(None) is a TypeError
-        return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    for param, value in _HEAP_POLICY:
-        mallopt(param, value)
-
-
-def entry() -> None:
-    """Process entry point of ``python -m bvpseries`` and the ``bvpseries``
-    script. It first keeps the process's freed heap for reuse
-    (``_keep_freed_heap``): the digit kernel's per-block temporaries, the
-    output runs and the sampling blocks are freed and allocated again block
-    after block, and by default glibc hands that memory back to the kernel
-    each time, so it is faulted in again. Only the process entry sets this;
-    importing the package or calling ``main`` leaves the allocator alone.
-
-    Then it runs ``main``, flushes stdout and stderr, and ends the process
-    with ``os._exit``, skipping the interpreter's teardown (about 30 ms
-    with numpy loaded), which has nothing left to do: every output is
-    written. If a flush raises (say, the reader closed the pipe), the
-    process exits through ``sys.exit`` instead, as it always did.
-    """
-    _keep_freed_heap()
-    code = main()
-    try:
-        sys.stdout.flush()
-        sys.stderr.flush()
-    except (OSError, ValueError):
-        sys.exit(code)
-    os._exit(code)
-
-
-if __name__ == "__main__":
-    entry()

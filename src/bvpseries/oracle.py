@@ -27,9 +27,19 @@ temporaries stay small. A start (u0, u0', w), with w weighting the forcing,
 maps to (m00 u0 + m01 u0' + c0 w, m10 u0 + m11 u0' + c1 w); the starts
 (1, 0, 0), (0, 1, 0) and (0, 0, 1) give phi, psi and the forced p from one
 scan.
+
+Both gates are relative, so that they hold for any scale of the problem.
+A shot diverges where its state leaves OVERFLOW_GUARD times its own scale:
+s = |u0| + |u0'| x1 + |w| sup|f| x1^2 for u (sup|f| over the forcing
+values the steps use), s / x1 for u' (each capped at the largest float,
+so an infinite or NaN state always fails). The shooting denominator psi'(x1)
+is numerically zero at SHOOTING_REL_TOL times the scale of psi',
+sup|psi'| + sup|psi| / x1 over the step ends.
 """
 
 from __future__ import annotations
+
+import sys
 
 import numpy as np
 
@@ -102,8 +112,8 @@ def _shoot(a: SampledFn, f: SampledFn, starts: np.ndarray, a_eval, f_eval):
     GridMismatch
         If a and f live on different grids.
     Diverged
-        At the first step end where some state leaves the finite reals or
-        reaches 1e100 in magnitude.
+        At the first step end where some state leaves OVERFLOW_GUARD times
+        its start's scale (see the module docstring).
     """
     if not same_grid(a.grid, f.grid):
         raise GridMismatch("a and f must share a grid")
@@ -125,6 +135,11 @@ def _shoot(a: SampledFn, f: SampledFn, starts: np.ndarray, a_eval, f_eval):
     u_out[:, 0], du_out[:, 0] = starts[0], starts[1]
     carry = starts
     with np.errstate(all="ignore"):
+        forcing = max(float(np.max(np.abs(fn))), float(np.max(np.abs(fm))))
+        scale = (np.abs(starts[0]) + np.abs(starts[1]) * grid.x1
+                 + np.abs(starts[2]) * forcing * grid.x1 * grid.x1)
+        u_limit = np.minimum(OVERFLOW_GUARD * scale, sys.float_info.max)[:, None]
+        du_limit = np.minimum(OVERFLOW_GUARD * scale / grid.x1, sys.float_info.max)[:, None]
         for lo, hi, h in blocks:
             coeffs = (h, an[lo:hi], am[lo:hi], an[lo + 1:hi + 1],
                       fn[lo:hi], fm[lo:hi], fn[lo + 1:hi + 1])
@@ -146,12 +161,11 @@ def _shoot(a: SampledFn, f: SampledFn, starts: np.ndarray, a_eval, f_eval):
             du = np.multiply.outer(carry[0], maps[3])
             du += np.multiply.outer(carry[1], maps[4])
             du += np.multiply.outer(carry[2], maps[5])
-            bad = ~((np.abs(u) < OVERFLOW_GUARD) & (np.abs(du) < OVERFLOW_GUARD)).all(axis=0)
+            bad = ~((np.abs(u) <= u_limit) & (np.abs(du) <= du_limit)).all(axis=0)
             if bad.any():
                 node = ends[lo + 1 + int(np.argmax(bad))]
-                raise Diverged(
-                    f"initial-value state exceeded {OVERFLOW_GUARD:g} at x = {grid.nodes[node]}"
-                )
+                raise Diverged(f"initial-value state exceeded {OVERFLOW_GUARD:g} times "
+                               f"its scale at x = {grid.nodes[node]}")
             u_out[:, lo + 1:hi + 1] = u
             du_out[:, lo + 1:hi + 1] = du
             carry = np.array([u[:, -1], du[:, -1], carry[2]])
@@ -178,7 +192,8 @@ def rk4_ivp(a: SampledFn, f: SampledFn, u0: float, du0: float, *,
     GridMismatch
         If a and f live on different grids.
     Diverged
-        If the state exceeds 1e100 in magnitude or stops being finite.
+        If the state leaves OVERFLOW_GUARD times its scale (see the module
+        docstring) or stops being finite.
     """
     starts = np.array([[float(u0)], [float(du0)], [1.0]])
     index, u, du = _shoot(a, f, starts, a_eval, f_eval)
@@ -223,15 +238,16 @@ def oracle_fundamental(a: SampledFn, f: SampledFn, *,
     Raises
     ------
     OracleSingular
-        If |psi'(x1)| <= 1e-12 * (1 + sup|psi|), making the recombination
-        denominators uncertifiable.
+        If |psi'(x1)| <= 1e-12 * (sup|psi'| + sup|psi| / x1), making the
+        recombination denominators uncertifiable.
     Diverged
-        At the first step end where phi, psi or p exceeds 1e100 in magnitude
-        or stops being finite.
+        At the first step end where phi, psi or p leaves OVERFLOW_GUARD
+        times its scale or stops being finite.
     """
     index, (phi, psi, p), (dphi, dpsi, dp) = _shoot(a, f, np.eye(3), a_eval, f_eval)
     dpsi_x1 = float(dpsi[-1])
-    if abs(dpsi_x1) <= SHOOTING_REL_TOL * (1.0 + float(np.max(np.abs(psi)))):
+    psi_scale = float(np.max(np.abs(dpsi))) + float(np.max(np.abs(psi))) / a.grid.x1
+    if abs(dpsi_x1) <= SHOOTING_REL_TOL * psi_scale:
         raise OracleSingular(
             f"shooting denominator |psi'(x1)| = {abs(dpsi_x1):.3e} is numerically zero"
         )

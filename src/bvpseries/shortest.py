@@ -55,7 +55,7 @@ __all__ = ["rows"]
 # between blocks glibc, by default, returns the freed heap to the kernel
 # and the next block faults the same pages in again, unless the process
 # keeps its freed heap, as the command line's process entry
-# (``cli.entry``) does.
+# (``bvpseries.__main__``) does.
 # With the heap kept, a 65,536-node fundamental table rendered about 10%
 # faster in blocks of 16384 than of 8192, and no faster in larger ones.
 BLOCK = 16384

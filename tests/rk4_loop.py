@@ -5,9 +5,11 @@ order the scheme is written, on node pairs: steps of 2h from x_2i to x_2i+2
 whose midpoint is the node x_2i+1, then, for odd n, one step of h from
 x_n-1 to x_n whose midpoint value is interpolated linearly. It calls the
 midpoint callables once per point, so it shares no arithmetic order with
-the scan.
+the scan. Its divergence guard is the scan's rule, written out for one
+start (u0, u0', 1): see the oracle module docstring.
 """
 
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -37,7 +39,12 @@ def rk4_loop(a, f, u0, du0, *, a_eval=None, f_eval=None) -> IvpTrajectory:
     an, fn = a.values, f.values
     u, v = float(u0), float(du0)
     index, u_out, du_out = [0], [u], [v]
-    for (i, j, am), (_, _, fm) in zip(_steps(a, a_eval), _steps(f, f_eval)):
+    a_steps, f_steps = _steps(a, a_eval), _steps(f, f_eval)
+    forcing = max(max(abs(fn[i]), abs(fn[j]), abs(fm)) for i, j, fm in f_steps)
+    scale = abs(u) + abs(v) * grid.x1 + forcing * grid.x1 * grid.x1
+    u_limit = min(OVERFLOW_GUARD * scale, sys.float_info.max)
+    du_limit = min(OVERFLOW_GUARD * scale / grid.x1, sys.float_info.max)
+    for (i, j, am), (_, _, fm) in zip(a_steps, f_steps):
         h = (j - i) * grid.h
         k1u = v
         k1v = fn[i] - an[i] * u
@@ -49,10 +56,9 @@ def rk4_loop(a, f, u0, du0, *, a_eval=None, f_eval=None) -> IvpTrajectory:
         k4v = fn[j] - an[j] * (u + h * k3u)
         u += h * (k1u + 2.0 * k2u + 2.0 * k3u + k4u) / 6.0
         v += h * (k1v + 2.0 * k2v + 2.0 * k3v + k4v) / 6.0
-        if not (abs(u) < OVERFLOW_GUARD and abs(v) < OVERFLOW_GUARD):
-            raise Diverged(
-                f"initial-value state exceeded {OVERFLOW_GUARD:g} at x = {grid.nodes[j]}"
-            )
+        if not (abs(u) <= u_limit and abs(v) <= du_limit):
+            raise Diverged(f"initial-value state exceeded {OVERFLOW_GUARD:g} times "
+                           f"its scale at x = {grid.nodes[j]}")
         index.append(j)
         u_out.append(u)
         du_out.append(v)

@@ -58,9 +58,6 @@ def _records():
          ("grid", "index", "u", "du")),
         (oracle.OracleFundamental, bvpseries.oracle_fundamental(sol.a, sol.f),
          ("grid", "index", "I1", "I2", "F", "dI1", "dI2", "dF")),
-        (cli.RunConfig, config,
-         ("command", "a_spec", "f_spec", "x1", "alpha", "beta", "n", "tol", "output_format",
-          "out", "max_terms")),
     ]
 
 

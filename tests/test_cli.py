@@ -135,7 +135,7 @@ _VERIFY_FAILURES = {
     # the oracle's state passes a lowered guard at the first step end
     "diverged": (["verify", *_SMALL], {}, {"bvpseries.oracle.OVERFLOW_GUARD": 0.5}, 5,
                  "bvpseries: verification aborted: initial-value state exceeded 0.5 "
-                 "at x = 0.225\n"),
+                 "times its scale at x = 0.225\n"),
     # the series stop at the cap before the oracle runs
     "max_terms": (["verify", "--a", "0.9", "--f", "1", "--x1", "1.4", "--n", "64"],
                   {"SOLVER_MAX_TERMS": "2"}, {}, 2,
@@ -200,6 +200,17 @@ class TestVerify:
         for target, value in patches.items():
             monkeypatch.setattr(target, value)
         assert run_main(capsys, *argv) == (code, "", message)
+
+    @pytest.mark.parametrize("argv", [
+        # the forced shot reaches 5e199, far past an absolute 1e100 guard
+        ["--a", "1", "--f", "1e200", "--x1", "1", "--n", "64"],
+        # psi'(x1) is near 1, but sup|psi| is near 1e13: psi has units of length
+        ["--a", "1e-30*sin(x)", "--f", "1e-30", "--x1", "1e13", "--n", "8"],
+    ])
+    def test_oracle_gates_hold_at_any_scale(self, argv, capsys):
+        code, out, err = run_main(capsys, "verify", *argv)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["passed"] is True
 
     def test_verify_csv(self, capsys):
         code, out, _ = run_main(capsys, "verify", "--a", "0.5", "--f", "x",

@@ -1,10 +1,11 @@
-"""The process entry point: ``python -m bvpseries`` has glibc keep freed
-heap for reuse (``mallopt``; importing bvpseries or calling ``cli.main``
-does not), runs ``cli.main``, flushes stdout and stderr, and ends through
-``os._exit``, skipping the interpreter's teardown. Nothing a caller sees
-may change, whether or not the C library has ``mallopt``: every exit code
-and stderr line, every output byte through a pipe or a file, the exit code
-a reader that hangs up early sees, and no child left unreaped.
+"""The process entry point, ``bvpseries.__main__.main``: ``python -m
+bvpseries`` has glibc keep freed heap for reuse (``mallopt``, before numpy
+is imported; importing bvpseries or calling ``cli.main`` does not), runs
+``cli.main``, flushes stdout and stderr, and ends through ``os._exit``,
+skipping the interpreter's teardown. Nothing a caller sees may change,
+whether or not the C library has ``mallopt``: every exit code and stderr
+line, every output byte through a pipe or a file, the exit code a reader
+that hangs up early sees, and no child left unreaped.
 
 The exit codes and messages in ``_CASES`` were recorded from
 ``python -m bvpseries`` when it still left through ``sys.exit(main())`` and
@@ -15,11 +16,13 @@ oracle once sampled a and f; it steps on node pairs now and samples
 nothing, so they were re-recorded as passing runs.
 """
 
+import errno
 import os
 import subprocess
 import sys
 
 import pytest
+from test_golden import CASES, GOLDEN
 
 from bvpseries import cli
 
@@ -163,9 +166,30 @@ def _hang_up(launcher, read_first):
     return proc.wait(timeout=120), err.strip().splitlines()[-1:]
 
 
+def _cannot_write(code):
+    return f"bvpseries: cannot write stdout: [Errno {code}] {os.strerror(code)}"
+
+
 @pytest.mark.parametrize("read_first", [None, 10])
 def test_reader_that_hangs_up_sees_the_old_exit_code(read_first):
-    assert _hang_up(["-m", "bvpseries"], read_first) == _hang_up(_SYS_EXIT, read_first)
+    want = (4, [_cannot_write(errno.EPIPE)])
+    assert _hang_up(["-m", "bvpseries"], read_first) == _hang_up(_SYS_EXIT, read_first) == want
+
+
+# A full device fails the first write (the 11 MB payload) or only the flush
+# (2 KB, less than the stdout buffer): either way one line and exit 4, as
+# for --out, and nothing printed when the interpreter flushes stdout at exit.
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("launcher", [["-m", "bvpseries"], _SYS_EXIT])
+@pytest.mark.parametrize("argv", [
+    _BULK,
+    ["solve", "--a", "0.5", "--f", "1", "--x1", "1", "--n", "4"],
+])
+def test_stdout_on_a_full_device_exits_4_with_one_line(launcher, argv):
+    with open("/dev/full", "wb") as full:
+        r = subprocess.run([sys.executable, *launcher, *argv], stdout=full,
+                           stderr=subprocess.PIPE, text=True, env=_ENV, timeout=120)
+    assert (r.returncode, r.stderr) == (4, _cannot_write(errno.ENOSPC) + "\n")
 
 
 # Runs the CLI with os._exit replaced by a check that no child of this
@@ -196,10 +220,9 @@ def test_no_child_is_left_unreaped(argv, code):
     assert r.returncode == code, r.stderr
 
 
-# The heap policy: cli.entry, and only cli.entry, has glibc keep freed
-# memory for reuse through mallopt, before main runs. Each script below
-# replaces ctypes.CDLL (numpy has imported ctypes before bvpseries does)
-# with a stand-in C library.
+# The heap policy: the process entry, and only the entry, has glibc keep
+# freed memory for reuse through mallopt, before main runs. Each script
+# below replaces ctypes.CDLL with a stand-in C library.
 # CDLL(None), then M_TRIM_THRESHOLD (-1) and M_MMAP_THRESHOLD (-3) from malloc.h
 _MALLOPT_CALLS = [("CDLL", None), (-1, 1 << 30), (-3, 1 << 25)]
 
@@ -219,12 +242,12 @@ ctypes.CDLL = Libc
 
 # main replaced by one that prints the calls made before it and returns 7
 _ENTRY_WITH_RECORDER = _LIBC + """
-from bvpseries import cli
+from bvpseries import __main__ as entry, cli
 def main():
     print(calls)
     return 7
 cli.main = main
-cli.entry()
+entry.main()
 """
 
 
@@ -241,6 +264,44 @@ with contextlib.redirect_stdout(io.StringIO()) as out:
     code = cli.main(["fundamental", "--a", "0.5", "--f", "1", "--x1", "1", "--n", "8"])
 print(code, out.getvalue().startswith("{"), calls)
 """
+
+
+# python -m bvpseries from a launcher that has not imported numpy; the
+# stand-in C library writes each call to stderr, with whether numpy was
+# loaded when it was made
+_BARE_LIBC = """
+import ctypes, runpy, sys
+def record(*call):
+    print((*call, "numpy" in sys.modules), file=sys.stderr)
+class Libc:
+    def __init__(self, name):
+        record("CDLL", name)
+        self.mallopt = lambda param, value: record(param, value)
+ctypes.CDLL = Libc
+runpy.run_module("bvpseries", run_name="__main__", alter_sys=True)
+"""
+
+
+def test_entry_sets_the_heap_policy_before_numpy_is_imported():
+    name = "fundamental.csv"
+    argv, code, patches = CASES[name]
+    assert (code, patches) == (0, {})
+    r = subprocess.run([sys.executable, "-c", _BARE_LIBC, *argv], capture_output=True,
+                       env=_ENV, timeout=120)
+    assert r.returncode == 0
+    assert r.stderr.decode() == "".join(f"{(*call, False)}\n" for call in _MALLOPT_CALLS)
+    assert r.stdout == (GOLDEN / name).read_bytes()
+
+
+def test_import_loads_no_numpy_and_every_name_resolves():
+    code = ("import sys, bvpseries\n"
+            "print('numpy' in sys.modules)\n"
+            "from bvpseries import *\n"
+            "names = bvpseries.__all__\n"
+            "print(len(names), all(globals()[n] is getattr(bvpseries, n) for n in names),\n"
+            "      set(names) <= set(dir(bvpseries)), 'numpy' in sys.modules)")
+    r = _python(["-c", code])
+    assert (r.returncode, r.stderr, r.stdout) == (0, "", "False\n34 True True True\n")
 
 
 def test_import_and_main_leave_the_allocator_alone():

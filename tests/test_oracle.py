@@ -145,6 +145,20 @@ class TestOracleFundamental:
         # the defect is the series quadrature error, second order in h
         assert gaps[0] / gaps[1] == pytest.approx(16.0, rel=0.5)
 
+    @pytest.mark.parametrize("s, c", [(1e-100, 1e-100), (1e13, 1e200), (1e100, 1e200)])
+    def test_gates_do_not_depend_on_scale(self, s, c):
+        # x -> s x with a -> a / s^2 maps I1 to s I1 and leaves I2 as it
+        # is; f -> c f / s^2 then maps F to c F. Neither gate fires.
+        n = 64
+        base = make_grid(1.0, n)
+        g = make_grid(s, n)
+        a0, f0 = np.cos(base.nodes), 1.0 + base.nodes
+        want = oracle_fundamental(SampledFn(base, a0), SampledFn(base, f0))
+        got = oracle_fundamental(SampledFn(g, a0 / s / s), SampledFn(g, f0 * c / s / s))
+        assert np.allclose(got.I1 / s, want.I1, rtol=1e-12, atol=0.0)
+        assert np.allclose(got.I2, want.I2, rtol=1e-12, atol=0.0)
+        assert np.allclose(got.F / c, want.F, rtol=1e-12, atol=0.0)
+
     def test_singular_gate(self):
         # a = (pi/2)^2 on [0, 1] makes the shooting denominator vanish
         k2 = (math.pi / 2.0) ** 2
