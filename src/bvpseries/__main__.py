@@ -5,16 +5,16 @@
 module of the package beyond its lazy ``__init__`` is imported, so the heap
 is shaped by the policy from its first allocation, and blocks that free and
 allocate the same sizes again do not fault their pages back in each time.
-Then it runs ``cli.main``, flushes stdout and stderr, and ends the process
-with ``os._exit``, skipping the interpreter's teardown; if a flush fails it
-exits through ``sys.exit``. Importing the package or calling ``cli.main``
-leaves the allocator as it is, and ``cli.main`` returns the exit code to
-in-process callers.
+Then it runs ``cli.main`` and ends the process with its exit code through
+``os._exit``, skipping the interpreter's teardown: ``cli.main`` has closed
+its payload sink and writes each message unbuffered, so nothing is left
+buffered. Importing the package or calling ``cli.main`` leaves the
+allocator as it is, and ``cli.main`` returns the exit code to in-process
+callers.
 """
 
 import ctypes
 import os
-import sys
 
 # glibc's mallopt parameters (malloc.h) and the values ``main`` gives them:
 # M_TRIM_THRESHOLD (-1) and M_MMAP_THRESHOLD (-3)
@@ -43,21 +43,14 @@ def main() -> None:
     digit kernel's per-block temporaries, the output runs and the sampling
     blocks are freed and allocated again block after block, and by default
     glibc hands that memory back to the kernel each time, so it is faulted
-    in again. Then run ``cli.main``, flush stdout and stderr, and end the
-    process with ``os._exit``, skipping the interpreter's teardown (about
-    30 ms with numpy loaded), which has nothing left to do: every output is
-    written. If a flush raises, the process exits through ``sys.exit``.
+    in again. Then run ``cli.main`` and end the process with its exit code
+    through ``os._exit``, skipping the interpreter's teardown (about 30 ms
+    with numpy loaded), which has nothing left to do.
     """
     _keep_freed_heap()
     from . import cli
 
-    code = cli.main()
-    try:
-        sys.stdout.flush()
-        sys.stderr.flush()
-    except (OSError, ValueError):
-        sys.exit(code)
-    os._exit(code)
+    os._exit(cli.main())
 
 
 if __name__ == "__main__":

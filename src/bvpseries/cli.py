@@ -16,10 +16,10 @@ list (names, flags and floats) is joined row by row with ``str``; scalars
 and nested objects go through json.dumps. The kernel is imported only to
 render float columns.
 The payload is ASCII bytes: ``main`` writes each block, as it is
-formatted, to stdout's binary buffer or to --out opened in binary mode,
-so the whole text is never held and no stream encoding or newline
-translation touches it; ``run`` joins the blocks and decodes them once for
-in-process callers.
+formatted, to one binary sink, file descriptor 1 or --out, so the whole
+text is never held and no stream encoding or newline translation touches
+it; ``run`` joins the blocks and decodes them once for in-process callers
+that want the text.
 
 a and f are sampled together, at the grid nodes, as one program of their
 distinct subtrees (``grid.sample_together``); on any error they are
@@ -28,15 +28,21 @@ one-at-a-time one. verify's RK4 oracle steps on node pairs, so it needs no
 samples beyond the nodes; it runs in this process, after the series and
 the solve.
 
+Every failure that ends a run before any output has its exit code and
+message in ``_fail``, and every ``bvpseries:`` line goes through ``_say``,
+which drops it if stderr is missing or cannot be written: stderr never
+changes the exit code or the payload.
+
 ``python -m bvpseries`` and the ``bvpseries`` script enter through
 ``bvpseries.__main__``, which sets the process's heap policy before this
-module (and numpy) is imported, runs ``main`` and ends the process; this
-module keeps only the command line.
+module (and numpy) is imported, runs ``main`` and exits with its code;
+this module keeps only the command line.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
@@ -51,13 +57,11 @@ from .checks import Check, verify
 from .errors import (
     ContractionViolation,
     Diverged,
-    EvalError,
     InvalidDomain,
     MaxTermsExceeded,
     OracleSingular,
-    ParseError,
     SingularI2,
-    TableDomainError,
+    SolverError,
 )
 from .grid import CoefficientSpec, make_grid, sample_together, sup_norm
 from .oracle import compare, oracle_fundamental
@@ -90,8 +94,8 @@ class _ArgumentParser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"-[^-]")
 
     def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_BAD_INPUT, f"{self.prog}: error: {message}\n")
+        _say(f"{self.format_usage()}{self.prog}: error: {message}\n")
+        sys.exit(EXIT_BAD_INPUT)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -313,25 +317,43 @@ def _pieces(payload: dict, table: tuple, output_format: str):
         yield "".join(",".join(map(str, row)) + "\n" for row in zip(*columns)).encode()
 
 
+def _say(text: str) -> None:
+    """Write ``text`` unbuffered to stderr's file descriptor, after what
+    the stream holds, so that text that cannot be written is dropped, not
+    left in the stream's buffer to fail again at exit. A missing stderr
+    (closed when the process started) drops it too: stderr never changes
+    the exit code or the payload."""
+    try:
+        sys.stderr.flush()
+        os.write(sys.stderr.fileno(), text.encode(sys.stderr.encoding, "backslashreplace"))
+    except (AttributeError, OSError):
+        pass
+
+
+def _fail(exc: Exception) -> int:
+    """Say the message of ``exc``, which ended a run before any output, and
+    return its exit code."""
+    if isinstance(exc, (ContractionViolation, MaxTermsExceeded)):
+        code, message = EXIT_NOT_CONTRACTIVE, str(exc)
+    elif isinstance(exc, SingularI2):
+        code, message = EXIT_SINGULAR, str(exc)
+    elif isinstance(exc, (OracleSingular, Diverged)):
+        code, message = EXIT_VERIFY_FAILED, f"verification aborted: {exc}"
+    else:
+        code, message = EXIT_BAD_INPUT, str(exc)
+    _say(f"bvpseries: {message}\n")
+    return code
+
+
 def _execute(config: argparse.Namespace):
     """``run``, with the output as an iterator of its pieces, each rendered
     when it is read."""
     try:
         payload, table, code, message = _COMMANDS[config.command](config)
-    except (ContractionViolation, MaxTermsExceeded) as exc:
-        print(f"bvpseries: {exc}", file=sys.stderr)
-        return EXIT_NOT_CONTRACTIVE, None
-    except SingularI2 as exc:
-        print(f"bvpseries: {exc}", file=sys.stderr)
-        return EXIT_SINGULAR, None
-    except (ParseError, TableDomainError, InvalidDomain, EvalError, OSError) as exc:
-        print(f"bvpseries: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT, None
-    except (OracleSingular, Diverged) as exc:
-        print(f"bvpseries: verification aborted: {exc}", file=sys.stderr)
-        return EXIT_VERIFY_FAILED, None
+    except (SolverError, OSError) as exc:
+        return _fail(exc), None
     if message is not None:
-        print(f"bvpseries: {message}", file=sys.stderr)
+        _say(f"bvpseries: {message}\n")
     return code, _pieces(payload, table, config.output_format)
 
 
@@ -347,46 +369,32 @@ def run(config: argparse.Namespace) -> tuple[int, str | None]:
 
 def main(argv=None) -> int:
     """Run the command line ``argv`` and return its exit code. The output
-    goes to stdout or --out as it is rendered, a run of pieces at a time
-    (``_runs``), so the whole text is never held. It is written as bytes,
-    to stdout's binary buffer (after flushing its text layer) or to --out
-    opened in binary mode, so the payload is the same ASCII whatever the
-    stream's encoding or newline translation; a stdout without a buffer
-    (``contextlib.redirect_stdout`` to a StringIO) is given text.
+    is written as it is rendered, a run of pieces at a time (``_runs``), so
+    the whole text is never held, as bytes to one binary sink: --out, or
+    file descriptor 1, whatever ``sys.stdout`` is (in-process callers that
+    want the text call ``run``). A stdout that was closed when the process
+    started (``sys.stdout`` is None) is not written: fd 1 may hold another
+    file by now.
 
-    Output that cannot be written (a full device, a reader that hung up)
-    is bad output, exit 4, for stdout as for --out: stdout is flushed here,
-    and after a failure fd 1 is pointed at ``os.devnull``, so the bytes
-    still buffered go nowhere when the interpreter flushes it at exit."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    Output that cannot be written (a closed stdout, a full device, a reader
+    that hung up) is bad output, exit 4, for stdout as for --out."""
+    args = build_parser().parse_args(argv)
     try:
         config = config_from_args(args)
-    except (ParseError, TableDomainError, InvalidDomain, OSError) as exc:
-        print(f"bvpseries: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    except (SolverError, OSError) as exc:
+        return _fail(exc)
     code, pieces = _execute(config)
-    if pieces is not None:
-        if config.out is not None:
-            try:
-                with open(config.out, "wb") as fh:
-                    fh.writelines(_runs(pieces))
-            except OSError as exc:
-                print(f"bvpseries: cannot write {config.out}: {exc}", file=sys.stderr)
-                return EXIT_BAD_INPUT
-        elif hasattr(sys.stdout, "buffer"):
-            try:
-                sys.stdout.flush()
-                sys.stdout.buffer.writelines(_runs(pieces))
-                sys.stdout.flush()
-            except OSError as exc:
-                devnull = os.open(os.devnull, os.O_WRONLY)
-                os.dup2(devnull, sys.stdout.fileno())
-                os.close(devnull)
-                print(f"bvpseries: cannot write stdout: {exc}", file=sys.stderr)
-                return EXIT_BAD_INPUT
-        else:
-            sys.stdout.writelines(bytes(run).decode() for run in _runs(pieces))
+    if pieces is None:
+        return code
+    sink = 1 if config.out is None else config.out
+    try:
+        if sink == 1 and sys.stdout is None:
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+        with open(sink, "wb", closefd=sink != 1) as fh:
+            fh.writelines(_runs(pieces))
+    except OSError as exc:
+        _say(f"bvpseries: cannot write {'stdout' if sink == 1 else sink}: {exc}\n")
+        return EXIT_BAD_INPUT
     return code
 
 

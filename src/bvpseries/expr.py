@@ -10,7 +10,10 @@ The language is a single-variable arithmetic grammar over ``x``:
 
 with IDENT one of sin, cos, exp, log, sqrt, abs, tanh. Numbers are decimal
 literals with an optional exponent. ``^`` is right-associative and binds
-tighter than unary minus; whitespace is insignificant.
+tighter than unary minus; whitespace is insignificant. A tree is at most
+``_MAX_DEPTH`` levels deep, each operator of a chain counting as one, so
+that every recursive walk of it stays within Python's default recursion
+limit.
 
 Nothing in the package changes a parsed tree after it is built, and
 evaluation is pure, so a single Expr can be evaluated concurrently from many
@@ -191,66 +194,84 @@ class _Parser:
         raise ParseError(_byte_offset(self.text, tok.pos), expected)
 
     def parse(self) -> Expr:
-        node = self.expr(0)
+        node, _ = self.expr(0)
         tok = self.peek()
         if tok.kind != "EOF":
             self.fail(tok, "end of input or an operator")
         return node
 
-    def expr(self, depth: int) -> Expr:
-        node = self.term(depth)
+    # Each method parses a subtree that sits ``depth`` levels below the
+    # root and returns it with its height, so that depth + height never
+    # exceeds _MAX_DEPTH. A level is an operator, a function call, a unary
+    # minus or a pair of parentheses. The chains (a + b - c) group to the
+    # left, so each operator puts the operands before it a level further
+    # down: it adds a level to the chain's height, and the operand after it
+    # is parsed a level deeper.
+
+    def deeper(self, depth: int, height: int) -> int:
+        """The height of a node over subtrees at most ``height`` high, at
+        ``depth``; fails at the next token if that passes the limit."""
+        if depth + height >= _MAX_DEPTH:
+            self.fail(self.peek(), "a shallower expression (nesting limit reached)")
+        return height + 1
+
+    def expr(self, depth: int) -> tuple[Expr, int]:
+        node, height = self.term(depth)
         while self.peek().kind == "OP" and self.peek().text in "+-":
             op = self.advance().text
-            node = Binary(op, node, self.term(depth))
-        return node
+            rhs, rhs_height = self.term(depth + 1)
+            node, height = Binary(op, node, rhs), self.deeper(depth, max(height, rhs_height))
+        return node, height
 
-    def term(self, depth: int) -> Expr:
-        node = self.factor(depth)
+    def term(self, depth: int) -> tuple[Expr, int]:
+        node, height = self.factor(depth)
         while self.peek().kind == "OP" and self.peek().text in "*/":
             op = self.advance().text
-            node = Binary(op, node, self.factor(depth))
-        return node
+            rhs, rhs_height = self.factor(depth + 1)
+            node, height = Binary(op, node, rhs), self.deeper(depth, max(height, rhs_height))
+        return node, height
 
-    def factor(self, depth: int) -> Expr:
-        if depth >= _MAX_DEPTH:
-            self.fail(self.peek(), "a shallower expression (nesting limit reached)")
+    def factor(self, depth: int) -> tuple[Expr, int]:
+        self.deeper(depth, 0)
         tok = self.peek()
         if tok.kind == "OP" and tok.text == "-":
             self.advance()
-            return Unary("neg", self.factor(depth + 1))
+            arg, height = self.factor(depth + 1)
+            return Unary("neg", arg), height + 1
         return self.power(depth)
 
-    def power(self, depth: int) -> Expr:
-        base = self.atom(depth)
+    def power(self, depth: int) -> tuple[Expr, int]:
+        base, height = self.atom(depth)
         tok = self.peek()
         if tok.kind == "OP" and tok.text == "^":
             self.advance()
-            return Binary("^", base, self.factor(depth + 1))
-        return base
+            exponent, exponent_height = self.factor(depth + 1)
+            return Binary("^", base, exponent), self.deeper(depth, max(height, exponent_height))
+        return base, height
 
-    def atom(self, depth: int) -> Expr:
+    def atom(self, depth: int) -> tuple[Expr, int]:
         tok = self.advance()
         if tok.kind == "NUM":
-            return Const(float(tok.text))
+            return Const(float(tok.text)), 1
         if tok.kind == "IDENT":
             if tok.text == "x":
-                return Var()
+                return Var(), 1
             if tok.text not in _FUNC_IMPL:
                 raise UnknownFunction(_byte_offset(self.text, tok.pos), tok.text)
             opener = self.advance()
             if opener.kind != "LPAREN":
                 self.fail(opener, f"'(' after function name '{tok.text}'")
-            arg = self.expr(depth + 1)
+            arg, height = self.expr(depth + 1)
             closer = self.advance()
             if closer.kind != "RPAREN":
                 self.fail(closer, "')'")
-            return Unary(tok.text, arg)
+            return Unary(tok.text, arg), height + 1
         if tok.kind == "LPAREN":
-            node = self.expr(depth + 1)
+            node, height = self.expr(depth + 1)
             closer = self.advance()
             if closer.kind != "RPAREN":
                 self.fail(closer, "')'")
-            return node
+            return node, height + 1
         self.fail(tok, _ATOM_EXPECTED)
 
 

@@ -150,24 +150,34 @@ class CoefficientSpec:
 
     @classmethod
     def from_csv(cls, path) -> "CoefficientSpec":
-        """Read a two-column ``x,value`` CSV; a non-numeric first row is a header."""
+        """Read a two-column ``x,value`` CSV; a non-numeric first row is a header.
+
+        The file is read as UTF-8 whatever the locale, after a byte order
+        mark if it starts with one, each undecodable byte read as U+FFFD,
+        so such a byte makes its row non-numeric; a file the
+        csv module cannot split (a field over its size limit) is a
+        ``TableDomainError`` too.
+        """
         import csv  # here, not at the top: only tables need it, and every run imports grid
 
         xs, values = [], []
-        with open(path, newline="") as fh:
-            for row in csv.reader(fh):
-                if not row or (len(row) == 1 and not row[0].strip()):
-                    continue
-                if len(row) < 2:
-                    raise TableDomainError(f"{path}: expected two columns, got {row!r}")
-                try:
-                    x, v = float(row[0]), float(row[1])
-                except ValueError:
-                    if not xs:  # header row
+        with open(path, newline="", encoding="utf-8-sig", errors="replace") as fh:
+            try:
+                for row in csv.reader(fh):
+                    if not row or (len(row) == 1 and not row[0].strip()):
                         continue
-                    raise TableDomainError(f"{path}: non-numeric row {row!r}")
-                xs.append(x)
-                values.append(v)
+                    if len(row) < 2:
+                        raise TableDomainError(f"{path}: expected two columns, got {row!r}")
+                    try:
+                        x, v = float(row[0]), float(row[1])
+                    except ValueError:
+                        if not xs:  # header row
+                            continue
+                        raise TableDomainError(f"{path}: non-numeric row {row!r}")
+                    xs.append(x)
+                    values.append(v)
+            except csv.Error as exc:
+                raise TableDomainError(f"{path}: {exc}") from None
         if len(xs) < 2:
             raise TableDomainError(f"{path}: need at least two data rows")
         return cls.table(xs, values)

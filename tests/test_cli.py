@@ -12,6 +12,7 @@ from bvpseries import cli, grid
 from bvpseries.bvp import SolveReport
 from bvpseries.errors import SingularI2
 from bvpseries.grid import MAX_INTERVALS
+from test_grid import MALFORMED_TABLES
 
 
 def run_cli(*args, env=None):
@@ -25,13 +26,14 @@ def run_cli(*args, env=None):
                           env={**os.environ, **(env or {})}, timeout=120)
 
 
-def run_main(capsys, *args):
-    """In-process invocation; returns (exit_code, stdout, stderr)."""
+def run_main(capfd, *args):
+    """In-process invocation; returns (exit_code, stdout, stderr), captured
+    at file descriptors 1 and 2, where ``cli.main`` writes."""
     try:
         code = cli.main(list(args))
     except SystemExit as exc:
         code = exc.code
-    out = capsys.readouterr()
+    out = capfd.readouterr()
     return code, out.out, out.err
 
 
@@ -48,8 +50,8 @@ class TestSolve:
         assert payload["report"]["boundary_err"] == [0.0, 0.0]
         assert all(c["passed"] for c in payload["report"]["bound_checks"])
 
-    def test_default_boundary_data(self, capsys):
-        code, out, _ = run_main(capsys, "solve", "--a", "1", "--f", "1",
+    def test_default_boundary_data(self, capfd):
+        code, out, _ = run_main(capfd, "solve", "--a", "1", "--f", "1",
                                 "--x1", "1", "--n", "64")
         assert code == 0
         payload = json.loads(out)
@@ -64,8 +66,8 @@ class TestSolve:
         assert first.returncode == second.returncode == 0
         assert first.stdout == second.stdout
 
-    def test_csv_format(self, capsys):
-        code, out, _ = run_main(capsys, "solve", "--a", "0", "--f", "0",
+    def test_csv_format(self, capfd):
+        code, out, _ = run_main(capfd, "solve", "--a", "0", "--f", "0",
                                 "--x1", "1", "--beta", "1", "--n", "4",
                                 "--format", "csv")
         assert code == 0
@@ -84,10 +86,10 @@ class TestSolve:
         payload = json.loads(target.read_text())
         assert payload["n"] == 16
 
-    def test_stops_at_measured_tail(self, capsys):
+    def test_stops_at_measured_tail(self, capfd):
         # q = 0.99: the a-priori count assumes every term shrinks by q, the
         # measured terms shrink by about 0.8
-        code, out, _ = run_main(capsys, "solve", "--a", "1.98", "--f", "1",
+        code, out, _ = run_main(capfd, "solve", "--a", "1.98", "--f", "1",
                                 "--x1", "1", "--n", "1024")
         assert code == 0
         payload = json.loads(out)
@@ -96,21 +98,21 @@ class TestSolve:
         assert all(t <= 1e-10 for t in payload["tails"].values())
         assert list(payload)[:6] == ["x1", "n", "tol", "q", "terms", "terms_apriori"]
 
-    def test_table_coefficient(self, tmp_path, capsys):
+    def test_table_coefficient(self, tmp_path, capfd):
         table = tmp_path / "a.csv"
         table.write_text("x,a\n0.0,1.0\n1.0,1.0\n")
-        code, out, _ = run_main(capsys, "solve", "--a-table", str(table),
+        code, out, _ = run_main(capfd, "solve", "--a-table", str(table),
                                 "--f", "0", "--x1", "1", "--beta", "1",
                                 "--n", "64")
         assert code == 0
-        code2, out2, _ = run_main(capsys, "solve", "--a", "1", "--f", "0",
+        code2, out2, _ = run_main(capfd, "solve", "--a", "1", "--f", "0",
                                   "--x1", "1", "--beta", "1", "--n", "64")
         assert json.loads(out)["u"] == json.loads(out2)["u"]
 
 
 class TestFundamental:
-    def test_payload_columns(self, capsys):
-        code, out, _ = run_main(capsys, "fundamental", "--a", "0", "--f", "1",
+    def test_payload_columns(self, capfd):
+        code, out, _ = run_main(capfd, "fundamental", "--a", "0", "--f", "1",
                                 "--x1", "1", "--n", "4")
         assert code == 0
         payload = json.loads(out)
@@ -120,8 +122,8 @@ class TestFundamental:
         nodes = np.array(payload["nodes"])
         assert np.allclose(payload["F"], nodes ** 2 / 2.0 - nodes, atol=1e-15)
 
-    def test_csv_header(self, capsys):
-        code, out, _ = run_main(capsys, "fundamental", "--a", "1", "--f", "0",
+    def test_csv_header(self, capfd):
+        code, out, _ = run_main(capfd, "fundamental", "--a", "1", "--f", "0",
                                 "--x1", "1", "--n", "8", "--format", "csv")
         assert code == 0
         rows = [l for l in out.splitlines() if not l.startswith("#")]
@@ -174,7 +176,7 @@ class TestVerify:
         assert "wronskian_constant" in names
 
     @pytest.mark.parametrize("n", [8, 9, 4096])
-    def test_samples_a_and_f_at_the_nodes_only(self, n, capsys, monkeypatch):
+    def test_samples_a_and_f_at_the_nodes_only(self, n, capfd, monkeypatch):
         # the oracle steps on node pairs: a and f are evaluated, as one
         # program, at the n + 1 nodes and nowhere else
         sizes = []
@@ -186,20 +188,20 @@ class TestVerify:
 
         monkeypatch.setattr(grid, "eval_arrays", spy)
         monkeypatch.setattr(grid, "eval_expr", None)  # no scalar evaluation either
-        code, out, _ = run_main(capsys, "verify", "--a", "sin(x)", "--f", "exp(-x)",
+        code, out, _ = run_main(capfd, "verify", "--a", "sin(x)", "--f", "exp(-x)",
                                 "--x1", "0.9", "--n", str(n))
         assert code == 0
         assert json.loads(out)["passed"] is True
         assert sizes == [(2, n + 1)]
 
     @pytest.mark.parametrize("name", sorted(_VERIFY_FAILURES))
-    def test_failure_exit_code_and_message(self, name, capsys, monkeypatch):
+    def test_failure_exit_code_and_message(self, name, capfd, monkeypatch):
         argv, env, patches, code, message = _VERIFY_FAILURES[name]
         for key, value in env.items():
             monkeypatch.setenv(key, value)
         for target, value in patches.items():
             monkeypatch.setattr(target, value)
-        assert run_main(capsys, *argv) == (code, "", message)
+        assert run_main(capfd, *argv) == (code, "", message)
 
     @pytest.mark.parametrize("argv", [
         # the forced shot reaches 5e199, far past an absolute 1e100 guard
@@ -207,13 +209,13 @@ class TestVerify:
         # psi'(x1) is near 1, but sup|psi| is near 1e13: psi has units of length
         ["--a", "1e-30*sin(x)", "--f", "1e-30", "--x1", "1e13", "--n", "8"],
     ])
-    def test_oracle_gates_hold_at_any_scale(self, argv, capsys):
-        code, out, err = run_main(capsys, "verify", *argv)
+    def test_oracle_gates_hold_at_any_scale(self, argv, capfd):
+        code, out, err = run_main(capfd, "verify", *argv)
         assert (code, err) == (0, "")
         assert json.loads(out)["passed"] is True
 
-    def test_verify_csv(self, capsys):
-        code, out, _ = run_main(capsys, "verify", "--a", "0.5", "--f", "x",
+    def test_verify_csv(self, capfd):
+        code, out, _ = run_main(capfd, "verify", "--a", "0.5", "--f", "x",
                                 "--x1", "1", "--n", "256", "--format", "csv")
         assert code == 0
         rows = [l for l in out.splitlines() if not l.startswith("#")]
@@ -223,10 +225,10 @@ class TestVerify:
 
 @pytest.mark.parametrize("output_format", ["json", "csv"])
 @pytest.mark.parametrize("command", ["solve", "fundamental", "verify"])
-def test_no_command_forks(command, output_format, capsys, monkeypatch):
+def test_no_command_forks(command, output_format, capfd, monkeypatch):
     # the series, the oracle and the rendering all run in this process
     monkeypatch.setattr(os, "fork", None, raising=False)  # a fork would raise
-    code, out, _ = run_main(capsys, command, "--a", "sin(x)", "--f", "exp(-x)",
+    code, out, _ = run_main(capfd, command, "--a", "sin(x)", "--f", "exp(-x)",
                             "--x1", "0.9", "--n", "4096", "--format", output_format)
     assert code == 0
     assert out
@@ -293,9 +295,9 @@ class TestExitCodes:
         assert r.stderr.count("\n") == 1
 
     @pytest.mark.parametrize("flags", [["--tol", "5e-324"], ["--f", "1e300", "--tol", "1e-300"]])
-    def test_tiny_tol_or_huge_forcing(self, capsys, flags):
+    def test_tiny_tol_or_huge_forcing(self, capfd, flags):
         # the a-priori budget tol*(1-q)/(2*seed_sup) underflows to 0 here
-        code, out, err = run_main(capsys, "solve", "--a", "1", "--f", "1", "--x1", "1",
+        code, out, err = run_main(capfd, "solve", "--a", "1", "--f", "1", "--x1", "1",
                                   "--n", "8", *flags)
         assert code == 0, err
         payload = json.loads(out)
@@ -303,9 +305,9 @@ class TestExitCodes:
             assert payload["terms"][name] <= payload["terms_apriori"][name]
             assert payload["tails"][name] <= payload["tol"]
 
-    def test_subnormal_tol_verifies(self, capsys):
+    def test_subnormal_tol_verifies(self, capfd):
         # the fixed-point limit admits the rounding of a defect with a large g
-        code, out, err = run_main(capsys, "verify", "--a", "1", "--f", "1e10", "--x1", "1",
+        code, out, err = run_main(capfd, "verify", "--a", "1", "--f", "1e10", "--x1", "1",
                                   "--n", "64", "--tol", "1e-318")
         assert code == 0, err
         check = {c["name"]: c for c in json.loads(out)["checks"]}["fixed_point"]
@@ -317,15 +319,15 @@ class TestExitCodes:
         (["--tol", "1e300", "--alpha", "1e9"],
          "--tol = 1e+300, --alpha = 1000000000.0, --beta = 0.0"),
     ])
-    def test_overflowing_check_limit(self, capsys, flags, named, fmt):
+    def test_overflowing_check_limit(self, capfd, flags, named, fmt):
         # a limit of inf once crashed the JSON renderer and printed inf in CSV
         args = ("--a", "1", "--f", "1", "--x1", "1", "--n", "8", *flags, "--format", fmt)
-        code, out, err = run_main(capsys, "verify", *args)
+        code, out, err = run_main(capfd, "verify", *args)
         assert code == 4
         assert out == ""
         assert err == f"bvpseries: the limit of fixed_point overflows at {named}\n"
         # solve has no such limits: it still succeeds
-        code, out, err = run_main(capsys, "solve", *args)
+        code, out, err = run_main(capfd, "solve", *args)
         assert code == 0, err
         assert out
 
@@ -334,18 +336,18 @@ class TestExitCodes:
                     env={"SOLVER_MAX_TERMS": "abc"})
         assert r.returncode == 4
 
-    def test_n_beyond_memory_budget(self, capsys, monkeypatch):
+    def test_n_beyond_memory_budget(self, capfd, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("grid allocated for a refused n")
 
         monkeypatch.setattr(np, "linspace", refuse)
-        code, out, err = run_main(capsys, "solve", "--a", "1", "--f", "0",
+        code, out, err = run_main(capfd, "solve", "--a", "1", "--f", "0",
                                   "--x1", "1", "--n", str(MAX_INTERVALS + 1))
         assert code == 4
         assert out == ""
         assert "memory budget" in err
 
-    def test_singular_solve(self, capsys, monkeypatch):
+    def test_singular_solve(self, capfd, monkeypatch):
         report = SolveReport(u=None, du=None, c1=1.0, c2=1.0,
                              boundary_err=None, residual_max=None,
                              wronskian_dev=0.0, i2_at_x1=0.0,
@@ -355,7 +357,7 @@ class TestExitCodes:
             raise SingularI2(0.0, 1e-8, report=report)
 
         monkeypatch.setattr(cli, "solve_problem_d", fake_solve)
-        code, out, err = run_main(capsys, "solve", "--a", "1", "--f", "0",
+        code, out, err = run_main(capfd, "solve", "--a", "1", "--f", "0",
                                   "--x1", "1", "--n", "16")
         assert code == 3
         payload = json.loads(out)
@@ -390,14 +392,14 @@ class TestExitCodes:
         ("--a", "-x"), ("--f", "-sin(x)"), ("--x1", "-1e-3"), ("--alpha", "-2.5e+3"),
         ("--beta", "-1e-3"), ("--tol", "-1e-3"), ("--n", "-8"),
     ])
-    def test_option_values_may_start_with_minus(self, capsys, command, flag, value):
+    def test_option_values_may_start_with_minus(self, capfd, command, flag, value):
         # argparse alone takes -1e-3, -x and -sin(x) for options and refuses
         # them as values; the split and the = form must agree
         base = {"--a": "1", "--f": "1", "--x1": "1", "--n": "8"}
         base.pop(flag, None)
         args = [command, *(item for pair in base.items() for item in pair)]
-        split = run_main(capsys, *args, flag, value)
-        joined = run_main(capsys, *args, f"{flag}={value}")
+        split = run_main(capfd, *args, flag, value)
+        joined = run_main(capfd, *args, f"{flag}={value}")
         assert split == joined
         assert "expected one argument" not in split[2]
         if flag == "--tol":
@@ -418,6 +420,15 @@ class TestExitCodes:
         table.write_text("0,1\n0.5,1\n")
         r = run_cli("solve", "--a-table", str(table), "--f", "0", "--x1", "1")
         assert r.returncode == 4
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_TABLES))
+    def test_malformed_table(self, name, tmp_path, capfd):
+        table = tmp_path / "a.csv"
+        table.write_bytes(MALFORMED_TABLES[name])
+        code, out, err = run_main(capfd, "solve", "--a-table", str(table),
+                                  "--f", "0", "--x1", "1")
+        assert (code, out) == (4, "")
+        assert err.startswith(f"bvpseries: {table}: ") and err.count("\n") == 1
 
     def test_unreadable_table(self):
         r = run_cli("solve", "--a-table", "/nonexistent/a.csv",

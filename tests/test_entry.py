@@ -1,11 +1,13 @@
 """The process entry point, ``bvpseries.__main__.main``: ``python -m
 bvpseries`` has glibc keep freed heap for reuse (``mallopt``, before numpy
 is imported; importing bvpseries or calling ``cli.main`` does not), runs
-``cli.main``, flushes stdout and stderr, and ends through ``os._exit``,
-skipping the interpreter's teardown. Nothing a caller sees may change,
-whether or not the C library has ``mallopt``: every exit code and stderr
-line, every output byte through a pipe or a file, the exit code a reader
-that hangs up early sees, and no child left unreaped.
+``cli.main`` and exits with its code through ``os._exit``, skipping the
+interpreter's teardown. Nothing a caller sees may change, whether or not
+the C library has ``mallopt``: every exit code and stderr line, every
+output byte through a pipe or a file, the exit code a reader that hangs up
+early sees, and no child left unreaped. A closed stdout is output that
+cannot be written, and a closed or full stderr loses only the messages,
+through either launcher.
 
 The exit codes and messages in ``_CASES`` were recorded from
 ``python -m bvpseries`` when it still left through ``sys.exit(main())`` and
@@ -192,6 +194,72 @@ def test_stdout_on_a_full_device_exits_4_with_one_line(launcher, argv):
     assert (r.returncode, r.stderr) == (4, _cannot_write(errno.ENOSPC) + "\n")
 
 
+def _command(launcher, argv, patches):
+    """``python -m bvpseries ARGV`` (launcher "module") or
+    ``sys.exit(cli.main())`` ("sys_exit"), with the patches, {module:
+    {constant: value}}, applied first."""
+    patch = "".join(f"import bvpseries.{module}\nbvpseries.{module}.{constant} = {value!r}\n"
+                    for module, constants in patches.items()
+                    for constant, value in constants.items())
+    if launcher == "module" and not patch:
+        return [sys.executable, "-m", "bvpseries", *argv]
+    run = {"module": "import runpy\n"
+                     "runpy.run_module('bvpseries', run_name='__main__', alter_sys=True)",
+           "sys_exit": _SYS_EXIT[1]}[launcher]
+    return [sys.executable, "-c", patch + run, *argv]
+
+
+# q = 1.125 >= 1: exit 2 before any output
+_Q_ABOVE_1 = ["solve", "--a", "1", "--f", "1", "--x1", "1.5", "--n", "4"]
+_NOT_CONTRACTIVE = ("bvpseries: series not certified to converge: q = sup|a|*x1^2/2 = 1.125 "
+                    ">= 1; right endpoint must satisfy x1 < 1.41421 for sup|a| = 1\n")
+_SOLVE = CASES["solve.json"][0]
+
+
+@pytest.mark.parametrize("launcher", ["module", "sys_exit"])
+@pytest.mark.parametrize("case", ["q_above_1", "out_file", "stdout"])
+def test_closed_stdout(launcher, case, tmp_path):
+    out = tmp_path / "solve.json"
+    argv, code, stderr = {
+        "q_above_1": (_Q_ABOVE_1, 2, _NOT_CONTRACTIVE),
+        "out_file": ([*_SOLVE, "--out", str(out)], 0, ""),
+        "stdout": (_SOLVE, 4, _cannot_write(errno.EBADF) + "\n"),
+    }[case]
+    r = subprocess.run(_command(launcher, argv, {}), stderr=subprocess.PIPE, text=True,
+                       preexec_fn=lambda: os.close(1), env=_ENV, timeout=120)
+    assert (r.returncode, r.stderr) == (code, stderr)
+    if case == "out_file":
+        assert out.read_bytes() == (GOLDEN / "solve.json").read_bytes()
+
+
+# name -> (argv, exit code, patches); a golden case's stdout is its file
+_STDERR_CASES = {
+    "usage": (["solve", "--a", "1", "--f", "1"], 4, {}),
+    "q_above_1": (_Q_ABOVE_1, 2, {}),
+    "verify_failed.json": CASES["verify_failed.json"],
+    "solve.json": CASES["solve.json"],
+}
+
+
+@pytest.mark.parametrize("launcher", ["module", "sys_exit"])
+@pytest.mark.parametrize("stderr", ["closed", "full"])
+@pytest.mark.parametrize("case", sorted(_STDERR_CASES))
+def test_closed_or_full_stderr_loses_only_the_messages(launcher, stderr, case):
+    argv, code, patches = _STDERR_CASES[case]
+    command = _command(launcher, argv, patches)
+    if stderr == "closed":
+        r = subprocess.run(command, stdout=subprocess.PIPE, preexec_fn=lambda: os.close(2),
+                           env=_ENV, timeout=120)
+    elif not os.path.exists("/dev/full"):
+        pytest.skip("needs /dev/full")
+    else:
+        with open("/dev/full", "wb") as full:
+            r = subprocess.run(command, stdout=subprocess.PIPE, stderr=full, env=_ENV,
+                               timeout=120)
+    want = (GOLDEN / case).read_bytes() if case in CASES else b""
+    assert (r.returncode, r.stdout) == (code, want)
+
+
 # Runs the CLI with os._exit replaced by a check that no child of this
 # process is left, running or unreaped.
 _REAPED = """
@@ -244,7 +312,7 @@ ctypes.CDLL = Libc
 _ENTRY_WITH_RECORDER = _LIBC + """
 from bvpseries import __main__ as entry, cli
 def main():
-    print(calls)
+    print(calls, flush=True)
     return 7
 cli.main = main
 entry.main()
@@ -258,11 +326,10 @@ def test_entry_sets_the_heap_policy_before_main_and_keeps_its_exit_code():
 
 
 _IMPORT_AND_MAIN = _LIBC + """
-import contextlib, io
 import bvpseries, bvpseries.cli as cli
-with contextlib.redirect_stdout(io.StringIO()) as out:
-    code = cli.main(["fundamental", "--a", "0.5", "--f", "1", "--x1", "1", "--n", "8"])
-print(code, out.getvalue().startswith("{"), calls)
+code = cli.main(["fundamental", "--a", "0.5", "--f", "1", "--x1", "1", "--n", "8",
+                 "--out", sys.argv[1]])
+print(code, open(sys.argv[1]).read().startswith("{"), calls)
 """
 
 
@@ -304,8 +371,8 @@ def test_import_loads_no_numpy_and_every_name_resolves():
     assert (r.returncode, r.stderr, r.stdout) == (0, "", "False\n34 True True True\n")
 
 
-def test_import_and_main_leave_the_allocator_alone():
-    r = _python(["-c", _IMPORT_AND_MAIN])
+def test_import_and_main_leave_the_allocator_alone(tmp_path):
+    r = _python(["-c", _IMPORT_AND_MAIN, str(tmp_path / "out.json")])
     assert (r.returncode, r.stderr, r.stdout) == (0, "", "0 True []\n")
 
 

@@ -24,6 +24,26 @@ from bvpseries.errors import EvalError, ParseError, UnknownFunction
 from bvpseries.grid import CoefficientSpec, make_grid, sample, sample_together
 
 
+def _nested_sums(levels: int) -> str:
+    """Sums of nine terms, each the first term of the next outside it."""
+    text = "x"
+    for _ in range(levels // 9):
+        text = "(" + text + "+x" * 8 + ")"
+    return text + "+x" * (levels % 9)
+
+
+# shape -> the text of an expression ``levels`` levels over x
+_LEVELS = {
+    "sum": lambda levels: "x" + "+x" * levels,
+    "product": lambda levels: "x" + "*x" * levels,
+    "parentheses": lambda levels: "(" * levels + "x" + ")" * levels,
+    "negation": lambda levels: "-" * levels + "x",
+    "power": lambda levels: "x^" * levels + "x",
+    "functions": lambda levels: "sin(" * levels + "x" + ")" * levels,
+    "nested_sums": _nested_sums,
+}
+
+
 class TestParseExamples:
     def test_polynomial(self):
         e = parse_expr("x^2 - 1")
@@ -142,6 +162,22 @@ class TestParseErrors:
     def test_deep_negation_capped(self):
         with pytest.raises(ParseError):
             parse_expr("-" * 500 + "x")
+
+    # One limit bounds the depth of the tree, so that every walker (the
+    # evaluators, the printer, repr, == and hash) stays inside the default
+    # recursion limit. Each operator of a chain puts the operands before it
+    # a level down, as nesting does: a sum of 3,000 terms, or sums nested
+    # in parentheses, reached a RecursionError in the walkers.
+    @pytest.mark.parametrize("shape", sorted(_LEVELS))
+    def test_depth_limit_counts_every_level(self, shape):
+        deepest = parse_expr(_LEVELS[shape](expr._MAX_DEPTH - 1))
+        assert eval_expr(deepest, 0.5) == eval_arrays([deepest], np.array([0.5]))[0][0]
+        assert parse_expr(to_text(deepest)) == deepest
+        assert repr(deepest) and hash(deepest) is not None
+        with pytest.raises(ParseError, match="nesting limit"):
+            parse_expr(_LEVELS[shape](expr._MAX_DEPTH))
+        with pytest.raises(ParseError, match="nesting limit"):
+            parse_expr(_LEVELS[shape](3000))
 
 
 class TestEvalSemantics:

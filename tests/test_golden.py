@@ -10,8 +10,9 @@ gate fires on a real problem: a singular solve (exit 3) renders the partial
 report with no node table, and a failing verify (exit 5) renders its check
 list with ``passed`` false.
 
-Every case runs twice: in process through ``cli.main`` to stdout, and as a
-``python -m bvpseries ... --out FILE`` child whose file is compared. Where
+Every case runs twice: in process through ``cli.main`` to file descriptor
+1, and as a ``python -m bvpseries ... --out FILE`` child whose file is
+compared. Where
 numpy links an OpenBLAS that picks its kernels by CPU at run time, all
 cases also run under the default kernels and under the oldest x86-64 ones
 (no FMA): no BLAS call may change a byte.
@@ -60,13 +61,13 @@ CASES = {
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_payload_matches_golden(name, capsysbinary, monkeypatch):
+def test_payload_matches_golden(name, capfdbinary, monkeypatch):
     argv, code, patches = CASES[name]
     for module, constants in patches.items():
         for constant, value in constants.items():
             monkeypatch.setattr(f"bvpseries.{module}.{constant}", value)
     assert cli.main(argv) == code
-    assert capsysbinary.readouterr().out == (GOLDEN / name).read_bytes()
+    assert capfdbinary.readouterr().out == (GOLDEN / name).read_bytes()
 
 
 def _child_command(argv, patches):

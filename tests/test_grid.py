@@ -26,6 +26,15 @@ from bvpseries.grid import (
     tail_trapz,
 )
 
+# name -> a table file that neither the UTF-8 decoder nor the csv module
+# may turn into an error of its own; the NUL byte is a csv.Error on
+# Python 3.10 and a non-numeric row from 3.11
+MALFORMED_TABLES = {
+    "undecodable_data_row": b"0,1\n0.5,1\xe9\n1,1\n",
+    "field_over_the_csv_limit": b"0," + b"1" * 140_000 + b"\n1,1\n",
+    "nul_byte": b"0,1\n\x001,1\n",
+}
+
 
 class TestMakeGrid:
     def test_unit_interval(self):
@@ -218,6 +227,23 @@ class TestCoefficientSpec:
         p.write_text("0.0,1.0\n0.5\n")
         with pytest.raises(TableDomainError):
             CoefficientSpec.from_csv(p)
+
+    @pytest.mark.parametrize("text", [
+        b"x,\xe9t\xe9\n0.0,1.0\n1.0,3.0\n",  # a Latin-1 header stays a header
+        b"\xef\xbb\xbf0.0,1.0\n1.0,3.0\n",  # a byte order mark is not part of a row
+    ], ids=["latin1_header", "byte_order_mark"])
+    def test_from_csv_reads_utf8(self, text, tmp_path):
+        p = tmp_path / "a.csv"
+        p.write_bytes(text)
+        assert CoefficientSpec.from_csv(p).evaluate(0.5) == 2.0
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_TABLES))
+    def test_from_csv_malformed_file(self, name, tmp_path):
+        p = tmp_path / "a.csv"
+        p.write_bytes(MALFORMED_TABLES[name])
+        with pytest.raises(TableDomainError) as info:
+            CoefficientSpec.from_csv(p)
+        assert str(info.value).startswith(f"{p}: ")
 
 
 class TestSupNorm:

@@ -105,7 +105,7 @@ def test_runs_end_on_mebibyte_boundaries():
 
 
 @pytest.mark.parametrize("output_format", ["json", "csv"])
-def test_main_writes_what_render_returns(output_format, capsysbinary):
+def test_main_writes_what_render_returns(output_format, capfdbinary):
     # main writes the blocks as they are made, in runs of a megabyte or
     # more: at n = 65536 a fundamental table is several runs of many blocks
     argv = ["fundamental", *_PROBLEM, "--n", "65536", "--format", output_format]
@@ -114,7 +114,7 @@ def test_main_writes_what_render_returns(output_format, capsysbinary):
         cli.config_from_args(cli.build_parser().parse_args(argv)))
     want = _rendered(payload, table, output_format)
     assert len(want) > 5 << 20
-    assert capsysbinary.readouterr().out == want.encode()
+    assert capfdbinary.readouterr().out == want.encode()
 
 
 def _fresh_python(code, *args):
@@ -140,24 +140,25 @@ def test_import_generates_no_code_and_loads_no_csv_reader(tmp_path):
     # reader of tables, which --a-table still reaches
     table = tmp_path / "a.csv"
     table.write_text("x,a\n0,0.5\n1,0.5\n")
-    code = ("import contextlib, io, sys, bvpseries.cli as cli\n"
+    out = tmp_path / "out.json"
+    code = ("import sys, bvpseries.cli as cli\n"
             "print(sorted(m for m in ('dataclasses', 'csv') if m in sys.modules))\n"
-            "argv = ['solve', '--a-table', sys.argv[1], '--f', '1', '--x1', '1', '--n', '8']\n"
-            "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
-            "    assert cli.main(argv) == 0\n"
-            "print('csv' in sys.modules, out.getvalue().startswith('{'))")
-    assert _fresh_python(code, str(table)) == "[]\nTrue True\n"
+            "argv = ['solve', '--a-table', sys.argv[1], '--f', '1', '--x1', '1', '--n', '8',\n"
+            "        '--out', sys.argv[2]]\n"
+            "assert cli.main(argv) == 0\n"
+            "print('csv' in sys.modules)")
+    assert _fresh_python(code, str(table), str(out)) == "[]\nTrue\n"
+    assert out.read_text().startswith("{")
 
 
 def test_digit_kernel_loads_only_to_render_float_columns():
     # import bvpseries.cli neither imports shortest nor builds its tables;
     # verify, which renders no float columns, leaves it unloaded too
-    code = ("import contextlib, io, sys, bvpseries.cli as cli\n"
+    code = ("import os, sys, bvpseries.cli as cli\n"
             "loaded = ['bvpseries.shortest' in sys.modules]\n"
-            "argv = ['--a', 'sin(x)', '--f', '1', '--x1', '1', '--n', '8']\n"
+            "argv = ['--a', 'sin(x)', '--f', '1', '--x1', '1', '--n', '8', '--out', os.devnull]\n"
             "for command in ('verify', 'fundamental'):\n"
-            "    with contextlib.redirect_stdout(io.StringIO()):\n"
-            "        assert cli.main([command, *argv]) == 0\n"
+            "    assert cli.main([command, *argv]) == 0\n"
             "    loaded.append('bvpseries.shortest' in sys.modules)\n"
             "print(loaded)")
     assert _fresh_python(code) == "[False, False, True]\n"
