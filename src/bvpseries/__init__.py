@@ -19,8 +19,8 @@ _ORIGIN = {name: module for module, names in (
     ("bvp", "ProblemD SolveReport general_solution solve_problem_d wronskian_check"),
     ("checks", "Check verify"),
     ("errors", "ContractionViolation Diverged EvalError GridMismatch InvalidDomain "
-               "MaxTermsExceeded OracleSingular ParseError SingularI2 SolverError "
-               "TableDomainError UnknownFunction"),
+               "MaxTermsExceeded OracleSingular ParseError SolverError TableDomainError "
+               "UnknownFunction"),
     ("expr", "eval_expr parse_expr to_text"),
     ("grid", "CoefficientSpec SampledFn make_grid sample sup_norm"),
     ("oracle", "compare oracle_fundamental rk4_ivp"),

@@ -4,8 +4,11 @@ With the fundamental system in hand the general solution is
 u = c1*I1 + c2*I2 + F, and the mixed-endpoint normalizations of the series
 make the two-point problem trivial to pin: I2 is the only piece with a
 nonzero value at 0 and I1 the only one with a nonzero derivative at x1, so
-c2 = alpha and c1 = beta, provided I2(x1) != 0, which keeps (I1, I2) a
-genuine fundamental pair (their Wronskian is the constant -I2(x1)).
+c2 = alpha and c1 = beta: nothing is divided. (I1, I2) stays a genuine
+fundamental pair (their Wronskian is the constant -I2(x1)) because I2(x1)
+stays away from 0 for q < 1: on every a searched it was at least its value
+at a = -sup|a|, which is near 1/cosh(sqrt(2q)) and above 0.43 on every
+grid tested (tests/test_bvp.py).
 """
 
 from __future__ import annotations
@@ -15,11 +18,9 @@ import math
 import numpy as np
 
 from .checks import Check, bound_checks, ode_residual
-from .errors import GridMismatch, InvalidDomain, SingularI2
-from .grid import SampledFn, same_grid, sup_norm
+from .errors import GridMismatch, InvalidDomain
+from .grid import SampledFn, same_grid
 from .series_core import SeriesSolution, apply_B
-
-SINGULAR_REL_TOL = 1e-8
 
 
 class ProblemD:
@@ -42,20 +43,15 @@ class ProblemD:
 
 
 class SolveReport:
-    """Solution plus every diagnostic a solve produces.
-
-    On a singular solve (|I2(x1)| below the gate) the report is still built
-    for debugging, with u, du, boundary_err, residual_max, and
-    fixedpoint_err left as None.
-    """
+    """Solution plus every diagnostic a solve produces."""
 
     __slots__ = ("u", "du", "c1", "c2", "boundary_err", "residual_max",
                  "wronskian_dev", "i2_at_x1", "bound_checks", "fixedpoint_err")
 
-    def __init__(self, u: SampledFn | None, du: SampledFn | None, c1: float, c2: float,
-                 boundary_err: tuple[float, float] | None, residual_max: float | None,
+    def __init__(self, u: SampledFn, du: SampledFn, c1: float, c2: float,
+                 boundary_err: tuple[float, float], residual_max: float,
                  wronskian_dev: float, i2_at_x1: float, bound_checks: tuple[Check, ...],
-                 fixedpoint_err: float | None):
+                 fixedpoint_err: float):
         self.u = u
         self.du = du
         self.c1 = c1
@@ -122,24 +118,12 @@ def solve_problem_d(sol: SeriesSolution, prob: ProblemD) -> SolveReport:
 
     Raises
     ------
-    SingularI2
-        If |I2(x1)| <= 1e-8 * max(1, sup|I2|); the solution formula is then
-        not certified. The exception carries the partial report.
     InvalidDomain
         If alpha or beta is so large that u, u' or the residual overflows.
     """
     c1, c2 = prob.beta, prob.alpha
     _, wronskian_dev = wronskian_check(sol)
     bchecks = tuple(bound_checks(sol))
-    i2_at_x1 = sol.i2_at_x1
-    singular_tol = SINGULAR_REL_TOL * max(1.0, sup_norm(sol.I2))
-    if abs(i2_at_x1) <= singular_tol:
-        partial = SolveReport(
-            u=None, du=None, c1=c1, c2=c2, boundary_err=None, residual_max=None,
-            wronskian_dev=wronskian_dev, i2_at_x1=i2_at_x1,
-            bound_checks=bchecks, fixedpoint_err=None,
-        )
-        raise SingularI2(i2_at_x1, singular_tol, report=partial)
     # Overflow shows up as a non-finite value, which SampledFn rejects; the
     # only inputs large enough to cause it here are alpha and beta.
     try:
@@ -158,5 +142,5 @@ def solve_problem_d(sol: SeriesSolution, prob: ProblemD) -> SolveReport:
     return SolveReport(
         u=u, du=du, c1=c1, c2=c2, boundary_err=boundary_err,
         residual_max=residual_max, wronskian_dev=wronskian_dev,
-        i2_at_x1=i2_at_x1, bound_checks=bchecks, fixedpoint_err=fixedpoint_err,
+        i2_at_x1=sol.i2_at_x1, bound_checks=bchecks, fixedpoint_err=fixedpoint_err,
     )

@@ -1,7 +1,7 @@
 """Command-line frontend: solve, fundamental, and verify subcommands.
 
 Exit codes: 0 success, 2 series not certified to converge (or term cap hit),
-3 singular I2(x1), 4 bad input, 5 verification failure. Human-readable
+4 bad input, 5 verification failure (3 is no longer produced). Human-readable
 messages go to standard error; machine output (JSON or CSV) to standard
 output or --out. Output is deterministic for a fixed configuration: floats
 are serialized with their shortest round-trip representation.
@@ -60,7 +60,6 @@ from .errors import (
     InvalidDomain,
     MaxTermsExceeded,
     OracleSingular,
-    SingularI2,
     SolverError,
 )
 from .grid import CoefficientSpec, make_grid, sample_together, sup_norm
@@ -75,15 +74,22 @@ from .series_core import (
 
 EXIT_OK = 0
 EXIT_NOT_CONTRACTIVE = 2
-EXIT_SINGULAR = 3
 EXIT_BAD_INPUT = 4
 EXIT_VERIFY_FAILED = 5
 
 MAX_TERMS_ENV = "SOLVER_MAX_TERMS"
 
+
+class _Help(Exception):
+    """-h or --help was given; ``args[0]`` is the help text."""
+
+
 class _ArgumentParser(argparse.ArgumentParser):
     """argparse maps usage errors to exit code 2 by default; we reserve 2
-    for the convergence gate, so usage errors exit 4 instead.
+    for the convergence gate, so usage errors exit 4 instead. The help text
+    is not printed to ``sys.stdout`` but raised as ``_Help``, and ``main``
+    writes it to its one sink, so a stdout that cannot take it is exit 4,
+    as for any output.
 
     argparse reads ``-1`` as a value but ``-1e-3``, ``-x`` or ``-sin(x)`` as an
     unknown option; here any token with one leading '-' that is none of the
@@ -96,6 +102,9 @@ class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message):
         _say(f"{self.format_usage()}{self.prog}: error: {message}\n")
         sys.exit(EXIT_BAD_INPUT)
+
+    def print_help(self, file=None):
+        raise _Help(self.format_help())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -189,13 +198,8 @@ def _common_payload(config: argparse.Namespace, sol: SeriesSolution) -> dict:
 
 def _cmd_solve(config: argparse.Namespace):
     sol = _prepare(config)
-    code, message = EXIT_OK, None
-    try:
-        report = solve_problem_d(sol, ProblemD(config.alpha, config.beta))
-    except SingularI2 as exc:
-        report, code, message = exc.report, EXIT_SINGULAR, str(exc)
-    u = None if report.u is None else report.u.values
-    du = None if report.du is None else report.du.values
+    report = solve_problem_d(sol, ProblemD(config.alpha, config.beta))
+    u, du = report.u.values, report.du.values
     payload = _common_payload(config, sol)
     payload.update({
         "c1": float(report.c1),
@@ -204,16 +208,14 @@ def _cmd_solve(config: argparse.Namespace):
         "u": u,
         "du": du,
         "report": {
-            "boundary_err": None if report.boundary_err is None
-            else list(report.boundary_err),
+            "boundary_err": list(report.boundary_err),
             "residual_max": report.residual_max,
             "fixedpoint_err": report.fixedpoint_err,
             "wronskian_dev": report.wronskian_dev,
             "bound_checks": [_check_dict(c) for c in report.bound_checks],
         },
     })
-    columns = () if u is None else (sol.grid.nodes, u, du)
-    return payload, ("x,u,du", columns), code, message
+    return payload, ("x,u,du", (sol.grid.nodes, u, du)), EXIT_OK, None
 
 
 def _check_dict(check: Check) -> dict:
@@ -265,8 +267,7 @@ _COMMANDS = {"solve": _cmd_solve, "fundamental": _cmd_fundamental, "verify": _cm
 
 
 def _float_columns(columns) -> bool:
-    return bool(columns) and all(isinstance(c, np.ndarray) and c.dtype.kind == "f"
-                                 for c in columns)
+    return all(isinstance(c, np.ndarray) and c.dtype.kind == "f" for c in columns)
 
 
 def _pieces(payload: dict, table: tuple, output_format: str):
@@ -335,8 +336,6 @@ def _fail(exc: Exception) -> int:
     return its exit code."""
     if isinstance(exc, (ContractionViolation, MaxTermsExceeded)):
         code, message = EXIT_NOT_CONTRACTIVE, str(exc)
-    elif isinstance(exc, SingularI2):
-        code, message = EXIT_SINGULAR, str(exc)
     elif isinstance(exc, (OracleSingular, Diverged)):
         code, message = EXIT_VERIFY_FAILED, f"verification aborted: {exc}"
     else:
@@ -368,25 +367,29 @@ def run(config: argparse.Namespace) -> tuple[int, str | None]:
 
 
 def main(argv=None) -> int:
-    """Run the command line ``argv`` and return its exit code. The output
-    is written as it is rendered, a run of pieces at a time (``_runs``), so
-    the whole text is never held, as bytes to one binary sink: --out, or
-    file descriptor 1, whatever ``sys.stdout`` is (in-process callers that
-    want the text call ``run``). A stdout that was closed when the process
-    started (``sys.stdout`` is None) is not written: fd 1 may hold another
-    file by now.
-
-    Output that cannot be written (a closed stdout, a full device, a reader
-    that hung up) is bad output, exit 4, for stdout as for --out."""
-    args = build_parser().parse_args(argv)
+    """Run the command line ``argv`` and return its exit code. The output,
+    or the help text of -h or --help, goes to ``_write``'s one sink (in-process
+    callers that want the text call ``run``)."""
     try:
-        config = config_from_args(args)
+        config = config_from_args(build_parser().parse_args(argv))
+    except _Help as help_text:
+        return _write((help_text.args[0].encode(),), None, EXIT_OK)
     except (SolverError, OSError) as exc:
         return _fail(exc)
     code, pieces = _execute(config)
-    if pieces is None:
-        return code
-    sink = 1 if config.out is None else config.out
+    return code if pieces is None else _write(pieces, config.out, code)
+
+
+def _write(pieces, out: str | None, code: int) -> int:
+    """Write the pieces, bytes, as they are rendered, a run at a time
+    (``_runs``), so the whole text is never held, to one binary sink: the
+    file ``out``, or when that is None file descriptor 1, whatever
+    ``sys.stdout`` is. A stdout that was closed when the process started
+    (``sys.stdout`` is None) is not written: fd 1 may hold another file by
+    now. Returns ``code``, or 4 when the output cannot be written (a
+    closed stdout, a full device, a reader that hung up), for stdout as
+    for a file."""
+    sink = 1 if out is None else out
     try:
         if sink == 1 and sys.stdout is None:
             raise OSError(errno.EBADF, os.strerror(errno.EBADF))

@@ -88,23 +88,6 @@ class MaxTermsExceeded(SolverError):
         )
 
 
-class SingularI2(SolverError):
-    """|I2(x1)| is numerically zero, so the boundary-value formula is not certified.
-
-    The partial diagnostic report (without the solution itself) is attached as
-    ``report``.
-    """
-
-    def __init__(self, i2_at_x1: float, tol: float, report=None):
-        self.i2_at_x1 = i2_at_x1
-        self.tol = tol
-        self.report = report
-        super().__init__(
-            f"|I2(x1)| = {abs(i2_at_x1):.3e} <= {tol:.3e}; "
-            "two-point solution formula cannot be certified"
-        )
-
-
 class OracleSingular(SolverError):
     """Shooting denominator psi'(x1) is numerically zero."""
 

@@ -37,6 +37,14 @@ def _trig_combo(rng: np.random.Generator, x1: float, target_sup: float) -> Calla
     return lambda x: factor * raw(x)
 
 
+def i2_at_x1(values, x1: float = 1.0) -> float:
+    """I2(x1) for a = ``values`` at the nodes of [0, x1] (and f = 0)."""
+    g = make_grid(x1, len(values) - 1)
+    a = SampledFn(g, np.asarray(values, dtype=float))
+    zero = SampledFn(g, np.zeros(g.n + 1))
+    return fundamental_system(a, zero, contraction_ratio(sup_norm(a), x1)).i2_at_x1
+
+
 @dataclass(frozen=True)
 class RandomProblem:
     """One random solve setup, resamplable onto any grid."""

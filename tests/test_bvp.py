@@ -1,5 +1,6 @@
 """Assembly and two-point solve tests, including the diagnostic checks."""
 
+import itertools
 import math
 
 import numpy as np
@@ -20,7 +21,7 @@ from bvpseries.checks import (
     fixed_point_rounding,
     residual_checks,
 )
-from bvpseries.errors import InvalidDomain, SingularI2
+from bvpseries.errors import InvalidDomain
 from bvpseries.grid import CoefficientSpec, SampledFn, make_grid, sample, sup_norm
 from bvpseries.series_core import (
     SeriesSolution,
@@ -28,6 +29,8 @@ from bvpseries.series_core import (
     contraction_ratio,
     fundamental_system,
 )
+
+from conftest import i2_at_x1
 
 
 def _const(grid, value):
@@ -185,20 +188,27 @@ class TestProblemD:
         assert len(report.bound_checks) == 6
         assert all(c.passed for c in report.bound_checks)
 
-    def test_singular_gate(self):
-        sol = _unit_solution(n=256)
-        shifted = SampledFn(sol.grid, sol.I2.values - sol.i2_at_x1)
-        doctored = _replaced(sol, I2=shifted)
-        with pytest.raises(SingularI2) as info:
-            solve_problem_d(doctored, ProblemD(1.0, 1.0))
-        exc = info.value
-        assert exc.i2_at_x1 == 0.0
-        assert exc.report is not None
-        assert exc.report.u is None
-        assert exc.report.du is None
-        assert exc.report.boundary_err is None
-        assert exc.report.wronskian_dev >= 0.0
-        assert len(exc.report.bound_checks) == 6
+    def test_i2_at_x1_is_least_at_a_equal_minus_sup(self):
+        # c1 = beta and c2 = alpha divide by nothing, and I2(x1), the
+        # Wronskian's constant, stays away from 0: over adversarial a with
+        # sup|a| <= A = 2q on [0, 1] it is never below its value at a = -A
+        # on the same grid, which tends to 1/cosh(sqrt(2q)) and is above
+        # 0.43 even at n = 2.
+        rng = np.random.default_rng(21)
+        for q in (0.5, 0.9, 0.999):
+            big = 2.0 * q
+            for n in (2, 3, 4, 16, 256):
+                least = i2_at_x1(np.full(n + 1, -big))
+                assert 0.43 <= least < 1.0 / math.cosh(math.sqrt(2.0 * q)), (q, n)
+                if n <= 4:
+                    candidates = itertools.product((-big, 0.0, big), repeat=n + 1)
+                else:
+                    signs = [big * rng.choice((-1.0, 1.0), n + 1) for _ in range(8)]
+                    walks = [np.clip(np.cumsum(rng.normal(0.0, big / 2, n + 1)), -big, big)
+                             for _ in range(8)]
+                    candidates = signs + walks
+                for values in candidates:
+                    assert i2_at_x1(values) >= least - 1e-12, (q, n, values)
 
 
 _BOUND_FAMILY = [f"{kind}:{name}" for name in ("I1", "I2", "F")

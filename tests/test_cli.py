@@ -9,8 +9,6 @@ import numpy as np
 import pytest
 
 from bvpseries import cli, grid
-from bvpseries.bvp import SolveReport
-from bvpseries.errors import SingularI2
 from bvpseries.grid import MAX_INTERVALS
 from test_grid import MALFORMED_TABLES
 
@@ -346,23 +344,6 @@ class TestExitCodes:
         assert code == 4
         assert out == ""
         assert "memory budget" in err
-
-    def test_singular_solve(self, capfd, monkeypatch):
-        report = SolveReport(u=None, du=None, c1=1.0, c2=1.0,
-                             boundary_err=None, residual_max=None,
-                             wronskian_dev=0.0, i2_at_x1=0.0,
-                             bound_checks=(), fixedpoint_err=None)
-
-        def fake_solve(sol, prob):
-            raise SingularI2(0.0, 1e-8, report=report)
-
-        monkeypatch.setattr(cli, "solve_problem_d", fake_solve)
-        code, out, err = run_main(capfd, "solve", "--a", "1", "--f", "0",
-                                  "--x1", "1", "--n", "16")
-        assert code == 3
-        payload = json.loads(out)
-        assert payload["u"] is None
-        assert "cannot be certified" in err
 
     @pytest.mark.parametrize("args", [
         ("solve", "--a", "2*", "--f", "0", "--x1", "1"),

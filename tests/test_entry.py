@@ -194,6 +194,35 @@ def test_stdout_on_a_full_device_exits_4_with_one_line(launcher, argv):
     assert (r.returncode, r.stderr) == (4, _cannot_write(errno.ENOSPC) + "\n")
 
 
+# -h and --help: the help text goes to the same sink as any output, so a
+# stdout that cannot take it is one line and exit 4, through either
+# launcher; a writable stdout gets argparse's text, exit 0.
+@pytest.mark.parametrize("launcher", [["-m", "bvpseries"], _SYS_EXIT])
+@pytest.mark.parametrize("argv", [["--help"], ["solve", "-h"]])
+@pytest.mark.parametrize("stdout", ["pipe", "full", "closed"])
+def test_help_goes_to_the_one_sink(launcher, argv, stdout, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps the text to it
+    command, env = [sys.executable, *launcher, *argv], {**_ENV, "COLUMNS": "80"}
+    if stdout == "pipe":
+        r = subprocess.run(command, capture_output=True, env=env, timeout=120)
+        with pytest.raises(cli._Help) as text:  # argparse's format_help
+            cli.build_parser().parse_args(argv)
+        assert (r.returncode, r.stderr, r.stdout) == (0, b"", text.value.args[0].encode())
+        return
+    if stdout == "closed":
+        r = subprocess.run(command, stderr=subprocess.PIPE, preexec_fn=lambda: os.close(1),
+                           env=env, timeout=120)
+        want = errno.EBADF
+    elif not os.path.exists("/dev/full"):
+        pytest.skip("needs /dev/full")
+    else:
+        with open("/dev/full", "wb") as full:
+            r = subprocess.run(command, stdout=full, stderr=subprocess.PIPE, env=env,
+                               timeout=120)
+        want = errno.ENOSPC
+    assert (r.returncode, r.stderr.decode()) == (4, _cannot_write(want) + "\n")
+
+
 def _command(launcher, argv, patches):
     """``python -m bvpseries ARGV`` (launcher "module") or
     ``sys.exit(cli.main())`` ("sys_exit"), with the patches, {module:
@@ -368,7 +397,7 @@ def test_import_loads_no_numpy_and_every_name_resolves():
             "print(len(names), all(globals()[n] is getattr(bvpseries, n) for n in names),\n"
             "      set(names) <= set(dir(bvpseries)), 'numpy' in sys.modules)")
     r = _python(["-c", code])
-    assert (r.returncode, r.stderr, r.stdout) == (0, "", "False\n34 True True True\n")
+    assert (r.returncode, r.stderr, r.stdout) == (0, "", "False\n33 True True True\n")
 
 
 def test_import_and_main_leave_the_allocator_alone(tmp_path):
