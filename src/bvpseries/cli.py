@@ -22,11 +22,11 @@ it; ``run`` joins the blocks and decodes them once for in-process callers
 that want the text.
 
 a and f are sampled together, at the grid nodes, as one program of their
-distinct subtrees (``grid.sample_together``); on any error they are
-sampled one at a time, a first, so every message and exit code is the
-one-at-a-time one. verify's RK4 oracle steps on node pairs, so it needs no
-samples beyond the nodes; it runs in this process, after the series and
-the solve.
+distinct subtrees (``grid.sample_together``). That one run names its own
+errors, a's before f's, so every message and exit code is the one that
+sampling a and then f one at a time would give. verify's RK4 oracle steps
+on node pairs, so it needs no samples beyond the nodes; it runs in this
+process, after the series and the solve.
 
 Every failure that ends a run before any output has its exit code and
 message in ``_fail``, and every ``bvpseries:`` line goes through ``_say``,

@@ -19,19 +19,28 @@ Nothing in the package changes a parsed tree after it is built, and
 evaluation is pure, so a single Expr can be evaluated concurrently from many
 threads. Trees compare and hash by structure (``Expr.__eq__``).
 
-``eval_arrays`` evaluates one or more trees over an array of points and
-gives, bit for bit, what ``eval_expr`` gives at each of them. It compiles
+There is one evaluator. ``eval_arrays`` evaluates one or more trees over
+an array of points, and ``eval_expr`` is its one-point call. It compiles
 the trees into one straight-line program of their distinct subtrees
 (hash-consing on the operator and the children's step numbers, constants
 on their bits), so a subtree the trees share runs once per point for all
 of them: with f = u'' + a*u, each sin, cos or exp of a and of u runs once,
-not twice.
+not twice. ``+ - * /``, unary minus, ``abs`` and ``sqrt`` run as numpy
+ufuncs, which round as the Python float operations do; the other
+functions and ``^`` are "math" steps, which call the ``math`` function
+point by point. So every value is, bit for bit, what a walk of the tree
+node by node in Python floats and ``math`` gives. A block that leaves the
+finite reals names each failing tree's error from its own values: the
+tree's first failing point, and there the first failing sub-expression in
+the tree's post-order, where that walk would stop.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
+from functools import partial
 
 import numpy as np
 
@@ -49,14 +58,18 @@ _FUNC_IMPL = {
     "tanh": math.tanh,
 }
 
+# The Python float operation of each operator, as a function.
+_OPERATORS = {"neg": operator.neg, "+": operator.add, "-": operator.sub,
+              "*": operator.mul, "/": operator.truediv, "^": math.pow}
+
 # Operations whose numpy ufunc rounds exactly as the Python float operation
 # does (IEEE-754 requires correct rounding for them). The other functions and
 # ^ go through the math module point by point: numpy's exp, tanh, log and
 # power differ from libm in the last bit at some points.
-_ARRAY_UNARY = {"neg": np.negative, "abs": np.abs, "sqrt": np.sqrt}
-_ARRAY_BINARY = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}
+_UFUNCS = {"neg": np.negative, "abs": np.abs, "sqrt": np.sqrt,
+           "+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}
 
-# Points per block in eval_arrays; keeps each temporary at 32 KiB.
+# Points per block of the program; keeps each step's row at 32 KiB.
 EVAL_BLOCK = 4096
 
 _MAX_DEPTH = 100
@@ -304,7 +317,8 @@ def parse_expr(text) -> Expr:
 
 
 def eval_expr(e: Expr, x: float) -> float:
-    """Evaluate an expression tree at a point, in IEEE-754 double arithmetic.
+    """Evaluate an expression tree at a point, in IEEE-754 double arithmetic:
+    the one-point call of ``eval_arrays``.
 
     Raises
     ------
@@ -313,153 +327,157 @@ def eval_expr(e: Expr, x: float) -> float:
         log or sqrt of a negative number, division by zero, or a negative
         base raised to a non-integer power. Its ``x`` is the point.
     """
-    if isinstance(e, Const):
-        value = e.value
-    elif isinstance(e, Var):
-        value = float(x)
-    elif isinstance(e, Unary):
-        arg = eval_expr(e.arg, x)
-        if e.op == "neg":
-            value = -arg
-        else:
-            try:
-                value = _FUNC_IMPL[e.op](arg)
-            except (ValueError, OverflowError) as exc:
-                raise EvalError(f"{e.op}({arg!r}) is undefined: {exc}", x) from None
-    elif isinstance(e, Binary):
-        lhs = eval_expr(e.lhs, x)
-        rhs = eval_expr(e.rhs, x)
-        try:
-            if e.op == "+":
-                value = lhs + rhs
-            elif e.op == "-":
-                value = lhs - rhs
-            elif e.op == "*":
-                value = lhs * rhs
-            elif e.op == "/":
-                value = lhs / rhs
-            else:
-                value = math.pow(lhs, rhs)
-        except ZeroDivisionError:
-            raise EvalError(f"division by zero at x = {x!r}", x) from None
-        except (ValueError, OverflowError) as exc:
-            raise EvalError(f"{lhs!r} ^ {rhs!r} is undefined: {exc}", x) from None
-    else:
-        raise TypeError(f"not an Expr node: {e!r}")
-    if not math.isfinite(value):
-        raise EvalError(f"non-finite intermediate value {value!r} at x = {x!r}", x)
-    return value
+    return float(eval_arrays([e], [x])[0][0])
 
 
-class _NonFinite(Exception):
-    """A block left the finite reals; eval_expr names where."""
+def _or_nan(fn, *args) -> float:
+    """``fn(*args)``, or NaN where it raises."""
+    try:
+        return fn(*args)
+    except (ValueError, OverflowError):
+        return math.nan
 
 
 def _pointwise(fn, *args: np.ndarray) -> np.ndarray:
-    """Apply a scalar math function to each point, as eval_expr does.
+    """Apply a scalar math function to each point, NaN where it raises.
     Iterating a memoryview yields the same Python floats as ``tolist``
     without building the list."""
-    return np.fromiter(map(fn, *map(memoryview, args)), float, len(args[0]))
+    views = [memoryview(arg) for arg in args]
+    try:
+        return np.fromiter(map(fn, *views), float, len(args[0]))
+    except (ValueError, OverflowError):
+        return np.fromiter(map(partial(_or_nan, fn), *views), float, len(args[0]))
 
 
-def _compile(trees, width: int) -> tuple[list, list[int]]:
-    """The distinct subtrees of ``trees`` as one straight-line program over
-    blocks of at most ``width`` points.
+def _compile(trees) -> tuple[list, list[list[int]]]:
+    """The distinct subtrees of ``trees`` as one straight-line program.
 
-    Each step is ``(op, payload, args)``: args are the indices of earlier
-    steps, and payload is the constant over a whole block for "const", the
-    ufunc for the operations numpy rounds as Python does, or the math
-    function applied point by point. Steps are found by hash-consing on the operator and the
-    indices of the children, so a subtree that recurs, within one tree or
-    across trees, is one step. Constants are keyed on their bits
-    (``float.hex``), not on ``==``, which would merge 0.0 with -0.0. Returns
-    the steps and the index of each tree's root.
+    Each step is ``(op, payload, args)``: op is "x", "const" or the node's
+    operator, args are the indices of earlier steps, and payload is the
+    constant for "const", None for "x", else the Python float operation
+    the step computes (``_FUNC_IMPL`` or ``_OPERATORS``). Steps are found
+    by hash-consing on the operator and the indices of the children, so a
+    subtree that recurs, within one tree or across trees, is one step. Constants are keyed on their bits (``float.hex``), not on
+    ``==``, which would merge 0.0 with -0.0. Returns the steps and, for
+    each tree, the steps it runs in its post-order, each once, so its root
+    is its last.
     """
     steps, index = [], {}
 
-    def visit(e) -> int:
+    def visit(e, order: list) -> int:
         if isinstance(e, Const):
             key = ("const", float(e.value).hex())
-            step = ("const", np.full(width, float(e.value)), ())
+            step = ("const", float(e.value), ())
         elif isinstance(e, Var):
             key = step = ("x", None, ())
-        elif isinstance(e, Unary):
-            args = (visit(e.arg),)
+        elif isinstance(e, (Unary, Binary)):
+            children = (e.arg,) if isinstance(e, Unary) else (e.lhs, e.rhs)
+            args = tuple([visit(child, order) for child in children])
             key = (e.op, args)
-            if e.op in _ARRAY_UNARY:
-                step = ("ufunc", _ARRAY_UNARY[e.op], args)
-            else:
-                step = ("math", _FUNC_IMPL[e.op], args)
-        elif isinstance(e, Binary):
-            args = (visit(e.lhs), visit(e.rhs))
-            key = (e.op, args)
-            if e.op == "^":
-                step = ("math", math.pow, args)
-            else:
-                step = ("ufunc", _ARRAY_BINARY[e.op], args)
+            step = (e.op, _FUNC_IMPL.get(e.op) or _OPERATORS[e.op], args)
         else:
             raise TypeError(f"not an Expr node: {e!r}")
         if key not in index:
             index[key] = len(steps)
             steps.append(step)
+        order.append(index[key])
         return index[key]
 
-    return steps, [visit(tree) for tree in trees]
+    orders = []
+    for tree in trees:
+        visit(tree, order := [])
+        orders.append(list(dict.fromkeys(order)))
+    return steps, orders
 
 
-def _run_block(steps, xs: np.ndarray) -> list:
-    """Every step's values over one block of points. No step's array is
-    written after it is made, since later steps may share it."""
-    values = []
-    for op, payload, args in steps:
+def _run_block(steps, xs: np.ndarray) -> np.ndarray:
+    """Every step's values over one block of points, a row per step, not
+    finite where the step leaves the finite reals."""
+    values = np.empty((len(steps), len(xs)))
+    for row, (op, payload, args) in zip(values, steps):
         if op == "x":
-            value = xs
+            row[:] = xs
         elif op == "const":
-            value = payload[:len(xs)]
-        elif op == "ufunc":
-            value = payload(*(values[i] for i in args))
-        else:  # finite in, finite out, or the math function raises
-            values.append(_pointwise(payload, *(values[i] for i in args)))
-            continue
-        if not np.isfinite(value).all():
-            raise _NonFinite
-        values.append(value)
+            row[:] = payload
+        elif op in _UFUNCS:
+            _UFUNCS[op](*(values[i] for i in args), out=row)
+        else:
+            row[:] = _pointwise(payload, *(values[i] for i in args))
     return values
+
+
+def _failure(steps, failing: list[int], values: np.ndarray, finite: np.ndarray,
+             xs: np.ndarray) -> EvalError:
+    """The error of a tree whose steps ``failing``, in its post-order, are
+    not finite somewhere in the block. A walk of the tree stops at its
+    first failing point, at the first of these steps not finite there,
+    whose operands are finite; one scalar call of its operation names it.
+    """
+    point = int(np.argmin(finite[failing].all(axis=0)))
+    step = next(i for i in failing if not finite[i, point])
+    op, fn, args = steps[step]
+    x = float(xs[point])
+    operands = [float(values[i, point]) for i in args]
+    try:
+        value = fn(*operands) if args else float(values[step, point])
+    except ZeroDivisionError:
+        return EvalError(f"division by zero at x = {x!r}", x)
+    except (ValueError, OverflowError) as exc:
+        call = f"{op}({operands[0]!r})" if len(args) == 1 else f"{operands[0]!r} ^ {operands[1]!r}"
+        return EvalError(f"{call} is undefined: {exc}", x)
+    return EvalError(f"non-finite intermediate value {value!r} at x = {x!r}", x)
+
+
+def _eval_each(trees, xs) -> list:
+    """Each tree's values at every point of the 1-D array ``xs``, or the
+    EvalError that evaluating that tree alone raises.
+
+    The trees are compiled into one program of their distinct subtrees
+    (``_compile``), which runs once per block of EVAL_BLOCK points. A tree
+    that leaves the finite reals in a block gets the error of its first
+    failing point there (``_failure``), and no later block changes it.
+    """
+    xs = np.asarray(xs, dtype=float)
+    steps, orders = _compile(trees)
+    outs = [np.empty(len(xs)) for _ in orders]
+    with np.errstate(all="ignore"):
+        for start in range(0, len(xs), EVAL_BLOCK):
+            block = xs[start:start + EVAL_BLOCK]
+            values = _run_block(steps, block)
+            finite = np.isfinite(values)
+            bad = ~finite.all(axis=1)
+            for t, order in enumerate(orders):
+                if isinstance(outs[t], EvalError):
+                    continue
+                failing = [i for i in order if bad[i]]
+                if failing:
+                    outs[t] = _failure(steps, failing, values, finite, block)
+                else:
+                    outs[t][start:start + len(block)] = values[order[-1]]
+    return outs
 
 
 def eval_arrays(trees, xs) -> list[np.ndarray]:
     """Evaluate expression trees at every point of a 1-D array.
 
-    The trees are compiled into one program of their distinct subtrees
-    (``_compile``), which runs once per block of EVAL_BLOCK points, so a
-    subtree that several trees share, above all a ``sin cos exp log tanh``
-    or ``^``, is evaluated once per point for all of them. Each value is
-    bit-identical to ``eval_expr(tree, x)`` at the same point.
+    The trees run as one program of their distinct subtrees
+    (``_compile``), once per block of EVAL_BLOCK points, so a subtree that
+    several trees share, above all a ``sin cos exp log tanh`` or ``^``, is
+    evaluated once per point for all of them. Each value is what the
+    Python float operations and the ``math`` functions give, subtree by
+    subtree, at that point.
 
     Raises
     ------
     EvalError
-        The error ``eval_expr`` raises at the first point of a failing
-        block, for the first tree that fails there: a block that leaves the
-        finite reals, or whose math call raises, is walked again point by
-        point with ``eval_expr``. With several trees, that need not be the
-        error the trees would raise one at a time; callers that must
-        blame the first failing tree evaluate them one at a time on error.
+        The error that evaluating the trees one at a time would raise: that
+        of the first failing tree, at its first failing point, for the
+        first failing sub-expression there in the tree's post-order.
     """
-    xs = np.asarray(xs, dtype=float)
-    steps, roots = _compile(trees, min(len(xs), EVAL_BLOCK))
-    outs = [np.empty(len(xs)) for _ in roots]
-    with np.errstate(all="ignore"):
-        for start in range(0, len(xs), EVAL_BLOCK):
-            block = xs[start:start + EVAL_BLOCK]
-            try:
-                values = _run_block(steps, block)
-                rows = [values[root] for root in roots]
-            except (_NonFinite, ValueError, OverflowError):
-                points = block.tolist()
-                rows = [[eval_expr(tree, x) for x in points] for tree in trees]
-            for out, row in zip(outs, rows):
-                out[start:start + len(block)] = row
+    outs = _eval_each(trees, xs)
+    for out in outs:
+        if isinstance(out, EvalError):
+            raise out
     return outs
 
 
@@ -474,6 +492,7 @@ def _render(e: Expr) -> tuple[str, int]:
     if isinstance(e, Const):
         v = float(e.value)
         text = repr(int(v)) if v.is_integer() and abs(v) < 1e16 else repr(v)
+        text = text.replace("inf", "1e999")  # a literal that overflows back to it
         if text == "0" and math.copysign(1.0, v) < 0.0:
             text = "-0"  # int() drops the sign; "-0" parses to -(0) = -0.0
         return text, _LEVEL_NEG if text.startswith("-") else _LEVEL_ATOM

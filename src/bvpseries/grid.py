@@ -20,7 +20,8 @@ import sys
 import numpy as np
 
 from .errors import EvalError, InvalidDomain, TableDomainError
-from .expr import Expr, eval_arrays, eval_expr, parse_expr
+from .expr import Expr, _eval_each, eval_arrays, parse_expr
+from .expr import eval_expr  # unused here; bench/traced_op.py wraps grid.eval_expr
 
 # Largest interval count a grid accepts. A run's peak resident memory is
 # about 31 MiB plus 0.1 KiB per node at worst (fundamental, the largest
@@ -192,73 +193,70 @@ class CoefficientSpec:
                 )
 
     def evaluate(self, x):
-        """Value at a point, or values at every point of a 1-D ndarray.
+        """Value at a point, or values at every point of a 1-D ndarray; a
+        point is evaluated as the array of that one point.
 
-        Tables are interpolated linearly. An expression evaluated over an
-        ndarray gives, bit for bit, its values at each point as a float
-        (``expr.eval_arrays``).
+        Tables are interpolated linearly. Expressions run as one program
+        over the points (``expr.eval_arrays``).
 
         Raises
         ------
         EvalError
             If the expression leaves the finite reals at (one of) the points.
         TableDomainError
-            If a point lies outside the table span.
+            If a point lies outside the table span or is not finite.
         """
-        array = isinstance(x, np.ndarray)
+        xs = x if isinstance(x, np.ndarray) else np.array([x], dtype=float)
         if self._expr is not None:
-            return eval_arrays([self._expr], x)[0] if array else eval_expr(self._expr, x)
-        xs, values = self._table
-        outside = (x < xs[0]) | (x > xs[-1])
-        if np.any(outside):
-            first = x[outside][0] if array else x
-            raise TableDomainError(f"x = {first} outside table span [{xs[0]}, {xs[-1]}]")
-        return np.interp(x, xs, values) if array else float(np.interp(x, xs, values))
+            values = eval_arrays([self._expr], xs)[0]
+        else:
+            lo, hi = self._table[0][[0, -1]]
+            outside = ~((xs >= lo) & (xs <= hi))  # NaN compares False: outside
+            if outside.any():
+                raise TableDomainError(f"x = {xs[outside][0]} outside table span [{lo}, {hi}]")
+            values = np.interp(xs, *self._table)
+        return values if xs is x else float(values[0])
 
 
 def sample(spec: CoefficientSpec, grid: Grid) -> SampledFn:
-    """Discretize a coefficient spec onto grid nodes.
+    """Discretize a coefficient spec onto grid nodes:
+    ``sample_together((spec,), grid)[0]``."""
+    return sample_together((spec,), grid)[0]
 
-    Tabulated specs are linearly interpolated onto the nodes; expression
-    specs are evaluated over the whole node array at once, each node value
-    bit-identical to the scalar evaluation at that node.
+
+def sample_together(specs, grid: Grid) -> list[SampledFn]:
+    """Discretize coefficient specs onto grid nodes, value for value and
+    error for error as sampling each alone, with the expressions among them
+    evaluated as one program (``expr._eval_each``): a subtree they share
+    runs once per node.
+
+    The specs are taken once, in order. A table checks its span and is
+    interpolated linearly onto the nodes. An expression takes its values
+    from the joint run, or raises the error it would raise alone, so the
+    error is the first failing spec's.
 
     Raises
     ------
     EvalError
-        Propagated from expression evaluation, tagged with the first node
-        where it fails.
+        If an expression leaves the finite reals at a node; the message
+        names the spec's source and the first node where it fails.
     TableDomainError
         If a table does not span [0, x1].
     """
-    spec.check_span(grid.x1)
-    try:
-        values = spec.evaluate(grid.nodes)
-    except EvalError as exc:  # raised at the first node that fails
-        raise EvalError(f"{spec.source!r} at x = {exc.x}: {exc}", exc.x) from exc
-    return SampledFn(grid, values)
-
-
-def sample_together(specs, grid: Grid) -> list[SampledFn]:
-    """``[sample(spec, grid) for spec in specs]``, value for value and error
-    for error, with the expressions among the specs evaluated as one program
-    (``expr.eval_arrays``): a subtree they share runs once per node.
-
-    The joint run only ever supplies values. If a table does not span
-    [0, x1] or the joint run fails anywhere, the specs are sampled one at a
-    time, in order, so the error is the first failing spec's, as it would
-    be without the joint run.
-    """
-    try:
-        for spec in specs:
+    joint = iter(_eval_each([spec._expr for spec in specs if spec._expr is not None],
+                            grid.nodes))
+    sampled = []
+    for spec in specs:
+        if spec._expr is None:
             spec.check_span(grid.x1)
-        joint = iter(eval_arrays([spec._expr for spec in specs if spec._expr is not None],
-                                 grid.nodes))
-        values = [spec.evaluate(grid.nodes) if spec._expr is None else next(joint)
-                  for spec in specs]
-    except (EvalError, TableDomainError):
-        return [sample(spec, grid) for spec in specs]
-    return [SampledFn(grid, v) for v in values]
+            values = spec.evaluate(grid.nodes)
+        else:
+            values = next(joint)
+            if isinstance(values, EvalError):
+                raise EvalError(f"{spec.source!r} at x = {values.x}: {values}",
+                                values.x) from values
+        sampled.append(SampledFn(grid, values))
+    return sampled
 
 
 def sup_norm(u: SampledFn) -> float:

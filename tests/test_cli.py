@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from bvpseries import cli, grid
+from bvpseries import cli, expr, grid
 from bvpseries.grid import MAX_INTERVALS
 from test_grid import MALFORMED_TABLES
 
@@ -178,14 +178,15 @@ class TestVerify:
         # the oracle steps on node pairs: a and f are evaluated, as one
         # program, at the n + 1 nodes and nowhere else
         sizes = []
-        joint = grid.eval_arrays
+        joint = grid._eval_each
 
         def spy(exprs, xs):
             sizes.append((len(exprs), len(xs)))
             return joint(exprs, xs)
 
-        monkeypatch.setattr(grid, "eval_arrays", spy)
-        monkeypatch.setattr(grid, "eval_expr", None)  # no scalar evaluation either
+        monkeypatch.setattr(grid, "_eval_each", spy)
+        # nothing else evaluates, at a point or over an array
+        monkeypatch.setattr(expr, "_eval_each", None)
         code, out, _ = run_main(capfd, "verify", "--a", "sin(x)", "--f", "exp(-x)",
                                 "--x1", "0.9", "--n", str(n))
         assert code == 0

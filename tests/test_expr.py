@@ -1,4 +1,8 @@
-"""Parser, evaluator, and printer tests for the expression language."""
+"""Parser, evaluator, and printer tests for the expression language.
+
+Every value and error of the block program is held, bit for bit and
+message for message, to the node-by-node walk in ``expr_walk``.
+"""
 
 import math
 
@@ -13,6 +17,7 @@ from bvpseries.expr import (
     FUNCTIONS,
     Binary,
     Const,
+    Expr,
     Unary,
     Var,
     eval_arrays,
@@ -20,8 +25,18 @@ from bvpseries.expr import (
     parse_expr,
     to_text,
 )
-from bvpseries.errors import EvalError, ParseError, UnknownFunction
+from bvpseries.errors import EvalError, ParseError, TableDomainError, UnknownFunction
 from bvpseries.grid import CoefficientSpec, make_grid, sample, sample_together
+from expr_walk import sample_alone, walk
+
+
+def _outcome(call, *args):
+    """What a call gives, compared bit for bit: the bytes of its values, or
+    its error's class, message and x."""
+    try:
+        return np.asarray(call(*args), dtype=float).tobytes()
+    except (EvalError, TableDomainError) as exc:
+        return type(exc), str(exc), repr(getattr(exc, "x", None))
 
 
 def _nested_sums(levels: int) -> str:
@@ -171,7 +186,7 @@ class TestParseErrors:
     @pytest.mark.parametrize("shape", sorted(_LEVELS))
     def test_depth_limit_counts_every_level(self, shape):
         deepest = parse_expr(_LEVELS[shape](expr._MAX_DEPTH - 1))
-        assert eval_expr(deepest, 0.5) == eval_arrays([deepest], np.array([0.5]))[0][0]
+        assert _outcome(eval_expr, deepest, 0.5) == _outcome(walk, deepest, 0.5)
         assert parse_expr(to_text(deepest)) == deepest
         assert repr(deepest) and hash(deepest) is not None
         with pytest.raises(ParseError, match="nesting limit"):
@@ -245,10 +260,20 @@ class TestPrinter:
     def test_negative_zero_keeps_its_sign(self):
         for tree in (Const(-0.0), Binary("*", Var(), Const(-0.0)),
                      Binary("^", Const(-0.0), Const(3.0))):
-            want = eval_expr(tree, 0.5)
+            want = walk(tree, 0.5)
             got = eval_expr(parse_expr(to_text(tree)), 0.5)
             assert math.copysign(1.0, got) == math.copysign(1.0, want) == -1.0
         assert math.copysign(1.0, eval_expr(parse_expr(to_text(Const(0.0))), 0.5)) == 1.0
+
+    def test_infinite_constant_prints_as_a_literal_that_overflows(self):
+        # "inf" would re-parse as an unknown function
+        assert to_text(parse_expr("1e999")) == "1e999"
+        assert parse_expr(to_text(parse_expr("1e999"))) == Const(math.inf)
+        assert to_text(Const(-math.inf)) == "-1e999"
+        assert to_text(Binary("*", Var(), Const(-math.inf))) == "x*-1e999"
+        for tree in (Const(math.inf), Const(-math.inf), Binary("+", Var(), Const(-math.inf))):
+            with pytest.raises(EvalError, match="non-finite intermediate value inf at x = 0.5"):
+                eval_expr(parse_expr(to_text(tree)), 0.5)
 
 
 _const = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False,
@@ -317,50 +342,48 @@ class TestFuzz:
     @given(_ast, st.floats(min_value=0.0, max_value=2.0, allow_nan=False))
     @settings(max_examples=300, deadline=None)
     def test_print_parse_round_trip(self, tree, x):
-        reparsed = parse_expr(to_text(tree))
-        try:
-            want = eval_expr(tree, x)
-        except EvalError:
-            with pytest.raises(EvalError):
-                eval_expr(reparsed, x)
-            return
-        assert eval_expr(reparsed, x) == want
+        # the one-point call gives the walk's bits or its error, and so
+        # does the re-parsed tree
+        want = _outcome(walk, tree, x)
+        assert _outcome(eval_expr, tree, x) == want
+        assert _outcome(eval_expr, parse_expr(to_text(tree)), x) == want
 
     @given(_ast, st.sampled_from([2, 7, 100, EVAL_BLOCK + 3]), st.floats(0.1, 3.0))
     @settings(max_examples=200, deadline=None)
     def test_array_evaluation_is_bit_identical(self, tree, n, x1):
-        # whole-array evaluation gives the scalar walk's bits at every node,
-        # or sample fails with the scalar walk's message
+        # whole-array evaluation gives the walk's bits at every node, or
+        # fails with the walk's error at the first node that fails
         spec = CoefficientSpec(tree, to_text(tree), None)
         grid = make_grid(x1, n)
-        try:
-            want = np.array([eval_expr(tree, x) for x in grid.nodes.tolist()])
-        except EvalError:
-            for x in grid.nodes:
-                try:
-                    eval_expr(tree, float(x))
-                except EvalError as exc:
-                    message = f"{spec.source!r} at x = {x}: {exc}"
-                    break
-            with pytest.raises(EvalError) as info:
-                sample(spec, grid)
-            assert str(info.value) == message
-            return
-        got = spec.evaluate(grid.nodes)
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))
-        assert np.array_equal(sample(spec, grid).values.view(np.int64), want.view(np.int64))
+        nodes = grid.nodes.tolist()
+        want = _outcome(lambda: [walk(tree, x) for x in nodes])
+        assert _outcome(spec.evaluate, grid.nodes) == want
+        assert _outcome(lambda: sample(spec, grid).values) == _outcome(sample_alone, spec, grid)
 
 
 def _bits(values):
     return np.asarray(values, dtype=float).view(np.int64)
 
 
-def _sequential(specs, grid):
-    """What sampling the specs one at a time gives: values or the error."""
-    try:
-        return [sample(spec, grid).values for spec in specs]
-    except EvalError as exc:
-        return str(exc)
+def _alone(specs, grid):
+    """Sampling the specs one at a time by the walk, as ``_outcome``."""
+    return _outcome(lambda: [sample_alone(spec, grid) for spec in specs])
+
+
+def _together(specs, grid):
+    return _outcome(lambda: [s.values for s in sample_together(specs, grid)])
+
+
+def _raised(value):
+    if isinstance(value, EvalError):
+        raise value
+    return value
+
+
+# (start, span over x1, values) of a table: it covers [0, x1] only from
+# start 0 with a span of at least 1
+_table = st.tuples(st.sampled_from([0.0, 0.25]), st.sampled_from([0.5, 1.0, 1.5]),
+                   st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=5))
 
 
 class TestSharedProgram:
@@ -372,23 +395,33 @@ class TestSharedProgram:
     @settings(max_examples=200, deadline=None)
     def test_shared_subtrees_keep_the_scalar_bits(self, shared, left, right, fn, op, n, x1):
         # a and f both hold `shared`, f twice and under a function, the way
-        # f = u'' + a*u repeats a and each sin(k*x + p) of u
+        # f = u'' + a*u repeats a and each sin(k*x + p) of u; f's own term
+        # comes first, so its post-order is not the order of its steps
         a = Binary(op, left, shared)
-        f = Binary("+", Binary("*", a, Unary(fn, shared)), Binary(op, shared, right))
+        f = Binary("+", Binary(op, right, shared), Binary("*", a, Unary(fn, shared)))
         specs = [CoefficientSpec(tree, to_text(tree), None) for tree in (a, f)]
         grid = make_grid(x1, n)
-        want = _sequential(specs, grid)
-        try:
-            got = [s.values for s in sample_together(specs, grid)]
-        except EvalError as exc:
-            got = str(exc)
-        if isinstance(want, str):
-            assert got == want
-            return
-        for tree, values, other in zip((a, f), got, want):
-            scalar = [eval_expr(tree, x) for x in grid.nodes.tolist()]
-            assert np.array_equal(_bits(values), _bits(scalar))
-            assert np.array_equal(_bits(values), _bits(other))
+        nodes = grid.nodes.tolist()
+        assert _together(specs, grid) == _alone(specs, grid)
+        # the joint run raises the first tree's error, as one at a time,
+        # and holds each tree's own error, as alone
+        assert (_outcome(eval_arrays, (a, f), grid.nodes)
+                == _outcome(lambda: [[walk(tree, x) for x in nodes] for tree in (a, f)]))
+        for tree, got in zip((a, f), expr._eval_each((a, f), grid.nodes)):
+            assert (_outcome(lambda: _raised(got))
+                    == _outcome(lambda: [walk(tree, x) for x in nodes]))
+
+    @given(st.lists(st.one_of(_ast, _table), min_size=1, max_size=4),
+           st.sampled_from([2, 7, 100, EVAL_BLOCK + 3]), st.floats(0.1, 3.0))
+    @settings(max_examples=200, deadline=None)
+    def test_mixed_specs_sample_as_one_at_a_time(self, drawn, n, x1):
+        # tables and expressions in any order: the error is the first
+        # failing spec's, a table's span or an expression's first node
+        specs = [CoefficientSpec(d, to_text(d), None) if isinstance(d, Expr)
+                 else CoefficientSpec.table(np.linspace(d[0], d[0] + d[1] * x1, len(d[2])), d[2])
+                 for d in drawn]
+        grid = make_grid(x1, n)
+        assert _together(specs, grid) == _alone(specs, grid)
 
     def test_signed_zero_constants_stay_apart(self):
         # the nodes compare equal, so a program keyed on == would
@@ -405,15 +438,15 @@ class TestSharedProgram:
         assert np.array_equal(_bits(got_pos), _bits([0.0] * 3))
 
     def test_shared_steps_are_not_written_in_place(self):
-        # x is the block itself; a step that wrote into it would change x
-        # for every later step and for the caller's array
+        # a step that wrote into x's row, or into the caller's array, would
+        # change x for every later step and for the caller
         xs = np.linspace(0.0, 1.0, 9)
         before = xs.copy()
         trees = [parse_expr(t) for t in ("x", "-x", "x + 1", "abs(x - 0.5)", "x")]
         got = eval_arrays(trees, xs)
         assert np.array_equal(xs, before)
         for tree, values in zip(trees, got):
-            assert np.array_equal(_bits(values), _bits([eval_expr(tree, x) for x in xs.tolist()]))
+            assert np.array_equal(_bits(values), _bits([walk(tree, x) for x in xs.tolist()]))
 
     def test_each_distinct_function_call_runs_once_per_point(self, monkeypatch):
         # a verify-fine-shaped pair: a has two terms, u two terms, and
@@ -427,9 +460,9 @@ class TestSharedProgram:
             fn = expr._FUNC_IMPL[name]
             monkeypatch.setitem(expr._FUNC_IMPL, name,
                                 lambda x, fn=fn, name=name: calls.append(name) or fn(x))
-        for spec in specs:  # the scalar walk calls each occurrence
+        for spec in specs:  # a point runs the program, once per distinct call
             spec.evaluate(0.5)
-        assert len(calls) == 8
+        assert sorted(calls) == sorted(["sin", "cos"] + ["sin", "cos", "sin", "exp"])
         calls.clear()
         grid = make_grid(1.2, 100)
         sample_together(specs, grid)

@@ -13,7 +13,6 @@ from bvpseries.errors import (
     TableDomainError,
 )
 from bvpseries import expr, grid
-from bvpseries.expr import EVAL_BLOCK
 from bvpseries.grid import (
     MAX_INTERVALS,
     CoefficientSpec,
@@ -138,28 +137,23 @@ class TestCoefficientSpec:
         assert info.value.x == 0.5
 
     def test_eval_error_names_the_node_without_a_second_walk(self, monkeypatch):
-        # the failure is at the last node: the array walk has already found
-        # it, so sampling must not evaluate every node again point by point
+        # the failure is at the last node: the array run names it from its
+        # own values, so each node is evaluated once, in that run, and no
+        # point is evaluated outside it
         points = []
-        depth = 0
-        original = expr.eval_expr
+        run_block = expr._run_block
 
-        def counting(e, x):
-            nonlocal depth
-            if depth == 0:
-                points.append(x)
-            depth += 1
-            try:
-                return original(e, x)
-            finally:
-                depth -= 1
+        def counting(steps, xs):
+            points.extend(xs.tolist())
+            return run_block(steps, xs)
 
-        monkeypatch.setattr(expr, "eval_expr", counting)
-        monkeypatch.setattr(grid, "eval_expr", counting)
+        monkeypatch.setattr(expr, "_run_block", counting)
+        monkeypatch.setattr(expr, "eval_expr", None)
+        monkeypatch.setattr(grid, "eval_expr", None)
         g = make_grid(1.0, 65536)
         with pytest.raises(EvalError) as info:
             sample(CoefficientSpec.expression("1/(x-1)"), g)
-        assert 0 < len(points) <= 3 * EVAL_BLOCK
+        assert points == g.nodes.tolist()
         assert str(info.value) == "'1/(x-1)' at x = 1.0: division by zero at x = 1.0"
         assert info.value.x == 1.0
 
@@ -204,6 +198,17 @@ class TestCoefficientSpec:
             t.evaluate(np.array([0.5, 2.5, 3.0]))
         with pytest.raises(TableDomainError, match=r"x = 3.0 outside"):
             t.evaluate(3.0)
+
+    def test_evaluate_at_nan_is_outside_the_table(self):
+        # NaN compares False with both ends of the span, as an expression
+        # raises EvalError there, a table raises rather than return NaN
+        t = CoefficientSpec.table([0.0, 2.0], [0.0, 4.0])
+        with pytest.raises(TableDomainError, match=r"x = nan outside table span \[0.0, 2.0\]"):
+            t.evaluate(math.nan)
+        with pytest.raises(TableDomainError, match=r"x = nan outside table span \[0.0, 2.0\]"):
+            t.evaluate(np.array([0.5, math.nan, 1.5]))
+        with pytest.raises(TableDomainError, match=r"x = -inf outside"):
+            t.evaluate(np.array([0.5, -math.inf]))
 
     def test_from_csv(self, tmp_path):
         p = tmp_path / "a.csv"
