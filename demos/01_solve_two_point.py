@@ -10,8 +10,6 @@ u = beta I1 + alpha I2 + F. Everything the construction promises is checked
 on the way out and reported here.
 """
 
-import numpy as np
-
 from bvpseries import (
     CoefficientSpec,
     ProblemD,

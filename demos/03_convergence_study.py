@@ -20,7 +20,6 @@ from bvpseries import (
     SampledFn,
     contraction_ratio,
     fundamental_system,
-    general_solution,
     make_grid,
     oracle_fundamental,
     rk4_ivp,

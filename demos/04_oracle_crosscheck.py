@@ -10,8 +10,6 @@ Each row solves a different coefficient at n = 2048 and reports the
 largest node-wise relative gap over I1, I2, and F.
 """
 
-import numpy as np
-
 from bvpseries import (
     CoefficientSpec,
     compare,

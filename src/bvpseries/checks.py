@@ -90,7 +90,8 @@ def bound_checks(sol: SeriesSolution) -> list[Check]:
     B_h contracts by q node by node, so with seed sup s_0 (x1, 1, sup|g|)
     the terms obey ||t_k|| <= s_0 q^k and the sum sup|S| <= s_0 / (1 - q).
     A pass adds at most p = ``_pass_rounding`` times its input's sup, so the
-    computed s_k = term_sups[S][k] obey s_k <= (q + p) s_{k-1}.
+    computed s_k = term_sups[S][k], s_0 among them, obey
+    s_k <= (q + p) s_{k-1}.
     ``term_bound:S`` checks the worst rate max_{k>=1} (s_k / s_0)^(1/k), 0.0
     with no k >= 1 or s_0 = 0, against q + p; ``sup_bound:S`` checks sup|S|
     against (s_0 + p sum_{k<m} s_k) / (1 - q), the passes' rounding carried
@@ -101,12 +102,11 @@ def bound_checks(sol: SeriesSolution) -> list[Check]:
     p = _pass_rounding(sol)
     rate_limit = (q + p) * (1.0 + BOUND_SLACK)
     checks = []
-    for name, series, s_0 in (("I1", sol.I1, sol.grid.x1), ("I2", sol.I2, 1.0),
-                              ("F", sol.F, sup_norm(sol.g))):
+    for name, series in (("I1", sol.I1), ("I2", sol.I2), ("F", sol.F)):
+        s_0, _, passed, partial = _term_sums(sol, name)
         sups = sol.term_sups[name]
         rates = [(s / s_0) ** (1.0 / k) for k, s in enumerate(sups[1:], 1)] if s_0 > 0.0 else []
         checks.append(_check(f"term_bound:{name}", max(rates, default=0.0), rate_limit))
-        _, _, passed, partial = _term_sums(sol, name)
         checks.append(_check(
             f"sup_bound:{name}", sup_norm(series),
             (s_0 + p * passed) / (1.0 - q) * (1.0 + BOUND_SLACK) + UNIT_ROUNDOFF * partial,

@@ -491,6 +491,8 @@ _LEVEL_ATOM = 5
 def _render(e: Expr) -> tuple[str, int]:
     if isinstance(e, Const):
         v = float(e.value)
+        if math.isnan(v):
+            raise ValueError("a NaN constant has no literal")
         text = repr(int(v)) if v.is_integer() and abs(v) < 1e16 else repr(v)
         text = text.replace("inf", "1e999")  # a literal that overflows back to it
         if text == "0" and math.copysign(1.0, v) < 0.0:
@@ -518,5 +520,6 @@ def _wrap(e: Expr, min_level: int) -> str:
 
 def to_text(e: Expr) -> str:
     """Render a tree back to source, with the minimal parentheses that
-    reproduce the identical tree shape on re-parse."""
+    reproduce the identical tree shape on re-parse. A NaN constant, which
+    no literal of the grammar gives, raises ``ValueError``."""
     return _render(e)[0]

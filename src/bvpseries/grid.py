@@ -193,8 +193,9 @@ class CoefficientSpec:
                 )
 
     def evaluate(self, x):
-        """Value at a point, or values at every point of a 1-D ndarray; a
-        point is evaluated as the array of that one point.
+        """Value at a point (a float or a 0-d ndarray), or values at every
+        point of a 1-D ndarray; a point is evaluated as the array of that
+        one point.
 
         Tables are interpolated linearly. Expressions run as one program
         over the points (``expr.eval_arrays``).
@@ -206,7 +207,7 @@ class CoefficientSpec:
         TableDomainError
             If a point lies outside the table span or is not finite.
         """
-        xs = x if isinstance(x, np.ndarray) else np.array([x], dtype=float)
+        xs = x if isinstance(x, np.ndarray) and x.ndim else np.array([x], dtype=float)
         if self._expr is not None:
             values = eval_arrays([self._expr], xs)[0]
         else:

@@ -6,8 +6,11 @@ interpreter's teardown. Nothing a caller sees may change, whether or not
 the C library has ``mallopt``: every exit code and stderr line, every
 output byte through a pipe or a file, the exit code a reader that hangs up
 early sees, and no child left unreaped. A closed stdout is output that
-cannot be written, and a closed or full stderr loses only the messages,
-through either launcher.
+cannot be written, and a closed or full stderr loses only the messages.
+The tests of these streams, of the exit codes and of --help run through
+every launcher of ``launch.LAUNCHERS``: ``python -m bvpseries``,
+``sys.exit(cli.main())`` and, where pip has installed it, the
+``bvpseries`` script.
 
 The exit codes and messages in ``_CASES`` were recorded from
 ``python -m bvpseries`` when it still left through ``sys.exit(main())`` and
@@ -24,12 +27,16 @@ import subprocess
 import sys
 
 import pytest
+from launch import LAUNCHERS, command, param
 from test_golden import CASES, GOLDEN
 
 from bvpseries import cli
 
-# The entry point as it was: main's code through sys.exit.
-_SYS_EXIT = ["-c", "import sys; from bvpseries.cli import main; sys.exit(main())"]
+_EVERY_LAUNCHER = [param(launcher=launcher) for launcher in LAUNCHERS]
+# the same with ids by index, "launcher0" and on, which the tests of
+# --help and of a full stdout keep
+_LAUNCHER_BY_INDEX = [param(launcher=launcher, id=f"launcher{i}")
+                      for i, launcher in enumerate(LAUNCHERS)]
 
 # table name -> its rows; "short" stops at 0.5, short of x1 = 1
 _TABLES = {"short": "x,v\n0,1\n0.5,2\n", "long": "x,v\n0,1\n2,2\n"}
@@ -52,6 +59,9 @@ _CASES = {
     "only_f_fails": (
         ["solve", "--a", "sin(x)", "--f", "1/(x - 0.25)", *_N8], {}, 4,
         "bvpseries: '1/(x - 0.25)' at x = 0.25: division by zero at x = 0.25\n"),
+    "f_fails_at_x1": (
+        ["solve", "--a", "sin(x)", "--f", "1/(x-1)", "--x1", "1", "--n", "64"], {}, 4,
+        "bvpseries: '1/(x-1)' at x = 1.0: division by zero at x = 1.0\n"),
     "only_a_fails": (
         ["verify", "--a", "1/(x - 0.25)", "--f", "sin(x)", *_N8], {}, 4,
         "bvpseries: '1/(x - 0.25)' at x = 0.25: division by zero at x = 0.25\n"),
@@ -107,25 +117,28 @@ _CASES = {
 _ENV = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
 
 
-def _python(args, env=None):
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+def _run(args, env=None):
+    return subprocess.run(args, capture_output=True, text=True,
                           env={**_ENV, **(env or {})}, timeout=120)
 
 
-@pytest.mark.parametrize("name", sorted(_CASES))
-def test_exit_code_and_stderr_are_unchanged(name, tmp_path):
+# a case through python -m bvpseries keeps the bare name of the case
+@pytest.mark.parametrize("name, launcher", [
+    param(name, launcher=launcher, id=name if launcher == "module" else f"{name}-{launcher}")
+    for name in sorted(_CASES) for launcher in LAUNCHERS])
+def test_exit_code_and_stderr_are_unchanged(name, launcher, tmp_path):
     argv, env, code, stderr = _CASES[name]
     tables = {}
     for key, text in _TABLES.items():
         tables[key] = tmp_path / f"{key}.csv"
         tables[key].write_text(text)
-    r = _python(["-m", "bvpseries", *(arg.format(**tables) for arg in argv)], env)
+    r = _run(command(launcher, [arg.format(**tables) for arg in argv]), env)
     assert (r.returncode, r.stderr) == (code, stderr)
     assert (r.stdout == "") == (code in (2, 4))
 
 
 def test_usage_error_is_unchanged():
-    r = _python(["-m", "bvpseries", "solve", "--a", "1", "--f", "1"])
+    r = _run(command("module", ["solve", "--a", "1", "--f", "1"]))
     assert r.returncode == 4
     assert r.stderr.splitlines()[-1] == (
         "bvpseries solve: error: the following arguments are required: --x1")
@@ -142,11 +155,11 @@ _BULK = ["fundamental", "--a", "0.5*sin(x)", "--f", "cos(x)", "--x1", "1", "--n"
 def test_payload_arrives_whole_through_a_pipe_and_a_file(argv, tmp_path):
     code, text = cli.run(cli.config_from_args(cli.build_parser().parse_args(argv)))
     assert code == 0
-    r = _python(["-m", "bvpseries", *argv])
+    r = _run(command("module", argv))
     assert (r.returncode, r.stderr) == (0, "")
     assert r.stdout == text
     out = tmp_path / "out.txt"
-    r = _python(["-m", "bvpseries", *argv, "--out", str(out)])
+    r = _run(command("module", [*argv, "--out", str(out)]))
     assert (r.returncode, r.stdout, r.stderr) == (0, "", "")
     assert out.read_text() == text
 
@@ -157,8 +170,8 @@ def _hang_up(launcher, read_first):
     read_fd, write_fd = os.pipe()
     if read_first is None:
         os.close(read_fd)
-    proc = subprocess.Popen([sys.executable, *launcher, *_BULK, "--format", "csv"],
-                            stdout=write_fd, stderr=subprocess.PIPE, env=_ENV)
+    proc = subprocess.Popen(command(launcher, [*_BULK, "--format", "csv"]), stdout=write_fd,
+                            stderr=subprocess.PIPE, env=_ENV)
     os.close(write_fd)
     if read_first is not None:
         os.read(read_fd, read_first)
@@ -175,67 +188,55 @@ def _cannot_write(code):
 @pytest.mark.parametrize("read_first", [None, 10])
 def test_reader_that_hangs_up_sees_the_old_exit_code(read_first):
     want = (4, [_cannot_write(errno.EPIPE)])
-    assert _hang_up(["-m", "bvpseries"], read_first) == _hang_up(_SYS_EXIT, read_first) == want
+    assert _hang_up("module", read_first) == _hang_up("sys_exit", read_first) == want
 
 
 # A full device fails the first write (the 11 MB payload) or only the flush
-# (2 KB, less than the stdout buffer): either way one line and exit 4, as
-# for --out, and nothing printed when the interpreter flushes stdout at exit.
+# (2 KB, less than the stdout buffer, or fundamental's CSV or verify's JSON
+# on 48 intervals): either way one line and exit 4, as for --out, and
+# nothing printed when the interpreter flushes stdout at exit.
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-@pytest.mark.parametrize("launcher", [["-m", "bvpseries"], _SYS_EXIT])
+@pytest.mark.parametrize("launcher", _LAUNCHER_BY_INDEX)
 @pytest.mark.parametrize("argv", [
     _BULK,
     ["solve", "--a", "0.5", "--f", "1", "--x1", "1", "--n", "4"],
+    CASES["fundamental.csv"][0],
+    CASES["verify.json"][0],
 ])
 def test_stdout_on_a_full_device_exits_4_with_one_line(launcher, argv):
     with open("/dev/full", "wb") as full:
-        r = subprocess.run([sys.executable, *launcher, *argv], stdout=full,
+        r = subprocess.run(command(launcher, argv), stdout=full,
                            stderr=subprocess.PIPE, text=True, env=_ENV, timeout=120)
     assert (r.returncode, r.stderr) == (4, _cannot_write(errno.ENOSPC) + "\n")
 
 
 # -h and --help: the help text goes to the same sink as any output, so a
-# stdout that cannot take it is one line and exit 4, through either
+# stdout that cannot take it is one line and exit 4, through every
 # launcher; a writable stdout gets argparse's text, exit 0.
-@pytest.mark.parametrize("launcher", [["-m", "bvpseries"], _SYS_EXIT])
+@pytest.mark.parametrize("launcher", _LAUNCHER_BY_INDEX)
 @pytest.mark.parametrize("argv", [["--help"], ["solve", "-h"]])
 @pytest.mark.parametrize("stdout", ["pipe", "full", "closed"])
 def test_help_goes_to_the_one_sink(launcher, argv, stdout, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps the text to it
-    command, env = [sys.executable, *launcher, *argv], {**_ENV, "COLUMNS": "80"}
+    args, env = command(launcher, argv), {**_ENV, "COLUMNS": "80"}
     if stdout == "pipe":
-        r = subprocess.run(command, capture_output=True, env=env, timeout=120)
+        r = subprocess.run(args, capture_output=True, env=env, timeout=120)
         with pytest.raises(cli._Help) as text:  # argparse's format_help
             cli.build_parser().parse_args(argv)
         assert (r.returncode, r.stderr, r.stdout) == (0, b"", text.value.args[0].encode())
         return
     if stdout == "closed":
-        r = subprocess.run(command, stderr=subprocess.PIPE, preexec_fn=lambda: os.close(1),
+        r = subprocess.run(args, stderr=subprocess.PIPE, preexec_fn=lambda: os.close(1),
                            env=env, timeout=120)
         want = errno.EBADF
     elif not os.path.exists("/dev/full"):
         pytest.skip("needs /dev/full")
     else:
         with open("/dev/full", "wb") as full:
-            r = subprocess.run(command, stdout=full, stderr=subprocess.PIPE, env=env,
+            r = subprocess.run(args, stdout=full, stderr=subprocess.PIPE, env=env,
                                timeout=120)
         want = errno.ENOSPC
     assert (r.returncode, r.stderr.decode()) == (4, _cannot_write(want) + "\n")
-
-
-def _command(launcher, argv, patches):
-    """``python -m bvpseries ARGV`` (launcher "module") or
-    ``sys.exit(cli.main())`` ("sys_exit"), with the patches, {module:
-    {constant: value}}, applied first."""
-    patch = "".join(f"import bvpseries.{module}\nbvpseries.{module}.{constant} = {value!r}\n"
-                    for module, constants in patches.items()
-                    for constant, value in constants.items())
-    if launcher == "module" and not patch:
-        return [sys.executable, "-m", "bvpseries", *argv]
-    run = {"module": "import runpy\n"
-                     "runpy.run_module('bvpseries', run_name='__main__', alter_sys=True)",
-           "sys_exit": _SYS_EXIT[1]}[launcher]
-    return [sys.executable, "-c", patch + run, *argv]
 
 
 # q = 1.125 >= 1: exit 2 before any output
@@ -245,45 +246,54 @@ _NOT_CONTRACTIVE = ("bvpseries: series not certified to converge: q = sup|a|*x1^
 _SOLVE = CASES["solve.json"][0]
 
 
-@pytest.mark.parametrize("launcher", ["module", "sys_exit"])
-@pytest.mark.parametrize("case", ["q_above_1", "out_file", "stdout"])
+@pytest.mark.parametrize("launcher", _EVERY_LAUNCHER)
+@pytest.mark.parametrize("case", ["q_above_1", "out_file", "stdout", "fundamental.csv",
+                                  "verify.json"])
 def test_closed_stdout(launcher, case, tmp_path):
     out = tmp_path / "solve.json"
+    closed = _cannot_write(errno.EBADF) + "\n"
     argv, code, stderr = {
         "q_above_1": (_Q_ABOVE_1, 2, _NOT_CONTRACTIVE),
         "out_file": ([*_SOLVE, "--out", str(out)], 0, ""),
-        "stdout": (_SOLVE, 4, _cannot_write(errno.EBADF) + "\n"),
+        "stdout": (_SOLVE, 4, closed),
+        "fundamental.csv": (CASES["fundamental.csv"][0], 4, closed),
+        "verify.json": (CASES["verify.json"][0], 4, closed),
     }[case]
-    r = subprocess.run(_command(launcher, argv, {}), stderr=subprocess.PIPE, text=True,
+    r = subprocess.run(command(launcher, argv), stderr=subprocess.PIPE, text=True,
                        preexec_fn=lambda: os.close(1), env=_ENV, timeout=120)
     assert (r.returncode, r.stderr) == (code, stderr)
     if case == "out_file":
         assert out.read_bytes() == (GOLDEN / "solve.json").read_bytes()
 
 
-# name -> (argv, exit code, patches); a golden case's stdout is its file
+# name -> (argv, exit code, patches); a golden case's stdout is its file.
+# A case with patches runs only through the launchers that can apply them.
 _STDERR_CASES = {
     "usage": (["solve", "--a", "1", "--f", "1"], 4, {}),
     "q_above_1": (_Q_ABOVE_1, 2, {}),
     "verify_failed.json": CASES["verify_failed.json"],
     "solve.json": CASES["solve.json"],
+    "fundamental.csv": CASES["fundamental.csv"],
+    "verify.json": CASES["verify.json"],
 }
 
 
-@pytest.mark.parametrize("launcher", ["module", "sys_exit"])
-@pytest.mark.parametrize("stderr", ["closed", "full"])
-@pytest.mark.parametrize("case", sorted(_STDERR_CASES))
-def test_closed_or_full_stderr_loses_only_the_messages(launcher, stderr, case):
+@pytest.mark.parametrize("case, stderr, launcher", [
+    param(case, stderr, launcher=launcher, id=f"{case}-{stderr}-{launcher}")
+    for case, (_, _, patches) in sorted(_STDERR_CASES.items())
+    for stderr in ("closed", "full")
+    for launcher in LAUNCHERS if not (patches and launcher == "script")])
+def test_closed_or_full_stderr_loses_only_the_messages(case, stderr, launcher):
     argv, code, patches = _STDERR_CASES[case]
-    command = _command(launcher, argv, patches)
+    args = command(launcher, argv, patches)
     if stderr == "closed":
-        r = subprocess.run(command, stdout=subprocess.PIPE, preexec_fn=lambda: os.close(2),
+        r = subprocess.run(args, stdout=subprocess.PIPE, preexec_fn=lambda: os.close(2),
                            env=_ENV, timeout=120)
     elif not os.path.exists("/dev/full"):
         pytest.skip("needs /dev/full")
     else:
         with open("/dev/full", "wb") as full:
-            r = subprocess.run(command, stdout=subprocess.PIPE, stderr=full, env=_ENV,
+            r = subprocess.run(args, stdout=subprocess.PIPE, stderr=full, env=_ENV,
                                timeout=120)
     want = (GOLDEN / case).read_bytes() if case in CASES else b""
     assert (r.returncode, r.stdout) == (code, want)
@@ -313,7 +323,7 @@ runpy.run_module("bvpseries", run_name="__main__")
     (["verify", "--a", "0.01/(x - 0.125)", "--f", "1", "--x1", "1", "--n", "8"], 4),
 ])
 def test_no_child_is_left_unreaped(argv, code):
-    r = _python(["-c", _REAPED, *argv])
+    r = _run([sys.executable, "-c", _REAPED, *argv])
     assert r.returncode == code, r.stderr
 
 
@@ -349,7 +359,7 @@ entry.main()
 
 
 def test_entry_sets_the_heap_policy_before_main_and_keeps_its_exit_code():
-    r = _python(["-c", _ENTRY_WITH_RECORDER])
+    r = _run([sys.executable, "-c", _ENTRY_WITH_RECORDER])
     assert (r.returncode, r.stderr) == (7, "")
     assert r.stdout == f"{_MALLOPT_CALLS}\n"
 
@@ -396,12 +406,12 @@ def test_import_loads_no_numpy_and_every_name_resolves():
             "names = bvpseries.__all__\n"
             "print(len(names), all(globals()[n] is getattr(bvpseries, n) for n in names),\n"
             "      set(names) <= set(dir(bvpseries)), 'numpy' in sys.modules)")
-    r = _python(["-c", code])
+    r = _run([sys.executable, "-c", code])
     assert (r.returncode, r.stderr, r.stdout) == (0, "", "False\n33 True True True\n")
 
 
 def test_import_and_main_leave_the_allocator_alone(tmp_path):
-    r = _python(["-c", _IMPORT_AND_MAIN, str(tmp_path / "out.json")])
+    r = _run([sys.executable, "-c", _IMPORT_AND_MAIN, str(tmp_path / "out.json")])
     assert (r.returncode, r.stderr, r.stdout) == (0, "", "0 True []\n")
 
 
@@ -422,8 +432,8 @@ runpy.run_module("bvpseries", run_name="__main__", alter_sys=True)
 @pytest.mark.parametrize("libc", ["no_mallopt", "oserror"])
 def test_without_mallopt_the_output_and_exit_code_are_unchanged(libc):
     argv = _CASES["verify_fails"][0]
-    want = subprocess.run([sys.executable, "-m", "bvpseries", *argv],
-                          capture_output=True, env=_ENV, timeout=120)
+    want = subprocess.run(command("module", argv), capture_output=True, env=_ENV,
+                          timeout=120)
     got = subprocess.run([sys.executable, "-c", _WITHOUT_MALLOPT, libc, *argv],
                          capture_output=True, env=_ENV, timeout=120)
     assert want.returncode == 5 and want.stdout.startswith(b"{")

@@ -275,6 +275,12 @@ class TestPrinter:
             with pytest.raises(EvalError, match="non-finite intermediate value inf at x = 0.5"):
                 eval_expr(parse_expr(to_text(tree)), 0.5)
 
+    def test_nan_constant_has_no_literal(self):
+        # "nan" would re-parse as an unknown function
+        for tree in (Const(math.nan), Binary("+", Var(), Unary("sin", Const(-math.nan)))):
+            with pytest.raises(ValueError, match="NaN constant has no literal"):
+                to_text(tree)
+
 
 _const = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False,
                    allow_infinity=False).map(Const)

@@ -26,6 +26,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from launch import command
 
 from bvpseries import cli
 
@@ -66,19 +67,6 @@ def test_payload_matches_golden(name, capfdbinary, monkeypatch):
     assert capfdbinary.readouterr().out == (GOLDEN / name).read_bytes()
 
 
-def _child_command(argv, patches):
-    """``python -m bvpseries ARGV``, with the patches applied first if any."""
-    if not patches:
-        return [sys.executable, "-m", "bvpseries", *argv]
-    lines = ["import runpy"]
-    for module, constants in patches.items():
-        lines.append(f"import bvpseries.{module}")
-        lines += [f"bvpseries.{module}.{constant} = {value!r}"
-                  for constant, value in constants.items()]
-    lines.append("runpy.run_module('bvpseries', run_name='__main__', alter_sys=True)")
-    return [sys.executable, "-c", "\n".join(lines), *argv]
-
-
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_out_file_matches_golden(name, tmp_path):
     argv, code, patches = CASES[name]
@@ -86,7 +74,7 @@ def test_out_file_matches_golden(name, tmp_path):
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [str(REPO / "src"), path]))}
-    r = subprocess.run(_child_command([*argv, "--out", str(target)], patches),
+    r = subprocess.run(command("module", [*argv, "--out", str(target)], patches),
                        capture_output=True, env=env, timeout=120)
     assert r.returncode == code, r.stderr
     assert r.stdout == b""
@@ -155,9 +143,9 @@ def test_stdout_is_the_golden_whatever_the_stream_encoding(name, tmp_path):
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONIOENCODING": "utf-16",
            "PYTHONPATH": os.pathsep.join(filter(None, [str(REPO / "src"), path]))}
-    piped = subprocess.run(_child_command(argv, patches), capture_output=True, env=env,
+    piped = subprocess.run(command("module", argv, patches), capture_output=True, env=env,
                            timeout=120)
-    written = subprocess.run(_child_command([*argv, "--out", str(target)], patches),
+    written = subprocess.run(command("module", [*argv, "--out", str(target)], patches),
                              capture_output=True, env=env, timeout=120)
     assert (piped.returncode, written.returncode, written.stdout) == (code, code, b"")
     assert piped.stdout == target.read_bytes() == (GOLDEN / name).read_bytes()

@@ -199,6 +199,23 @@ class TestCoefficientSpec:
         with pytest.raises(TableDomainError, match=r"x = 3.0 outside"):
             t.evaluate(3.0)
 
+    @pytest.mark.parametrize("spec, x, error", [
+        (CoefficientSpec.expression("2*x + 1"), 0.5, None),
+        (CoefficientSpec.table([0.0, 2.0], [0.0, 4.0]), 0.5, None),
+        (CoefficientSpec.expression("1/(x - 0.5)"), 0.5, EvalError),
+        (CoefficientSpec.table([0.0, 2.0], [0.0, 4.0]), 3.0, TableDomainError),
+    ], ids=["expression", "table", "expression_error", "table_error"])
+    def test_evaluate_0d_array_is_a_point(self, spec, x, error):
+        if error is None:
+            got, want = spec.evaluate(np.array(x)), spec.evaluate(x)
+            assert type(got) is type(want) is float and got == want
+            return
+        with pytest.raises(error) as point:
+            spec.evaluate(x)
+        with pytest.raises(error) as array:
+            spec.evaluate(np.array(x))
+        assert str(array.value) == str(point.value)
+
     def test_evaluate_at_nan_is_outside_the_table(self):
         # NaN compares False with both ends of the span, as an expression
         # raises EvalError there, a table raises rather than return NaN
