@@ -7,7 +7,7 @@ output or --out. Output is deterministic for a fixed configuration: floats
 are serialized with their shortest round-trip representation.
 
 Node columns are formatted in this process by ``shortest.rows``, a
-vectorised Ryu kernel whose bytes are those of repr for every finite
+vectorised Dragonbox kernel whose bytes are those of repr for every finite
 float, and which cuts them into blocks and yields each block's text; this
 module writes only the JSON and CSV syntax around that text. A JSON
 array is its items joined by ",\n    ", a CSV table of float columns its

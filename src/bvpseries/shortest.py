@@ -7,28 +7,47 @@ with uint64 array arithmetic, one block of at most ``BLOCK`` cells at a
 time, instead of one ``repr`` call per float. This module is the one
 place that cuts a table into blocks and stitches their seams.
 
-The digits come from Ryu's ``d2d`` (Ulf Adams, "Ryu: fast float-to-string
-conversion", PLDI 2018): for a float ``m2 * 2**e2`` it takes
-``mv = 4*m2`` and the interval bounds ``mv + 2`` and ``mv - 1 - mmShift``,
-scales all three by a 125-bit power of 5 (or its inverse) with one
-192-bit product ``mv * M`` and two 128-bit adds, and then removes decimal
-digits while the scaled bounds still differ. Everything that depends only
-on the binary exponent (the table entry, the shift, the decimal exponent,
-the trailing-zero masks) is looked up per exponent. An exact vr (Ryu's
-``vrIsTrailingZeros``) only turns a removed half into a tie to even,
-which is one more vectorised test; the rare lanes whose lower bound may
-be exact (``vmIsTrailingZeros``) are finished on their compressed subset,
-as are the divisibility tests of floats of 2**54 and above. That digit
-string is the one repr prints: the shortest that rounds back to the
-float, and of those the nearest to it, ties to even.
+The digits come from the nearest-to-even path of Dragonbox (Junekey Jeon,
+"Dragonbox: A New Floating-Point Binary-to-Decimal Conversion Algorithm",
+2020). A float ``fc * 2**e`` has the rounding interval of half-width
+``2**(e-1)`` around it; with ``k = 2 - floor(e log10 2)`` the interval's
+upper end, scaled by ``10**k``, is ``z = (2fc + 1) * 2**(e-1) * 10**k``,
+and its width ``delta`` lies in [100, 1000). ``z`` is the upper word of
+one product of ``(2fc + 1) * 2**beta`` with a 128-bit power of ten, and
+one division by 1000 tells whether a multiple of 1000 lies in the
+interval (then that one, with trailing zeros to drop, is the shortest);
+otherwise the nearest multiple of 100 is found from the remainder with a
+division by 100. That digit string is the one repr prints: the shortest
+that rounds back to the float, and of those the nearest to it, ties to
+even. Everything that depends only on the binary exponent (the power of
+ten, beta, ``delta``, the decimal exponent, and the whole result for a
+power of two, whose lower gap is half) is looked up per exponent.
+
+Every lane first takes the fast path, which treats every float as normal
+and not a power of two and leaves out the lowest 33 bits of the product
+with the multiplier's lower word, so it knows z's fraction (the low word
+``low``) to within 2**-31. Dragonbox's parity and integer tests compare
+fractions: whether the lower end ``z - delta`` or ``y = z - delta / 2``
+falls below an integer is whether z's fraction is below the fraction of
+``delta`` or of ``delta / 2``, which are per exponent too. So the fast
+path compares ``low`` with them, and the lanes where a comparison may be
+off (``low`` within 2**-30 of either fraction or of 0, which also covers
+an integer z) go to Dragonbox's path in full, as do subnormals, on their
+compressed subset; zeros and powers of two take their row's digits.
 
 Each value is then laid out in four little-endian words: the separator
 that precedes it and its sign in the first, the repr text in the other
-three (the digits, by SWAR eight per word, with '.' shifted in, a
-``0.000`` prefix or an ``e+XX`` suffix), and one boolean compress keeps
-the bytes repr would print. repr writes scientific notation iff the
-decimal point position ``decpt`` (value = 0.d1d2... * 10**decpt) is
-at most -4 or above 16.
+three. The 17 significant digits, zero-padded, are made ASCII by SWAR
+eight per word; the number of digits repr prints is the place of the last
+nonzero one, which a float conversion of the raw digit words gives. The
+'.' (and the '0.' prefix, with up to three more '0', of values from 1e-4
+up to 1) is put in by one shift per word and three masks of the first
+word, looked up by the decimal point position ``decpt`` (value =
+0.d1d2... * 10**decpt). For -3 <= decpt <= 7, nearly all values of a
+node table, the other two words are the shifted digits alone; the rest
+(decpt of 8 and above, and repr's scientific notation, for decpt <= -4
+or above 16, with its ``e+XX`` suffix) get their masks on their
+compressed subset. One boolean compress keeps the bytes repr would print.
 
 The per-exponent and per-decpt tables are built a row at a time, the
 first time a block meets that exponent or decpt, and kept, so importing
@@ -44,7 +63,7 @@ import numpy as np
 
 __all__ = ["rows"]
 
-# Cells per block. Each block costs some 100 numpy calls, about 0.3 ms,
+# Cells per block. Each block costs some 90 numpy calls, about 0.13 ms,
 # on top of its values, so ``rows`` cuts a table into equal blocks, not
 # full ones and a short tail, and a block of a table of w columns is at
 # most BLOCK // w rows: blocks of 2**14 rows of seven cells raised
@@ -56,24 +75,21 @@ __all__ = ["rows"]
 # and the next block faults the same pages in again, unless the process
 # keeps its freed heap, as the command line's process entry
 # (``bvpseries.__main__``) does.
-# With the heap kept, a 65,536-node fundamental table rendered about 10%
-# faster in blocks of 16384 than of 8192, and no faster in larger ones.
+# With the heap kept, a 65,536-node fundamental table rendered as fast in
+# blocks of 8192 as of 16384 (within 5%), 10-20% slower in blocks of
+# 4096, and no faster in larger ones (2-core Xeon, numpy 2.4).
 BLOCK = 16384
 
 _U = np.uint64
 _MASK32 = _U(0xFFFFFFFF)
-_ONES = _U(0xFFFFFFFFFFFFFFFF)
-_ZEROS8 = 0x3030303030303030  # eight ASCII '0'
+_MANTISSA = _U((1 << 52) - 1)
+_ZEROS8 = _U(0x3030303030303030)  # eight ASCII '0'
 _POW10 = np.array([10**k for k in range(20)], dtype=np.uint64)
-# for r removed digits: 10**(r-1), the place of the last one (1 if none),
-# and half of 10**r (above any remainder if none)
-_LOWER = np.array([1] + [10**k for k in range(19)], dtype=np.uint64)
-_HALF = np.array([1] + [5 * 10**k for k in range(19)], dtype=np.uint64)
-
-
-def _pow5bits(e):
-    """Bits of 5**e (1 for e = 0), Ryu's pow5bits for arrays of e."""
-    return ((e * 1217359) >> 19) + 1
+# the fast path's low word of the product is at most 2**33 short of the
+# exact one, so a comparison with it is certain unless they are near:
+# (low - x + _NEAR) < _WINDOW is |low - x| < 2**34, modulo 2**64
+_NEAR = _U(2**34)
+_WINDOW = _U(2**35)
 
 
 class _Rows:
@@ -88,82 +104,109 @@ class _Rows:
         self._tables = None
 
     def at(self, index):
-        """The tables, their rows at ``index`` built."""
-        missing = np.zeros_like(self._built)
+        """The tables, their rows at ``index`` (not empty) built."""
+        built = self._built
+        if built[index.min():index.max() + 1].all() or built.take(index).all():
+            return self._tables
+        missing = np.zeros_like(built)
         missing[index] = True
-        missing &= ~self._built
-        if missing.any():
-            new = np.flatnonzero(missing)
-            rows = self._build(new)
-            if self._tables is None:
-                self._tables = [np.zeros(r.shape[:-1] + self._built.shape, r.dtype)
-                                for r in rows]
-            for table, r in zip(self._tables, rows):
-                table[..., new] = r
-            self._built[new] = True
+        new = np.flatnonzero(missing & ~built)
+        rows = self._build(new)
+        if self._tables is None:
+            self._tables = [np.zeros(r.shape[:-1] + built.shape, r.dtype) for r in rows]
+        for table, r in zip(self._tables, rows):
+            table[..., new] = r
+        built[new] = True
         return self._tables
 
-
-def _exponent_rows(ie):
-    """Ryu's parameters for the distinct biased exponent fields ``ie``.
-
-    Per exponent: the implicit leading bit of m2 (absent for subnormals),
-    the two 64-bit words of the 125-bit multiplier M (Ryu's
-    DOUBLE_POW5_INV_SPLIT[q], about 2**k / 5**q, for e2 >= 0;
-    DOUBLE_POW5_SPLIT[i], 5**i cut to 125 bits, for e2 < 0) and of 2M,
-    the shifts that take floor(mv * M / 2**j) out of the 192-bit product's
-    upper words, the decimal exponent e10 of the scaled values, and the
-    data of Ryu's trailing-zero tests.
-    """
-    e2 = np.maximum(ie, 1) - 1077
-    pos = e2 >= 0
-    # Ryu's log10Pow2 and log10Pow5, exact over this range
-    q = np.where(pos, ((np.maximum(e2, 0) * 78913) >> 18) - (e2 > 3),
-                 ((np.maximum(-e2, 0) * 732923) >> 20) - (-e2 > 1))
-    e10 = np.where(pos, q, q + e2)
-    i = np.where(pos, 0, -e2 - q)
-    shift = np.where(pos, -e2 + q + 124 + _pow5bits(q), q - _pow5bits(i) + 125)
-    assert shift.min() > 64 and shift.max() < 128  # what _shifted relies on
-    words = []
-    for positive, k in zip(pos.tolist(), np.where(pos, q, i).tolist()):
-        p = 5**k
-        # floor(2**(bits + 124) / p) + 1, or p cut or padded to 125 bits
-        m = (1 << (p.bit_length() + 124)) // p + 1 if positive else (p << 125) >> p.bit_length()
-        words += [m & ((1 << 64) - 1), m >> 64]
-    lo, hi = np.array(words, dtype=np.uint64).reshape(-1, 2).T
-    # e2 < 0, 2 <= q: vr has trailing zeros iff 2**q divides mv; for
-    # q >= 55 no mv < 2**55 passes, so the mask saturates harmlessly.
-    qm = np.clip(q, 0, 62)
-    two_q = np.where(pos | (q <= 1), _ONES, (_U(1) << qm.astype(np.uint64)) - _U(1))
-    # e2 >= 0 with q <= 21 tests divisibility by 5**q; e2 < 0 with q <= 1
-    # makes vr exact. Both are rare, and handled on their subset only.
-    five_q = np.where(pos & (q <= 21), 5 ** np.minimum(q, 21), 0).astype(np.uint64)
-    exact = ~pos & (q <= 1)
-    return (np.where(ie > 0, _U(1 << 52), _U(0)), lo, hi,
-            lo << _U(1), (hi << _U(1)) | (lo >> _U(63)),
-            (shift - 64).astype(np.uint64), (128 - shift).astype(np.uint64),
-            e10, two_q, five_q, exact)
-
-
-_EXPONENTS = _Rows(_exponent_rows, 2047)
 
 # decpt offset of the layout rows; finite floats have -323 <= decpt <= 309
 _DECPT = 340
 
 
+def _floor_log2_pow10(k):
+    """floor(k log2 10), exact for |k| < 1500."""
+    return (k * 1741647) >> 19
+
+
+def _power_of_ten(k):
+    """Dragonbox's 128-bit multiplier for 10**k: 10**k * 2**(127 - floor(log2
+    10**k)), rounded up, between 2**127 and 2**128."""
+    shift = 127 - _floor_log2_pow10(k)
+    if k < 0:
+        return -(-(1 << shift) // 10**-k)
+    return 10**k << shift if shift >= 0 else -(-(10**k) >> -shift)
+
+
+def _padded(digits, exponent):
+    """(digits zero-padded to 17, decpt + _DECPT) of digits * 10**exponent."""
+    n = len(str(digits))
+    return digits * 10 ** (17 - n), exponent + n + _DECPT
+
+
+def _power_of_two(e):
+    """Dragonbox's shorter-interval case, 2**52 * 2**e, whose lower gap is
+    half its upper one, nearest to even: the shortest digits in the
+    interval, or the round-up of the float's own digits at one more."""
+    minus_k = (e * 631305 - 261663) >> 21
+    beta = e + _floor_log2_pow10(-minus_k)
+    c = _power_of_ten(-minus_k) >> 64
+    xi = (c - (c >> 54)) >> (11 - beta)
+    zi = (c + (c >> 53)) >> (11 - beta)
+    xi += not 2 <= e <= 3  # the left end is in the interval only if an integer
+    if zi // 10 * 10 >= xi:  # its trailing zeros are padding too
+        return _padded(zi // 10, minus_k + 1)
+    digits = ((c >> (10 - beta)) + 1) // 2
+    if e == -77 and digits % 2:  # the one tie, to even
+        digits -= 1
+    elif digits < xi:
+        digits += 1
+    return _padded(digits, minus_k)
+
+
+def _exponent_rows(ie):
+    """Dragonbox's parameters for the distinct biased exponent fields ``ie``.
+
+    Per exponent e = max(ie, 1) - 1075, with k = 2 - floor(e log10 2) and
+    c the multiplier for 10**k: the upper and lower words of c; beta;
+    ``delta``, the interval's width scaled by 10**k, and the fractions of
+    ``delta / 2`` and ``delta`` as 64-bit words (``y_frac``, ``x_frac``);
+    ``at``, _DECPT + 17 plus the decimal exponent of the digits s * 10 + q;
+    and the padded digits and ``at`` of the power of two with that
+    exponent (of 0.0 for ie = 0).
+    """
+    word = (1 << 64) - 1
+    rows = []
+    for i in ie.tolist():
+        e = max(i, 1) - 1075
+        e10 = (e * 315653) >> 20  # floor(e log10 2)
+        k = 2 - e10
+        c = _power_of_ten(k)
+        beta = e + _floor_log2_pow10(k)
+        assert 6 <= beta <= 9  # so (2fc + 1) << beta < 2**63 fits a word
+        rows.append((c >> 64, c & word, beta, c >> (127 - beta),
+                     (c << beta >> 64) & word, (c << (beta + 1) >> 64) & word,
+                     e10 + 17 + _DECPT) + (_power_of_two(e) if i else (0, _DECPT + 1)))
+    return tuple(np.array(col, dtype=np.intp if j in (6, 8) else np.uint64)
+                 for j, col in enumerate(zip(*rows)))
+
+
+_EXPONENTS = _Rows(_exponent_rows, 2047)
+
+
 def _layout_rows(at):
     """repr's layout for the distinct decimal point positions decpt =
-    ``at`` - _DECPT, for each digit count n.
+    ``at`` - _DECPT.
 
-    Per text word: the bytes left of '.' (``low``), the bytes right of it
-    (``high``, of the words shifted one byte up) and '.' itself (``dot``),
-    once ``point`` digits precede it: decpt in fixed notation with
-    decpt >= 1, else 1 (d.ddd in scientific notation, 0.000ddd once four
-    '0' are put in front). The exponent suffix of scientific notation,
-    'e+XX' or 'e-XXX', right-aligned in the last word (0 in fixed
-    notation). Whether the four '0' go in front (-3 <= decpt <= 0). Per
-    n (rows 0 to 17), the bits of the kept text bytes, each run shifted up
-    by 8 past the separator word: [0, first) and [start, stop).
+    Per text word w: the bytes of the unshifted digits (``low``), the
+    bytes of the digits shifted up by ``shift`` bits (``high``), and the
+    constant bytes (``fill``): '.', once ``point`` digits precede it
+    (decpt in fixed notation with decpt >= 1, else 1); or, for -3 <= decpt
+    <= 0, all digits shifted up five bytes behind '0.000'; and the
+    exponent suffix of scientific notation, 'e+XX' or 'e-XXX',
+    right-aligned in the last word. Per digit count n (rows 0 to 17), the
+    bits of the kept text bytes, each run shifted up by 8 past the
+    separator word: [0, first) and [start, stop).
     """
     decpt = at - _DECPT
     scientific = (decpt <= -4) | (decpt > 16)
@@ -172,10 +215,9 @@ def _layout_rows(at):
     k = point - 8 * np.arange(3)[:, None]
     inside = (k >= 0) & (k < 8)
     shift = (8 * np.clip(k, 0, 7)).astype(np.uint64)
-    low = np.where(k >= 8, _ONES, np.where(k > 0, (_U(1) << shift) - _U(1), _U(0)))
-    dot_byte = np.where(inside, _U(0xFF) << shift, _U(0))
-    dot = np.where(inside, _U(0x2E) << shift, _U(0))
-    high = ~(low | dot_byte)
+    low = np.where(k >= 8, ~_U(0), np.where(k > 0, (_U(1) << shift) - _U(1), _U(0)))
+    high = ~(low | np.where(inside, _U(0xFF) << shift, _U(0)))
+    fill = np.where(inside, _U(0x2E) << shift, _U(0))
 
     exponent = decpt - 1
     mag = np.abs(exponent)
@@ -184,8 +226,11 @@ def _layout_rows(at):
             | np.where(length == 5, (mag // 100 + 48) << 16 | (mag // 10 % 10 + 48) << 24
                        | (mag % 10 + 48) << 32,
                        (mag // 10 + 48) << 16 | (mag % 10 + 48) << 24))
-    suffix = np.where(scientific, text.astype(np.uint64)
-                      << (8 * (8 - length)).astype(np.uint64), _U(0))
+    fill[2] |= np.where(scientific, text.astype(np.uint64)
+                        << (8 * (8 - length)).astype(np.uint64), _U(0))
+    low[:, small] = 0
+    high[:, small] = ~_U(0)
+    fill[:, small] = [[0x3030302E30], [0], [0]]  # '0.000', little-endian
 
     n = np.arange(18)[:, None]
     first = np.where(scientific, np.where(n > 1, n + 1, 1),
@@ -193,150 +238,124 @@ def _layout_rows(at):
     start = np.where(scientific, 24 - length, np.where(small, decpt + 5, 0))
     stop = np.where(scientific, 24, np.where(small, n + 5, 0))
     keep = (((1 << first) - 1) | ((1 << stop) - (1 << start))) << 8
-    return low, high, dot, suffix, small, keep.astype(np.uint64)
+    return (low, high, fill, np.where(small, _U(40), _U(8)),
+            keep.astype(np.uint64))
 
 
 _LAYOUT = _Rows(_layout_rows, 2 * _DECPT + 1)
 
 
-def _mul(a_lo, a_hi, b):
-    """a * b as (low word, high word), a < 2**55 given as 32-bit halves."""
+def _mul(a, b):
+    """a * b as (low word, high word)."""
+    a_lo = a & _MASK32
+    a_hi = a >> _U(32)
     b_lo = b & _MASK32
     b_hi = b >> _U(32)
     ll = a_lo * b_lo
     lh = a_lo * b_hi
     hl = a_hi * b_lo
     mid = (ll >> _U(32)) + (lh & _MASK32) + (hl & _MASK32)
-    low = (ll & _MASK32) | (mid << _U(32))
-    high = a_hi * b_hi + (lh >> _U(32)) + (hl >> _U(32)) + (mid >> _U(32))
-    return low, high
+    return a * b, a_hi * b_hi + (lh >> _U(32)) + (hl >> _U(32)) + (mid >> _U(32))
 
 
-def _shifted(w1, w2, lo_shift, hi_shift):
-    """floor(W / 2**j) of a 192-bit W whose upper words are w1, w2."""
-    return (w1 >> lo_shift) | (w2 << hi_shift)
+def _digits(bits):
+    """(d, at) of positive finite floats given as their bits: their shortest
+    digits zero-padded to 17, and decpt + _DECPT."""
+    exponent = bits >> _U(52)
+    ie = exponent.astype(np.intp)
+    tables = _EXPONENTS.at(ie)
+    c_hi, c_lo, beta, delta, y_frac, x_frac, at = (t.take(ie) for t in tables[:7])
+    mantissa = bits & _MANTISSA
+    # u = (2fc + 1) * 2**beta, every lane taken as normal
+    u = (((mantissa | _U(1 << 52)) << _U(1)) | _U(1)) << beta
+    low, z = _mul(u, c_hi)
+    # u * c / 2**128 = z + low / 2**64 + less: the high word of u * c_lo is
+    # added from its upper halves, which leave low at most 2**33 short
+    part = (u >> _U(32)) * (c_lo >> _U(32))
+    low += part
+    z += low < part
+    s = z // _U(1000)
+    r = z - s * _U(1000)
+    # s * 1000 is in the interval iff r < delta, or r == delta with z's
+    # fraction below delta's (its trailing zeros are padding); else the
+    # digits are the float itself, y = z - delta / 2, rounded to a multiple
+    # of 100: s * 10 + floor((y - s * 1000 + 50) / 100), where floor(y) -
+    # s * 1000 is r - floor(delta / 2), one less if z's fraction is below
+    # that of delta / 2 (ties to even are left to the exact lanes)
+    big = r < delta + (low < x_frac)
+    dist = r + _U(50) - (delta >> _U(1)) - (low < y_frac)
+    d = s * _U(10) + (dist // _U(100)) * ~big
+    # the lanes whose comparisons of low may be off, or whose fraction of z
+    # may be 0, or that are zeros, subnormals or powers of two
+    exact = (((low + _NEAR) < _WINDOW) | ((low - y_frac + _NEAR) < _WINDOW)
+             | ((low - x_frac + _NEAR) < _WINDOW) | (np.minimum(mantissa, exponent) == 0))
+    # d has 16 or 17 digits for every normal float: pad it to 17
+    short = d < _POW10[16]
+    d *= short * _U(9) + _U(1)
+    at -= short
+    lanes = np.flatnonzero(exact)
+    if lanes.size:
+        d[lanes], at[lanes] = _exact_lanes(bits[lanes], tables)
+    return d, at
 
 
-def _decimal(bits):
-    """Ryu's shortest digits of positive finite floats given as their bits.
+def _parity(two_f, c_hi, c_lo, beta):
+    """Dragonbox's compute_mul_parity: the parity of the integer part of
+    two_f * c * 2**beta / 2**128, and whether it is an integer."""
+    w0, h0 = _mul(two_f, c_lo)
+    w1 = h0 + two_f * c_hi
+    return (((w1 >> (_U(64) - beta)) & _U(1)) == 1,
+            ((w1 << beta) | (w0 >> (_U(64) - beta))) == 0)
 
-    Returns (output, exponent) with value = output * 10**exponent.
-    """
+
+def _exact_lanes(bits, tables):
+    """What ``_digits`` returns, for the lanes its fast path may get wrong:
+    zeros and powers of two from their exponent's row, the others by
+    Dragonbox's nearest-to-even path in full."""
     ie = (bits >> _U(52)).astype(np.intp)
-    (hidden, m_lo, m_hi, m2_lo, m2_hi, shift_lo, shift_hi,
-     e10, two_q, five_q, exact) = (t.take(ie) for t in _EXPONENTS.at(ie))
-    mantissa = bits & _U((1 << 52) - 1)
-    mv = (mantissa | hidden) << _U(2)
-    even = (bits & _U(1)) == 0
-    mm_shift = ((mantissa != 0) | (ie <= 1)).astype(np.uint64)
-
-    mv_lo = mv & _MASK32
-    mv_hi = mv >> _U(32)
-    l0, h0 = _mul(mv_lo, mv_hi, m_lo)
-    l1, h1 = _mul(mv_lo, mv_hi, m_hi)
-    w0 = l0
-    w1 = h0 + l1
-    w2 = h1 + (w1 < l1)
-    vr = _shifted(w1, w2, shift_lo, shift_hi)
-    # vp: W + 2M
-    s0 = w0 + m2_lo
-    t = w1 + m2_hi
-    carry = (t < m2_hi).astype(np.uint64)
-    s1 = t + (s0 < m2_lo)
-    carry += s1 < t
-    vp = _shifted(s1, w2 + carry, shift_lo, shift_hi)
-    # vm: W - M, or W - 2M for a power of two (its lower gap is half)
-    e0 = m_lo << mm_shift
-    e1 = (m_hi << mm_shift) | ((m_lo >> _U(63)) & mm_shift)
-    t = w1 - e1
-    borrow = (w1 < e1).astype(np.uint64)
-    s1 = t - (w0 < e0)
-    borrow += s1 > t
-    vm = _shifted(s1, w2 - borrow, shift_lo, shift_hi)
-
-    vr_zeros = (mv & two_q) == 0
-    vm_zeros = np.zeros(bits.size, dtype=bool)
-    if exact.any():  # e2 < 0, q <= 1: vr is exact
-        vr_zeros |= exact
-        vm_zeros |= exact & even & (mm_shift == 1)
-        vp -= (exact & ~even).astype(np.uint64)
-    big = np.flatnonzero(five_q)
-    if big.size:  # e2 >= 0, q <= 21: divisibility of the bounds by 5**q
-        p5 = five_q[big]
-        mvb = mv[big]
-        mod5 = mvb % _U(5) == 0
-        vr_zeros[big] = mod5 & (mvb % p5 == 0)
-        evb = even[big]
-        vm_zeros[big] = ~mod5 & evb & ((mvb - _U(1) - mm_shift[big]) % p5 == 0)
-        vp[big] -= (~mod5 & ~evb & ((mvb + _U(2)) % p5 == 0)).astype(np.uint64)
-
-    removed = _removed_digits(vp, vm)
-    div = _POW10.take(removed)
-    out = vr // div
-    below = vr - out * div  # the removed digits of vr
-    # round up if vr // 10**r is below the interval or the removed digits
-    # are at least half of 10**r, except an exact half of an even out
-    half = _HALF.take(removed)
-    tie = vr_zeros & (below == half) & ((out & _U(1)) == 0)
-    round_up = (vm >= vr - below) | ((below >= half) & ~tie)
-    special = np.flatnonzero(vm_zeros)
-    if special.size:
-        out[special], removed[special], round_up[special] = _exact_lanes(
-            out[special], below[special], removed[special], vm[special],
-            vr_zeros[special], even[special])
-    return out + round_up, e10 + removed
+    d, at = (t.take(ie) for t in tables[7:])
+    full = np.flatnonzero(bits & _MANTISSA)
+    if full.size:
+        d[full], at[full] = _dragonbox(bits[full], ie[full], tables)
+    return d, at
 
 
-def _removed_digits(vp, vm):
-    """How many digits Ryu removes: the largest r with vp // 10**r > vm // 10**r.
-
-    Once vp // 10**k == vm // 10**k it stays so for larger k, so the count
-    is a sum of tests: 10, 100 and 1000 on every lane, each larger power on
-    the lanes that passed every test so far (10**(k+1) first, then 10**k
-    on the lanes that fail it).
-    """
-    removed = np.zeros(vp.size, dtype=np.intp)
-    for k in (1, 2, 3):
-        removed += vp // _POW10[k] > vm // _POW10[k]
-    deep = np.flatnonzero(removed == 3)
-    vp, vm = vp[deep], vm[deep]
-    for k in range(4, 20, 2):  # two powers a step, as Ryu removes two digits
-        go = vp // _POW10[k + 1] > vm // _POW10[k + 1]
-        stop = ~go
-        removed[deep[stop]] += vp[stop] // _POW10[k] > vm[stop] // _POW10[k]
-        deep, vp, vm = deep[go], vp[go], vm[go]
-        if not deep.size:
-            break
-        removed[deep] += 2
-    return removed
-
-
-def _exact_lanes(out, below, r, vm, vr_zeros, even):
-    """Ryu's general case, for lanes whose lower bound may be exact.
-
-    vr stays exact below its last removed digit only if the digits under
-    that one were all 0, vm only if all its removed digits were; while vm
-    stays exact and still ends in 0, one more digit goes. An exact tie
-    (last digit 5, nothing below it) rounds to even. Returns out, r and
-    whether to round up.
-    """
-    div = _POW10.take(r)
-    lower = _LOWER.take(r)
-    d = below // lower  # the last removed digit (0 if none)
-    vr_zeros &= below - d * lower == 0
-    m = vm // div
-    vm_zeros = vm - m * div == 0
-    go = vm_zeros & (m % _U(10) == 0)
-    while go.any():
-        vr_zeros &= ~go | (d == 0)
-        q = out // _U(10)
-        d = np.where(go, out - q * _U(10), d)
-        out = np.where(go, q, out)
-        m = np.where(go, m // _U(10), m)
-        r = r + go
-        go &= m % _U(10) == 0
-    d[vr_zeros & (d == 5) & (out % _U(2) == 0)] = 4
-    return out, r, ((out == m) & ~(even & vm_zeros)) | (d >= 5)
+def _dragonbox(bits, ie, tables):
+    """Dragonbox's nearest-to-even path for floats that are not powers of
+    two: the whole 192-bit product; an integer upper end dropped from an
+    odd float's interval; on a remainder equal to delta, whether the lower
+    end is in the interval; a tie of the two nearest multiples of 100, to
+    even."""
+    c_hi, c_lo, beta, delta = (t.take(ie) for t in tables[:4])
+    fc = (bits & _MANTISSA) | ((ie > 0).astype(np.uint64) << _U(52))
+    two_fc = fc << _U(1)
+    odd = (fc & _U(1)) == 1
+    u = (two_fc | _U(1)) << beta
+    w0, h0 = _mul(u, c_lo)
+    w1, z = _mul(u, c_hi)
+    w1 += h0
+    z += w1 < h0
+    s = z // _U(1000)
+    r = z - s * _U(1000)
+    drop = (r == 0) & (w1 == 0) & odd  # z itself is out of the interval
+    s -= drop
+    r += drop * _U(1000)
+    big = r < delta
+    tie = np.flatnonzero(r == delta)
+    if tie.size:  # is the lower end, z - delta, in the interval?
+        parity, integer = _parity(two_fc[tie] - _U(1), c_hi[tie], c_lo[tie], beta[tie])
+        big[tie] = parity | (integer & ~odd[tie])
+    dist = r + _U(50) - (delta >> _U(1))
+    q = dist // _U(100)
+    d = np.where(big, s * _U(10), s * _U(10) + q)
+    even = np.flatnonzero(~big & (dist == q * _U(100)))
+    if even.size:  # the float is at or below the midpoint of d - 1 and d
+        parity, integer = _parity(two_fc[even], c_hi[even], c_lo[even], beta[even])
+        de = d[even]
+        d[even] = de - ((parity != ((dist[even] & _U(1)) == 1))
+                        | (integer & ((de & _U(1)) == 1)))
+    n = _digit_count(d)
+    return d * _POW10.take(17 - n), tables[6].take(ie) + n - 17
 
 
 def _digit_count(x):
@@ -349,14 +368,14 @@ def _digit_count(x):
 
 
 def _swar8(x):
-    """The eight decimal digits of each x < 10**8 as ASCII, first digit in
-    the lowest byte: split into 4-digit halves, 2-digit quarters, digits."""
-    high = x // _U(10000)
-    w = high | ((x - high * _U(10000)) << _U(32))
+    """The eight decimal digits of each x < 10**8, first digit in the lowest
+    byte, as byte values 0 to 9: split into 4-digit halves, 2-digit
+    quarters, digits, each step one multiply-shift for the quotients."""
+    w = (x << _U(32)) + (x // _U(10000)) * _U((1 - (10000 << 32)) % 2**64)
     t = ((w * _U(5243)) >> _U(19)) & _U(0x0000007F0000007F)
-    w = t | ((w - t * _U(100)) << _U(16))
+    w = (w << _U(16)) + t * _U((1 - (100 << 16)) % 2**64)
     t = ((w * _U(103)) >> _U(10)) & _U(0x000F000F000F000F)
-    return t | ((w - t * _U(10)) << _U(8)) | _U(_ZEROS8)
+    return (w << _U(8)) + t * _U((1 - (10 << 8)) % 2**64)
 
 
 def _block(values, sep_word, sep_bits):
@@ -368,41 +387,42 @@ def _block(values, sep_word, sep_bits):
     """
     bits = values.view(np.uint64)
     negative = bits >> _U(63)
-    bits = bits & _U(0x7FFFFFFFFFFFFFFF)
-    zero = bits == 0
-    # a zero is laid out as 1.0 with the digit 0
-    output, exponent = _decimal(np.where(zero, _U(0x3FF0000000000000), bits))
-    n = _digit_count(output)
-    decpt = exponent + n
-    # the 17 significant digits, zero-padded: d1, then two SWAR words
-    digits = output * _POW10.take(17 - n)
-    digits[zero] = 0
-    d1 = digits // _POW10[16]
-    rest = digits - d1 * _POW10[16]
+    d, at = _digits(bits & _U(0x7FFFFFFFFFFFFFFF))
+    d1 = d // _POW10[16]
+    rest = d - d1 * _POW10[16]
     upper = rest // _POW10[8]
     a = _swar8(upper)
     b = _swar8(rest - upper * _POW10[8])
+    # the digits repr prints run to the last nonzero one: its byte in the
+    # 16-byte a, b is the bit length's, which a float conversion gives
+    # (digit bytes are at most 9, so it never rounds up past a power of two)
+    top = (b.astype(np.float64) * 2.0**64 + (a.astype(np.float64) + 0.5)).view(np.uint64)
+    low, high, fill, shift, keep = _LAYOUT.at(at)
+    kept = keep.take(((top >> _U(52)).astype(np.intp) - 1023 >> 3) * keep.shape[1]
+                     + (2 * keep.shape[1]) + at)
+    a |= _ZEROS8
+    b |= _ZEROS8
     f0 = (d1 | _U(0x30)) | (a << _U(8))
     f1 = (a >> _U(56)) | (b << _U(8))
     f2 = b >> _U(56)
-    at = decpt + _DECPT
-    low, high, dot, suffix, small, keep = _LAYOUT.at(at)
-    # 0.000ddd: for -3 <= decpt <= 0, four '0' in front, then '.' after one
-    small = small.take(at)
-    f2 = np.where(small, (f1 >> _U(32)) | (f2 << _U(32)), f2)
-    f1 = np.where(small, (f0 >> _U(32)) | (f1 << _U(32)), f1)
-    f0 = np.where(small, (f0 << _U(32)) | _U(0x30303030), f0)
-    # '.' shifted in: the bytes after it come from the words one byte up
-    g0 = f0 << _U(8)
-    g1 = (f1 << _U(8)) | (f0 >> _U(56))
-    g2 = (f2 << _U(8)) | (f1 >> _U(56))
+    # '.' or '0.000' put in: the digits after it shifted up by t bits
+    t = shift.take(at)
+    back = _U(64) - t
     slots = np.empty((values.size, 4), dtype="<u8")
-    slots[:, 0] = sep_word | (negative * _U(0x2D << 56))
-    for w, (f, g) in enumerate(((f0, g0), (f1, g1), (f2, g2))):
-        slots[:, w + 1] = (f & low[w].take(at)) | (g & high[w].take(at)) | dot[w].take(at)
-    slots[:, 3] |= suffix.take(at)
-    keep = keep.take(n * keep.shape[1] + at) | sep_bits | (negative << _U(7))
-    mask = np.unpackbits(keep.astype("<u4").view(np.uint8), bitorder="little")
+    np.bitwise_or(sep_word, negative * _U(0x2D << 56), out=slots[:, 0])
+    np.bitwise_or((f0 & low[0].take(at)) | ((f0 << t) & high[0].take(at)), fill[0].take(at),
+                  out=slots[:, 1])
+    np.bitwise_or(f1 << t, f0 >> back, out=slots[:, 2])
+    np.bitwise_or(f2 << t, f1 >> back, out=slots[:, 3])
+    wide = np.flatnonzero((at - (_DECPT - 3)).view(np.uintp) > 10)  # decpt not in [-3, 7]
+    if wide.size:
+        at_w = at[wide]
+        for w, f in ((1, f1), (2, f2)):
+            slots[wide, w + 1] = ((f[wide] & low[w].take(at_w))
+                                  | (slots[wide, w + 1] & high[w].take(at_w))
+                                  | fill[w].take(at_w))
+    kept |= sep_bits | (negative << _U(7))
+    mask = np.unpackbits(kept.astype("<u4").view(np.uint8), bitorder="little")
     return slots, mask
 
 
@@ -442,16 +462,23 @@ def rows(columns, seps):
     count = -(-total // max(BLOCK // width, 1))
     if not count:
         return
-    # the separator before each cell of the longest block: the one after the
-    # cell left of it, or for a row's first cell the one after the row above
-    longest = -(-total // count)
-    sep_words, sep_bits = (np.tile(np.roll(a, 1), longest) for a in (words, bits))
+    # the separator before each cell: the one after the cell left of it, or
+    # for a row's first cell the one after the row above; one column's is
+    # one word for every cell
+    if width == 1:
+        separators = words[0], bits[0]
+    else:
+        longest = -(-total // count)
+        sep_words, sep_bits = (np.tile(np.roll(a, 1), longest) for a in (words, bits))
     lo = 0
     for k in range(1, count + 1):
         hi = total * k // count
-        cells = (columns[0][lo:hi] if width == 1
-                 else np.column_stack([c[lo:hi] for c in columns]).ravel())
-        slots, mask = _block(cells, sep_words[:cells.size], sep_bits[:cells.size])
+        if width == 1:
+            cells = columns[0][lo:hi]
+        else:
+            cells = np.column_stack([c[lo:hi] for c in columns]).ravel()
+            separators = sep_words[:cells.size], sep_bits[:cells.size]
+        slots, mask = _block(cells, *separators)
         if lo == 0:
             mask[:7] = 0  # no separator before the table's first cell
         yield slots.view(np.uint8).ravel()[mask.view(bool)].tobytes()

@@ -11,6 +11,7 @@ carry the row separator. The per-exponent and per-decpt tables are built
 a row at a time, as blocks meet them; importing builds none.
 """
 
+import decimal
 import os
 import subprocess
 import sys
@@ -118,6 +119,74 @@ def test_separators_used_in_turn():
     rows = values.reshape(-1, 3).tolist()
     expected = "\n".join(",".join(map(repr, row)) for row in rows).encode()
     assert _join(values, (",", ",", "\n")) == expected
+
+
+# separators of every length the kernel takes, a NUL among them
+_SEPARATORS = ["", "\x00", ", ", " | ", ";\t\r\n", ",\n   ", ",\n    ", "\x00,\n;\t |"]
+
+
+@pytest.mark.parametrize("sep", _SEPARATORS)
+def test_separators_of_every_length(sep):
+    # one column and three across a block seam, with the separator after
+    # the first column and after each row
+    assert len(sep) == _SEPARATORS.index(sep)
+    rng = np.random.default_rng(len(sep))
+    values = rng.standard_normal(shortest.BLOCK + 5) * 10.0 ** rng.integers(-8, 20, shortest.BLOCK + 5)
+    values[::3] = -values[::3]
+    _assert_matches(values, sep)
+    seps = (sep, _SEPARATORS[7 - len(sep)], sep)
+    table = values[:3 * (shortest.BLOCK // 3 + 7)].reshape(-1, 3)
+    expected = seps[2].join(repr(a) + seps[0] + repr(b) + seps[1] + repr(c)
+                            for a, b, c in table.tolist())
+    assert _join(table.ravel(), seps) == expected.encode()
+
+
+def _layout(value):
+    """(significant digits, decpt) of repr(value)."""
+    digits = decimal.Decimal(repr(abs(value))).normalize().as_tuple()
+    return len(digits.digits), digits.exponent + len(digits.digits)
+
+
+def _with_layout(count, decpt, rng):
+    """A float whose repr has ``count`` significant digits and decimal point
+    position ``decpt``."""
+    for _ in range(400):
+        digits = str(rng.integers(10 ** (count - 1), 10**count))
+        digits = digits[:-1] + str(rng.integers(1, 10)) if count > 1 else digits
+        value = float(f"0.{digits}e{decpt}")
+        if value and np.isfinite(value) and _layout(value) == (count, decpt):
+            return value
+    raise AssertionError(f"no float with {count} digits at decpt {decpt}")
+
+
+def test_every_layout_class():
+    # each digit count at each decimal point position around repr's fixed
+    # notation, both signs, and the widths of the exponent: e-99 to e-100,
+    # e+99 to e+100, and the extremes
+    rng = np.random.default_rng(24)
+    classes = [(n, p) for n in range(1, 18) for p in range(-6, 20)]
+    classes += [(n, p) for n in (1, 2, 16, 17) for p in (-99, -100, 100, 101, -307, 309)]
+    classes.append((1, -323))
+    values = np.array([_with_layout(n, p, rng) for n, p in classes])
+    assert {_layout(v) for v in values.tolist()} == set(classes)
+    _assert_matches(np.concatenate([values, -values]), ",")
+
+
+def test_exact_path_agrees_with_the_fast_path():
+    # the lanes the fast path leaves to Dragonbox's full path are rare, so
+    # the full path also runs here on every lane of short decimals, integers
+    # and random floats, where ties and remainders equal to delta are common
+    rng = np.random.default_rng(7)
+    values = np.concatenate([
+        rng.integers(1, 0x7FF0000000000000, 10**5, dtype=np.uint64).view(np.float64),
+        np.arange(1.0, 20001.0), np.arange(1.0, 20001.0) * 2.0**60,
+        [float(f"{m}e{e}") for m in range(1, 2000) for e in (-30, -3, 0, 17, 22)]])
+    bits = values.view(np.uint64)
+    bits = bits[(bits & np.uint64((1 << 52) - 1)) != 0]  # not powers of two
+    ie = (bits >> np.uint64(52)).astype(np.intp)
+    full = shortest._dragonbox(bits, ie, shortest._EXPONENTS.at(ie))
+    fast = shortest._digits(bits)
+    assert all((a == b).all() for a, b in zip(full, fast))
 
 
 @pytest.mark.parametrize("values", [[1.0, np.nan], [np.inf], [[1.0]]])
