@@ -12,28 +12,20 @@ The digits come from the nearest-to-even path of Dragonbox (Junekey Jeon,
 2020). A float ``fc * 2**e`` has the rounding interval of half-width
 ``2**(e-1)`` around it; with ``k = 2 - floor(e log10 2)`` the interval's
 upper end, scaled by ``10**k``, is ``z = (2fc + 1) * 2**(e-1) * 10**k``,
-and its width ``delta`` lies in [100, 1000). ``z`` is the upper word of
-one product of ``(2fc + 1) * 2**beta`` with a 128-bit power of ten, and
+and its width ``delta`` lies in [100, 1000). ``z`` is the integer part of
+the product of ``(2fc + 1) * 2**beta`` with a 128-bit power of ten, and
 one division by 1000 tells whether a multiple of 1000 lies in the
 interval (then that one, with trailing zeros to drop, is the shortest);
 otherwise the nearest multiple of 100 is found from the remainder with a
 division by 100. That digit string is the one repr prints: the shortest
 that rounds back to the float, and of those the nearest to it, ties to
-even. Everything that depends only on the binary exponent (the power of
-ten, beta, ``delta``, the decimal exponent, and the whole result for a
-power of two, whose lower gap is half) is looked up per exponent.
-
-Every lane first takes the fast path, which treats every float as normal
-and not a power of two and leaves out the lowest 33 bits of the product
-with the multiplier's lower word, so it knows z's fraction (the low word
-``low``) to within 2**-31. Dragonbox's parity and integer tests compare
-fractions: whether the lower end ``z - delta`` or ``y = z - delta / 2``
-falls below an integer is whether z's fraction is below the fraction of
-``delta`` or of ``delta / 2``, which are per exponent too. So the fast
-path compares ``low`` with them, and the lanes where a comparison may be
-off (``low`` within 2**-30 of either fraction or of 0, which also covers
-an integer z) go to Dragonbox's path in full, as do subnormals, on their
-compressed subset; zeros and powers of two take their row's digits.
+even. Dragonbox's exact tests, whether an end of the interval is an
+integer and whether the float lies at a midpoint, run only on the lanes
+whose remainder calls for them, as compressed subsets, and so does the
+digit count of subnormals, the only floats with fewer than 16 digits.
+Everything that depends only on the binary exponent (the power of ten,
+beta, ``delta``, the decimal exponent, and the whole result for zero and
+for a power of two, whose lower gap is half) is looked up per exponent.
 
 Each value is then laid out in four little-endian words: the separator
 that precedes it and its sign in the first, the repr text in the other
@@ -41,13 +33,12 @@ three. The 17 significant digits, zero-padded, are made ASCII by SWAR
 eight per word; the number of digits repr prints is the place of the last
 nonzero one, which a float conversion of the raw digit words gives. The
 '.' (and the '0.' prefix, with up to three more '0', of values from 1e-4
-up to 1) is put in by one shift per word and three masks of the first
-word, looked up by the decimal point position ``decpt`` (value =
-0.d1d2... * 10**decpt). For -3 <= decpt <= 7, nearly all values of a
-node table, the other two words are the shifted digits alone; the rest
-(decpt of 8 and above, and repr's scientific notation, for decpt <= -4
-or above 16, with its ``e+XX`` suffix) get their masks on their
-compressed subset. One boolean compress keeps the bytes repr would print.
+up to 1) is put in by one shift of the digits and three masks per word,
+looked up by the decimal point position ``decpt`` (value = 0.d1d2... *
+10**decpt): the digits before it, the digits after it, shifted up, and
+the constant bytes, which also hold the ``e+XX`` suffix of repr's
+scientific notation (decpt <= -4 or above 16). One boolean compress keeps
+the bytes repr would print.
 
 The per-exponent and per-decpt tables are built a row at a time, the
 first time a block meets that exponent or decpt, and kept, so importing
@@ -63,8 +54,8 @@ import numpy as np
 
 __all__ = ["rows"]
 
-# Cells per block. Each block costs some 90 numpy calls, about 0.13 ms,
-# on top of its values, so ``rows`` cuts a table into equal blocks, not
+# Cells per block. Each block costs about 0.13 ms of numpy calls on top
+# of its values, so ``rows`` cuts a table into equal blocks, not
 # full ones and a short tail, and a block of a table of w columns is at
 # most BLOCK // w rows: blocks of 2**14 rows of seven cells raised
 # fundamental's peak at n = 2**18 by 2-6 MiB. Blocks of 2**12 to 2**16
@@ -76,7 +67,7 @@ __all__ = ["rows"]
 # keeps its freed heap, as the command line's process entry
 # (``bvpseries.__main__``) does.
 # With the heap kept, a 65,536-node fundamental table rendered as fast in
-# blocks of 8192 as of 16384 (within 5%), 10-20% slower in blocks of
+# blocks of 8192 as of 16384 (within 5%), 20-25% slower in blocks of
 # 4096, and no faster in larger ones (2-core Xeon, numpy 2.4).
 BLOCK = 16384
 
@@ -85,11 +76,6 @@ _MASK32 = _U(0xFFFFFFFF)
 _MANTISSA = _U((1 << 52) - 1)
 _ZEROS8 = _U(0x3030303030303030)  # eight ASCII '0'
 _POW10 = np.array([10**k for k in range(20)], dtype=np.uint64)
-# the fast path's low word of the product is at most 2**33 short of the
-# exact one, so a comparison with it is certain unless they are near:
-# (low - x + _NEAR) < _WINDOW is |low - x| < 2**34, modulo 2**64
-_NEAR = _U(2**34)
-_WINDOW = _U(2**35)
 
 
 class _Rows:
@@ -106,7 +92,7 @@ class _Rows:
     def at(self, index):
         """The tables, their rows at ``index`` (not empty) built."""
         built = self._built
-        if built[index.min():index.max() + 1].all() or built.take(index).all():
+        if built.take(index).all():
             return self._tables
         missing = np.zeros_like(built)
         missing[index] = True
@@ -169,11 +155,10 @@ def _exponent_rows(ie):
 
     Per exponent e = max(ie, 1) - 1075, with k = 2 - floor(e log10 2) and
     c the multiplier for 10**k: the upper and lower words of c; beta;
-    ``delta``, the interval's width scaled by 10**k, and the fractions of
-    ``delta / 2`` and ``delta`` as 64-bit words (``y_frac``, ``x_frac``);
-    ``at``, _DECPT + 17 plus the decimal exponent of the digits s * 10 + q;
-    and the padded digits and ``at`` of the power of two with that
-    exponent (of 0.0 for ie = 0).
+    ``delta``, the interval's width scaled by 10**k; ``at``, _DECPT + 17
+    plus the decimal exponent of the digits s * 10 + q; and the padded
+    digits and ``at`` of the power of two with that exponent (of 0.0 for
+    ie = 0).
     """
     word = (1 << 64) - 1
     rows = []
@@ -184,10 +169,9 @@ def _exponent_rows(ie):
         c = _power_of_ten(k)
         beta = e + _floor_log2_pow10(k)
         assert 6 <= beta <= 9  # so (2fc + 1) << beta < 2**63 fits a word
-        rows.append((c >> 64, c & word, beta, c >> (127 - beta),
-                     (c << beta >> 64) & word, (c << (beta + 1) >> 64) & word,
-                     e10 + 17 + _DECPT) + (_power_of_two(e) if i else (0, _DECPT + 1)))
-    return tuple(np.array(col, dtype=np.intp if j in (6, 8) else np.uint64)
+        rows.append((c >> 64, c & word, beta, c >> (127 - beta), e10 + 17 + _DECPT)
+                    + (_power_of_two(e) if i else (0, _DECPT + 1)))
+    return tuple(np.array(col, dtype=np.intp if j in (4, 6) else np.uint64)
                  for j, col in enumerate(zip(*rows)))
 
 
@@ -245,17 +229,19 @@ def _layout_rows(at):
 _LAYOUT = _Rows(_layout_rows, 2 * _DECPT + 1)
 
 
-def _mul(a, b):
-    """a * b as (low word, high word)."""
-    a_lo = a & _MASK32
-    a_hi = a >> _U(32)
+def _high(a_lo, a_hi, b):
+    """The high word of a * b, a given as its 32-bit halves."""
     b_lo = b & _MASK32
     b_hi = b >> _U(32)
-    ll = a_lo * b_lo
     lh = a_lo * b_hi
     hl = a_hi * b_lo
-    mid = (ll >> _U(32)) + (lh & _MASK32) + (hl & _MASK32)
-    return a * b, a_hi * b_hi + (lh >> _U(32)) + (hl >> _U(32)) + (mid >> _U(32))
+    mid = ((a_lo * b_lo) >> _U(32)) + (lh & _MASK32) + (hl & _MASK32)
+    return a_hi * b_hi + (lh >> _U(32)) + (hl >> _U(32)) + (mid >> _U(32))
+
+
+def _mul(a, b):
+    """a * b as (low word, high word)."""
+    return a * b, _high(a & _MASK32, a >> _U(32), b)
 
 
 def _digits(bits):
@@ -264,38 +250,59 @@ def _digits(bits):
     exponent = bits >> _U(52)
     ie = exponent.astype(np.intp)
     tables = _EXPONENTS.at(ie)
-    c_hi, c_lo, beta, delta, y_frac, x_frac, at = (t.take(ie) for t in tables[:7])
+    c_hi, c_lo, beta, delta, at = (t.take(ie) for t in tables[:5])
     mantissa = bits & _MANTISSA
-    # u = (2fc + 1) * 2**beta, every lane taken as normal
-    u = (((mantissa | _U(1 << 52)) << _U(1)) | _U(1)) << beta
-    low, z = _mul(u, c_hi)
-    # u * c / 2**128 = z + low / 2**64 + less: the high word of u * c_lo is
-    # added from its upper halves, which leave low at most 2**33 short
-    part = (u >> _U(32)) * (c_lo >> _U(32))
-    low += part
-    z += low < part
+    # 2fc, the hidden bit set for normal floats; u = (2fc + 1) * 2**beta
+    two_fc = (mantissa | (np.minimum(exponent, _U(1)) << _U(52))) << _U(1)
+    u = (two_fc | _U(1)) << beta
+    # z = floor(u * c / 2**128), w1 the upper word of its fraction
+    halves = u & _MASK32, u >> _U(32)
+    h0 = _high(*halves, c_lo)
+    z = _high(*halves, c_hi)
+    w1 = u * c_hi + h0
+    z += w1 < h0
     s = z // _U(1000)
     r = z - s * _U(1000)
-    # s * 1000 is in the interval iff r < delta, or r == delta with z's
-    # fraction below delta's (its trailing zeros are padding); else the
-    # digits are the float itself, y = z - delta / 2, rounded to a multiple
-    # of 100: s * 10 + floor((y - s * 1000 + 50) / 100), where floor(y) -
-    # s * 1000 is r - floor(delta / 2), one less if z's fraction is below
-    # that of delta / 2 (ties to even are left to the exact lanes)
-    big = r < delta + (low < x_frac)
-    dist = r + _U(50) - (delta >> _U(1)) - (low < y_frac)
-    d = s * _U(10) + (dist // _U(100)) * ~big
-    # the lanes whose comparisons of low may be off, or whose fraction of z
-    # may be 0, or that are zeros, subnormals or powers of two
-    exact = (((low + _NEAR) < _WINDOW) | ((low - y_frac + _NEAR) < _WINDOW)
-             | ((low - x_frac + _NEAR) < _WINDOW) | (np.minimum(mantissa, exponent) == 0))
-    # d has 16 or 17 digits for every normal float: pad it to 17
+    zero = np.flatnonzero(r == _U(0))
+    if zero.size:  # an integer z, the upper end, is out of an odd float's interval
+        drop = zero[(w1.take(zero) == 0) & ((two_fc.take(zero) & _U(2)) != 0)]
+        s[drop] -= _U(1)
+        r[drop] += _U(1000)
+    # s * 1000 is in the interval iff r < delta, or r == delta and the lower
+    # end is; else the digits are the float's own, rounded to a multiple of
+    # 100: s * 10 + floor((y - s * 1000 + 50) / 100) for y = z - delta / 2
+    big = r < delta
+    tie = np.flatnonzero(r == delta)
+    if tie.size:  # is the lower end, z - delta, in the interval?
+        two_ft = two_fc.take(tie)
+        parity, integer = _parity(two_ft - _U(1), c_hi.take(tie), c_lo.take(tie), beta.take(tie))
+        big[tie] = parity | (integer & ((two_ft & _U(2)) == 0))
+    dist = r + _U(50) - (delta >> _U(1))
+    q = dist // _U(100)
+    d = s * _U(10) + q * ~big
+    even = np.flatnonzero(dist == q * _U(100))
+    even = even[~big.take(even)]
+    if even.size:  # the float is at or below the midpoint of d - 1 and d
+        parity, integer = _parity(two_fc.take(even), c_hi.take(even), c_lo.take(even),
+                                  beta.take(even))
+        de = d.take(even)
+        d[even] = de - ((parity != ((dist.take(even) & _U(1)) == 1))
+                        | (integer & ((de & _U(1)) == 1)))
+    # zeros, subnormals and powers of two; every other float's d has 16 or
+    # 17 digits: pad it to 17
+    rare = np.flatnonzero(np.minimum(mantissa, exponent) == 0)
+    d_rare = d.take(rare)
     short = d < _POW10[16]
     d *= short * _U(9) + _U(1)
     at -= short
-    lanes = np.flatnonzero(exact)
-    if lanes.size:
-        d[lanes], at[lanes] = _exact_lanes(bits[lanes], tables)
+    if rare.size:
+        ie_rare = ie.take(rare)
+        n = _digit_count(np.maximum(d_rare, _U(1)))
+        d_rare *= _POW10.take(17 - n)
+        at_rare = tables[4].take(ie_rare) + n - 17
+        two = np.flatnonzero(mantissa.take(rare) == 0)  # their rows' digits
+        d_rare[two], at_rare[two] = (t.take(ie_rare.take(two)) for t in tables[5:])
+        d[rare], at[rare] = d_rare, at_rare
     return d, at
 
 
@@ -306,56 +313,6 @@ def _parity(two_f, c_hi, c_lo, beta):
     w1 = h0 + two_f * c_hi
     return (((w1 >> (_U(64) - beta)) & _U(1)) == 1,
             ((w1 << beta) | (w0 >> (_U(64) - beta))) == 0)
-
-
-def _exact_lanes(bits, tables):
-    """What ``_digits`` returns, for the lanes its fast path may get wrong:
-    zeros and powers of two from their exponent's row, the others by
-    Dragonbox's nearest-to-even path in full."""
-    ie = (bits >> _U(52)).astype(np.intp)
-    d, at = (t.take(ie) for t in tables[7:])
-    full = np.flatnonzero(bits & _MANTISSA)
-    if full.size:
-        d[full], at[full] = _dragonbox(bits[full], ie[full], tables)
-    return d, at
-
-
-def _dragonbox(bits, ie, tables):
-    """Dragonbox's nearest-to-even path for floats that are not powers of
-    two: the whole 192-bit product; an integer upper end dropped from an
-    odd float's interval; on a remainder equal to delta, whether the lower
-    end is in the interval; a tie of the two nearest multiples of 100, to
-    even."""
-    c_hi, c_lo, beta, delta = (t.take(ie) for t in tables[:4])
-    fc = (bits & _MANTISSA) | ((ie > 0).astype(np.uint64) << _U(52))
-    two_fc = fc << _U(1)
-    odd = (fc & _U(1)) == 1
-    u = (two_fc | _U(1)) << beta
-    w0, h0 = _mul(u, c_lo)
-    w1, z = _mul(u, c_hi)
-    w1 += h0
-    z += w1 < h0
-    s = z // _U(1000)
-    r = z - s * _U(1000)
-    drop = (r == 0) & (w1 == 0) & odd  # z itself is out of the interval
-    s -= drop
-    r += drop * _U(1000)
-    big = r < delta
-    tie = np.flatnonzero(r == delta)
-    if tie.size:  # is the lower end, z - delta, in the interval?
-        parity, integer = _parity(two_fc[tie] - _U(1), c_hi[tie], c_lo[tie], beta[tie])
-        big[tie] = parity | (integer & ~odd[tie])
-    dist = r + _U(50) - (delta >> _U(1))
-    q = dist // _U(100)
-    d = np.where(big, s * _U(10), s * _U(10) + q)
-    even = np.flatnonzero(~big & (dist == q * _U(100)))
-    if even.size:  # the float is at or below the midpoint of d - 1 and d
-        parity, integer = _parity(two_fc[even], c_hi[even], c_lo[even], beta[even])
-        de = d[even]
-        d[even] = de - ((parity != ((dist[even] & _U(1)) == 1))
-                        | (integer & ((de & _U(1)) == 1)))
-    n = _digit_count(d)
-    return d * _POW10.take(17 - n), tables[6].take(ie) + n - 17
 
 
 def _digit_count(x):
@@ -405,22 +362,18 @@ def _block(values, sep_word, sep_bits):
     f0 = (d1 | _U(0x30)) | (a << _U(8))
     f1 = (a >> _U(56)) | (b << _U(8))
     f2 = b >> _U(56)
-    # '.' or '0.000' put in: the digits after it shifted up by t bits
+    # per text word, the digits before the '.' or '0.000', those after it
+    # shifted up by t bits (with the top bytes of the word before), and the
+    # constant bytes
     t = shift.take(at)
     back = _U(64) - t
     slots = np.empty((values.size, 4), dtype="<u8")
     np.bitwise_or(sep_word, negative * _U(0x2D << 56), out=slots[:, 0])
-    np.bitwise_or((f0 & low[0].take(at)) | ((f0 << t) & high[0].take(at)), fill[0].take(at),
-                  out=slots[:, 1])
-    np.bitwise_or(f1 << t, f0 >> back, out=slots[:, 2])
-    np.bitwise_or(f2 << t, f1 >> back, out=slots[:, 3])
-    wide = np.flatnonzero((at - (_DECPT - 3)).view(np.uintp) > 10)  # decpt not in [-3, 7]
-    if wide.size:
-        at_w = at[wide]
-        for w, f in ((1, f1), (2, f2)):
-            slots[wide, w + 1] = ((f[wide] & low[w].take(at_w))
-                                  | (slots[wide, w + 1] & high[w].take(at_w))
-                                  | fill[w].take(at_w))
+    prev = _U(0)
+    for w, f in enumerate((f0, f1, f2)):
+        np.bitwise_or((f & low[w].take(at)) | (((f << t) | (prev >> back)) & high[w].take(at)),
+                      fill[w].take(at), out=slots[:, w + 1])
+        prev = f
     kept |= sep_bits | (negative << _U(7))
     mask = np.unpackbits(kept.astype("<u4").view(np.uint8), bitorder="little")
     return slots, mask
