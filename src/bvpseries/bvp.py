@@ -17,7 +17,8 @@ import math
 
 import numpy as np
 
-from .checks import Check, bound_checks, ode_residual
+from ._record import Record
+from .checks import bound_checks, ode_residual
 from .errors import GridMismatch, InvalidDomain
 from .grid import SampledFn, same_grid
 from .series_core import SeriesSolution, apply_B
@@ -42,26 +43,29 @@ class ProblemD:
         self.beta = beta
 
 
-class SolveReport:
-    """Solution plus every diagnostic a solve produces."""
+class SolveReport(Record):
+    """Solution plus every diagnostic a solve produces.
+
+    Attributes
+    ----------
+    u, du : SampledFn
+        The solution u = c1*I1 + c2*I2 + F and its derivative.
+    c1, c2 : float
+        The series coefficients, beta and alpha.
+    boundary_err : tuple of float
+        |u(0) - alpha| and |u'(x1) - beta|.
+    residual_max : float
+        The largest interior-node residual of the equation.
+    wronskian_dev : float
+        The largest deviation of the Wronskian of (I1, I2) from -I2(x1).
+    bound_checks : tuple of Check
+        ``checks.bound_checks`` of the series.
+    fixedpoint_err : float
+        The largest node defect of u = Bu + g + c1*x + c2.
+    """
 
     __slots__ = ("u", "du", "c1", "c2", "boundary_err", "residual_max",
-                 "wronskian_dev", "i2_at_x1", "bound_checks", "fixedpoint_err")
-
-    def __init__(self, u: SampledFn, du: SampledFn, c1: float, c2: float,
-                 boundary_err: tuple[float, float], residual_max: float,
-                 wronskian_dev: float, i2_at_x1: float, bound_checks: tuple[Check, ...],
-                 fixedpoint_err: float):
-        self.u = u
-        self.du = du
-        self.c1 = c1
-        self.c2 = c2
-        self.boundary_err = boundary_err
-        self.residual_max = residual_max
-        self.wronskian_dev = wronskian_dev
-        self.i2_at_x1 = i2_at_x1
-        self.bound_checks = bound_checks
-        self.fixedpoint_err = fixedpoint_err
+                 "wronskian_dev", "bound_checks", "fixedpoint_err")
 
 
 def general_solution(sol: SeriesSolution, c1: float, c2: float):
@@ -142,5 +146,5 @@ def solve_problem_d(sol: SeriesSolution, prob: ProblemD) -> SolveReport:
     return SolveReport(
         u=u, du=du, c1=c1, c2=c2, boundary_err=boundary_err,
         residual_max=residual_max, wronskian_dev=wronskian_dev,
-        i2_at_x1=sol.i2_at_x1, bound_checks=bchecks, fixedpoint_err=fixedpoint_err,
+        bound_checks=bchecks, fixedpoint_err=fixedpoint_err,
     )

@@ -23,6 +23,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ._record import Record
 from .grid import sup_norm
 from .series_core import SeriesSolution
 
@@ -46,7 +47,7 @@ B_ROUNDING_CONST = 20.0
 B_SLOPE_CONST = 7.0
 
 
-class Check:
+class Check(Record):
     """One named verification result.
 
     ``value`` is the measured quantity, ``limit`` what it must not exceed;
@@ -55,12 +56,6 @@ class Check:
     """
 
     __slots__ = ("name", "passed", "value", "limit")
-
-    def __init__(self, name: str, passed: bool, value: float, limit: float):
-        self.name = name
-        self.passed = passed
-        self.value = value
-        self.limit = limit
 
 
 def _check(name: str, value: float, limit: float) -> Check:

@@ -238,11 +238,9 @@ def _cmd_verify(config: argparse.Namespace):
     report = solve_problem_d(sol, ProblemD(config.alpha, config.beta))
     max_rel_err = compare(sol, oracle_fundamental(sol.a, sol.f))
     all_checks = verify(sol, report, max_rel_err, config.tol)
-    overflowed = ", ".join(c.name for c in all_checks if not math.isfinite(c.limit))
-    if overflowed:  # every limit grows with tol, fixed_point's with alpha and beta too
-        ends = (f", --alpha = {config.alpha!r}, --beta = {config.beta!r}"
-                if "fixed_point" in overflowed else "")
-        raise InvalidDomain(f"the limit of {overflowed} overflows at --tol = {config.tol!r}{ends}")
+    overflowed = [c.name for c in all_checks if not math.isfinite(c.limit)]
+    if overflowed:
+        raise InvalidDomain(_overflow_message(config, sol, report, max_rel_err, overflowed))
     passed = all(c.passed for c in all_checks)
     payload = _common_payload(config, sol)
     payload.update({
@@ -261,6 +259,27 @@ def _cmd_verify(config: argparse.Namespace):
         f"verification failed: {len(failed)} of {len(all_checks)} checks: "
         + ", ".join(failed)
     )
+
+
+def _overflow_message(config, sol, report, max_rel_err, overflowed) -> str:
+    """Why the check limits ``overflowed`` overflow. A limit is a term in
+    tol (the series tails, and tol itself for fixed_point) plus a term set
+    by the problem's scale: h, the sups of a, f and the series, and for
+    fixed_point alpha and beta. The limits are taken again with no tol;
+    those that still overflow are the scale's, and no --tol avoids them.
+    Otherwise the message names --tol, which a smaller value would fix."""
+    fields = {name: getattr(sol, name) for name in SeriesSolution.__slots__}
+    no_tails = SeriesSolution(**{**fields, "tail_bound": dict.fromkeys(sol.tail_bound, 0.0)})
+    scaled = [c.name for c in verify(no_tails, report, max_rel_err, 0.0)
+              if not math.isfinite(c.limit)]
+    names = ", ".join(scaled or overflowed)
+    ends = (f", --alpha = {config.alpha!r}, --beta = {config.beta!r}"
+            if "fixed_point" in names else "")
+    if not scaled:
+        return f"the limit of {names} overflows at --tol = {config.tol!r}{ends}"
+    sup, which = max((sup_norm(getattr(sol, name)), name) for name in ("a", "f", "I1", "I2", "F"))
+    return (f"the limit of {names} overflows at every --tol: the problem's scale is too large "
+            f"(h = {sol.grid.h!r}, sup|{which}| = {sup!r}{ends})")
 
 
 _COMMANDS = {"solve": _cmd_solve, "fundamental": _cmd_fundamental, "verify": _cmd_verify}

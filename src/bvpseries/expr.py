@@ -44,6 +44,7 @@ from functools import partial
 
 import numpy as np
 
+from ._record import Record
 from .errors import EvalError, ParseError, UnknownFunction
 
 FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt", "abs", "tanh")
@@ -75,13 +76,14 @@ EVAL_BLOCK = 4096
 _MAX_DEPTH = 100
 
 
-class Expr:
+class Expr(Record):
     """Base class for expression tree nodes.
 
-    A node's fields are its ``__slots__``. Two nodes are equal when they are
-    of the same class and their fields are equal, children compared the same
-    way, so two trees are equal exactly when they are the same tree; equal
-    trees hash alike. ``Const(0.0) == Const(-0.0)``, as for the floats.
+    A node's fields are its ``__slots__``, set by ``Record``'s constructor.
+    Two nodes are equal when they are of the same class and their fields
+    are equal, children compared the same way, so two trees are equal
+    exactly when they are the same tree; equal trees hash alike.
+    ``Const(0.0) == Const(-0.0)``, as for the floats.
     """
 
     __slots__ = ()
@@ -103,10 +105,9 @@ class Expr:
 
 
 class Const(Expr):
-    __slots__ = ("value",)
+    """A numeric literal: ``value``, a float."""
 
-    def __init__(self, value: float):
-        self.value = value
+    __slots__ = ("value",)
 
 
 class Var(Expr):
@@ -116,20 +117,15 @@ class Var(Expr):
 
 
 class Unary(Expr):
-    __slots__ = ("op", "arg")
+    """``op`` ("neg" or a name from FUNCTIONS) applied to the node ``arg``."""
 
-    def __init__(self, op: str, arg: Expr):
-        self.op = op  # "neg" or a name from FUNCTIONS
-        self.arg = arg
+    __slots__ = ("op", "arg")
 
 
 class Binary(Expr):
-    __slots__ = ("op", "lhs", "rhs")
+    """``op`` (one of + - * / ^) applied to the nodes ``lhs`` and ``rhs``."""
 
-    def __init__(self, op: str, lhs: Expr, rhs: Expr):
-        self.op = op  # one of + - * / ^
-        self.lhs = lhs
-        self.rhs = rhs
+    __slots__ = ("op", "lhs", "rhs")
 
 
 _NUMBER = re.compile(r"\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?")
@@ -139,13 +135,11 @@ _SPACE = re.compile(r"\s*")
 _ATOM_EXPECTED = "a number, 'x', a function call, or '('"
 
 
-class _Token:
-    __slots__ = ("kind", "text", "pos")
+class _Token(Record):
+    """A token: its ``kind`` (NUM IDENT OP LPAREN RPAREN EOF), its ``text``,
+    and ``pos``, its character index into the source."""
 
-    def __init__(self, kind: str, text: str, pos: int):
-        self.kind = kind  # NUM IDENT OP LPAREN RPAREN EOF
-        self.text = text
-        self.pos = pos  # character index into the source
+    __slots__ = ("kind", "text", "pos")
 
 
 def _byte_offset(text: str, pos: int) -> int:

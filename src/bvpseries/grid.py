@@ -19,8 +19,9 @@ import sys
 
 import numpy as np
 
+from ._record import Record
 from .errors import EvalError, InvalidDomain, TableDomainError
-from .expr import Expr, _eval_each, eval_arrays, parse_expr
+from .expr import _eval_each, eval_arrays, parse_expr
 from .expr import eval_expr  # unused here; bench/traced_op.py wraps grid.eval_expr
 
 # Largest interval count a grid accepts. A run's peak resident memory is
@@ -32,7 +33,7 @@ from .expr import eval_expr  # unused here; bench/traced_op.py wraps grid.eval_e
 MAX_INTERVALS = 2**20
 
 
-class Grid:
+class Grid(Record):
     """Uniform partition of [0, x1] into n intervals.
 
     Attributes
@@ -48,12 +49,6 @@ class Grid:
     """
 
     __slots__ = ("x1", "n", "h", "nodes")
-
-    def __init__(self, x1: float, n: int, h: float, nodes: np.ndarray):
-        self.x1 = x1
-        self.n = n
-        self.h = h
-        self.nodes = nodes
 
 
 def make_grid(x1: float, n: int) -> Grid:
@@ -117,19 +112,18 @@ class SampledFn:
         self.values = values
 
 
-class CoefficientSpec:
+class CoefficientSpec(Record):
     """Source of a coefficient function: parsed expression or tabulated data.
 
     Use the classmethods to construct; ``evaluate`` works at arbitrary points
     in the table span (or anywhere the expression is defined), and ``sample``
-    below discretizes onto a grid.
+    below discretizes onto a grid. ``source`` is the expression's text, a
+    table file's path, or ``table[N rows]`` for a table given as arrays;
+    every error that names the coefficient starts with it. ``_expr`` is the
+    parsed tree and ``_table`` the (x, value) columns; the other is None.
     """
 
-    def __init__(self, expr: Expr | None, source: str,
-                 table: tuple[np.ndarray, np.ndarray] | None):
-        self._expr = expr
-        self._table = table
-        self.source = source
+    __slots__ = ("_expr", "source", "_table")
 
     @classmethod
     def expression(cls, text: str) -> "CoefficientSpec":
@@ -181,7 +175,10 @@ class CoefficientSpec:
                 raise TableDomainError(f"{path}: {exc}") from None
         if len(xs) < 2:
             raise TableDomainError(f"{path}: need at least two data rows")
-        return cls.table(xs, values)
+        try:
+            return cls(None, str(path), cls.table(xs, values)._table)
+        except TableDomainError as exc:
+            raise TableDomainError(f"{path}: {exc}") from None
 
     def check_span(self, x1: float) -> None:
         """Tables must cover [0, x1]; expressions are checked per point."""
@@ -189,7 +186,7 @@ class CoefficientSpec:
             xs, _ = self._table
             if xs[0] > 0.0 or xs[-1] < x1:
                 raise TableDomainError(
-                    f"table spans [{xs[0]}, {xs[-1]}] but must cover [0, {x1}]"
+                    f"{self.source}: table spans [{xs[0]}, {xs[-1]}] but must cover [0, {x1}]"
                 )
 
     def evaluate(self, x):
@@ -214,7 +211,8 @@ class CoefficientSpec:
             lo, hi = self._table[0][[0, -1]]
             outside = ~((xs >= lo) & (xs <= hi))  # NaN compares False: outside
             if outside.any():
-                raise TableDomainError(f"x = {xs[outside][0]} outside table span [{lo}, {hi}]")
+                raise TableDomainError(
+                    f"{self.source}: x = {xs[outside][0]} outside table span [{lo}, {hi}]")
             values = np.interp(xs, *self._table)
         return values if xs is x else float(values[0])
 

@@ -43,8 +43,9 @@ import sys
 
 import numpy as np
 
+from ._record import Record
 from .errors import Diverged, GridMismatch, OracleSingular
-from .grid import Grid, SampledFn, same_grid
+from .grid import SampledFn, same_grid
 
 OVERFLOW_GUARD = 1e100
 SHOOTING_REL_TOL = 1e-12
@@ -53,17 +54,21 @@ SHOOTING_REL_TOL = 1e-12
 SCAN_BLOCK = 4096
 
 
-class IvpTrajectory:
+class IvpTrajectory(Record):
     """Initial-value solution at the step ends: u and its derivative at
-    ``grid.nodes[index]``."""
+    ``grid.nodes[index]``.
+
+    Attributes
+    ----------
+    grid : Grid
+        The grid the solution was stepped on.
+    index : numpy.ndarray
+        Node indices of the step ends (``step_ends``).
+    u, du : numpy.ndarray
+        u and u' at ``grid.nodes[index]``.
+    """
 
     __slots__ = ("grid", "index", "u", "du")
-
-    def __init__(self, grid: Grid, index: np.ndarray, u: np.ndarray, du: np.ndarray):
-        self.grid = grid
-        self.index = index
-        self.u = u
-        self.du = du
 
 
 def step_ends(n: int) -> np.ndarray:
@@ -200,22 +205,23 @@ def rk4_ivp(a: SampledFn, f: SampledFn, u0: float, du0: float, *,
     return IvpTrajectory(grid=a.grid, index=index, u=u[0], du=du[0])
 
 
-class OracleFundamental:
+class OracleFundamental(Record):
     """Shooting reconstruction of the fundamental system and its derivatives,
-    each an array of values at the step ends ``grid.nodes[index]``."""
+    each an array of values at the step ends ``grid.nodes[index]``.
+
+    Attributes
+    ----------
+    grid : Grid
+        The grid the system was shot on.
+    index : numpy.ndarray
+        Node indices of the step ends (``step_ends``).
+    I1, I2, F : numpy.ndarray
+        The shot fundamental pair and particular solution.
+    dI1, dI2, dF : numpy.ndarray
+        Their first derivatives.
+    """
 
     __slots__ = ("grid", "index", "I1", "I2", "F", "dI1", "dI2", "dF")
-
-    def __init__(self, grid: Grid, index: np.ndarray, I1: np.ndarray, I2: np.ndarray,
-                 F: np.ndarray, dI1: np.ndarray, dI2: np.ndarray, dF: np.ndarray):
-        self.grid = grid
-        self.index = index
-        self.I1 = I1
-        self.I2 = I2
-        self.F = F
-        self.dI1 = dI1
-        self.dI2 = dI2
-        self.dF = dF
 
 
 def oracle_fundamental(a: SampledFn, f: SampledFn, *,

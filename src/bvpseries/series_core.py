@@ -43,6 +43,7 @@ import math
 
 import numpy as np
 
+from ._record import Record
 from .errors import ContractionViolation, GridMismatch, InvalidDomain, MaxTermsExceeded
 from .grid import Grid, SampledFn, prefix_trapz, same_grid, sup_norm, tail_trapz
 
@@ -50,7 +51,7 @@ DEFAULT_TOL = 1e-10
 DEFAULT_MAX_TERMS = 10_000
 
 
-class ContractionCertificate:
+class ContractionCertificate(Record):
     """Proof token that the series converge for this coefficient and interval.
 
     Attributes
@@ -67,12 +68,6 @@ class ContractionCertificate:
     """
 
     __slots__ = ("a_sup", "x1", "q", "margin")
-
-    def __init__(self, a_sup: float, x1: float, q: float, margin: float):
-        self.a_sup = a_sup
-        self.x1 = x1
-        self.q = q
-        self.margin = margin
 
 
 def contraction_ratio(a_sup: float, x1: float) -> ContractionCertificate:
@@ -109,10 +104,16 @@ def _check_certificate(cert: ContractionCertificate, a: SampledFn) -> None:
         )
 
 
-def _apply_B_values(w: np.ndarray, grid: Grid) -> np.ndarray:
+def _apply_B_values(w: np.ndarray, h: float, out: np.ndarray | None = None,
+                    scratch: np.ndarray | None = None) -> np.ndarray:
     """Nested trapezoid rule for x -> int_0^x int_y^{x1} w(t) dt dy: a tail
-    pass G(y) = int_y^{x1} w, then a prefix pass int_0^x G; O(n) in all."""
-    return prefix_trapz(tail_trapz(w, grid.h), grid.h)
+    pass G(y) = int_y^{x1} w, then a prefix pass int_0^x G; O(n) in all.
+
+    G is written into ``scratch`` and the result into ``out`` when they are
+    given (``out`` may be ``w``), so the pass allocates nothing; its
+    operations, and so its bits, are the same either way.
+    """
+    return prefix_trapz(tail_trapz(w, h, out=scratch), h, out=out)
 
 
 def apply_B(u: SampledFn, a: SampledFn) -> SampledFn:
@@ -127,7 +128,7 @@ def apply_B(u: SampledFn, a: SampledFn) -> SampledFn:
     """
     if not same_grid(u.grid, a.grid):
         raise GridMismatch("u and a must share a grid")
-    return SampledFn(u.grid, _apply_B_values(a.values * u.values, u.grid))
+    return SampledFn(u.grid, _apply_B_values(a.values * u.values, u.grid.h))
 
 
 def compute_g(f: SampledFn) -> SampledFn:
@@ -142,7 +143,7 @@ def compute_g(f: SampledFn) -> SampledFn:
     InvalidDomain
         If g overflows, as it can for a finite f near the float limit.
     """
-    g = 0.0 - _apply_B_values(f.values, f.grid)
+    g = 0.0 - _apply_B_values(f.values, f.grid.h)
     if not np.all(np.isfinite(g)):
         raise InvalidDomain(
             "the forcing's double integral g overflowed, although every node of f is finite"
@@ -182,11 +183,11 @@ def sum_series(seed: SampledFn, a: SampledFn, cert: ContractionCertificate,
     runs longer than that count. Seeds t, 1, and g = compute_g(f) produce
     I1, I2, and F respectively.
 
-    Each term is computed in place: a * t_m overwrites t_m, the tail pass
-    of B_h writes into one scratch buffer and the prefix pass back into the
-    term (grid.tail_trapz, grid.prefix_trapz with ``out``). The loop
-    allocates nothing of size n, and its passes keep the operation order,
-    and so the bits, of the allocating ones.
+    Each term is computed in place: a * t_m overwrites t_m, and the pass of
+    B_h (``_apply_B_values``) writes its tail pass into one scratch buffer
+    and its prefix pass back into the term. The loop allocates nothing of
+    size n, and its passes keep the operation order, and so the bits, of
+    the allocating ones.
 
     Returns
     -------
@@ -219,9 +220,8 @@ def sum_series(seed: SampledFn, a: SampledFn, cert: ContractionCertificate,
     term_sups = [float(np.abs(term, out=scratch).max())]
     tail = q * term_sups[0] / (1.0 - q)
     while tail > tol and len(term_sups) < limit:
-        # term <- B_h(a * term) = prefix_trapz(tail_trapz(a * term)), in place
         np.multiply(a_values, term, out=term)
-        prefix_trapz(tail_trapz(term, h, out=scratch), h, out=term)
+        _apply_B_values(term, h, out=term, scratch=scratch)  # term <- B_h(a * term)
         total += term
         term_sups.append(float(np.abs(term, out=scratch).max()))
         tail = q * term_sups[-1] / (1.0 - q)
@@ -232,7 +232,7 @@ def sum_series(seed: SampledFn, a: SampledFn, cert: ContractionCertificate,
     return SampledFn(seed.grid, total), len(term_sups), apriori, tail, term_sups
 
 
-class SeriesSolution:
+class SeriesSolution(Record):
     """Converged fundamental system and particular solution with derivatives.
 
     Attributes
@@ -258,26 +258,6 @@ class SeriesSolution:
 
     __slots__ = ("I1", "I2", "F", "dI1", "dI2", "dF", "terms_used", "terms_apriori",
                  "tail_bound", "certificate", "a", "f", "g", "term_sups")
-
-    def __init__(self, I1: SampledFn, I2: SampledFn, F: SampledFn,
-                 dI1: SampledFn, dI2: SampledFn, dF: SampledFn,
-                 terms_used: dict, terms_apriori: dict, tail_bound: dict,
-                 certificate: ContractionCertificate,
-                 a: SampledFn, f: SampledFn, g: SampledFn, term_sups: dict):
-        self.I1 = I1
-        self.I2 = I2
-        self.F = F
-        self.dI1 = dI1
-        self.dI2 = dI2
-        self.dF = dF
-        self.terms_used = terms_used
-        self.terms_apriori = terms_apriori
-        self.tail_bound = tail_bound
-        self.certificate = certificate
-        self.a = a
-        self.f = f
-        self.g = g
-        self.term_sups = term_sups
 
     @property
     def grid(self) -> Grid:
@@ -323,19 +303,11 @@ def fundamental_system(a: SampledFn, f: SampledFn, cert: ContractionCertificate,
         (sums[name], terms_used[name], terms_apriori[name], tail_bound[name],
          term_sups[name]) = sum_series(seed, a, cert, tol, max_terms)
     return SeriesSolution(
-        I1=sums["I1"],
-        I2=sums["I2"],
-        F=sums["F"],
+        **sums,
         dI1=SampledFn(grid, 1.0 + tail_trapz(a.values * sums["I1"].values, h)),
         dI2=SampledFn(grid, tail_trapz(a.values * sums["I2"].values, h)),
         dF=SampledFn(grid, tail_trapz(a.values * sums["F"].values, h)
                      - tail_trapz(f.values, h)),
-        terms_used=terms_used,
-        terms_apriori=terms_apriori,
-        tail_bound=tail_bound,
-        certificate=cert,
-        a=a,
-        f=f,
-        g=seeds["F"],
-        term_sups=term_sups,
+        terms_used=terms_used, terms_apriori=terms_apriori, tail_bound=tail_bound,
+        certificate=cert, a=a, f=f, g=seeds["F"], term_sups=term_sups,
     )

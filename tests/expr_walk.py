@@ -74,7 +74,7 @@ def sample_alone(spec, grid) -> np.ndarray:
         xs, values = spec._table
         if xs[0] > 0.0 or xs[-1] < grid.x1:
             raise TableDomainError(
-                f"table spans [{xs[0]}, {xs[-1]}] but must cover [0, {grid.x1}]")
+                f"{spec.source}: table spans [{xs[0]}, {xs[-1]}] but must cover [0, {grid.x1}]")
         return np.interp(grid.nodes, xs, values)
     out = []
     for x in grid.nodes.tolist():

@@ -2,6 +2,8 @@
 
 from pathlib import Path
 
+import pytest
+
 import bvpseries
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -51,7 +53,7 @@ def _records():
           "certificate", "a", "f", "g", "term_sups")),
         (bvpseries.ProblemD, bvpseries.ProblemD(0.25, -0.5), ("alpha", "beta")),
         (bvpseries.SolveReport, report,
-         ("u", "du", "c1", "c2", "boundary_err", "residual_max", "wronskian_dev", "i2_at_x1",
+         ("u", "du", "c1", "c2", "boundary_err", "residual_max", "wronskian_dev",
           "bound_checks", "fixedpoint_err")),
         (bvpseries.Check, report.bound_checks[0], ("name", "passed", "value", "limit")),
         (oracle.IvpTrajectory, bvpseries.rk4_ivp(sol.a, sol.f, 0.0, 1.0),
@@ -68,3 +70,16 @@ def test_each_record_builds_by_keyword_and_by_position():
         for built in (cls(*values), cls(**dict(zip(names, values)))):
             for name, value in zip(names, values):
                 assert getattr(built, name) is value, (cls, name)
+
+
+def test_each_record_refuses_a_wrong_set_of_fields():
+    for cls, record, names in _records():
+        values = [getattr(record, name) for name in names]
+        wrong = [((*values, 0.0), {}),  # an extra positional value
+                 (values, {"unknown": 0.0})]
+        if names:
+            wrong += [(values[:-1], {}),  # a missing field
+                      (values, {names[0]: values[0]})]  # a field given twice
+        for args, kwargs in wrong:
+            with pytest.raises(TypeError):
+                cls(*args, **kwargs)

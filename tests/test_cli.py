@@ -330,6 +330,21 @@ class TestExitCodes:
         assert code == 0, err
         assert out
 
+    @pytest.mark.parametrize("tol", ["1e-10", "1e-300"])
+    def test_check_limit_overflowing_at_every_tol_names_the_scale(self, capfd, tol):
+        # h^2 = 62,500 times sup|F| = 5e305 overflows whatever the tol, so
+        # the message does not blame --tol
+        args = ("--a", "0", "--f", "1e300", "--x1", "1e3", "--n", "4", "--tol", tol)
+        code, out, err = run_main(capfd, "verify", *args)
+        assert code == 4
+        assert out == ""
+        assert err == ("bvpseries: the limit of ode_residual:F, derivative_consistency:F, "
+                       "oracle_agreement overflows at every --tol: the problem's scale is too "
+                       "large (h = 250.0, sup|F| = 4.999999999999999e+305)\n")
+        code, out, err = run_main(capfd, "solve", *args)
+        assert code == 0, err
+        assert out
+
     def test_bad_env_cap(self):
         r = run_cli("solve", "--a", "1", "--f", "0", "--x1", "1",
                     env={"SOLVER_MAX_TERMS": "abc"})

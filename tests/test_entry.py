@@ -43,7 +43,8 @@ _TABLES = {"short": "x,v\n0,1\n0.5,2\n", "long": "x,v\n0,1\n2,2\n"}
 
 _N8 = ["--x1", "1", "--n", "8"]
 
-# name -> (argv, env, exit code, stderr); "{short}" and "{long}" are tables.
+# name -> (argv, env, exit code, stderr); "{short}" and "{long}" are tables,
+# in argv and in stderr.
 # With n = 8 on [0, 1] the old RK4 midpoints are 0.0625, 0.1875, ..., 0.9375,
 # where log(abs(x - 0.0625)) and 1/(x - 0.1875) fail; no node is there.
 _CASES = {
@@ -52,7 +53,11 @@ _CASES = {
         "bvpseries: 'log(x - 0.5)' at x = 0.0: log(-0.5) is undefined: math domain error\n"),
     "short_a_table_beside_failing_f": (
         ["verify", "--a-table", "{short}", "--f", "log(x - 0.5)", *_N8], {}, 4,
-        "bvpseries: table spans [0.0, 0.5] but must cover [0, 1.0]\n"),
+        "bvpseries: {short}: table spans [0.0, 0.5] but must cover [0, 1.0]\n"),
+    # the error names the table that fails, not only that some table did
+    "short_f_table_beside_a_table": (
+        ["solve", "--a-table", "{long}", "--f-table", "{short}", *_N8], {}, 4,
+        "bvpseries: {short}: table spans [0.0, 0.5] but must cover [0, 1.0]\n"),
     "both_fail": (
         ["verify", "--a", "log(x - 0.5)", "--f", "1/(x - 0.25)", *_N8], {}, 4,
         "bvpseries: 'log(x - 0.5)' at x = 0.0: log(-0.5) is undefined: math domain error\n"),
@@ -133,7 +138,7 @@ def test_exit_code_and_stderr_are_unchanged(name, launcher, tmp_path):
         tables[key] = tmp_path / f"{key}.csv"
         tables[key].write_text(text)
     r = _run(command(launcher, [arg.format(**tables) for arg in argv]), env)
-    assert (r.returncode, r.stderr) == (code, stderr)
+    assert (r.returncode, r.stderr) == (code, stderr.format(**tables))
     assert (r.stdout == "") == (code in (2, 4))
 
 

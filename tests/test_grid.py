@@ -259,6 +259,21 @@ class TestCoefficientSpec:
         p.write_bytes(text)
         assert CoefficientSpec.from_csv(p).evaluate(0.5) == 2.0
 
+    @pytest.mark.parametrize("text, error", [
+        ("0,1\n1,inf\n", "table entries must be finite"),
+        ("0,1\n1,2\n1,3\n", "table x column must be strictly increasing"),
+        ("0,1\n0.5,2\n", "table spans [0.0, 0.5] but must cover [0, 1.0]"),
+        ("0,1\n1,2\n", "x = 2.0 outside table span [0.0, 1.0]"),
+    ], ids=["not_finite", "not_increasing", "short_span", "outside_span"])
+    def test_from_csv_errors_name_the_file(self, text, error, tmp_path):
+        p = tmp_path / "a.csv"
+        p.write_text(text)
+        with pytest.raises(TableDomainError) as info:
+            spec = CoefficientSpec.from_csv(p)
+            spec.check_span(1.0)
+            spec.evaluate(2.0)
+        assert str(info.value) == f"{p}: {error}"
+
     @pytest.mark.parametrize("name", sorted(MALFORMED_TABLES))
     def test_from_csv_malformed_file(self, name, tmp_path):
         p = tmp_path / "a.csv"
