@@ -19,6 +19,7 @@ so failures show how far off the measurement was. Three limit regimes appear:
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -224,11 +225,14 @@ def residual_checks(sol: SeriesSolution) -> list[Check]:
     h = sol.grid.h
     a = sol.a.values
     f = sol.f.values
-    a_sup = sol.certificate.a_sup
+    try:
+        a_scale = (1.0 + sol.certificate.a_sup) ** 2
+    except OverflowError:  # pow, kept for its bits, raises where the square overflows
+        a_scale = math.inf
     extra = _tol_term(sol)
     checks = []
     for name, fn, rhs in (("I1", sol.I1, None), ("I2", sol.I2, None), ("F", sol.F, f)):
-        scale = (1.0 + a_sup) ** 2 * (1.0 + sup_norm(fn)) + (0.0 if rhs is None else sup_norm(sol.f))
+        scale = a_scale * (1.0 + sup_norm(fn)) + (0.0 if rhs is None else sup_norm(sol.f))
         checks.append(_check(
             f"ode_residual:{name}",
             ode_residual(fn.values, a, rhs, h),

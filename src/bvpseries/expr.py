@@ -9,11 +9,11 @@ The language is a single-variable arithmetic grammar over ``x``:
     atom   := NUMBER | "x" | IDENT "(" expr ")" | "(" expr ")"
 
 with IDENT one of sin, cos, exp, log, sqrt, abs, tanh. Numbers are decimal
-literals with an optional exponent. ``^`` is right-associative and binds
-tighter than unary minus; whitespace is insignificant. A tree is at most
-``_MAX_DEPTH`` levels deep, each operator of a chain counting as one, so
-that every recursive walk of it stays within Python's default recursion
-limit.
+literals of ASCII digits with an optional exponent; a digit of another
+script is not one. ``^`` is right-associative and binds tighter than unary
+minus; whitespace is insignificant. A tree is at most ``_MAX_DEPTH`` levels
+deep, each operator of a chain counting as one, so that every recursive
+walk of it stays within Python's default recursion limit.
 
 Nothing in the package changes a parsed tree after it is built, and
 evaluation is pure, so a single Expr can be evaluated concurrently from many
@@ -47,28 +47,29 @@ import numpy as np
 from ._record import Record
 from .errors import EvalError, ParseError, UnknownFunction
 
-FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt", "abs", "tanh")
-
-_FUNC_IMPL = {
-    "sin": math.sin,
-    "cos": math.cos,
-    "exp": math.exp,
-    "log": math.log,
-    "sqrt": math.sqrt,
-    "abs": abs,
-    "tanh": math.tanh,
+# Each operation: the Python float operation, and the numpy ufunc that rounds
+# exactly as it does (IEEE-754 requires correct rounding for it), or None.
+# The operations without one go through the math module point by point:
+# numpy's exp, tanh, log and power differ from libm in the last bit at some
+# points.
+_OPS = {
+    "sin": (math.sin, None),
+    "cos": (math.cos, None),
+    "exp": (math.exp, None),
+    "log": (math.log, None),
+    "sqrt": (math.sqrt, np.sqrt),
+    "abs": (abs, np.abs),
+    "tanh": (math.tanh, None),
+    "neg": (operator.neg, np.negative),
+    "+": (operator.add, np.add),
+    "-": (operator.sub, np.subtract),
+    "*": (operator.mul, np.multiply),
+    "/": (operator.truediv, np.divide),
+    "^": (math.pow, None),
 }
 
-# The Python float operation of each operator, as a function.
-_OPERATORS = {"neg": operator.neg, "+": operator.add, "-": operator.sub,
-              "*": operator.mul, "/": operator.truediv, "^": math.pow}
-
-# Operations whose numpy ufunc rounds exactly as the Python float operation
-# does (IEEE-754 requires correct rounding for them). The other functions and
-# ^ go through the math module point by point: numpy's exp, tanh, log and
-# power differ from libm in the last bit at some points.
-_UFUNCS = {"neg": np.negative, "abs": np.abs, "sqrt": np.sqrt,
-           "+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}
+# The names a call can spell: every lettered operation but unary minus.
+FUNCTIONS = tuple(op for op in _OPS if op.isalpha() and op != "neg")
 
 # Points per block of the program; keeps each step's row at 32 KiB.
 EVAL_BLOCK = 4096
@@ -128,11 +129,22 @@ class Binary(Expr):
     __slots__ = ("op", "lhs", "rhs")
 
 
-_NUMBER = re.compile(r"\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?")
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
-_SPACE = re.compile(r"\s*")
+# One pattern for every token kind, a named group each, after optional
+# whitespace. DOT and BAD match where no token does: a "." that starts no
+# number (a digit always starts one), and anything else.
+_TOKEN = re.compile(r"""\s*(?:
+    (?P<NUM>(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)
+  | (?P<IDENT>[A-Za-z_][A-Za-z_0-9]*)
+  | (?P<OP>[-+*/^]) | (?P<LPAREN>\() | (?P<RPAREN>\)) | (?P<EOF>\Z)
+  | (?P<DOT>\.) | (?P<BAD>)
+)""", re.VERBOSE)
 
-_ATOM_EXPECTED = "a number, 'x', a function call, or '('"
+_NOT_A_TOKEN = {"DOT": "a numeric literal",
+                "BAD": "a number, 'x', a function name, an operator, or a parenthesis"}
+
+# The left-associative levels, loosest first. Each chains operands of the
+# next level; the last chains factors.
+_CHAINS = ("+-", "*/")
 
 
 class _Token(Record):
@@ -148,38 +160,13 @@ def _byte_offset(text: str, pos: int) -> int:
 
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
-    i = 0
-    n = len(text)
-    while True:
-        i = _SPACE.match(text, i).end()
-        if i >= n:
-            tokens.append(_Token("EOF", "", i))
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind in _NOT_A_TOKEN:
+            raise ParseError(_byte_offset(text, m.start(kind)), _NOT_A_TOKEN[kind])
+        tokens.append(_Token(kind, m.group(kind), m.start(kind)))
+        if kind == "EOF":
             return tokens
-        ch = text[i]
-        if "0" <= ch <= "9" or ch == ".":
-            m = _NUMBER.match(text, i)
-            if m is None:
-                raise ParseError(_byte_offset(text, i), "a numeric literal")
-            tokens.append(_Token("NUM", m.group(), i))
-            i = m.end()
-        elif "a" <= ch <= "z" or "A" <= ch <= "Z" or ch == "_":
-            m = _IDENT.match(text, i)
-            tokens.append(_Token("IDENT", m.group(), i))
-            i = m.end()
-        elif ch in "+-*/^":
-            tokens.append(_Token("OP", ch, i))
-            i += 1
-        elif ch == "(":
-            tokens.append(_Token("LPAREN", ch, i))
-            i += 1
-        elif ch == ")":
-            tokens.append(_Token("RPAREN", ch, i))
-            i += 1
-        else:
-            raise ParseError(
-                _byte_offset(text, i),
-                "a number, 'x', a function name, an operator, or a parenthesis",
-            )
 
 
 class _Parser:
@@ -188,23 +175,33 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.i = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.i]
-
     def advance(self) -> _Token:
+        """The next token, consumed. No token is read after EOF: a parse
+        that consumes it ends, or fails there."""
+        self.i += 1
+        return self.tokens[self.i - 1]
+
+    def take(self, ops: str) -> str | None:
+        """The next token's text, consumed, if it is one of the operators
+        ``ops``; else None."""
         tok = self.tokens[self.i]
-        if tok.kind != "EOF":
+        if tok.kind == "OP" and tok.text in ops:
             self.i += 1
-        return tok
+            return tok.text
+        return None
+
+    def expect(self, kind: str, expected: str) -> None:
+        """Consume the next token, which must be of ``kind``."""
+        tok = self.advance()
+        if tok.kind != kind:
+            self.fail(tok, expected)
 
     def fail(self, tok: _Token, expected: str):
         raise ParseError(_byte_offset(self.text, tok.pos), expected)
 
     def parse(self) -> Expr:
-        node, _ = self.expr(0)
-        tok = self.peek()
-        if tok.kind != "EOF":
-            self.fail(tok, "end of input or an operator")
+        node, _ = self.chain(0)
+        self.expect("EOF", "end of input or an operator")
         return node
 
     # Each method parses a subtree that sits ``depth`` levels below the
@@ -219,39 +216,30 @@ class _Parser:
         """The height of a node over subtrees at most ``height`` high, at
         ``depth``; fails at the next token if that passes the limit."""
         if depth + height >= _MAX_DEPTH:
-            self.fail(self.peek(), "a shallower expression (nesting limit reached)")
+            self.fail(self.tokens[self.i], "a shallower expression (nesting limit reached)")
         return height + 1
 
-    def expr(self, depth: int) -> tuple[Expr, int]:
-        node, height = self.term(depth)
-        while self.peek().kind == "OP" and self.peek().text in "+-":
-            op = self.advance().text
-            rhs, rhs_height = self.term(depth + 1)
-            node, height = Binary(op, node, rhs), self.deeper(depth, max(height, rhs_height))
-        return node, height
-
-    def term(self, depth: int) -> tuple[Expr, int]:
-        node, height = self.factor(depth)
-        while self.peek().kind == "OP" and self.peek().text in "*/":
-            op = self.advance().text
-            rhs, rhs_height = self.factor(depth + 1)
+    def chain(self, depth: int, level: int = 0) -> tuple[Expr, int]:
+        """A chain of the operators ``_CHAINS[level]``. The partial adds no
+        Python frame, so nested parentheses take five a level."""
+        last = level + 1 == len(_CHAINS)
+        operand = self.factor if last else partial(self.chain, level=level + 1)
+        node, height = operand(depth)
+        while op := self.take(_CHAINS[level]):
+            rhs, rhs_height = operand(depth + 1)
             node, height = Binary(op, node, rhs), self.deeper(depth, max(height, rhs_height))
         return node, height
 
     def factor(self, depth: int) -> tuple[Expr, int]:
         self.deeper(depth, 0)
-        tok = self.peek()
-        if tok.kind == "OP" and tok.text == "-":
-            self.advance()
+        if self.take("-"):
             arg, height = self.factor(depth + 1)
             return Unary("neg", arg), height + 1
         return self.power(depth)
 
     def power(self, depth: int) -> tuple[Expr, int]:
         base, height = self.atom(depth)
-        tok = self.peek()
-        if tok.kind == "OP" and tok.text == "^":
-            self.advance()
+        if self.take("^"):
             exponent, exponent_height = self.factor(depth + 1)
             return Binary("^", base, exponent), self.deeper(depth, max(height, exponent_height))
         return base, height
@@ -260,26 +248,19 @@ class _Parser:
         tok = self.advance()
         if tok.kind == "NUM":
             return Const(float(tok.text)), 1
+        if tok.kind == "IDENT" and tok.text == "x":
+            return Var(), 1
         if tok.kind == "IDENT":
-            if tok.text == "x":
-                return Var(), 1
-            if tok.text not in _FUNC_IMPL:
+            if tok.text not in FUNCTIONS:
                 raise UnknownFunction(_byte_offset(self.text, tok.pos), tok.text)
-            opener = self.advance()
-            if opener.kind != "LPAREN":
-                self.fail(opener, f"'(' after function name '{tok.text}'")
-            arg, height = self.expr(depth + 1)
-            closer = self.advance()
-            if closer.kind != "RPAREN":
-                self.fail(closer, "')'")
-            return Unary(tok.text, arg), height + 1
-        if tok.kind == "LPAREN":
-            node, height = self.expr(depth + 1)
-            closer = self.advance()
-            if closer.kind != "RPAREN":
-                self.fail(closer, "')'")
-            return node, height + 1
-        self.fail(tok, _ATOM_EXPECTED)
+            self.expect("LPAREN", f"'(' after function name '{tok.text}'")
+        elif tok.kind != "LPAREN":
+            self.fail(tok, "a number, 'x', a function call, or '('")
+        node, height = self.chain(depth + 1)
+        self.expect("RPAREN", "')'")
+        if tok.kind == "IDENT":
+            node = Unary(tok.text, node)
+        return node, height + 1
 
 
 def parse_expr(text) -> Expr:
@@ -348,13 +329,13 @@ def _compile(trees) -> tuple[list, list[list[int]]]:
 
     Each step is ``(op, payload, args)``: op is "x", "const" or the node's
     operator, args are the indices of earlier steps, and payload is the
-    constant for "const", None for "x", else the Python float operation
-    the step computes (``_FUNC_IMPL`` or ``_OPERATORS``). Steps are found
+    constant for "const", None for "x", else the operator's row of
+    ``_OPS``: its Python float operation and its ufunc. Steps are found
     by hash-consing on the operator and the indices of the children, so a
-    subtree that recurs, within one tree or across trees, is one step. Constants are keyed on their bits (``float.hex``), not on
-    ``==``, which would merge 0.0 with -0.0. Returns the steps and, for
-    each tree, the steps it runs in its post-order, each once, so its root
-    is its last.
+    subtree that recurs, within one tree or across trees, is one step.
+    Constants are keyed on their bits (``float.hex``), not on ``==``, which
+    would merge 0.0 with -0.0. Returns the steps and, for each tree, the
+    steps it runs in its post-order, each once, so its root is its last.
     """
     steps, index = [], {}
 
@@ -368,7 +349,7 @@ def _compile(trees) -> tuple[list, list[list[int]]]:
             children = (e.arg,) if isinstance(e, Unary) else (e.lhs, e.rhs)
             args = tuple([visit(child, order) for child in children])
             key = (e.op, args)
-            step = (e.op, _FUNC_IMPL.get(e.op) or _OPERATORS[e.op], args)
+            step = (e.op, _OPS[e.op], args)
         else:
             raise TypeError(f"not an Expr node: {e!r}")
         if key not in index:
@@ -393,10 +374,10 @@ def _run_block(steps, xs: np.ndarray) -> np.ndarray:
             row[:] = xs
         elif op == "const":
             row[:] = payload
-        elif op in _UFUNCS:
-            _UFUNCS[op](*(values[i] for i in args), out=row)
+        elif payload[1] is not None:
+            payload[1](*(values[i] for i in args), out=row)
         else:
-            row[:] = _pointwise(payload, *(values[i] for i in args))
+            row[:] = _pointwise(payload[0], *(values[i] for i in args))
     return values
 
 
@@ -409,11 +390,11 @@ def _failure(steps, failing: list[int], values: np.ndarray, finite: np.ndarray,
     """
     point = int(np.argmin(finite[failing].all(axis=0)))
     step = next(i for i in failing if not finite[i, point])
-    op, fn, args = steps[step]
+    op, payload, args = steps[step]
     x = float(xs[point])
     operands = [float(values[i, point]) for i in args]
     try:
-        value = fn(*operands) if args else float(values[step, point])
+        value = payload[0](*operands) if args else float(values[step, point])
     except ZeroDivisionError:
         return EvalError(f"division by zero at x = {x!r}", x)
     except (ValueError, OverflowError) as exc:

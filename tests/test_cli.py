@@ -330,17 +330,31 @@ class TestExitCodes:
         assert code == 0, err
         assert out
 
-    @pytest.mark.parametrize("tol", ["1e-10", "1e-300"])
-    def test_check_limit_overflowing_at_every_tol_names_the_scale(self, capfd, tol):
+    @pytest.mark.parametrize("args, named, scale", [
         # h^2 = 62,500 times sup|F| = 5e305 overflows whatever the tol, so
         # the message does not blame --tol
-        args = ("--a", "0", "--f", "1e300", "--x1", "1e3", "--n", "4", "--tol", tol)
+        *(pytest.param(("--a", "0", "--f", "1e300", "--x1", "1e3", "--n", "4", "--tol", tol),
+                       "ode_residual:F, derivative_consistency:F, oracle_agreement",
+                       "h = 250.0, sup|F| = 4.999999999999999e+305", id=tol)
+          for tol in ("1e-10", "1e-300")),
+        # (1 + sup|a|)^2 overflows; it once raised OverflowError (exit 1)
+        pytest.param(("--a", "1e300", "--f", "0", "--x1", "1e-150", "--n", "4"),
+                     "ode_residual:I1, ode_residual:I2, ode_residual:F",
+                     "h = 2.5e-151, sup|a| = 1e+300", id="a-squared"),
+        # so does the tail term 10 (1 + sup|a|) tail, through its coefficient
+        pytest.param(("--a", "2e307", "--f", "0", "--x1", "3e-154", "--n", "2"),
+                     "ode_residual:I1, ode_residual:I2, ode_residual:F, "
+                     "derivative_consistency:I1, derivative_consistency:I2, "
+                     "derivative_consistency:F, wronskian_constant",
+                     "h = 1.5e-154, sup|a| = 2e+307", id="a-tail"),
+    ])
+    def test_check_limit_overflowing_at_every_tol_names_the_scale(self, capfd, args, named,
+                                                                   scale):
         code, out, err = run_main(capfd, "verify", *args)
         assert code == 4
         assert out == ""
-        assert err == ("bvpseries: the limit of ode_residual:F, derivative_consistency:F, "
-                       "oracle_agreement overflows at every --tol: the problem's scale is too "
-                       "large (h = 250.0, sup|F| = 4.999999999999999e+305)\n")
+        assert err == (f"bvpseries: the limit of {named} overflows at every --tol: the "
+                       f"problem's scale is too large ({scale})\n")
         code, out, err = run_main(capfd, "solve", *args)
         assert code == 0, err
         assert out

@@ -195,6 +195,49 @@ class TestParseErrors:
             parse_expr(_LEVELS[shape](3000))
 
 
+def _parsed(text):
+    """The tree that parsing gives, or its error's class, byte offset and
+    expected text."""
+    try:
+        return parse_expr(text)
+    except ParseError as exc:
+        return type(exc), exc.offset, exc.expected
+
+
+_OPERATOR_EXPECTED = "end of input or an operator"
+_TOKEN_EXPECTED = "a number, 'x', a function name, an operator, or a parenthesis"
+
+
+class TestTokens:
+    @pytest.mark.parametrize("text, parsed", [
+        (".", (ParseError, 0, "a numeric literal")),
+        ("..5", (ParseError, 0, "a numeric literal")),
+        # an exponent needs a digit, so "e" is read as a name
+        ("1e", (ParseError, 1, _OPERATOR_EXPECTED)),
+        ("1e+", (ParseError, 1, _OPERATOR_EXPECTED)),
+        ("2x", (ParseError, 1, _OPERATOR_EXPECTED)),
+        ("3.", Const(3.0)),
+        ("1.e5", Const(1e5)),
+        (".5e-3", Const(0.0005)),
+        ("x_1", (UnknownFunction, 0, "a known function, got 'x_1'")),
+        ("_x", (UnknownFunction, 0, "a known function, got '_x'")),
+        # no-break and ideographic spaces are whitespace
+        ("\u00a0x\u00a0+\u30001\u3000", Binary("+", Var(), Const(1.0))),
+    ])
+    def test_token_edges(self, text, parsed):
+        assert _parsed(text) == parsed
+
+    @pytest.mark.parametrize("text, parsed", [
+        # an Arabic-Indic three and a fullwidth one are not digits of a
+        # number: float() would read "1\u0663" as 13 and "1\uff11" as 11
+        ("1\u0663", (ParseError, 1, _TOKEN_EXPECTED)),
+        ("1\uff11", (ParseError, 1, _TOKEN_EXPECTED)),
+        ("\u0663", (ParseError, 0, _TOKEN_EXPECTED)),
+    ])
+    def test_numbers_take_ascii_digits_only(self, text, parsed):
+        assert _parsed(text) == parsed
+
+
 class TestEvalSemantics:
     def test_division_by_zero(self):
         e = parse_expr("1/(x - 0.5)")
@@ -463,9 +506,9 @@ class TestSharedProgram:
         specs = [CoefficientSpec.expression(a), CoefficientSpec.expression(f)]
         calls = []
         for name in ("sin", "cos", "exp"):
-            fn = expr._FUNC_IMPL[name]
-            monkeypatch.setitem(expr._FUNC_IMPL, name,
-                                lambda x, fn=fn, name=name: calls.append(name) or fn(x))
+            fn = expr._OPS[name][0]
+            monkeypatch.setitem(expr._OPS, name,
+                                (lambda x, fn=fn, name=name: calls.append(name) or fn(x), None))
         for spec in specs:  # a point runs the program, once per distinct call
             spec.evaluate(0.5)
         assert sorted(calls) == sorted(["sin", "cos"] + ["sin", "cos", "sin", "exp"])

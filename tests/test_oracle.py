@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from bvpseries.checks import ORACLE_CONST
 from bvpseries.errors import Diverged, GridMismatch, OracleSingular
-from bvpseries.grid import SampledFn, make_grid
+from bvpseries.grid import CoefficientSpec, SampledFn, make_grid, sample
 from bvpseries.oracle import SCAN_BLOCK, compare, oracle_fundamental, rk4_ivp, step_ends
 from bvpseries.series_core import contraction_ratio, fundamental_system
 from rk4_loop import loop_fundamental, rk4_loop
@@ -166,6 +166,20 @@ class TestOracleFundamental:
         with pytest.raises(OracleSingular):
             oracle_fundamental(_const(g, k2), _free(g),
                                a_eval=lambda x: k2, f_eval=lambda x: 0.0)
+
+    @pytest.mark.parametrize("n, same", [(8, True), (9, False)])
+    def test_midpoint_callables_matter_only_at_odd_n(self, n, same):
+        # for even n the step midpoints are the odd nodes, so evaluating the
+        # specs there gives the node samples' bits; an odd n's last midpoint
+        # lies between two nodes, where the samples are interpolated
+        a_spec = CoefficientSpec.expression("cos(x)")
+        f_spec = CoefficientSpec.expression("exp(-x)")
+        g = make_grid(0.9, n)
+        a, f = sample(a_spec, g), sample(f_spec, g)
+        plain = oracle_fundamental(a, f)
+        evaluated = oracle_fundamental(a, f, a_eval=a_spec.evaluate, f_eval=f_spec.evaluate)
+        for name in ("I1", "I2", "F", "dI1", "dI2", "dF"):
+            assert (getattr(plain, name).tobytes() == getattr(evaluated, name).tobytes()) is same
 
 
 class TestCompare:
