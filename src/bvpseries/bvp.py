@@ -128,17 +128,21 @@ def solve_problem_d(sol: SeriesSolution, prob: ProblemD) -> SolveReport:
     c1, c2 = prob.beta, prob.alpha
     _, wronskian_dev = wronskian_check(sol)
     bchecks = tuple(bound_checks(sol))
-    # Overflow shows up as a non-finite value, which SampledFn rejects; the
-    # only inputs large enough to cause it here are alpha and beta.
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
+    # Overflow shows up as a non-finite value, which SampledFn rejects in u
+    # and u' and the residuals carry; the only inputs large enough to cause
+    # it here are alpha and beta.
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
             u, du = general_solution(sol, c1, c2)
-            residual_max, fixedpoint_err = residual_report(u, sol.a, sol.f, c1, c2, sol.g)
-    except InvalidDomain:
+            residuals = residual_report(u, sol.a, sol.f, c1, c2, sol.g)
+        except InvalidDomain:
+            residuals = (math.inf,)
+    if not all(map(math.isfinite, residuals)):
         raise InvalidDomain(
             f"alpha = {prob.alpha!r}, beta = {prob.beta!r} are too large: "
             "the solution or its residual overflows"
-        ) from None
+        )
+    residual_max, fixedpoint_err = residuals
     boundary_err = (
         abs(float(u.values[0]) - prob.alpha),
         abs(float(du.values[-1]) - prob.beta),

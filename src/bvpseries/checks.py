@@ -66,46 +66,56 @@ def _check(name: str, value: float, limit: float) -> Check:
 
 
 def _pass_rounding(sol: SeriesSolution) -> float:
-    """(3n + 8) u x1^2 sup|a|: the rounding one pass of B on a t adds, per
-    unit of sup|t| (derived in ``fixed_point_rounding``)."""
+    """(3n + 8) x1^2 sup|a|: the rounding one pass of B on a t adds, in
+    units of u sup|t| (derived in ``fixed_point_rounding``). The product
+    starts from u, so that (3n + 8) x1^2 does not overflow before sup|a|
+    scales it down, and u is divided out at the end: both are exact."""
     grid = sol.grid
-    return UNIT_ROUNDOFF * (3.0 * grid.n + 8.0) * grid.x1 * grid.x1 * sol.certificate.a_sup
+    a_sup = sol.certificate.a_sup
+    return UNIT_ROUNDOFF * (3.0 * grid.n + 8.0) * grid.x1 * grid.x1 * a_sup / UNIT_ROUNDOFF
 
 
 def _term_sums(sol: SeriesSolution, name: str) -> tuple:
-    """For s_k = term_sups[name][k], k = 0..m: s_0, sum_k s_k, sum_{k<m} s_k
-    (the terms B was applied to) and sum_{k>=1} sum_{j<=k} s_j (bounds on
-    the partial sums |S_k| that the additions total += t_k round)."""
-    sups = np.asarray(sol.term_sups[name])
+    """For s_k = term_sups[name][k], k = 0..m, each times the unit roundoff
+    u: u s_0, sum_k u s_k, sum_{k<m} u s_k (the terms B was applied to) and
+    sum_{k>=1} sum_{j<=k} u s_j (bounds on the partial sums |S_k| that the
+    additions total += t_k round). u is 2^-53, so scaling each addend
+    rounds as scaling the sum would, unless a scaled s_k is subnormal, and
+    a sum stays finite where the unscaled one would overflow."""
+    sups = UNIT_ROUNDOFF * np.asarray(sol.term_sups[name])
     return sups[0], sups.sum(), sups[:-1].sum(), np.cumsum(sups)[1:].sum()
 
 
+# A limit past the float range is inf, which ``cli`` refuses with its own
+# message, so numpy need not warn about it too.
+@np.errstate(over="ignore", invalid="ignore")
 def bound_checks(sol: SeriesSolution) -> list[Check]:
     """Per series, the decay of its terms and the sup of its sum.
 
     B_h contracts by q node by node, so with seed sup s_0 (x1, 1, sup|g|)
     the terms obey ||t_k|| <= s_0 q^k and the sum sup|S| <= s_0 / (1 - q).
-    A pass adds at most p = ``_pass_rounding`` times its input's sup, so the
-    computed s_k = term_sups[S][k], s_0 among them, obey
-    s_k <= (q + p) s_{k-1}.
+    A pass adds at most u p (p = ``_pass_rounding``) times its input's sup,
+    so the computed s_k = term_sups[S][k], s_0 among them, obey
+    s_k <= (q + u p) s_{k-1}.
     ``term_bound:S`` checks the worst rate max_{k>=1} (s_k / s_0)^(1/k), 0.0
-    with no k >= 1 or s_0 = 0, against q + p; ``sup_bound:S`` checks sup|S|
-    against (s_0 + p sum_{k<m} s_k) / (1 - q), the passes' rounding carried
+    with no k >= 1 or s_0 = 0, against q + u p; ``sup_bound:S`` checks sup|S|
+    against (s_0 + u p sum_{k<m} s_k) / (1 - q), the passes' rounding carried
     on by later passes, plus u sum_{k>=1} |S_k| for the additions. Both
     limits take a relative BOUND_SLACK for their own arithmetic.
     """
     q = sol.certificate.q
     p = _pass_rounding(sol)
-    rate_limit = (q + p) * (1.0 + BOUND_SLACK)
+    rate_limit = (q + UNIT_ROUNDOFF * p) * (1.0 + BOUND_SLACK)
     checks = []
     for name, series in (("I1", sol.I1), ("I2", sol.I2), ("F", sol.F)):
-        s_0, _, passed, partial = _term_sums(sol, name)
+        _, _, passed, partial = _term_sums(sol, name)
         sups = sol.term_sups[name]
+        s_0 = sups[0]
         rates = [(s / s_0) ** (1.0 / k) for k, s in enumerate(sups[1:], 1)] if s_0 > 0.0 else []
         checks.append(_check(f"term_bound:{name}", max(rates, default=0.0), rate_limit))
         checks.append(_check(
             f"sup_bound:{name}", sup_norm(series),
-            (s_0 + p * passed) / (1.0 - q) * (1.0 + BOUND_SLACK) + UNIT_ROUNDOFF * partial,
+            (s_0 + p * passed) / (1.0 - q) * (1.0 + BOUND_SLACK) + partial,
         ))
     return checks
 
@@ -162,8 +172,8 @@ def _rounding_floor(sol: SeriesSolution, name: str) -> float:
     stencil = 8.0 * total + 4.0 * s_0
     passes = B_ROUNDING_CONST * x1_sq * sol.certificate.a_sup * passed
     additions = 4.0 * partial
-    seed = B_ROUNDING_CONST * x1_sq * sup_norm(sol.f) if name == "F" else 0.0
-    return UNIT_ROUNDOFF * (stencil + passes + additions + seed) / (grid.h * grid.h)
+    seed = B_ROUNDING_CONST * x1_sq * sup_norm(sol.f) * UNIT_ROUNDOFF if name == "F" else 0.0
+    return (stencil + passes + additions + seed) / (grid.h * grid.h)
 
 
 def _slope_rounding_floor(sol: SeriesSolution, name: str) -> float:
@@ -198,8 +208,9 @@ def _slope_rounding_floor(sol: SeriesSolution, name: str) -> float:
     a_sup = sol.certificate.a_sup
     passes = B_SLOPE_CONST * x1_sq * a_sup * passed
     derivative = x1_sq * a_sup * total
-    forcing = (B_SLOPE_CONST + 1.0) * x1_sq * sup_norm(sol.f) if name == "F" else 0.0
-    return UNIT_ROUNDOFF * (s_0 + passes + partial + derivative + forcing) / grid.h
+    forcing = ((B_SLOPE_CONST + 1.0) * x1_sq * sup_norm(sol.f) * UNIT_ROUNDOFF
+               if name == "F" else 0.0)
+    return (s_0 + passes + partial + derivative + forcing) / grid.h
 
 
 def ode_residual(u: np.ndarray, a: np.ndarray, f: np.ndarray | None, h: float) -> float:
@@ -304,15 +315,16 @@ def fixed_point_rounding(sol: SeriesSolution, report: SolveReport) -> float:
     """
     grid = sol.grid
     c1, c2 = abs(report.c1), abs(report.c2)
-    pass_const = _pass_rounding(sol)
+    p = _pass_rounding(sol)
     series = 0.0
     for name, weight in (("I1", c1), ("I2", c2), ("F", 1.0)):
         _, _, passed, partial = _term_sums(sol, name)
-        series += weight * (pass_const * passed + 2.0 * UNIT_ROUNDOFF * partial)
+        series += weight * (p * passed + 2.0 * partial)
     u_sup = sup_norm(report.u)
     sizes = c1 * sup_norm(sol.I1) + c2 * sup_norm(sol.I2) + sup_norm(sol.F)
     chain = 2.0 * u_sup + sup_norm(sol.g) + c1 * grid.x1 + c2
-    return float(series + UNIT_ROUNDOFF * (6.0 * sizes + 5.0 * chain) + pass_const * u_sup)
+    return float(series + UNIT_ROUNDOFF * (6.0 * sizes + 5.0 * chain)
+                 + UNIT_ROUNDOFF * p * u_sup)
 
 
 def fixed_point_entry(err: float, tol: float, alpha: float, beta: float,
@@ -337,6 +349,7 @@ def oracle_entry(max_rel_err: float, sol: SeriesSolution) -> Check:
     return _check("oracle_agreement", max_rel_err, limit)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # as for bound_checks
 def verify(sol: SeriesSolution, report: SolveReport, max_rel_err: float,
            tol: float) -> tuple[Check, ...]:
     """Every check of a solved two-point problem, in reporting order.

@@ -77,8 +77,6 @@ EXIT_NOT_CONTRACTIVE = 2
 EXIT_BAD_INPUT = 4
 EXIT_VERIFY_FAILED = 5
 
-MAX_TERMS_ENV = "SOLVER_MAX_TERMS"
-
 
 class _Help(Exception):
     """-h or --help was given; ``args[0]`` is the help text."""
@@ -147,22 +145,10 @@ def _spec_from_args(expr_text, table_path) -> CoefficientSpec:
     return CoefficientSpec.from_csv(table_path)
 
 
-def _max_terms_from_env() -> int:
-    raw = os.environ.get(MAX_TERMS_ENV)
-    if raw is None:
-        return DEFAULT_MAX_TERMS
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise InvalidDomain(f"{MAX_TERMS_ENV} must be an integer, got {raw!r}") from None
-    if cap < 1:
-        raise InvalidDomain(f"{MAX_TERMS_ENV} must be >= 1, got {cap}")
-    return cap
-
-
 def config_from_args(args: argparse.Namespace) -> argparse.Namespace:
     """Check the parsed arguments and add ``a_spec``, ``f_spec`` and
-    ``max_terms`` to them; returns ``args``."""
+    ``max_terms`` to them; returns ``args``. Every run sums with the
+    library's cap, ``DEFAULT_MAX_TERMS``."""
     for name in ("x1", "alpha", "beta", "tol"):
         value = getattr(args, name)
         if not math.isfinite(value):
@@ -171,7 +157,7 @@ def config_from_args(args: argparse.Namespace) -> argparse.Namespace:
         raise InvalidDomain(f"--tol must be positive, got {args.tol!r}")
     args.a_spec = _spec_from_args(args.a, args.a_table)
     args.f_spec = _spec_from_args(args.f, args.f_table)
-    args.max_terms = _max_terms_from_env()
+    args.max_terms = DEFAULT_MAX_TERMS  # unused here; bench/traced_op.py passes it
     return args
 
 
@@ -180,7 +166,7 @@ def _prepare(config: argparse.Namespace):
     grid = make_grid(config.x1, config.n)
     a, f = sample_together((config.a_spec, config.f_spec), grid)
     cert = contraction_ratio(sup_norm(a), grid.x1)
-    return fundamental_system(a, f, cert, tol=config.tol, max_terms=config.max_terms)
+    return fundamental_system(a, f, cert, tol=config.tol)
 
 
 def _common_payload(config: argparse.Namespace, sol: SeriesSolution) -> dict:
@@ -199,6 +185,9 @@ def _common_payload(config: argparse.Namespace, sol: SeriesSolution) -> dict:
 def _cmd_solve(config: argparse.Namespace):
     sol = _prepare(config)
     report = solve_problem_d(sol, ProblemD(config.alpha, config.beta))
+    overflowed = _overflowed(report.bound_checks)
+    if overflowed:  # no bound limit has a term in tol
+        raise InvalidDomain(_overflow_message(config, sol, overflowed, overflowed))
     u, du = report.u.values, report.du.values
     payload = _common_payload(config, sol)
     payload.update({
@@ -238,9 +227,16 @@ def _cmd_verify(config: argparse.Namespace):
     report = solve_problem_d(sol, ProblemD(config.alpha, config.beta))
     max_rel_err = compare(sol, oracle_fundamental(sol.a, sol.f))
     all_checks = verify(sol, report, max_rel_err, config.tol)
-    overflowed = [c.name for c in all_checks if not math.isfinite(c.limit)]
+    overflowed = _overflowed(all_checks)
     if overflowed:
-        raise InvalidDomain(_overflow_message(config, sol, report, max_rel_err, overflowed))
+        # A limit is a term in tol (the series tails, and tol itself for
+        # fixed_point) plus a term set by the problem's scale. The limits
+        # are taken again with no tol; those that still overflow are the
+        # scale's.
+        fields = {name: getattr(sol, name) for name in SeriesSolution.__slots__}
+        no_tails = SeriesSolution(**{**fields, "tail_bound": dict.fromkeys(sol.tail_bound, 0.0)})
+        scaled = _overflowed(verify(no_tails, report, max_rel_err, 0.0))
+        raise InvalidDomain(_overflow_message(config, sol, overflowed, scaled))
     passed = all(c.passed for c in all_checks)
     payload = _common_payload(config, sol)
     payload.update({
@@ -261,17 +257,17 @@ def _cmd_verify(config: argparse.Namespace):
     )
 
 
-def _overflow_message(config, sol, report, max_rel_err, overflowed) -> str:
-    """Why the check limits ``overflowed`` overflow. A limit is a term in
-    tol (the series tails, and tol itself for fixed_point) plus a term set
-    by the problem's scale: h, the sups of a, f and the series, and for
-    fixed_point alpha and beta. The limits are taken again with no tol;
-    those that still overflow are the scale's, and no --tol avoids them.
-    Otherwise the message names --tol, which a smaller value would fix."""
-    fields = {name: getattr(sol, name) for name in SeriesSolution.__slots__}
-    no_tails = SeriesSolution(**{**fields, "tail_bound": dict.fromkeys(sol.tail_bound, 0.0)})
-    scaled = [c.name for c in verify(no_tails, report, max_rel_err, 0.0)
-              if not math.isfinite(c.limit)]
+def _overflowed(checks) -> list:
+    """The names of the checks whose limit overflows."""
+    return [c.name for c in checks if not math.isfinite(c.limit)]
+
+
+def _overflow_message(config, sol, overflowed, scaled) -> str:
+    """Why the check limits ``overflowed`` overflow. Those of ``scaled``
+    overflow with no term in tol: the problem's scale (h, the sups of a, f
+    and the series, and for fixed_point alpha and beta) is too large, and
+    no --tol avoids them. Otherwise the message names --tol, which a
+    smaller value would fix."""
     names = ", ".join(scaled or overflowed)
     ends = (f", --alpha = {config.alpha!r}, --beta = {config.beta!r}"
             if "fixed_point" in names else "")

@@ -416,22 +416,14 @@ def rows(columns, seps):
     if not count:
         return
     # the separator before each cell: the one after the cell left of it, or
-    # for a row's first cell the one after the row above; one column's is
-    # one word for every cell
-    if width == 1:
-        separators = words[0], bits[0]
-    else:
-        longest = -(-total // count)
-        sep_words, sep_bits = (np.tile(np.roll(a, 1), longest) for a in (words, bits))
+    # for a row's first cell the one after the row above
+    longest = -(-total // count)
+    sep_words, sep_bits = (np.tile(np.roll(a, 1), longest) for a in (words, bits))
     lo = 0
     for k in range(1, count + 1):
         hi = total * k // count
-        if width == 1:
-            cells = columns[0][lo:hi]
-        else:
-            cells = np.column_stack([c[lo:hi] for c in columns]).ravel()
-            separators = sep_words[:cells.size], sep_bits[:cells.size]
-        slots, mask = _block(cells, *separators)
+        cells = np.column_stack([c[lo:hi] for c in columns]).ravel()
+        slots, mask = _block(cells, sep_words[:cells.size], sep_bits[:cells.size])
         if lo == 0:
             mask[:7] = 0  # no separator before the table's first cell
         yield slots.view(np.uint8).ravel()[mask.view(bool)].tobytes()

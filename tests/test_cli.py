@@ -13,15 +13,12 @@ from bvpseries.grid import MAX_INTERVALS
 from test_grid import MALFORMED_TABLES
 
 
-def run_cli(*args, env=None):
-    """Run the CLI in a child process; ``env`` is layered over ``os.environ``.
-
-    Merging rather than replacing keeps ``PYTHONPATH`` and the like, so the
-    child imports the same (possibly uninstalled) package as the tests do.
-    """
+def run_cli(*args):
+    """Run the CLI in a child process. It inherits ``os.environ``, and with
+    it ``PYTHONPATH`` and the like, so it imports the same (possibly
+    uninstalled) package as the tests do."""
     cmd = [sys.executable, "-m", "bvpseries", *args]
-    return subprocess.run(cmd, capture_output=True, text=True,
-                          env={**os.environ, **(env or {})}, timeout=120)
+    return subprocess.run(cmd, capture_output=True, text=True, timeout=120)
 
 
 def run_main(capfd, *args):
@@ -130,17 +127,18 @@ class TestFundamental:
 
 _SMALL = ["--a", "sin(x)", "--f", "exp(-x)", "--x1", "0.9", "--n", "8"]
 
-# name -> (argv, env, {attribute: patched value}, exit code, stderr)
+# name -> (argv, {attribute: patched value}, exit code, stderr)
 _VERIFY_FAILURES = {
     # the oracle's state passes a lowered guard at the first step end
-    "diverged": (["verify", *_SMALL], {}, {"bvpseries.oracle.OVERFLOW_GUARD": 0.5}, 5,
+    "diverged": (["verify", *_SMALL], {"bvpseries.oracle.OVERFLOW_GUARD": 0.5}, 5,
                  "bvpseries: verification aborted: initial-value state exceeded 0.5 "
                  "times its scale at x = 0.225\n"),
-    # the series stop at the cap before the oracle runs
-    "max_terms": (["verify", "--a", "0.9", "--f", "1", "--x1", "1.4", "--n", "64"],
-                  {"SOLVER_MAX_TERMS": "2"}, {}, 2,
-                  "bvpseries: series tail not certified within the term cap (cap 2, "
-                  "q = 0.882; a-priori count 209); raise the cap or relax the tolerance\n"),
+    # the series stop at the cap before the oracle runs: at tol 5e-324 the
+    # terms stall at the smallest subnormals, short of the a-priori count
+    "max_terms": (["verify", "--a", "1.98", "--f", "1", "--x1", "1", "--n", "3",
+                   "--tol", "5e-324"], {}, 2,
+                  "bvpseries: series tail not certified within the term cap (cap 10000, "
+                  "q = 0.99; a-priori count 74599); raise the cap or relax the tolerance\n"),
 }
 
 
@@ -195,9 +193,7 @@ class TestVerify:
 
     @pytest.mark.parametrize("name", sorted(_VERIFY_FAILURES))
     def test_failure_exit_code_and_message(self, name, capfd, monkeypatch):
-        argv, env, patches, code, message = _VERIFY_FAILURES[name]
-        for key, value in env.items():
-            monkeypatch.setenv(key, value)
+        argv, patches, code, message = _VERIFY_FAILURES[name]
         for target, value in patches.items():
             monkeypatch.setattr(target, value)
         assert run_main(capfd, *argv) == (code, "", message)
@@ -239,22 +235,6 @@ class TestExitCodes:
         assert r.returncode == 2
         assert "1.41421" in r.stderr
 
-    def test_max_terms_env_cap(self):
-        r = run_cli("solve", "--a", "1.98", "--f", "0", "--x1", "1", "--n", "64",
-                    env={"SOLVER_MAX_TERMS": "5"})
-        assert r.returncode == 2
-        assert "cap 5" in r.stderr
-
-    def test_env_cap_counts_summed_terms(self):
-        # q = 0.99: the a-priori count is 2819, but the measured tail meets
-        # tol after about 128 terms, so a cap of 200 is enough
-        r = run_cli("solve", "--a", "1.98", "--f", "1", "--x1", "1", "--n", "64",
-                    env={"SOLVER_MAX_TERMS": "200"})
-        assert r.returncode == 0, r.stderr
-        payload = json.loads(r.stdout)
-        assert payload["terms_apriori"]["I1"] == 2819
-        assert all(t <= 200 for t in payload["terms"].values())
-
     @pytest.mark.parametrize("command", ["solve", "fundamental", "verify"])
     def test_overflowing_forcing_prints_one_line(self, command):
         # f = 1e308 overflows the first trapezoid pass of g; numpy must not
@@ -282,7 +262,10 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["solve", "verify"])
     @pytest.mark.parametrize("flags", [["--alpha", "1e308"], ["--alpha", "8e307", "--n", "4096"],
-                                       ["--beta=-1e308"]])
+                                       ["--beta=-1e308"],
+                                       # u is finite, but its residual is inf
+                                       ["--alpha", "1e30", "--beta", "1e180", "--x1", "1e-150",
+                                        "--n", "4096"]])
     def test_overflowing_boundary_data_prints_one_line(self, command, flags):
         # u = beta*I1 + alpha*I2 + F overflows (or B u in the residual does);
         # numpy must not warn, and the message names alpha and beta
@@ -325,7 +308,7 @@ class TestExitCodes:
         assert code == 4
         assert out == ""
         assert err == f"bvpseries: the limit of fixed_point overflows at {named}\n"
-        # solve has no such limits: it still succeeds
+        # solve's limits, the bound checks', have no term in tol: it succeeds
         code, out, err = run_main(capfd, "solve", *args)
         assert code == 0, err
         assert out
@@ -359,10 +342,31 @@ class TestExitCodes:
         assert code == 0, err
         assert out
 
-    def test_bad_env_cap(self):
-        r = run_cli("solve", "--a", "1", "--f", "0", "--x1", "1",
-                    env={"SOLVER_MAX_TERMS": "abc"})
-        assert r.returncode == 4
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    @pytest.mark.parametrize("args", [
+        # 3,315 terms of F, sup|F| = 2.6e305
+        ("--a", "1.98", "--f", "1e305", "--x1", "1", "--n", "1024"),
+        ("--a", "cos(x)", "--f", "1e306*sin(x)", "--x1", "1", "--n", "64"),
+    ])
+    def test_rounding_sums_overflow_only_where_their_bound_does(self, capfd, command, args):
+        # sum_k sum_{j<=k} s_j, summed before the unit roundoff scaled it,
+        # overflowed: solve crashed on an inf limit and verify refused
+        code, out, err = run_main(capfd, command, *args)
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        checks = payload["checks"] if command == "verify" else payload["report"]["bound_checks"]
+        assert all(c["passed"] for c in checks)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_solve_refuses_an_overflowing_bound_limit(self, capfd, fmt):
+        # s_0 / (1 - q) passes the float range: solve once wrote 5 MB of
+        # JSON before it crashed, or a CSV without the bound checks
+        code, out, err = run_main(capfd, "solve", "--a", "1.98", "--f", "1e307", "--x1", "1",
+                                  "--n", "65536", "--format", fmt)
+        assert (code, out) == (4, "")
+        assert err == ("bvpseries: the limit of sup_bound:F overflows at every --tol: the "
+                       "problem's scale is too large (h = 1.52587890625e-05, "
+                       "sup|F| = 2.594525052981698e+307)\n")
 
     def test_n_beyond_memory_budget(self, capfd, monkeypatch):
         def refuse(*args, **kwargs):

@@ -43,77 +43,75 @@ _TABLES = {"short": "x,v\n0,1\n0.5,2\n", "long": "x,v\n0,1\n2,2\n"}
 
 _N8 = ["--x1", "1", "--n", "8"]
 
-# name -> (argv, env, exit code, stderr); "{short}" and "{long}" are tables,
+# name -> (argv, exit code, stderr); "{short}" and "{long}" are tables,
 # in argv and in stderr.
 # With n = 8 on [0, 1] the old RK4 midpoints are 0.0625, 0.1875, ..., 0.9375,
 # where log(abs(x - 0.0625)) and 1/(x - 0.1875) fail; no node is there.
 _CASES = {
     "a_fails_beside_short_f_table": (
-        ["solve", "--a", "log(x - 0.5)", "--f-table", "{short}", *_N8], {}, 4,
+        ["solve", "--a", "log(x - 0.5)", "--f-table", "{short}", *_N8], 4,
         "bvpseries: 'log(x - 0.5)' at x = 0.0: log(-0.5) is undefined: math domain error\n"),
     "short_a_table_beside_failing_f": (
-        ["verify", "--a-table", "{short}", "--f", "log(x - 0.5)", *_N8], {}, 4,
+        ["verify", "--a-table", "{short}", "--f", "log(x - 0.5)", *_N8], 4,
         "bvpseries: {short}: table spans [0.0, 0.5] but must cover [0, 1.0]\n"),
     # the error names the table that fails, not only that some table did
     "short_f_table_beside_a_table": (
-        ["solve", "--a-table", "{long}", "--f-table", "{short}", *_N8], {}, 4,
+        ["solve", "--a-table", "{long}", "--f-table", "{short}", *_N8], 4,
         "bvpseries: {short}: table spans [0.0, 0.5] but must cover [0, 1.0]\n"),
     "both_fail": (
-        ["verify", "--a", "log(x - 0.5)", "--f", "1/(x - 0.25)", *_N8], {}, 4,
+        ["verify", "--a", "log(x - 0.5)", "--f", "1/(x - 0.25)", *_N8], 4,
         "bvpseries: 'log(x - 0.5)' at x = 0.0: log(-0.5) is undefined: math domain error\n"),
     "only_f_fails": (
-        ["solve", "--a", "sin(x)", "--f", "1/(x - 0.25)", *_N8], {}, 4,
+        ["solve", "--a", "sin(x)", "--f", "1/(x - 0.25)", *_N8], 4,
         "bvpseries: '1/(x - 0.25)' at x = 0.25: division by zero at x = 0.25\n"),
     "f_fails_at_x1": (
-        ["solve", "--a", "sin(x)", "--f", "1/(x-1)", "--x1", "1", "--n", "64"], {}, 4,
+        ["solve", "--a", "sin(x)", "--f", "1/(x-1)", "--x1", "1", "--n", "64"], 4,
         "bvpseries: '1/(x-1)' at x = 1.0: division by zero at x = 1.0\n"),
     "only_a_fails": (
-        ["verify", "--a", "1/(x - 0.25)", "--f", "sin(x)", *_N8], {}, 4,
+        ["verify", "--a", "1/(x - 0.25)", "--f", "sin(x)", *_N8], 4,
         "bvpseries: '1/(x - 0.25)' at x = 0.25: division by zero at x = 0.25\n"),
     "both_fail_at_midpoints_a_first": (
         ["verify", "--a", "0.1*log(abs(x - 0.0625))^0", "--f", "1/(x - 0.1875)", *_N8],
-        {}, 0, ""),
+        0, ""),
     "both_fail_at_midpoints_f_first": (
         ["verify", "--a", "0.1*(1/(x - 0.1875))^0", "--f", "log(abs(x - 0.0625))", *_N8],
-        {}, 0, ""),
+        0, ""),
     # a fails at the last old midpoint, f at the first
     "both_fail_at_midpoints_a_later": (
         ["verify", "--a", "0.1*(1/(x - 0.9375))^0", "--f", "log(abs(x - 0.0625))", *_N8],
-        {}, 0, ""),
+        0, ""),
     "only_f_fails_at_midpoints_beside_a_table": (
         ["verify", "--a-table", "{long}", "--f", "log(abs(x - 0.0625))", *_N8],
-        {}, 0, ""),
+        0, ""),
     "f_overflows": (
-        ["solve", "--a", "0.5", "--f", "1e308*(1+x)", *_N8], {}, 4,
+        ["solve", "--a", "0.5", "--f", "1e308*(1+x)", *_N8], 4,
         "bvpseries: '1e308*(1+x)' at x = 0.875: non-finite intermediate value inf at x = 0.875\n"),
     "verify_passes": (
-        ["verify", "--a", "0.5", "--f", "1", "--x1", "1", "--n", "16"], {}, 0, ""),
+        ["verify", "--a", "0.5", "--f", "1", "--x1", "1", "--n", "16"], 0, ""),
     "not_contractive": (
-        ["solve", "--a", "3", "--f", "1", "--x1", "1"], {}, 2,
+        ["solve", "--a", "3", "--f", "1", "--x1", "1"], 2,
         "bvpseries: series not certified to converge: q = sup|a|*x1^2/2 = 1.5 >= 1; "
         "right endpoint must satisfy x1 < 0.816497 for sup|a| = 3\n"),
     # a bound below 1e-5, printed in significant digits
     "not_contractive_below_1e-5": (
-        ["solve", "--a", "1e12", "--f", "1", *_N8], {}, 2,
+        ["solve", "--a", "1e12", "--f", "1", *_N8], 2,
         "bvpseries: series not certified to converge: q = sup|a|*x1^2/2 = 5e+11 >= 1; "
         "right endpoint must satisfy x1 < 1.41421e-06 for sup|a| = 1e+12\n"),
+    # at tol 5e-324 the terms stall at the smallest subnormals
     "term_cap": (
-        ["solve", "--a", "0.9", "--f", "1", "--x1", "1"], {"SOLVER_MAX_TERMS": "2"}, 2,
-        "bvpseries: series tail not certified within the term cap (cap 2, q = 0.45; "
-        "a-priori count 31); raise the cap or relax the tolerance\n"),
+        ["solve", "--a", "1.98", "--f", "1", "--x1", "1", "--n", "3", "--tol", "5e-324"], 2,
+        "bvpseries: series tail not certified within the term cap (cap 10000, q = 0.99; "
+        "a-priori count 74599); raise the cap or relax the tolerance\n"),
     "verify_fails": (
-        ["verify", "--a", "1.9*cos(120*x)", "--f", "1", "--x1", "1", "--n", "512"], {}, 5,
+        ["verify", "--a", "1.9*cos(120*x)", "--f", "1", "--x1", "1", "--n", "512"], 5,
         "bvpseries: verification failed: 3 of 21 checks: "
         "ode_residual:I1, ode_residual:I2, ode_residual:F\n"),
     "parse_error": (
-        ["solve", "--a", "sin(", "--f", "1", "--x1", "1"], {}, 4,
+        ["solve", "--a", "sin(", "--f", "1", "--x1", "1"], 4,
         "bvpseries: parse error at byte 4: expected a number, 'x', a function call, or '('\n"),
     "bad_n": (
-        ["solve", "--a", "1", "--f", "1", "--x1", "1", "--n", "1"], {}, 4,
+        ["solve", "--a", "1", "--f", "1", "--x1", "1", "--n", "1"], 4,
         "bvpseries: interval count must be >= 2, got 1\n"),
-    "bad_env_cap": (
-        ["solve", "--a", "1", "--f", "1", "--x1", "1"], {"SOLVER_MAX_TERMS": "abc"}, 4,
-        "bvpseries: SOLVER_MAX_TERMS must be an integer, got 'abc'\n"),
 }
 
 
@@ -122,9 +120,8 @@ _CASES = {
 _ENV = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
 
 
-def _run(args, env=None):
-    return subprocess.run(args, capture_output=True, text=True,
-                          env={**_ENV, **(env or {})}, timeout=120)
+def _run(args):
+    return subprocess.run(args, capture_output=True, text=True, env=_ENV, timeout=120)
 
 
 # a case through python -m bvpseries keeps the bare name of the case
@@ -132,12 +129,12 @@ def _run(args, env=None):
     param(name, launcher=launcher, id=name if launcher == "module" else f"{name}-{launcher}")
     for name in sorted(_CASES) for launcher in LAUNCHERS])
 def test_exit_code_and_stderr_are_unchanged(name, launcher, tmp_path):
-    argv, env, code, stderr = _CASES[name]
+    argv, code, stderr = _CASES[name]
     tables = {}
     for key, text in _TABLES.items():
         tables[key] = tmp_path / f"{key}.csv"
         tables[key].write_text(text)
-    r = _run(command(launcher, [arg.format(**tables) for arg in argv]), env)
+    r = _run(command(launcher, [arg.format(**tables) for arg in argv]))
     assert (r.returncode, r.stderr) == (code, stderr.format(**tables))
     assert (r.stdout == "") == (code in (2, 4))
 
@@ -147,6 +144,13 @@ def test_usage_error_is_unchanged():
     assert r.returncode == 4
     assert r.stderr.splitlines()[-1] == (
         "bvpseries solve: error: the following arguments are required: --x1")
+
+
+def test_a_child_fails_on_a_runtime_warning():
+    # conftest exports pyproject.toml's filter to every child process
+    r = _run([sys.executable, "-c", "import warnings; warnings.warn('w', RuntimeWarning)"])
+    assert r.returncode == 1
+    assert r.stderr.endswith("RuntimeWarning: w\n")
 
 
 _BULK = ["fundamental", "--a", "0.5*sin(x)", "--f", "cos(x)", "--x1", "1", "--n", "65536"]

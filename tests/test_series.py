@@ -307,6 +307,18 @@ class TestSumSeries:
         assert info.value.cap == terms - 1
         assert f"cap {terms - 1}" in str(info.value)
 
+    def test_stalled_terms_stop_at_the_apriori_count(self):
+        # at tol 5e-324 the term sups stall at the smallest subnormals, so
+        # the measured tail never meets tol: the sum stops at the a-priori
+        # count, and the a-priori bound is its tail
+        g = make_grid(1.0, 3)
+        cert = contraction_ratio(1.8, 1.0)
+        assert cert.q == 0.9
+        _, terms, apriori, tail, sups = sum_series(_const(g, 1.0), _const(g, 1.8), cert,
+                                                   tol=5e-324)
+        assert sups[-1] == 1.5e-323
+        assert (terms, apriori, tail) == (7095, 7095, 5e-324)
+
     def test_certificate_mismatch(self):
         g = make_grid(1.0, 16)
         seed = _const(g, 1.0)
