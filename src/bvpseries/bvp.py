@@ -21,7 +21,7 @@ from ._record import Record
 from .checks import bound_checks, ode_residual
 from .errors import GridMismatch, InvalidDomain
 from .grid import SampledFn, same_grid
-from .series_core import SeriesSolution, apply_B
+from .series_core import SeriesSolution, _apply_B_values
 
 
 class ProblemD:
@@ -76,9 +76,14 @@ def general_solution(sol: SeriesSolution, c1: float, c2: float):
     (u, du) : tuple of SampledFn
     """
     grid = sol.grid
-    u = SampledFn(grid, c1 * sol.I1.values + c2 * sol.I2.values + sol.F.values)
-    du = SampledFn(grid, c1 * sol.dI1.values + c2 * sol.dI2.values + sol.dF.values)
-    return u, du
+    scratch = np.empty(grid.n + 1)
+
+    def combine(i1: SampledFn, i2: SampledFn, fn: SampledFn) -> SampledFn:
+        out = np.multiply(c1, i1.values)
+        np.add(out, np.multiply(c2, i2.values, out=scratch), out=out)
+        return SampledFn(grid, np.add(out, fn.values, out=out))
+
+    return combine(sol.I1, sol.I2, sol.F), combine(sol.dI1, sol.dI2, sol.dF)
 
 
 def wronskian_check(sol: SeriesSolution):
@@ -89,8 +94,10 @@ def wronskian_check(sol: SeriesSolution):
     (w_nodes, dev) : SampledFn, float
         w_nodes[i] = I1*dI2 - dI1*I2 at node i; dev = max |w_nodes + I2(x1)|.
     """
-    w = sol.I1.values * sol.dI2.values - sol.dI1.values * sol.I2.values
-    dev = float(np.max(np.abs(w + sol.i2_at_x1)))
+    w = np.multiply(sol.I1.values, sol.dI2.values)
+    scratch = np.multiply(sol.dI1.values, sol.I2.values)
+    np.subtract(w, scratch, out=w)
+    dev = float(np.max(np.abs(np.add(w, sol.i2_at_x1, out=scratch), out=scratch)))
     return SampledFn(sol.grid, w), dev
 
 
@@ -104,14 +111,29 @@ def residual_report(u: SampledFn, a: SampledFn, f: SampledFn,
         The largest interior-node residual of the differential equation
         (``checks.ode_residual``) and the largest node defect in the
         integral fixed-point form u = Bu + g + c1*x + c2.
+
+    Raises
+    ------
+    GridMismatch
+        If the inputs live on different grids.
+    InvalidDomain
+        If Bu is not finite.
     """
     for other in (a, f, g):
         if not same_grid(u.grid, other.grid):
             raise GridMismatch("all inputs must share a grid")
     grid = u.grid
-    defect = u.values - apply_B(u, a).values - g.values - c1 * grid.nodes - c2
-    return (ode_residual(u.values, a.values, f.values, grid.h),
-            float(np.max(np.abs(defect))))
+    # the defect u - Bu - g - c1*x - c2, in the buffer of a*u
+    defect, scratch = np.multiply(a.values, u.values), np.empty(grid.n + 1)
+    # Bu, refused as a SampledFn (InvalidDomain) where it is not finite
+    SampledFn(grid, _apply_B_values(defect, grid.h, out=defect, scratch=scratch))
+    np.subtract(u.values, defect, out=defect)
+    np.subtract(defect, g.values, out=defect)
+    np.subtract(defect, np.multiply(c1, grid.nodes, out=scratch), out=defect)
+    np.subtract(defect, c2, out=defect)
+    fixedpoint_err = float(np.max(np.abs(defect, out=defect)))
+    del defect, scratch  # ode_residual's buffers take their place
+    return ode_residual(u.values, a.values, f.values, grid.h), fixedpoint_err
 
 
 def solve_problem_d(sol: SeriesSolution, prob: ProblemD) -> SolveReport:
@@ -126,7 +148,7 @@ def solve_problem_d(sol: SeriesSolution, prob: ProblemD) -> SolveReport:
         If alpha or beta is so large that u, u' or the residual overflows.
     """
     c1, c2 = prob.beta, prob.alpha
-    _, wronskian_dev = wronskian_check(sol)
+    wronskian_dev = wronskian_check(sol)[1]
     bchecks = tuple(bound_checks(sol))
     # Overflow shows up as a non-finite value, which SampledFn rejects in u
     # and u' and the residuals carry; the only inputs large enough to cause

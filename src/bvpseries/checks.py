@@ -20,6 +20,7 @@ so failures show how far off the measurement was. Three limit regimes appear:
 from __future__ import annotations
 
 import math
+import sys
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -75,6 +76,19 @@ def _pass_rounding(sol: SeriesSolution) -> float:
     return UNIT_ROUNDOFF * (3.0 * grid.n + 8.0) * grid.x1 * grid.x1 * a_sup / UNIT_ROUNDOFF
 
 
+def _times_u(*factors: float) -> float:
+    """The unit roundoff u times the product of ``factors``, taken left to
+    right with u multiplied into the largest factor first. u is a power of
+    two, so this has the bits of the product times u wherever neither order
+    over- or underflows, and a product that overflows only before u scales
+    it stays finite."""
+    big = max(range(len(factors)), key=lambda k: abs(factors[k]))
+    product = 1.0
+    for k, factor in enumerate(factors):
+        product *= UNIT_ROUNDOFF * factor if k == big else factor
+    return product
+
+
 def _term_sums(sol: SeriesSolution, name: str) -> tuple:
     """For s_k = term_sups[name][k], k = 0..m, each times the unit roundoff
     u: u s_0, sum_k u s_k, sum_{k<m} u s_k (the terms B was applied to) and
@@ -98,10 +112,15 @@ def bound_checks(sol: SeriesSolution) -> list[Check]:
     so the computed s_k = term_sups[S][k], s_0 among them, obey
     s_k <= (q + u p) s_{k-1}.
     ``term_bound:S`` checks the worst rate max_{k>=1} (s_k / s_0)^(1/k), 0.0
-    with no k >= 1 or s_0 = 0, against q + u p; ``sup_bound:S`` checks sup|S|
+    with no such k or s_0 = 0, against q + u p; ``sup_bound:S`` checks sup|S|
     against (s_0 + u p sum_{k<m} s_k) / (1 - q), the passes' rounding carried
     on by later passes, plus u sum_{k>=1} |S_k| for the additions. Both
     limits take a relative BOUND_SLACK for their own arithmetic.
+
+    The rate is taken only over the terms whose sup is a normal float. A
+    subnormal term carries absolute rounding, not the relative u p, so once
+    the terms stall at the smallest subnormals (a tol near 5e-324) their
+    rates climb toward 1; ``sup_bound`` still bounds the sum they add to.
     """
     q = sol.certificate.q
     p = _pass_rounding(sol)
@@ -111,7 +130,8 @@ def bound_checks(sol: SeriesSolution) -> list[Check]:
         _, _, passed, partial = _term_sums(sol, name)
         sups = sol.term_sups[name]
         s_0 = sups[0]
-        rates = [(s / s_0) ** (1.0 / k) for k, s in enumerate(sups[1:], 1)] if s_0 > 0.0 else []
+        rates = ([(s / s_0) ** (1.0 / k) for k, s in enumerate(sups[1:], 1)
+                  if s >= sys.float_info.min] if s_0 > 0.0 else [])
         checks.append(_check(f"term_bound:{name}", max(rates, default=0.0), rate_limit))
         checks.append(_check(
             f"sup_bound:{name}", sup_norm(series),
@@ -172,7 +192,7 @@ def _rounding_floor(sol: SeriesSolution, name: str) -> float:
     stencil = 8.0 * total + 4.0 * s_0
     passes = B_ROUNDING_CONST * x1_sq * sol.certificate.a_sup * passed
     additions = 4.0 * partial
-    seed = B_ROUNDING_CONST * x1_sq * sup_norm(sol.f) * UNIT_ROUNDOFF if name == "F" else 0.0
+    seed = _times_u(B_ROUNDING_CONST, x1_sq, sup_norm(sol.f)) if name == "F" else 0.0
     return (stencil + passes + additions + seed) / (grid.h * grid.h)
 
 
@@ -208,8 +228,7 @@ def _slope_rounding_floor(sol: SeriesSolution, name: str) -> float:
     a_sup = sol.certificate.a_sup
     passes = B_SLOPE_CONST * x1_sq * a_sup * passed
     derivative = x1_sq * a_sup * total
-    forcing = ((B_SLOPE_CONST + 1.0) * x1_sq * sup_norm(sol.f) * UNIT_ROUNDOFF
-               if name == "F" else 0.0)
+    forcing = _times_u(B_SLOPE_CONST + 1.0, x1_sq, sup_norm(sol.f)) if name == "F" else 0.0
     return (s_0 + passes + partial + derivative + forcing) / grid.h
 
 
@@ -219,10 +238,14 @@ def ode_residual(u: np.ndarray, a: np.ndarray, f: np.ndarray | None, h: float) -
     u'' is the central second difference (u[i-1] - 2 u[i] + u[i+1]) / h^2;
     the endpoints carry no stencil.
     """
-    r = (u[:-2] - 2.0 * u[1:-1] + u[2:]) / (h * h) + a[1:-1] * u[1:-1]
+    r = np.multiply(2.0, u[1:-1])
+    np.subtract(u[:-2], r, out=r)
+    np.add(r, u[2:], out=r)
+    np.divide(r, h * h, out=r)
+    np.add(r, np.multiply(a[1:-1], u[1:-1]), out=r)
     if f is not None:
-        r = r - f[1:-1]
-    return float(np.max(np.abs(r)))
+        np.subtract(r, f[1:-1], out=r)
+    return float(np.max(np.abs(r, out=r)))
 
 
 def residual_checks(sol: SeriesSolution) -> list[Check]:
@@ -262,12 +285,15 @@ def consistency_checks(sol: SeriesSolution) -> list[Check]:
     a_sup = sol.certificate.a_sup
     f_sup = sup_norm(sol.f)
     extra = _tol_term(sol)
+    gap = np.empty(grid.n - 1)
     checks = []
     for name, fn, dfn in (("I1", sol.I1, sol.dI1), ("I2", sol.I2, sol.dI2),
                           ("F", sol.F, sol.dF)):
         u = fn.values
-        central = (u[2:] - u[:-2]) / (2.0 * h)
-        dev = float(np.max(np.abs(dfn.values[1:-1] - central)))
+        np.subtract(u[2:], u[:-2], out=gap)
+        np.divide(gap, 2.0 * h, out=gap)  # the central difference
+        np.subtract(dfn.values[1:-1], gap, out=gap)
+        dev = float(np.max(np.abs(gap, out=gap)))
         scale = (1.0 + a_sup) * (1.0 + sup_norm(fn)) + (1.0 + f_sup)
         checks.append(_check(
             f"derivative_consistency:{name}",
@@ -323,7 +349,7 @@ def fixed_point_rounding(sol: SeriesSolution, report: SolveReport) -> float:
     u_sup = sup_norm(report.u)
     sizes = c1 * sup_norm(sol.I1) + c2 * sup_norm(sol.I2) + sup_norm(sol.F)
     chain = 2.0 * u_sup + sup_norm(sol.g) + c1 * grid.x1 + c2
-    return float(series + UNIT_ROUNDOFF * (6.0 * sizes + 5.0 * chain)
+    return float(series + (6.0 * (UNIT_ROUNDOFF * sizes) + 5.0 * (UNIT_ROUNDOFF * chain))
                  + UNIT_ROUNDOFF * p * u_sup)
 
 

@@ -26,7 +26,7 @@ distinct subtrees (``grid.sample_together``). That one run names its own
 errors, a's before f's, so every message and exit code is the one that
 sampling a and then f one at a time would give. verify's RK4 oracle steps
 on node pairs, so it needs no samples beyond the nodes; it runs in this
-process, after the series and the solve.
+process, after the series and before the solve.
 
 Every failure that ends a run before any output has its exit code and
 message in ``_fail``, and every ``bvpseries:`` line goes through ``_say``,
@@ -224,8 +224,16 @@ def _cmd_fundamental(config: argparse.Namespace):
 
 def _cmd_verify(config: argparse.Namespace):
     sol = _prepare(config)
+    # The oracle reads neither alpha nor beta, so it runs, and its arrays are
+    # freed, before u and u' exist; its failure (exit 5) waits for the
+    # solve's (exit 4), which it would follow if it ran after the solve.
+    try:
+        max_rel_err, shot_failed = compare(sol, oracle_fundamental(sol.a, sol.f)), None
+    except (OracleSingular, Diverged) as exc:
+        shot_failed = exc
     report = solve_problem_d(sol, ProblemD(config.alpha, config.beta))
-    max_rel_err = compare(sol, oracle_fundamental(sol.a, sol.f))
+    if shot_failed is not None:
+        raise shot_failed
     all_checks = verify(sol, report, max_rel_err, config.tol)
     overflowed = _overflowed(all_checks)
     if overflowed:

@@ -25,11 +25,12 @@ from .expr import _eval_each, eval_arrays, parse_expr
 from .expr import eval_expr  # unused here; bench/traced_op.py wraps grid.eval_expr
 
 # Largest interval count a grid accepts. A run's peak resident memory is
-# about 31 MiB plus 0.1 KiB per node at worst (fundamental, the largest
-# payload, whose text cli.main writes block by block: 56 MiB as JSON or as
-# CSV at n = 2**18), so 2**20 intervals need about 134 MiB (measured, JSON
-# and CSV) and stay well within a 2 GiB budget. Larger n is refused before
-# anything of size n is allocated.
+# about 30 MiB plus, per node, 0.12 KiB at worst (verify, whose series,
+# oracle and checks hold at most about 14.5 arrays of n + 1 floats at once),
+# 0.11 KiB for solve and 0.09 KiB for fundamental (README "Caveats"), so
+# 2**20 intervals need at most about 149 MiB (measured: verify 149, solve
+# 143, fundamental 119 MiB) and stay well within a 2 GiB budget. Larger n
+# is refused before anything of size n is allocated.
 MAX_INTERVALS = 2**20
 
 

@@ -125,7 +125,8 @@ def _shoot(a: SampledFn, f: SampledFn, starts: np.ndarray, a_eval, f_eval):
     grid = a.grid
     n = grid.n
     ends = step_ends(n)
-    an, fn = a.values[ends], f.values[ends]
+    at_ends = slice(None, None, 2) if n % 2 == 0 else ends  # a view, not a copy, for even n
+    an, fn = a.values[at_ends], f.values[at_ends]
     am = _step_midpoint_values(a, a_eval)
     fm = _step_midpoint_values(f, f_eval)
     # (first step, end step, step size): blocks of 2h steps, then the odd h step
@@ -259,16 +260,14 @@ def oracle_fundamental(a: SampledFn, f: SampledFn, *,
         )
     c_phi = float(dphi[-1]) / dpsi_x1
     c_p = float(dp[-1]) / dpsi_x1
-    return OracleFundamental(
-        grid=a.grid,
-        index=index,
-        I1=psi / dpsi_x1,
-        I2=phi - c_phi * psi,
-        F=p - c_p * psi,
-        dI1=dpsi / dpsi_x1,
-        dI2=dphi - c_phi * dpsi,
-        dF=dp - c_p * dpsi,
-    )
+    # recombined in the scan's rows: I2 in phi's, F in p's, I1 in psi's
+    scratch = np.empty_like(psi)
+    for row, c, base in ((phi, c_phi, psi), (p, c_p, psi), (dphi, c_phi, dpsi), (dp, c_p, dpsi)):
+        np.subtract(row, np.multiply(c, base, out=scratch), out=row)
+    np.divide(psi, dpsi_x1, out=psi)
+    np.divide(dpsi, dpsi_x1, out=dpsi)
+    return OracleFundamental(grid=a.grid, index=index, I1=psi, I2=phi, F=p,
+                             dI1=dpsi, dI2=dphi, dF=dp)
 
 
 def compare(series, oracle: OracleFundamental) -> float:
@@ -285,11 +284,16 @@ def compare(series, oracle: OracleFundamental) -> float:
     GridMismatch
     """
     worst = 0.0
+    gap, scale = np.empty(len(oracle.index)), np.empty(len(oracle.index))
     for name in ("I1", "I2", "F"):
         s: SampledFn = getattr(series, name)
         o: np.ndarray = getattr(oracle, name)
         if not same_grid(s.grid, oracle.grid):
             raise GridMismatch("series and oracle must share a grid")
-        gap = np.max(np.abs(s.values[oracle.index] - o) / (1.0 + np.abs(o)))
-        worst = max(worst, float(gap))
+        # "clip" gathers straight into gap, where the default mode buffers
+        # a copy; the step ends are in range
+        np.take(s.values, oracle.index, out=gap, mode="clip")
+        np.abs(np.subtract(gap, o, out=gap), out=gap)
+        np.add(1.0, np.abs(o, out=scale), out=scale)
+        worst = max(worst, float(np.max(np.divide(gap, scale, out=gap))))
     return worst

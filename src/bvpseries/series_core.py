@@ -92,7 +92,7 @@ def contraction_ratio(a_sup: float, x1: float) -> ContractionCertificate:
     return ContractionCertificate(a_sup=a_sup, x1=x1, q=q, margin=1.0 - q)
 
 
-def _check_certificate(cert: ContractionCertificate, a: SampledFn) -> None:
+def _check_sum_inputs(a: SampledFn, cert: ContractionCertificate, tol) -> None:
     if cert.x1 != a.grid.x1:
         raise InvalidDomain(
             f"certificate is for x1 = {cert.x1}, grid ends at {a.grid.x1}"
@@ -102,6 +102,8 @@ def _check_certificate(cert: ContractionCertificate, a: SampledFn) -> None:
             f"certificate covers sup|a| = {cert.a_sup}, "
             f"but the coefficient reaches {sup_norm(a)}"
         )
+    if not (isinstance(tol, (int, float)) and math.isfinite(tol) and tol > 0):
+        raise InvalidDomain(f"tolerance must be positive and finite, got {tol!r}")
 
 
 def _apply_B_values(w: np.ndarray, h: float, out: np.ndarray | None = None,
@@ -143,7 +145,8 @@ def compute_g(f: SampledFn) -> SampledFn:
     InvalidDomain
         If g overflows, as it can for a finite f near the float limit.
     """
-    g = 0.0 - _apply_B_values(f.values, f.grid.h)
+    g = _apply_B_values(f.values, f.grid.h)
+    np.subtract(0.0, g, out=g)
     if not np.all(np.isfinite(g)):
         raise InvalidDomain(
             "the forcing's double integral g overflowed, although every node of f is finite"
@@ -206,18 +209,24 @@ def sum_series(seed: SampledFn, a: SampledFn, cert: ContractionCertificate,
     """
     if not same_grid(seed.grid, a.grid):
         raise GridMismatch("seed and a must share a grid")
-    _check_certificate(cert, a)
-    if not (isinstance(tol, (int, float)) and math.isfinite(tol) and tol > 0):
-        raise InvalidDomain(f"tolerance must be positive and finite, got {tol!r}")
+    _check_sum_inputs(a, cert, tol)
+    total, *rest = _sum(seed.values.copy(), np.empty(seed.grid.n + 1), a, cert, tol, max_terms)
+    return (SampledFn(seed.grid, total), *rest)
+
+
+def _sum(term: np.ndarray, scratch: np.ndarray, a: SampledFn, cert: ContractionCertificate,
+         tol: float, max_terms: int):
+    """``sum_series`` on checked inputs, with the seed's values in ``term``,
+    which the terms then overwrite, and ``scratch`` for the tail passes and
+    the sups; the sum is the one array it allocates. Returns what
+    ``sum_series`` does, with the sum's values in place of its SampledFn."""
     q = cert.q
-    apriori, apriori_tail = _certified_terms(sup_norm(seed), q, float(tol))
-    limit = min(apriori, max_terms)
-    h = seed.grid.h
-    a_values = a.values
-    term = seed.values.copy()
-    total = seed.values.copy()
-    scratch = np.empty_like(total)  # the tail pass, then |term|
     term_sups = [float(np.abs(term, out=scratch).max())]
+    apriori, apriori_tail = _certified_terms(term_sups[0], q, float(tol))
+    limit = min(apriori, max_terms)
+    h = a.grid.h
+    a_values = a.values
+    total = term.copy()
     tail = q * term_sups[0] / (1.0 - q)
     while tail > tol and len(term_sups) < limit:
         np.multiply(a_values, term, out=term)
@@ -229,7 +238,7 @@ def sum_series(seed: SampledFn, a: SampledFn, cert: ContractionCertificate,
         if limit < apriori:
             raise MaxTermsExceeded(apriori, max_terms, q)
         tail = apriori_tail  # only rounding can get here; the a-priori bound holds
-    return SampledFn(seed.grid, total), len(term_sups), apriori, tail, term_sups
+    return total, len(term_sups), apriori, tail, term_sups
 
 
 class SeriesSolution(Record):
@@ -286,6 +295,12 @@ def fundamental_system(a: SampledFn, f: SampledFn, cert: ContractionCertificate,
     each tail integral the inner pass of B_h (grid.tail_trapz), which is 0.0
     at x1: I1'(x1) = 1, I2'(x1) = 0, F'(x1) = 0 hold exactly.
 
+    The seeds are written, one after another, into one term buffer, which
+    with one scratch buffer serves every sum and then the derivatives (the
+    scratch becomes dI1): past g and the six limits, the term is the one
+    array of size n this allocates, and every pass keeps the operation
+    order, and so the bits, of the allocating one.
+
     Raises
     ------
     GridMismatch, InvalidDomain, MaxTermsExceeded
@@ -293,21 +308,22 @@ def fundamental_system(a: SampledFn, f: SampledFn, cert: ContractionCertificate,
     if not same_grid(a.grid, f.grid):
         raise GridMismatch("a and f must share a grid")
     grid, h = a.grid, a.grid.h
-    seeds = {
-        "I1": SampledFn(grid, grid.nodes.copy()),
-        "I2": SampledFn(grid, np.ones(grid.n + 1)),
-        "F": compute_g(f),
-    }
+    g = compute_g(f)
+    _check_sum_inputs(a, cert, tol)
+    term, scratch = np.empty(grid.n + 1), np.empty(grid.n + 1)
     sums, terms_used, terms_apriori, tail_bound, term_sups = {}, {}, {}, {}, {}
-    for name, seed in seeds.items():
+    for name, seed in (("I1", grid.nodes), ("I2", 1.0), ("F", g.values)):
+        np.copyto(term, seed)
         (sums[name], terms_used[name], terms_apriori[name], tail_bound[name],
-         term_sups[name]) = sum_series(seed, a, cert, tol, max_terms)
+         term_sups[name]) = _sum(term, scratch, a, cert, tol, max_terms)
+    dI1 = np.add(1.0, tail_trapz(np.multiply(a.values, sums["I1"], out=term), h, out=scratch),
+                 out=scratch)
+    dI2 = tail_trapz(np.multiply(a.values, sums["I2"], out=term), h)
+    dF = tail_trapz(np.multiply(a.values, sums["F"], out=term), h)
+    np.subtract(dF, tail_trapz(f.values, h, out=term), out=dF)
     return SeriesSolution(
-        **sums,
-        dI1=SampledFn(grid, 1.0 + tail_trapz(a.values * sums["I1"].values, h)),
-        dI2=SampledFn(grid, tail_trapz(a.values * sums["I2"].values, h)),
-        dF=SampledFn(grid, tail_trapz(a.values * sums["F"].values, h)
-                     - tail_trapz(f.values, h)),
+        **{name: SampledFn(grid, values) for name, values in sums.items()},
+        dI1=SampledFn(grid, dI1), dI2=SampledFn(grid, dI2), dF=SampledFn(grid, dF),
         terms_used=terms_used, terms_apriori=terms_apriori, tail_bound=tail_bound,
-        certificate=cert, a=a, f=f, g=seeds["F"], term_sups=term_sups,
+        certificate=cert, a=a, f=f, g=g, term_sups=term_sups,
     )

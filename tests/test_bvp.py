@@ -22,7 +22,16 @@ from bvpseries.checks import (
     residual_checks,
 )
 from bvpseries.errors import InvalidDomain
-from bvpseries.grid import CoefficientSpec, SampledFn, make_grid, sample, sup_norm
+from bvpseries.grid import (
+    CoefficientSpec,
+    SampledFn,
+    make_grid,
+    prefix_trapz,
+    sample,
+    sup_norm,
+    tail_trapz,
+)
+from bvpseries.oracle import compare, oracle_fundamental
 from bvpseries.series_core import (
     SeriesSolution,
     compute_g,
@@ -349,3 +358,54 @@ class TestCheckFunctions:
         assert "term_bound:F" in names
         for check in bound_checks(sol):
             assert check.value <= check.limit
+
+
+def _plain_b(w, h):
+    """B_h w with the allocating passes, as the series were first summed."""
+    return prefix_trapz(tail_trapz(w, h), h)
+
+
+@pytest.mark.parametrize("n", [64, 65])
+def test_in_place_passes_keep_the_bits_of_the_plain_expressions(random_suite, n):
+    # the stages write their node arrays with out=, in the operation order
+    # of these allocating expressions, so every value keeps its bits
+    p = random_suite[3]
+    sol = p.solve(n=n)
+    a, f, h, nodes = sol.a.values, sol.f.values, sol.grid.h, sol.grid.nodes
+    g = 0.0 - _plain_b(f, h)
+    assert np.array_equal(sol.g.values, g)
+    for name, seed in (("I1", nodes), ("I2", np.ones(n + 1)), ("F", g)):
+        term, total = seed, seed.copy()
+        for _ in range(sol.terms_used[name] - 1):
+            term = _plain_b(a * term, h)
+            total = total + term
+        assert np.array_equal(getattr(sol, name).values, total)
+    I1, I2, F = sol.I1.values, sol.I2.values, sol.F.values
+    assert np.array_equal(sol.dI1.values, 1.0 + tail_trapz(a * I1, h))
+    assert np.array_equal(sol.dI2.values, tail_trapz(a * I2, h))
+    assert np.array_equal(sol.dF.values, tail_trapz(a * F, h) - tail_trapz(f, h))
+
+    c1, c2 = p.beta, p.alpha
+    u, du = general_solution(sol, c1, c2)
+    assert np.array_equal(u.values, c1 * I1 + c2 * I2 + F)
+    assert np.array_equal(du.values, c1 * sol.dI1.values + c2 * sol.dI2.values + sol.dF.values)
+    w = I1 * sol.dI2.values - sol.dI1.values * I2
+    w_nodes, dev = wronskian_check(sol)
+    assert np.array_equal(w_nodes.values, w)
+    assert dev == float(np.max(np.abs(w + I2[-1])))
+
+    v = u.values
+    residual = (v[:-2] - 2.0 * v[1:-1] + v[2:]) / (h * h) + a[1:-1] * v[1:-1] - f[1:-1]
+    defect = v - _plain_b(a * v, h) - g - c1 * nodes - c2
+    assert residual_report(u, sol.a, sol.f, c1, c2, sol.g) == (
+        float(np.max(np.abs(residual))), float(np.max(np.abs(defect))))
+    for check, (fn, dfn) in zip(consistency_checks(sol), ((I1, sol.dI1), (I2, sol.dI2),
+                                                          (F, sol.dF))):
+        assert check.value == float(np.max(np.abs(dfn.values[1:-1]
+                                                  - (fn[2:] - fn[:-2]) / (2.0 * h))))
+
+    shot = oracle_fundamental(sol.a, sol.f)
+    assert compare(sol, shot) == max(
+        float(np.max(np.abs(getattr(sol, name).values[shot.index] - getattr(shot, name))
+                     / (1.0 + np.abs(getattr(shot, name)))))
+        for name in ("I1", "I2", "F"))

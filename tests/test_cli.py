@@ -133,6 +133,11 @@ _VERIFY_FAILURES = {
     "diverged": (["verify", *_SMALL], {"bvpseries.oracle.OVERFLOW_GUARD": 0.5}, 5,
                  "bvpseries: verification aborted: initial-value state exceeded 0.5 "
                  "times its scale at x = 0.225\n"),
+    # the oracle runs before the solve, but the solve's failure comes first
+    "diverged_and_overflowing": (["verify", *_SMALL, "--alpha", "1e308"],
+                                 {"bvpseries.oracle.OVERFLOW_GUARD": 0.5}, 4,
+                                 "bvpseries: alpha = 1e+308, beta = 0.0 are too large: "
+                                 "the solution or its residual overflows\n"),
     # the series stop at the cap before the oracle runs: at tol 5e-324 the
     # terms stall at the smallest subnormals, short of the a-priori count
     "max_terms": (["verify", "--a", "1.98", "--f", "1", "--x1", "1", "--n", "3",
@@ -295,6 +300,17 @@ class TestExitCodes:
         check = {c["name"]: c for c in json.loads(out)["checks"]}["fixed_point"]
         assert check["passed"] and check["limit"] > 10 * 1e-318
 
+    def test_term_rates_leave_out_subnormal_terms(self, capfd):
+        # at tol 5e-324 the terms stall at the smallest subnormals, whose
+        # rounding is absolute: with them the worst rates read 0.8346
+        # against a limit of 0.8339, and verify exited 5
+        code, out, err = run_main(capfd, "verify", "--a", "2*sin(x)*cos(x)", "--f", "1",
+                                  "--x1", "1.3", "--n", "3", "--tol", "5e-324")
+        assert (code, err) == (0, "")
+        checks = {c["name"]: c for c in json.loads(out)["checks"]}
+        for name in ("I1", "I2", "F"):
+            assert checks[f"term_bound:{name}"]["value"] < 0.64
+
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     @pytest.mark.parametrize("flags, named", [
         (["--tol", "1e308"], "--tol = 1e+308, --alpha = 0.0, --beta = 0.0"),
@@ -347,6 +363,9 @@ class TestExitCodes:
         # 3,315 terms of F, sup|F| = 2.6e305
         ("--a", "1.98", "--f", "1e305", "--x1", "1", "--n", "1024"),
         ("--a", "cos(x)", "--f", "1e306*sin(x)", "--x1", "1", "--n", "64"),
+        # the F floors formed 20 x1^2 sup|f| = 2e308 before u scaled it:
+        # verify exited 4, "ode_residual:F overflows at every --tol"
+        ("--a", "0.1", "--f", "1e307", "--x1", "1", "--n", "8"),
     ])
     def test_rounding_sums_overflow_only_where_their_bound_does(self, capfd, command, args):
         # sum_k sum_{j<=k} s_j, summed before the unit roundoff scaled it,

@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 
 from bvpseries import cli, shortest
+from launch import peak_kib
 from test_golden import REPO
 
 _PROBLEM = ["--a", "0.6*exp(-x)*tanh(x + 0.3)", "--f", "exp(x) - log(2 + x)",
@@ -164,24 +165,25 @@ def test_digit_kernel_loads_only_to_render_float_columns():
     assert _fresh_python(code) == "[False, False, True]\n"
 
 
-# README "Caveats": fundamental's peak resident memory grows by about
-# 0.1 KiB per node, as JSON or as CSV, since main writes the text block by
-# block. Whole-table blocks or a joined text were 0.14 KiB or more per
-# node in either format.
-_DOCUMENTED_KIB_PER_NODE = 0.1
+# README "Caveats": how much each command's peak resident memory grows per
+# node, in KiB, from n = 1024 to 2**18. fundamental writes its text block
+# by block (whole-table blocks or a joined text were 0.14 KiB or more per
+# node in either format); verify frees the oracle's arrays before u and u'
+# exist (0.154 KiB per node when it held them all at once, and solve 0.126).
+_DOCUMENTED_KIB_PER_NODE = {
+    ("fundamental", "json"): 0.09,
+    ("fundamental", "csv"): 0.09,
+    ("solve", "json"): 0.11,
+    ("verify", "json"): 0.12,
+}
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
-def test_peak_memory_stays_at_the_documented_figure():
-    # a bare launcher (no numpy) runs one CLI process and reports its peak;
+@pytest.mark.parametrize("command, output_format", list(_DOCUMENTED_KIB_PER_NODE))
+def test_peak_memory_stays_at_the_documented_figure(command, output_format):
     # the growth from n = 1024 to 2**18 leaves out the interpreter's own
-    code = ("import resource, subprocess, sys\n"
-            "subprocess.run([sys.executable, '-m', 'bvpseries', *sys.argv[1:]], check=True)\n"
-            "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)")
-    for output_format in ("json", "csv"):
-        peaks = [int(_fresh_python(code, "fundamental", "--a", "sin(x)", "--f", "exp(-x)",
-                                   "--x1", "0.9", "--n", str(n), "--format", output_format,
-                                   "--out", os.devnull))
-                 for n in (1024, 2**18)]
-        per_node = (peaks[1] - peaks[0]) / (2**18 - 1024)
-        assert per_node <= 1.1 * _DOCUMENTED_KIB_PER_NODE, (output_format, peaks)
+    peaks = [peak_kib([command, "--a", "sin(x)", "--f", "exp(-x)", "--x1", "0.9",
+                       "--n", str(n), "--format", output_format, "--out", os.devnull])
+             for n in (1024, 2**18)]
+    per_node = (peaks[1] - peaks[0]) / (2**18 - 1024)
+    assert per_node <= 1.1 * _DOCUMENTED_KIB_PER_NODE[command, output_format], peaks

@@ -393,6 +393,22 @@ class TestInPlaceSum:
         assert abs(fine_peak - coarse_peak) <= array
         assert fine_peak < 4 * array
 
+    def test_fundamental_system_holds_one_buffer_beyond_its_results(self):
+        # g, the three limits and their derivatives, plus the one term
+        # buffer the sums and the derivatives share (10 arrays when each
+        # sum took buffers of its own and the seeds were kept)
+        g = make_grid(1.0, 65536)
+        a = SampledFn(g, np.cos(g.nodes))
+        f = SampledFn(g, 1.0 + np.sin(2.0 * g.nodes))
+        cert = contraction_ratio(sup_norm(a), 1.0)
+        tracemalloc.start()
+        try:
+            fundamental_system(a, f, cert)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8.5 * 8 * (g.n + 1)
+
 
 class TestMeasuredTruncation:
     @settings(max_examples=40, deadline=None)
