@@ -20,7 +20,7 @@ import numpy as np
 from ._record import Record
 from .checks import bound_checks, ode_residual
 from .errors import GridMismatch, InvalidDomain
-from .grid import SampledFn, same_grid
+from .grid import SampledFn, max_abs, same_grid
 from .series_core import SeriesSolution, _apply_B_values
 
 
@@ -97,7 +97,7 @@ def wronskian_check(sol: SeriesSolution):
     w = np.multiply(sol.I1.values, sol.dI2.values)
     scratch = np.multiply(sol.dI1.values, sol.I2.values)
     np.subtract(w, scratch, out=w)
-    dev = float(np.max(np.abs(np.add(w, sol.i2_at_x1, out=scratch), out=scratch)))
+    dev = max_abs(np.add(w, sol.i2_at_x1, out=scratch))
     return SampledFn(sol.grid, w), dev
 
 
@@ -125,13 +125,13 @@ def residual_report(u: SampledFn, a: SampledFn, f: SampledFn,
     grid = u.grid
     # the defect u - Bu - g - c1*x - c2, in the buffer of a*u
     defect, scratch = np.multiply(a.values, u.values), np.empty(grid.n + 1)
-    # Bu, refused as a SampledFn (InvalidDomain) where it is not finite
-    SampledFn(grid, _apply_B_values(defect, grid.h, out=defect, scratch=scratch))
+    if not math.isfinite(max_abs(_apply_B_values(defect, grid.h, out=defect, scratch=scratch))):
+        raise InvalidDomain("node values must all be finite")  # Bu, as SampledFn refuses it
     np.subtract(u.values, defect, out=defect)
     np.subtract(defect, g.values, out=defect)
     np.subtract(defect, np.multiply(c1, grid.nodes, out=scratch), out=defect)
     np.subtract(defect, c2, out=defect)
-    fixedpoint_err = float(np.max(np.abs(defect, out=defect)))
+    fixedpoint_err = max_abs(defect)
     del defect, scratch  # ode_residual's buffers take their place
     return ode_residual(u.values, a.values, f.values, grid.h), fixedpoint_err
 

@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ._record import Record
-from .grid import sup_norm
+from .grid import max_abs, sup_norm
 from .series_core import SeriesSolution
 
 if TYPE_CHECKING:  # bvp imports this module
@@ -245,7 +245,7 @@ def ode_residual(u: np.ndarray, a: np.ndarray, f: np.ndarray | None, h: float) -
     np.add(r, np.multiply(a[1:-1], u[1:-1]), out=r)
     if f is not None:
         np.subtract(r, f[1:-1], out=r)
-    return float(np.max(np.abs(r, out=r)))
+    return max_abs(r)
 
 
 def residual_checks(sol: SeriesSolution) -> list[Check]:
@@ -293,7 +293,7 @@ def consistency_checks(sol: SeriesSolution) -> list[Check]:
         np.subtract(u[2:], u[:-2], out=gap)
         np.divide(gap, 2.0 * h, out=gap)  # the central difference
         np.subtract(dfn.values[1:-1], gap, out=gap)
-        dev = float(np.max(np.abs(gap, out=gap)))
+        dev = max_abs(gap)
         scale = (1.0 + a_sup) * (1.0 + sup_norm(fn)) + (1.0 + f_sup)
         checks.append(_check(
             f"derivative_consistency:{name}",

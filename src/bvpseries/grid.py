@@ -9,7 +9,9 @@ various quadrature compositions stay mutually consistent.
 Norms are computed as node maxima. That is the correct supremum for the
 piecewise-linear representatives used here; it under-estimates the essential
 supremum of a function with spikes between nodes, which is why coefficients
-are restricted to piecewise-continuous inputs.
+are restricted to piecewise-continuous inputs. One reduction, ``max_abs``,
+takes every node maximum in the package; a ``SampledFn`` takes it once, as
+its finiteness test, and keeps it as its ``sup`` over a read-only array.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .expr import eval_expr  # unused here; bench/traced_op.py wraps grid.eval_e
 # oracle and checks hold at most about 14.5 arrays of n + 1 floats at once),
 # 0.11 KiB for solve and 0.09 KiB for fundamental (README "Caveats"), so
 # 2**20 intervals need at most about 149 MiB (measured: verify 149, solve
-# 143, fundamental 119 MiB) and stay well within a 2 GiB budget. Larger n
+# 142, fundamental 118 MiB) and stay well within a 2 GiB budget. Larger n
 # is refused before anything of size n is allocated.
 MAX_INTERVALS = 2**20
 
@@ -90,10 +92,21 @@ def same_grid(g1: Grid, g2: Grid) -> bool:
     return g1 is g2 or (g1.n == g2.n and g1.x1 == g2.x1)
 
 
+def max_abs(values: np.ndarray) -> float:
+    """max |values|, NaN if a value is NaN, in two reads of ``values`` that
+    allocate nothing. The final abs is there because the SIMD max and min
+    may return -0.0 for an array of zeros."""
+    return abs(float(max(values.max(), -values.min())))
+
+
 class SampledFn:
     """Real function represented by its values at grid nodes.
 
-    Between nodes the function is the piecewise-linear interpolant.
+    Between nodes the function is the piecewise-linear interpolant. ``sup``
+    is max |values|, taken once, by ``max_abs``, when the function is made;
+    the same reduction is the finiteness test. ``values`` is the array
+    given, made read-only (as ``make_grid`` makes ``nodes``), so the sup
+    stays its sup.
 
     Raises
     ------
@@ -101,14 +114,16 @@ class SampledFn:
         If ``values`` is not n+1 finite reals.
     """
 
-    __slots__ = ("grid", "values")
+    __slots__ = ("grid", "values", "sup")
 
     def __init__(self, grid: Grid, values: np.ndarray):
         values = np.asarray(values, dtype=float)
         if values.shape != (grid.n + 1,):
             raise InvalidDomain(f"need {grid.n + 1} node values, got shape {values.shape}")
-        if not np.all(np.isfinite(values)):
+        self.sup = max_abs(values)
+        if not math.isfinite(self.sup):
             raise InvalidDomain("node values must all be finite")
+        values.setflags(write=False)
         self.grid = grid
         self.values = values
 
@@ -260,8 +275,8 @@ def sample_together(specs, grid: Grid) -> list[SampledFn]:
 
 
 def sup_norm(u: SampledFn) -> float:
-    """Maximum of |u| over the grid nodes."""
-    return float(np.max(np.abs(u.values)))
+    """Maximum of |u| over the grid nodes: ``u.sup``."""
+    return u.sup
 
 
 def prefix_trapz(values: np.ndarray, h: float, out: np.ndarray | None = None) -> np.ndarray:

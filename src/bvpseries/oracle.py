@@ -9,8 +9,9 @@ quadrature of the series path; independence is the point.
 
 The scheme steps on node pairs: each step spans 2h, from x_2i to x_2i+2,
 and its midpoint is the node x_2i+1, so the node samples of a and f are
-all it needs. When n is odd the last step spans one h, from x_n-1 to x_n,
-with its midpoint values interpolated linearly. The states come out at the
+all it needs, read as strided views of them. When n is odd the last step
+spans one h, from x_n-1 to x_n, with its midpoint values interpolated
+linearly, and is stepped as a block of its own. The states come out at the
 step ends, the even nodes and x_n (``step_ends``).
 
 The system is linear, so each RK4 step is an affine map of the state
@@ -45,7 +46,7 @@ import numpy as np
 
 from ._record import Record
 from .errors import Diverged, GridMismatch, OracleSingular
-from .grid import SampledFn, same_grid
+from .grid import SampledFn, max_abs, same_grid
 
 OVERFLOW_GUARD = 1e100
 SHOOTING_REL_TOL = 1e-12
@@ -73,22 +74,26 @@ class IvpTrajectory(Record):
 
 def step_ends(n: int) -> np.ndarray:
     """Node indices of the scheme's step ends: 0, 2, 4, ..., and n."""
-    ends = np.arange(0, n + 1, 2)
-    return ends if n % 2 == 0 else np.append(ends, n)
+    ends = np.arange(0, n + 2, 2)
+    ends[-1] = n  # n + 1 for odd n
+    return ends
 
 
-def _step_midpoint_values(fn: SampledFn, fn_eval) -> np.ndarray:
-    """fn at each step's midpoint: the odd nodes, then, for odd n, the
-    middle of the last interval. From ``fn_eval`` when given, else from the
-    node values, with that last midpoint interpolated linearly."""
+def _step_midpoint_values(fn: SampledFn, fn_eval):
+    """fn at the steps' midpoints, as (pair steps, odd step): the values at
+    the odd nodes, and for odd n a 1-element array of the value at the last
+    interval's middle (None for even n). From ``fn_eval`` when given, else
+    from the node values: the odd nodes as a view, the last midpoint
+    interpolated linearly."""
     grid, n = fn.grid, fn.grid.n
     if fn_eval is None:
-        odd = fn.values[1:n:2]
-        return odd if n % 2 == 0 else np.append(odd, (fn.values[-2] + fn.values[-1]) / 2.0)
+        last = (fn.values[-2:-1] + fn.values[-1:]) / 2.0 if n % 2 else None
+        return fn.values[1:n:2], last
     mids = grid.nodes[1:n:2]
     if n % 2:
         mids = np.append(mids, grid.nodes[-2] + grid.h / 2.0)
-    return np.broadcast_to(np.asarray(fn_eval(mids), dtype=float), mids.shape)
+    values = np.broadcast_to(np.asarray(fn_eval(mids), dtype=float), mids.shape)
+    return values[:n // 2], (values[-1:] if n % 2 else None)
 
 
 def _rk4_step(u, v, w, h, an, am, an1, fn, fm, fn1):
@@ -125,30 +130,38 @@ def _shoot(a: SampledFn, f: SampledFn, starts: np.ndarray, a_eval, f_eval):
     grid = a.grid
     n = grid.n
     ends = step_ends(n)
-    at_ends = slice(None, None, 2) if n % 2 == 0 else ends  # a view, not a copy, for even n
-    an, fn = a.values[at_ends], f.values[at_ends]
-    am = _step_midpoint_values(a, a_eval)
-    fm = _step_midpoint_values(f, f_eval)
-    # (first step, end step, step size): blocks of 2h steps, then the odd h step
+    # the pair steps' coefficients are views: their ends are the even nodes
+    an, fn = a.values[::2], f.values[::2]
+    am, a_last = _step_midpoint_values(a, a_eval)
+    fm, f_last = _step_midpoint_values(f, f_eval)
+    # (first step, end step, coefficients): blocks of 2h steps, then the odd
+    # h step from node n - 1 to node n
     pairs = n // 2
-    blocks = [(lo, min(lo + SCAN_BLOCK, pairs), 2.0 * grid.h)
-              for lo in range(0, pairs, SCAN_BLOCK)]
+    blocks = []
+    for lo in range(0, pairs, SCAN_BLOCK):
+        hi = min(lo + SCAN_BLOCK, pairs)
+        blocks.append((lo, hi, (2.0 * grid.h, an[lo:hi], am[lo:hi], an[lo + 1:hi + 1],
+                                fn[lo:hi], fm[lo:hi], fn[lo + 1:hi + 1])))
     if n % 2:
-        blocks.append((pairs, pairs + 1, grid.h))
+        blocks.append((pairs, pairs + 1, (grid.h, a.values[-2:-1], a_last, a.values[-1:],
+                                          f.values[-2:-1], f_last, f.values[-1:])))
     k = starts.shape[1]
     u_out = np.empty((k, len(ends)))
     du_out = np.empty((k, len(ends)))
     u_out[:, 0], du_out[:, 0] = starts[0], starts[1]
     carry = starts
     with np.errstate(all="ignore"):
-        forcing = max(float(np.max(np.abs(fn))), float(np.max(np.abs(fm))))
+        # sup|f| over the step ends (f[n] is one at odd n), then over the
+        # midpoints, where np.maximum keeps a NaN from f_eval, which the
+        # Python max then leaves out
+        end_sup = max(max_abs(fn), abs(float(f.values[-1])))
+        mid_sup = max_abs(fm) if f_last is None else float(np.maximum(max_abs(fm), abs(f_last[0])))
+        forcing = max(end_sup, mid_sup)
         scale = (np.abs(starts[0]) + np.abs(starts[1]) * grid.x1
                  + np.abs(starts[2]) * forcing * grid.x1 * grid.x1)
         u_limit = np.minimum(OVERFLOW_GUARD * scale, sys.float_info.max)[:, None]
         du_limit = np.minimum(OVERFLOW_GUARD * scale / grid.x1, sys.float_info.max)[:, None]
-        for lo, hi, h in blocks:
-            coeffs = (h, an[lo:hi], am[lo:hi], an[lo + 1:hi + 1],
-                      fn[lo:hi], fm[lo:hi], fn[lo + 1:hi + 1])
+        for lo, hi, coeffs in blocks:
             maps = np.empty((6, hi - lo))  # rows m00 m01 c0 m10 m11 c1
             for col, (u, v, w) in enumerate(np.eye(3)):  # column = image of a unit start
                 maps[col], maps[3 + col] = _rk4_step(u, v, w, *coeffs)
@@ -253,7 +266,7 @@ def oracle_fundamental(a: SampledFn, f: SampledFn, *,
     """
     index, (phi, psi, p), (dphi, dpsi, dp) = _shoot(a, f, np.eye(3), a_eval, f_eval)
     dpsi_x1 = float(dpsi[-1])
-    psi_scale = float(np.max(np.abs(dpsi))) + float(np.max(np.abs(psi))) / a.grid.x1
+    psi_scale = max_abs(dpsi) + max_abs(psi) / a.grid.x1
     if abs(dpsi_x1) <= SHOOTING_REL_TOL * psi_scale:
         raise OracleSingular(
             f"shooting denominator |psi'(x1)| = {abs(dpsi_x1):.3e} is numerically zero"

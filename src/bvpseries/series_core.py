@@ -24,6 +24,8 @@ first term t_m = B^m seed whose measured tail bound q ||t_m|| / (1 - q) meets
 the tolerance. The a-priori count, the smallest m with
 2 ||seed|| q^(m+1) / (1 - q) <= tol, is kept only as the loop's upper
 limit; the term cap is tested against the terms actually summed.
+``fundamental_system`` is the one entry to the sums: it checks the
+coefficient, the certificate and tol once and sums the three seeds.
 
 On the grid B is the nested trapezoid rule B_h: a tail pass
 G_i = int_{x_i}^{x1} w, which the derivatives of the limits share, then a
@@ -45,7 +47,7 @@ import numpy as np
 
 from ._record import Record
 from .errors import ContractionViolation, GridMismatch, InvalidDomain, MaxTermsExceeded
-from .grid import Grid, SampledFn, prefix_trapz, same_grid, sup_norm, tail_trapz
+from .grid import Grid, SampledFn, max_abs, prefix_trapz, same_grid, tail_trapz
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_TERMS = 10_000
@@ -92,20 +94,6 @@ def contraction_ratio(a_sup: float, x1: float) -> ContractionCertificate:
     return ContractionCertificate(a_sup=a_sup, x1=x1, q=q, margin=1.0 - q)
 
 
-def _check_sum_inputs(a: SampledFn, cert: ContractionCertificate, tol) -> None:
-    if cert.x1 != a.grid.x1:
-        raise InvalidDomain(
-            f"certificate is for x1 = {cert.x1}, grid ends at {a.grid.x1}"
-        )
-    if sup_norm(a) > cert.a_sup:
-        raise InvalidDomain(
-            f"certificate covers sup|a| = {cert.a_sup}, "
-            f"but the coefficient reaches {sup_norm(a)}"
-        )
-    if not (isinstance(tol, (int, float)) and math.isfinite(tol) and tol > 0):
-        raise InvalidDomain(f"tolerance must be positive and finite, got {tol!r}")
-
-
 def _apply_B_values(w: np.ndarray, h: float, out: np.ndarray | None = None,
                     scratch: np.ndarray | None = None) -> np.ndarray:
     """Nested trapezoid rule for x -> int_0^x int_y^{x1} w(t) dt dy: a tail
@@ -146,12 +134,12 @@ def compute_g(f: SampledFn) -> SampledFn:
         If g overflows, as it can for a finite f near the float limit.
     """
     g = _apply_B_values(f.values, f.grid.h)
-    np.subtract(0.0, g, out=g)
-    if not np.all(np.isfinite(g)):
+    try:
+        return SampledFn(f.grid, np.subtract(0.0, g, out=g))
+    except InvalidDomain:
         raise InvalidDomain(
             "the forcing's double integral g overflowed, although every node of f is finite"
-        )
-    return SampledFn(f.grid, g)
+        ) from None
 
 
 def _certified_terms(seed_sup: float, q: float, tol: float) -> tuple[int, float]:
@@ -175,53 +163,37 @@ def _certified_terms(seed_sup: float, q: float, tol: float) -> tuple[int, float]
     return terms, min(tol, max(math.exp(log_tail), math.ulp(0.0)))
 
 
-def sum_series(seed: SampledFn, a: SampledFn, cert: ContractionCertificate,
-               tol: float = DEFAULT_TOL, max_terms: int = DEFAULT_MAX_TERMS):
-    """Sum the operator series sum_k B^k seed to a certified tolerance.
+def _sum(term: np.ndarray, scratch: np.ndarray, a: SampledFn, cert: ContractionCertificate,
+         tol: float, max_terms: int):
+    """Sum the operator series sum_k B^k seed, the seed's values in ``term``,
+    to a certified tolerance.
 
     Terms t_m = B^m seed are added until the measured tail bound
     q * ||t_m|| / (1 - q) meets tol, the Banach fixed-point a-posteriori
-    estimate. The a-priori count, the smallest m with
-    2 * ||seed|| * q^(m+1) / (1 - q) <= tol, caps the loop, so the sum never
-    runs longer than that count. Seeds t, 1, and g = compute_g(f) produce
-    I1, I2, and F respectively.
+    estimate; the a-priori count caps the loop, so the sum never runs
+    longer than that count.
 
     Each term is computed in place: a * t_m overwrites t_m, and the pass of
-    B_h (``_apply_B_values``) writes its tail pass into one scratch buffer
-    and its prefix pass back into the term. The loop allocates nothing of
-    size n, and its passes keep the operation order, and so the bits, of
+    B_h (``_apply_B_values``) writes its tail pass into ``scratch`` and its
+    prefix pass back into ``term``. The sum is the one array this
+    allocates, and its passes keep the operation order, and so the bits, of
     the allocating ones.
 
     Returns
     -------
-    (SampledFn, int, int, float, list)
-        The partial sum, the number of terms used (seed included), the
+    (numpy.ndarray, int, int, float, list)
+        The sum's values, the number of terms used (seed included), the
         a-priori count, the certified tail bound (always <= tol), and the
         sup of every summed term, seed first.
 
     Raises
     ------
-    GridMismatch, InvalidDomain
-        If inputs are inconsistent with each other or the certificate.
     MaxTermsExceeded
         If ``max_terms`` terms are summed and the measured tail bound still
         exceeds tol; q is too close to 1 for the requested tolerance.
     """
-    if not same_grid(seed.grid, a.grid):
-        raise GridMismatch("seed and a must share a grid")
-    _check_sum_inputs(a, cert, tol)
-    total, *rest = _sum(seed.values.copy(), np.empty(seed.grid.n + 1), a, cert, tol, max_terms)
-    return (SampledFn(seed.grid, total), *rest)
-
-
-def _sum(term: np.ndarray, scratch: np.ndarray, a: SampledFn, cert: ContractionCertificate,
-         tol: float, max_terms: int):
-    """``sum_series`` on checked inputs, with the seed's values in ``term``,
-    which the terms then overwrite, and ``scratch`` for the tail passes and
-    the sups; the sum is the one array it allocates. Returns what
-    ``sum_series`` does, with the sum's values in place of its SampledFn."""
     q = cert.q
-    term_sups = [float(np.abs(term, out=scratch).max())]
+    term_sups = [max_abs(term)]
     apriori, apriori_tail = _certified_terms(term_sups[0], q, float(tol))
     limit = min(apriori, max_terms)
     h = a.grid.h
@@ -232,7 +204,7 @@ def _sum(term: np.ndarray, scratch: np.ndarray, a: SampledFn, cert: ContractionC
         np.multiply(a_values, term, out=term)
         _apply_B_values(term, h, out=term, scratch=scratch)  # term <- B_h(a * term)
         total += term
-        term_sups.append(float(np.abs(term, out=scratch).max()))
+        term_sups.append(max_abs(term))
         tail = q * term_sups[-1] / (1.0 - q)
     if tail > tol:
         if limit < apriori:
@@ -303,13 +275,27 @@ def fundamental_system(a: SampledFn, f: SampledFn, cert: ContractionCertificate,
 
     Raises
     ------
-    GridMismatch, InvalidDomain, MaxTermsExceeded
+    GridMismatch
+        If a and f live on different grids.
+    InvalidDomain
+        If the certificate is for another x1 or a smaller sup|a|, tol is
+        not positive and finite, or g overflows (``compute_g``).
+    MaxTermsExceeded
+        If a series reaches ``max_terms`` terms before its measured tail
+        bound meets tol (``_sum``).
     """
     if not same_grid(a.grid, f.grid):
         raise GridMismatch("a and f must share a grid")
     grid, h = a.grid, a.grid.h
     g = compute_g(f)
-    _check_sum_inputs(a, cert, tol)
+    if cert.x1 != grid.x1:
+        raise InvalidDomain(f"certificate is for x1 = {cert.x1}, grid ends at {grid.x1}")
+    if a.sup > cert.a_sup:
+        raise InvalidDomain(
+            f"certificate covers sup|a| = {cert.a_sup}, but the coefficient reaches {a.sup}"
+        )
+    if not (isinstance(tol, (int, float)) and math.isfinite(tol) and tol > 0):
+        raise InvalidDomain(f"tolerance must be positive and finite, got {tol!r}")
     term, scratch = np.empty(grid.n + 1), np.empty(grid.n + 1)
     sums, terms_used, terms_apriori, tail_bound, term_sups = {}, {}, {}, {}, {}
     for name, seed in (("I1", grid.nodes), ("I2", 1.0), ("F", g.values)):

@@ -18,11 +18,14 @@ import pytest
 from bvpseries.grid import SampledFn, make_grid, sup_norm
 from bvpseries.series_core import SeriesSolution, contraction_ratio, fundamental_system
 
-# pyproject.toml's filterwarnings fails a RuntimeWarning in this process
-# only; the tests' child processes inherit the same filter from here. It
-# goes last, so it wins over any filter already in PYTHONWARNINGS.
+# pyproject.toml's filterwarnings fails a RuntimeWarning, and a
+# DeprecationWarning raised in bvpseries, in this process only; the tests'
+# child processes get the same filters from here (a DeprecationWarning from
+# any module, since PYTHONWARNINGS matches a module by its exact name). They
+# go last, so they win over any filter already in PYTHONWARNINGS.
 os.environ["PYTHONWARNINGS"] = ",".join(
-    filter(None, (os.environ.get("PYTHONWARNINGS"), "error::RuntimeWarning")))
+    filter(None, (os.environ.get("PYTHONWARNINGS"), "error::RuntimeWarning",
+                  "error::DeprecationWarning")))
 
 SUITE_SEED = 20240817
 SUITE_SIZE = 20

@@ -1,10 +1,12 @@
 """Grid construction, sampling, norms, and trapezoid integration tests."""
 
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bvpseries.errors import (
@@ -118,9 +120,39 @@ class TestSampledFn:
         with pytest.raises(InvalidDomain):
             SampledFn(grid=g, values=[0.0, 1.0, 2.0, 3.0, -np.inf])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("node", [0, 3, 6])
+    def test_non_finite_refused_at_any_node(self, bad, node):
+        values = np.linspace(-1.0, 1.0, 7)
+        values[node] = bad
+        with pytest.raises(InvalidDomain, match="^node values must all be finite$"):
+            SampledFn(make_grid(1.0, 6), values)
+
     def test_values_become_a_float_array(self):
         got = SampledFn(make_grid(1.0, 4), [0, 1, 2, 3, 4]).values
         assert isinstance(got, np.ndarray) and got.dtype == float
+
+    def test_values_are_frozen(self):
+        # the array given is kept, read-only, as make_grid keeps nodes
+        values = np.arange(5.0)
+        u = SampledFn(make_grid(1.0, 4), values)
+        assert u.values is values
+        with pytest.raises(ValueError):
+            values[0] = 5.0
+        assert u.sup == 4.0
+
+    def test_construction_and_sup_allocate_no_array(self):
+        # no copy, |u| or finiteness mask of the n + 1 values
+        g = make_grid(1.0, 65536)
+        values = np.cos(g.nodes)
+        tracemalloc.start()
+        try:
+            sup = sup_norm(SampledFn(g, values))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sup == 1.0
+        assert peak < g.n + 1
 
 
 class TestCoefficientSpec:
@@ -296,6 +328,28 @@ class TestSupNorm:
         g = make_grid(1.0, 4096)
         u = sample(CoefficientSpec.expression("sin(3*x)"), g)
         assert abs(sup_norm(u) - 1.0) < 1e-6
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=3,
+                    max_size=80))
+    @example([-0.0] * 3)
+    @example([-0.0, 0.0, -0.0])
+    @example([5e-324, -1e-310, 0.0])
+    @example([sys.float_info.max, -sys.float_info.max, 0.0])
+    @example([-sys.float_info.max, -0.0, -5e-324])
+    def test_bits_of_the_largest_magnitude(self, values):
+        u = SampledFn(make_grid(1.0, len(values) - 1), np.array(values))
+        want = float(np.max(np.abs(u.values)))
+        assert np.float64(sup_norm(u)).view(np.int64) == np.float64(want).view(np.int64)
+
+    @pytest.mark.parametrize("fill", [-0.0, 0.0, -5e-324, -sys.float_info.max])
+    def test_bits_over_a_long_array(self, fill):
+        # long enough for the vectorized max and min
+        values = np.full(65537, fill)
+        values[::7] = -fill
+        u = SampledFn(make_grid(1.0, 65536), values)
+        want = float(np.max(np.abs(values)))
+        assert np.float64(sup_norm(u)).view(np.int64) == np.float64(want).view(np.int64)
 
 
 class TestCumulativeIntegral:

@@ -187,3 +187,13 @@ def test_peak_memory_stays_at_the_documented_figure(command, output_format):
              for n in (1024, 2**18)]
     per_node = (peaks[1] - peaks[0]) / (2**18 - 1024)
     assert per_node <= 1.1 * _DOCUMENTED_KIB_PER_NODE[command, output_format], peaks
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
+def test_odd_n_copies_no_oracle_coefficients():
+    # the oracle's pair steps read a and f through views at odd n as at even
+    # n, and its odd step is a block of its own: a gathered copy of a and f
+    # and an appended midpoint array would add about 3 MiB at n = 2**18 + 1
+    peaks = [peak_kib(["verify", "--a", "sin(x)", "--f", "exp(-x)", "--x1", "0.9",
+                       "--n", str(n), "--out", os.devnull]) for n in (2**18, 2**18 + 1)]
+    assert abs(peaks[1] - peaks[0]) <= 1024, peaks

@@ -29,7 +29,6 @@ from bvpseries.series_core import (
     compute_g,
     contraction_ratio,
     fundamental_system,
-    sum_series,
 )
 
 from b_reference import apply_B_reference
@@ -242,24 +241,22 @@ class TestCertifiedTerms:
 
 
 class TestSumSeries:
+    """The sums of ``fundamental_system``, each from its seed: x (I1), 1
+    (I2) or g = compute_g(f) (F)."""
+
     def test_zero_coefficient_returns_seed(self):
         g = make_grid(1.0, 16)
-        a = _const(g, 0.0)
-        cert = contraction_ratio(0.0, 1.0)
-        seed = SampledFn(g, g.nodes.copy())
-        total, terms, _, tail, _ = sum_series(seed, a, cert)
-        assert np.array_equal(total.values, g.nodes)
-        assert terms == 1
-        assert tail == 0.0
+        sol = fundamental_system(_const(g, 0.0), _const(g, 0.0), contraction_ratio(0.0, 1.0))
+        assert np.array_equal(sol.I1.values, g.nodes)
+        assert sol.terms_used["I1"] == 1
+        assert sol.tail_bound["I1"] == 0.0
 
     def test_unit_coefficient_closed_forms(self):
         # a = 1 on [0, 1]: summing from the identity seed gives
         # sin(x)/cos(1), from the constant seed cos(x) + tan(1) sin(x)
         g = make_grid(1.0, 2048)
-        a = _const(g, 1.0)
-        cert = contraction_ratio(1.0, 1.0)
-        i1 = sum_series(SampledFn(g, g.nodes.copy()), a, cert)[0]
-        i2 = sum_series(_const(g, 1.0), a, cert)[0]
+        sol = fundamental_system(_const(g, 1.0), _const(g, 0.0), contraction_ratio(1.0, 1.0))
+        i1, i2 = sol.I1, sol.I2
         assert abs(i1.values[-1] - math.tan(1.0)) < 1e-6
         assert abs(i2.values[-1] - 1.0 / math.cos(1.0)) < 1e-6
         want_i1 = np.sin(g.nodes) / math.cos(1.0)
@@ -272,10 +269,10 @@ class TestSumSeries:
         g = make_grid(0.9, 256)
         a = SampledFn(g, 1.5 * np.cos(g.nodes))
         cert = contraction_ratio(sup_norm(a), 0.9)
-        seed = _const(g, 1.0)
-        coarse, _, _, tail_c, _ = sum_series(seed, a, cert, tol=1e-6)
-        fine, _, _, tail_f, _ = sum_series(seed, a, cert, tol=1e-12)
-        gap = np.max(np.abs(coarse.values - fine.values))
+        coarse = fundamental_system(a, _const(g, 0.0), cert, tol=1e-6)
+        fine = fundamental_system(a, _const(g, 0.0), cert, tol=1e-12)
+        tail_c, tail_f = coarse.tail_bound["I2"], fine.tail_bound["I2"]
+        gap = np.max(np.abs(coarse.I2.values - fine.I2.values))
         assert gap <= tail_c + tail_f
         assert tail_c <= 1e-6
         assert tail_f <= 1e-12
@@ -285,7 +282,7 @@ class TestSumSeries:
         a = _const(g, 1.98)
         cert = contraction_ratio(1.98, 1.0)
         with pytest.raises(MaxTermsExceeded) as info:
-            sum_series(SampledFn(g, g.nodes.copy()), a, cert, max_terms=100)
+            fundamental_system(a, _const(g, 0.0), cert, max_terms=100)
         assert info.value.cap == 100
         assert info.value.needed > 1000
         assert "0.99" in str(info.value)
@@ -295,15 +292,19 @@ class TestSumSeries:
         # tail meets tol, whatever the a-priori count
         g = make_grid(1.0, 64)
         a = _const(g, 1.98)
+        f = SampledFn(g, np.cos(g.nodes))
         cert = contraction_ratio(1.98, 1.0)
-        seed = SampledFn(g, g.nodes.copy())
-        total, terms, apriori, tail, _ = sum_series(seed, a, cert)
-        assert terms < apriori
-        capped = sum_series(seed, a, cert, max_terms=terms)
-        assert np.array_equal(capped[0].values, total.values)
-        assert capped[1:4] == (terms, apriori, tail)
+        sol = fundamental_system(a, f, cert)
+        name = max(sol.terms_used, key=sol.terms_used.get)
+        terms = sol.terms_used[name]
+        assert terms < sol.terms_apriori[name]
+        capped = fundamental_system(a, f, cert, max_terms=terms)
+        for series in ("I1", "I2", "F", "dI1", "dI2", "dF"):
+            assert np.array_equal(getattr(capped, series).values, getattr(sol, series).values)
+        assert ((capped.terms_used, capped.terms_apriori, capped.tail_bound)
+                == (sol.terms_used, sol.terms_apriori, sol.tail_bound))
         with pytest.raises(MaxTermsExceeded) as info:
-            sum_series(seed, a, cert, max_terms=terms - 1)
+            fundamental_system(a, f, cert, max_terms=terms - 1)
         assert info.value.cap == terms - 1
         assert f"cap {terms - 1}" in str(info.value)
 
@@ -314,34 +315,33 @@ class TestSumSeries:
         g = make_grid(1.0, 3)
         cert = contraction_ratio(1.8, 1.0)
         assert cert.q == 0.9
-        _, terms, apriori, tail, sups = sum_series(_const(g, 1.0), _const(g, 1.8), cert,
-                                                   tol=5e-324)
-        assert sups[-1] == 1.5e-323
-        assert (terms, apriori, tail) == (7095, 7095, 5e-324)
+        sol = fundamental_system(_const(g, 1.8), _const(g, 0.0), cert, tol=5e-324)
+        assert sol.term_sups["I2"][-1] == 1.5e-323
+        assert ((sol.terms_used["I2"], sol.terms_apriori["I2"], sol.tail_bound["I2"])
+                == (7095, 7095, 5e-324))
 
     def test_certificate_mismatch(self):
         g = make_grid(1.0, 16)
-        seed = _const(g, 1.0)
+        f = _const(g, 1.0)
         with pytest.raises(InvalidDomain):
-            sum_series(seed, _const(g, 1.0), contraction_ratio(1.0, 0.5))
+            fundamental_system(_const(g, 1.0), f, contraction_ratio(1.0, 0.5))
         with pytest.raises(InvalidDomain):
             # certificate understates the actual coefficient bound
-            sum_series(seed, _const(g, 1.5), contraction_ratio(1.0, 1.0))
+            fundamental_system(_const(g, 1.5), f, contraction_ratio(1.0, 1.0))
 
     def test_bad_tol(self):
         g = make_grid(1.0, 16)
-        seed = _const(g, 1.0)
         cert = contraction_ratio(1.0, 1.0)
         with pytest.raises(InvalidDomain):
-            sum_series(seed, _const(g, 1.0), cert, tol=0.0)
+            fundamental_system(_const(g, 1.0), _const(g, 1.0), cert, tol=0.0)
 
 
 def _reference_sum(seed, a, q, tol):
-    """sum_series' loop with the allocating nested rule, one fresh array per
-    pass: the sum and the term sups."""
-    h = seed.grid.h
-    term = seed.values.copy()
-    total = seed.values.copy()
+    """The sum's loop with the allocating nested rule, one fresh array per
+    pass, from the seed's values: the sum and the term sups."""
+    h = a.grid.h
+    term = np.array(seed, dtype=float)
+    total = term.copy()
     sups = [float(np.max(np.abs(term)))]
     while q * sups[-1] / (1.0 - q) > tol:
         term = prefix_trapz(tail_trapz(a.values * term, h), h)
@@ -355,8 +355,8 @@ def _bits(values):
 
 
 class TestInPlaceSum:
-    """sum_series computes each term in place, into preallocated buffers, bit
-    for bit as the allocating nested rule."""
+    """fundamental_system computes each term in place, into preallocated
+    buffers, bit for bit as the allocating nested rule."""
 
     @pytest.mark.parametrize("n", [2, 3, 4097, 65536])
     @pytest.mark.parametrize("q", [0.05, 0.99])
@@ -366,32 +366,33 @@ class TestInPlaceSum:
         cert = contraction_ratio(sup_norm(a), 1.0)
         assert cert.q == pytest.approx(q, rel=0.05)
         f = SampledFn(g, 1.0 + np.sin(2.0 * g.nodes))
-        for seed in (SampledFn(g, g.nodes.copy()), _const(g, 1.0), compute_g(f)):
-            total, terms, _, _, sups = sum_series(seed, a, cert)
+        sol = fundamental_system(a, f, cert)
+        for name, seed in (("I1", g.nodes), ("I2", np.ones(n + 1)), ("F", compute_g(f).values)):
             want_total, want_sups = _reference_sum(seed, a, cert.q, 1e-10)
-            assert terms == len(want_sups) > 1
-            assert np.array_equal(_bits(total.values), _bits(want_total))
-            assert np.array_equal(_bits(sups), _bits(want_sups))
+            assert sol.terms_used[name] == len(want_sups) > 1
+            assert np.array_equal(_bits(getattr(sol, name).values), _bits(want_total))
+            assert np.array_equal(_bits(sol.term_sups[name]), _bits(want_sups))
 
     def test_peak_memory_does_not_grow_with_terms(self):
-        # the sum, the term and one scratch buffer, however many terms
+        # the same buffers, however many terms: within the 8.5 arrays of
+        # the test below
         g = make_grid(1.0, 65536)
         a = SampledFn(g, np.cos(g.nodes))
+        f = SampledFn(g, 1.0 + np.sin(2.0 * g.nodes))
         cert = contraction_ratio(1.0, 1.0)
-        seed = SampledFn(g, g.nodes.copy())
         array = 8 * (g.n + 1)
         runs = {}
         for tol in (1e-4, 1e-14):
             tracemalloc.start()
             try:
-                terms = sum_series(seed, a, cert, tol=tol)[1]
+                terms = fundamental_system(a, f, cert, tol=tol).terms_used["I1"]
                 runs[tol] = terms, tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
         (coarse_terms, coarse_peak), (fine_terms, fine_peak) = runs[1e-4], runs[1e-14]
         assert fine_terms > 2 * coarse_terms
         assert abs(fine_peak - coarse_peak) <= array
-        assert fine_peak < 4 * array
+        assert fine_peak < 8.5 * array
 
     def test_fundamental_system_holds_one_buffer_beyond_its_results(self):
         # g, the three limits and their derivatives, plus the one term
