@@ -24,7 +24,7 @@ _ORIGIN = {name: module for module, names in (
     ("expr", "eval_expr parse_expr to_text"),
     ("grid", "CoefficientSpec SampledFn make_grid sample sup_norm"),
     ("oracle", "compare oracle_fundamental rk4_ivp"),
-    ("series_core", "SeriesSolution apply_B contraction_ratio fundamental_system"),
+    ("series_core", "SeriesSolution contraction_ratio fundamental_system"),
 ) for name in names.split()}
 
 __all__ = sorted(_ORIGIN)

@@ -106,21 +106,6 @@ def _apply_B_values(w: np.ndarray, h: float, out: np.ndarray | None = None,
     return prefix_trapz(tail_trapz(w, h, out=scratch), h, out=out)
 
 
-def apply_B(u: SampledFn, a: SampledFn) -> SampledFn:
-    """Apply the double-integral operator B to u, in O(n), as the nested
-    trapezoid rule: node-wise identical, to rounding, to the direct O(n^2)
-    transcription that takes a fresh trapezoid pass for every integral.
-
-    Raises
-    ------
-    GridMismatch
-        If u and a live on different grids.
-    """
-    if not same_grid(u.grid, a.grid):
-        raise GridMismatch("u and a must share a grid")
-    return SampledFn(u.grid, _apply_B_values(a.values * u.values, u.grid.h))
-
-
 def compute_g(f: SampledFn) -> SampledFn:
     """Double integral carrying the forcing term into the fixed-point form.
 

@@ -21,11 +21,19 @@ division by 100. That digit string is the one repr prints: the shortest
 that rounds back to the float, and of those the nearest to it, ties to
 even. Dragonbox's exact tests, whether an end of the interval is an
 integer and whether the float lies at a midpoint, run only on the lanes
-whose remainder calls for them, as compressed subsets, and so does the
-digit count of subnormals, the only floats with fewer than 16 digits.
-Everything that depends only on the binary exponent (the power of ten,
-beta, ``delta``, the decimal exponent, and the whole result for zero and
-for a power of two, whose lower gap is half) is looked up per exponent.
+whose remainder calls for them, as compressed subsets. Everything that
+depends only on the binary exponent (the power of ten, beta, ``delta``
+and the decimal exponent) is looked up per exponent.
+
+This path serves the regular floats, normal ones with a nonzero
+mantissa, whose digits number 16 or 17. The others are the lanes with a
+zero mantissa or a zero exponent field: 0.0, which has no interval, the
+subnormals, which may have fewer digits, and the exact powers of two,
+whose lower gap is half the upper one. They take the digits and decimal
+point that ``repr`` prints, parsed from its text, with one ``repr`` call
+per distinct value in a block. That is exact by definition, since
+``repr`` is what the kernel must match, and a column of one value, such
+as 0.0 or 1.0, costs one call.
 
 Each value is then laid out in four little-endian words: the separator
 that precedes it and its sign in the first, the repr text in the other
@@ -124,41 +132,13 @@ def _power_of_ten(k):
     return 10**k << shift if shift >= 0 else -(-(10**k) >> -shift)
 
 
-def _padded(digits, exponent):
-    """(digits zero-padded to 17, decpt + _DECPT) of digits * 10**exponent."""
-    n = len(str(digits))
-    return digits * 10 ** (17 - n), exponent + n + _DECPT
-
-
-def _power_of_two(e):
-    """Dragonbox's shorter-interval case, 2**52 * 2**e, whose lower gap is
-    half its upper one, nearest to even: the shortest digits in the
-    interval, or the round-up of the float's own digits at one more."""
-    minus_k = (e * 631305 - 261663) >> 21
-    beta = e + _floor_log2_pow10(-minus_k)
-    c = _power_of_ten(-minus_k) >> 64
-    xi = (c - (c >> 54)) >> (11 - beta)
-    zi = (c + (c >> 53)) >> (11 - beta)
-    xi += not 2 <= e <= 3  # the left end is in the interval only if an integer
-    if zi // 10 * 10 >= xi:  # its trailing zeros are padding too
-        return _padded(zi // 10, minus_k + 1)
-    digits = ((c >> (10 - beta)) + 1) // 2
-    if e == -77 and digits % 2:  # the one tie, to even
-        digits -= 1
-    elif digits < xi:
-        digits += 1
-    return _padded(digits, minus_k)
-
-
 def _exponent_rows(ie):
     """Dragonbox's parameters for the distinct biased exponent fields ``ie``.
 
     Per exponent e = max(ie, 1) - 1075, with k = 2 - floor(e log10 2) and
     c the multiplier for 10**k: the upper and lower words of c; beta;
-    ``delta``, the interval's width scaled by 10**k; ``at``, _DECPT + 17
-    plus the decimal exponent of the digits s * 10 + q; and the padded
-    digits and ``at`` of the power of two with that exponent (of 0.0 for
-    ie = 0).
+    ``delta``, the interval's width scaled by 10**k; and ``at``, _DECPT + 17
+    plus the decimal exponent of the digits s * 10 + q.
     """
     word = (1 << 64) - 1
     rows = []
@@ -169,9 +149,8 @@ def _exponent_rows(ie):
         c = _power_of_ten(k)
         beta = e + _floor_log2_pow10(k)
         assert 6 <= beta <= 9  # so (2fc + 1) << beta < 2**63 fits a word
-        rows.append((c >> 64, c & word, beta, c >> (127 - beta), e10 + 17 + _DECPT)
-                    + (_power_of_two(e) if i else (0, _DECPT + 1)))
-    return tuple(np.array(col, dtype=np.intp if j in (4, 6) else np.uint64)
+        rows.append((c >> 64, c & word, beta, c >> (127 - beta), e10 + 17 + _DECPT))
+    return tuple(np.array(col, dtype=np.intp if j == 4 else np.uint64)
                  for j, col in enumerate(zip(*rows)))
 
 
@@ -250,10 +229,10 @@ def _digits(bits):
     exponent = bits >> _U(52)
     ie = exponent.astype(np.intp)
     tables = _EXPONENTS.at(ie)
-    c_hi, c_lo, beta, delta, at = (t.take(ie) for t in tables[:5])
+    c_hi, c_lo, beta, delta, at = (t.take(ie) for t in tables)
     mantissa = bits & _MANTISSA
-    # 2fc, the hidden bit set for normal floats; u = (2fc + 1) * 2**beta
-    two_fc = (mantissa | (np.minimum(exponent, _U(1)) << _U(52))) << _U(1)
+    # 2fc, the hidden bit set; u = (2fc + 1) * 2**beta
+    two_fc = (mantissa | _U(1 << 52)) << _U(1)
     u = (two_fc | _U(1)) << beta
     # z = floor(u * c / 2**128), w1 the upper word of its fraction
     halves = u & _MASK32, u >> _U(32)
@@ -288,22 +267,31 @@ def _digits(bits):
         de = d.take(even)
         d[even] = de - ((parity != ((dist.take(even) & _U(1)) == 1))
                         | (integer & ((de & _U(1)) == 1)))
-    # zeros, subnormals and powers of two; every other float's d has 16 or
-    # 17 digits: pad it to 17
-    rare = np.flatnonzero(np.minimum(mantissa, exponent) == 0)
-    d_rare = d.take(rare)
+    # every regular float's d has 16 or 17 digits: pad it to 17
     short = d < _POW10[16]
     d *= short * _U(9) + _U(1)
     at -= short
+    # zeros, subnormals and powers of two take repr's digits, once per value
+    rare = np.flatnonzero(np.minimum(mantissa, exponent) == 0)
     if rare.size:
-        ie_rare = ie.take(rare)
-        n = _digit_count(np.maximum(d_rare, _U(1)))
-        d_rare *= _POW10.take(17 - n)
-        at_rare = tables[4].take(ie_rare) + n - 17
-        two = np.flatnonzero(mantissa.take(rare) == 0)  # their rows' digits
-        d_rare[two], at_rare[two] = (t.take(ie_rare.take(two)) for t in tables[5:])
-        d[rare], at[rare] = d_rare, at_rare
+        distinct, inverse = np.unique(bits.take(rare), return_inverse=True)
+        d_rare, at_rare = zip(*map(_repr_digits, distinct.view(np.float64).tolist()))
+        d[rare] = np.array(d_rare, dtype=np.uint64).take(inverse)
+        at[rare] = np.array(at_rare, dtype=np.intp).take(inverse)
     return d, at
+
+
+def _repr_digits(x):
+    """(digits zero-padded to 17, decpt + _DECPT) of a float x >= 0, read from
+    its repr as the integer m of n digits times 10**exponent. 0.0 is put at
+    decpt 1, as 1.0 is, which keeps its text in one run of bytes."""
+    if not x:
+        return 0, _DECPT + 1
+    mantissa, _, exponent = repr(x).partition("e")
+    whole, _, fraction = mantissa.partition(".")
+    m = int(whole + fraction)
+    n = len(str(m))
+    return m * 10 ** (17 - n), int(exponent or 0) - len(fraction) + n + _DECPT
 
 
 def _parity(two_f, c_hi, c_lo, beta):
@@ -313,15 +301,6 @@ def _parity(two_f, c_hi, c_lo, beta):
     w1 = h0 + two_f * c_hi
     return (((w1 >> (_U(64) - beta)) & _U(1)) == 1,
             ((w1 << beta) | (w0 >> (_U(64) - beta))) == 0)
-
-
-def _digit_count(x):
-    """Decimal digits of each 0 < x < 10**17: from the bit length, which the
-    float conversion gives (rounding up to a power of two, never past a
-    power of ten), an estimate that is exact or one too many."""
-    bit_length = (x.astype(np.float64).view(np.uint64) >> _U(52)).astype(np.intp) - 1022
-    n = ((bit_length * 1233) >> 12) + 1
-    return n - (x < _POW10.take(n - 1))
 
 
 def _swar8(x):

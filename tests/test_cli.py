@@ -214,6 +214,31 @@ class TestVerify:
         assert (code, err) == (0, "")
         assert json.loads(out)["passed"] is True
 
+    # Known false verdicts (ROADMAP items 2, 15 and 18), each failing by a
+    # margin of 2x or more; a change that mends one must drop its xfail.
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="false rejection: ROADMAP items 2 and 15")
+    @pytest.mark.parametrize("argv", [
+        # ode_residual:I1, I2 and F fail at 3.96, 4.01 and 2.48 times their limits
+        ["--a", "1.9*cos(120*x)", "--f", "1", "--x1", "1", "--n", "256"],
+        # derivative_consistency:I2 and F fail at 6.73 and 7.79 times their limits
+        ["--a", "100000000.0*cos(x/0.0001)", "--f", "100000000.0", "--x1", "0.0001",
+         "--n", "64"],
+    ], ids=["oscillating_coefficient", "rescaled_interval"])
+    def test_correct_solution_passes(self, argv, capfd):
+        code, _, err = run_main(capfd, "verify", *argv)
+        assert (code, err) == (0, "")
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="false acceptance: ROADMAP item 18")
+    def test_coefficient_aliased_to_zero_at_the_nodes_fails(self, capfd):
+        # a's period is 2h and its zeros fall on the nodes: every node
+        # sample of a is about 0, so q = 1.6e-14 and u(x1) = -0.5 pass all
+        # 21 checks, where the true u(x1) is about -0.4963
+        code, _, _ = run_main(capfd, "verify", "--a", "1.5*sin(201.06192982974676*x)",
+                              "--f", "1", "--x1", "1", "--n", "64")
+        assert code != 0
+
     def test_verify_csv(self, capfd):
         code, out, _ = run_main(capfd, "verify", "--a", "0.5", "--f", "x",
                                 "--x1", "1", "--n", "256", "--format", "csv")

@@ -416,7 +416,7 @@ def test_import_loads_no_numpy_and_every_name_resolves():
             "print(len(names), all(globals()[n] is getattr(bvpseries, n) for n in names),\n"
             "      set(names) <= set(dir(bvpseries)), 'numpy' in sys.modules)")
     r = _run([sys.executable, "-c", code])
-    assert (r.returncode, r.stderr, r.stdout) == (0, "", "False\n33 True True True\n")
+    assert (r.returncode, r.stderr, r.stdout) == (0, "", "False\n32 True True True\n")
 
 
 def test_import_and_main_leave_the_allocator_alone(tmp_path):

@@ -118,6 +118,21 @@ def test_main_writes_what_render_returns(output_format, capfdbinary):
     assert capfdbinary.readouterr().out == want.encode()
 
 
+@pytest.mark.parametrize("output_format", ["json", "csv"])
+def test_constant_columns_match_references(output_format, capfdbinary):
+    # a = f = 0: I2 is all 1.0 and F, dF all 0.0, columns the kernel gives
+    # repr's own digits, one call per block
+    argv = ["fundamental", "--a", "0", "--f", "0", "--x1", "1", "--n", "4096",
+            "--format", output_format]
+    assert cli.main(argv) == 0
+    payload, table, _, _ = cli._COMMANDS["fundamental"](
+        cli.config_from_args(cli.build_parser().parse_args(argv)))
+    assert (payload["I2"] == 1.0).all() and not payload["F"].any() and not payload["dF"].any()
+    want = (_reference_json(payload) if output_format == "json"
+            else _reference_csv(payload, table))
+    assert capfdbinary.readouterr().out == want.encode()
+
+
 def _fresh_python(code, *args):
     """Run ``code`` in a new interpreter that imports this checkout's
     bvpseries; return its stdout."""

@@ -76,6 +76,33 @@ def test_every_power_of_two_and_its_neighbours():
     _assert_matches(np.concatenate([finite, -finite]))
 
 
+
+def _column(kind, rng, size=65537):
+    """A column of ``size`` values, several blocks long, of one kind the
+    kernel takes from repr: zeros, powers of two, subnormals, or all of
+    them among ordinary floats."""
+    if kind in (0.0, -0.0, 1.0):
+        return np.full(size, kind)
+    powers = np.ldexp(1.0, rng.integers(-60, 60, size))
+    subnormals = rng.integers(1, 2**52, size, dtype=np.uint64).view(np.float64)
+    signs = np.where(rng.random(size) < 0.5, -1.0, 1.0)
+    if kind == "powers of two":
+        return signs * powers
+    if kind == "subnormals":
+        return signs * subnormals
+    column = rng.standard_normal(size) * 10.0 ** rng.integers(-8, 20, size)
+    rare = rng.random(size) < 0.3
+    picks = np.stack([np.zeros(size), -np.zeros(size), powers, subnormals])
+    column[rare] = (signs * picks[rng.integers(0, 4, size), np.arange(size)])[rare]
+    return column
+
+
+@pytest.mark.parametrize("kind", [0.0, -0.0, 1.0, "powers of two", "subnormals", "mixed"])
+def test_whole_columns_of_zeros_powers_of_two_and_subnormals(kind):
+    values = _column(kind, np.random.default_rng(31))
+    assert values.size > 4 * shortest.BLOCK
+    _assert_matches(values, ",\n    ")
+
 def test_integers_near_two_to_the_53():
     base = np.arange(-2000, 2001, dtype=np.int64) + 2**53
     _assert_matches(np.concatenate([base.astype(np.float64),
