@@ -48,15 +48,15 @@ the constant bytes, which also hold the ``e+XX`` suffix of repr's
 scientific notation (decpt <= -4 or above 16). One boolean compress keeps
 the bytes repr would print.
 
-The per-exponent and per-decpt tables are built a row at a time, the
-first time a block meets that exponent or decpt, and kept, so importing
-this module builds nothing; the command line imports it only when it
-renders float columns.
+The per-exponent table (2,047 rows, from one 128-bit multiplier per
+decimal exponent) and the per-decpt table (681 rows) are built whole
+when this module is imported, as read-only constants, so rendering keeps
+no state. That takes 0.8 ms, and the import 1.8-2.0 ms after numpy
+(2-core Xeon, numpy 2.4.6); the command line imports this module only
+when it renders float columns.
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 
@@ -83,35 +83,16 @@ _U = np.uint64
 _MASK32 = _U(0xFFFFFFFF)
 _MANTISSA = _U((1 << 52) - 1)
 _ZEROS8 = _U(0x3030303030303030)  # eight ASCII '0'
-_POW10 = np.array([10**k for k in range(20)], dtype=np.uint64)
 
 
-class _Rows:
-    """Tables whose rows are built on demand: row j of each is the last-axis
-    entry of ``build`` for index j, built the first time ``at`` is asked
-    for it and kept. A run formats the values of a few dozen exponents and
-    decimal point positions, not all of them."""
+def _read_only(*arrays):
+    """The arrays, made read-only: the module's tables are constants."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
-    def __init__(self, build, size):
-        self._build = build
-        self._built = np.zeros(size, dtype=bool)
-        self._tables = None
 
-    def at(self, index):
-        """The tables, their rows at ``index`` (not empty) built."""
-        built = self._built
-        if built.take(index).all():
-            return self._tables
-        missing = np.zeros_like(built)
-        missing[index] = True
-        new = np.flatnonzero(missing & ~built)
-        rows = self._build(new)
-        if self._tables is None:
-            self._tables = [np.zeros(r.shape[:-1] + built.shape, r.dtype) for r in rows]
-        for table, r in zip(self._tables, rows):
-            table[..., new] = r
-        built[new] = True
-        return self._tables
+_POW10, = _read_only(np.array([10**k for k in range(20)], dtype=np.uint64))
 
 
 # decpt offset of the layout rows; finite floats have -323 <= decpt <= 309
@@ -132,34 +113,31 @@ def _power_of_ten(k):
     return 10**k << shift if shift >= 0 else -(-(10**k) >> -shift)
 
 
-def _exponent_rows(ie):
-    """Dragonbox's parameters for the distinct biased exponent fields ``ie``.
+def _exponent_rows():
+    """Dragonbox's parameters for the 2,047 biased exponent fields.
 
     Per exponent e = max(ie, 1) - 1075, with k = 2 - floor(e log10 2) and
     c the multiplier for 10**k: the upper and lower words of c; beta;
-    ``delta``, the interval's width scaled by 10**k; and ``at``, _DECPT + 17
-    plus the decimal exponent of the digits s * 10 + q.
+    ``delta``, the interval's width scaled by 10**k, c >> (127 - beta),
+    which is the upper word's c_hi >> (63 - beta) since 127 - beta >= 118;
+    and ``at``, _DECPT + 17 plus the decimal exponent of the digits
+    s * 10 + q. Every beta is 6 to 9, so (2fc + 1) << beta fits a word.
     """
+    e = np.maximum(np.arange(2047, dtype=np.intp), 1) - 1075
+    e10 = (e * 315653) >> 20  # floor(e log10 2)
+    k = 2 - e10
+    # one multiplier per decimal exponent k, 617 of them
+    powers = [_power_of_ten(j) for j in range(k.min(), k.max() + 1)]
     word = (1 << 64) - 1
-    rows = []
-    for i in ie.tolist():
-        e = max(i, 1) - 1075
-        e10 = (e * 315653) >> 20  # floor(e log10 2)
-        k = 2 - e10
-        c = _power_of_ten(k)
-        beta = e + _floor_log2_pow10(k)
-        assert 6 <= beta <= 9  # so (2fc + 1) << beta < 2**63 fits a word
-        rows.append((c >> 64, c & word, beta, c >> (127 - beta), e10 + 17 + _DECPT))
-    return tuple(np.array(col, dtype=np.intp if j == 4 else np.uint64)
-                 for j, col in enumerate(zip(*rows)))
+    c_hi, c_lo = (np.array(col, dtype=np.uint64).take(k - k.min())
+                  for col in ([c >> 64 for c in powers], [c & word for c in powers]))
+    beta = (e + _floor_log2_pow10(k)).astype(np.uint64)
+    return _read_only(c_hi, c_lo, beta, c_hi >> (_U(63) - beta), e10 + 17 + _DECPT)
 
 
-_EXPONENTS = _Rows(_exponent_rows, 2047)
-
-
-def _layout_rows(at):
-    """repr's layout for the distinct decimal point positions decpt =
-    ``at`` - _DECPT.
+def _layout_rows():
+    """repr's layout for the 681 decimal point positions decpt = ``at`` -
+    _DECPT, ``at`` from 0 to 2 * _DECPT.
 
     Per text word w: the bytes of the unshifted digits (``low``), the
     bytes of the digits shifted up by ``shift`` bits (``high``), and the
@@ -171,7 +149,7 @@ def _layout_rows(at):
     bits of the kept text bytes, each run shifted up by 8 past the
     separator word: [0, first) and [start, stop).
     """
-    decpt = at - _DECPT
+    decpt = np.arange(-_DECPT, _DECPT + 1, dtype=np.intp)
     scientific = (decpt <= -4) | (decpt > 16)
     small = ~scientific & (decpt <= 0)
     point = np.where(scientific | small, 1, decpt)
@@ -201,11 +179,12 @@ def _layout_rows(at):
     start = np.where(scientific, 24 - length, np.where(small, decpt + 5, 0))
     stop = np.where(scientific, 24, np.where(small, n + 5, 0))
     keep = (((1 << first) - 1) | ((1 << stop) - (1 << start))) << 8
-    return (low, high, fill, np.where(small, _U(40), _U(8)),
-            keep.astype(np.uint64))
+    return _read_only(low, high, fill, np.where(small, _U(40), _U(8)),
+                      keep.astype(np.uint64))
 
 
-_LAYOUT = _Rows(_layout_rows, 2 * _DECPT + 1)
+_EXPONENTS = _exponent_rows()
+_LAYOUT = _layout_rows()
 
 
 def _high(a_lo, a_hi, b):
@@ -228,8 +207,7 @@ def _digits(bits):
     digits zero-padded to 17, and decpt + _DECPT."""
     exponent = bits >> _U(52)
     ie = exponent.astype(np.intp)
-    tables = _EXPONENTS.at(ie)
-    c_hi, c_lo, beta, delta, at = (t.take(ie) for t in tables)
+    c_hi, c_lo, beta, delta, at = (t.take(ie) for t in _EXPONENTS)
     mantissa = bits & _MANTISSA
     # 2fc, the hidden bit set; u = (2fc + 1) * 2**beta
     two_fc = (mantissa | _U(1 << 52)) << _U(1)
@@ -333,7 +311,7 @@ def _block(values, sep_word, sep_bits):
     # 16-byte a, b is the bit length's, which a float conversion gives
     # (digit bytes are at most 9, so it never rounds up past a power of two)
     top = (b.astype(np.float64) * 2.0**64 + (a.astype(np.float64) + 0.5)).view(np.uint64)
-    low, high, fill, shift, keep = _LAYOUT.at(at)
+    low, high, fill, shift, keep = _LAYOUT
     kept = keep.take(((top >> _U(52)).astype(np.intp) - 1023 >> 3) * keep.shape[1]
                      + (2 * keep.shape[1]) + at)
     a |= _ZEROS8
@@ -358,8 +336,7 @@ def _block(values, sep_word, sep_bits):
     return slots, mask
 
 
-@functools.lru_cache(maxsize=8)
-def _separators(seps: tuple) -> tuple:
+def _separators(seps):
     """Per column, the word of the separator that follows its cells,
     right-aligned below the sign byte of the next cell, and its keep bits."""
     encoded = [s.encode("ascii") for s in seps]
@@ -389,7 +366,7 @@ def rows(columns, seps):
             for c in columns):
         raise ValueError("rows takes one separator per 1-D column of finite floats, "
                          "all of one length")
-    words, bits = _separators(tuple(seps))
+    words, bits = _separators(seps)
     width, total = len(columns), columns[0].size
     count = -(-total // max(BLOCK // width, 1))
     if not count:

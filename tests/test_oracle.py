@@ -159,13 +159,28 @@ class TestOracleFundamental:
         assert np.allclose(got.I2, want.I2, rtol=1e-12, atol=0.0)
         assert np.allclose(got.F / c, want.F, rtol=1e-12, atol=0.0)
 
-    def test_singular_gate(self):
+    @staticmethod
+    def _assert_singular(n):
         # a = (pi/2)^2 on [0, 1] makes the shooting denominator vanish
         k2 = (math.pi / 2.0) ** 2
-        g = make_grid(1.0, 1024)
+        g = make_grid(1.0, n)
         with pytest.raises(OracleSingular):
             oracle_fundamental(_const(g, k2), _free(g),
                                a_eval=lambda x: k2, f_eval=lambda x: 0.0)
+
+    def test_singular_gate(self):
+        for n in (1024, 2048, 4096):
+            self._assert_singular(n)
+
+    # ROADMAP item 11: the gate, 1e-12 times the scale of psi', lies below
+    # the RK4 error of psi'(x1) on coarser grids, so the oracle returns there
+    # (sup|I1| 1.3e8, 2.1e9 and 3.4e10). A gate derived from the RK4 error
+    # drops the mark.
+    @pytest.mark.xfail(strict=True, raises=pytest.fail.Exception,
+                       reason="the singular gate is below the RK4 error at n <= 512")
+    @pytest.mark.parametrize("n", [128, 256, 512])
+    def test_singular_gate_on_coarse_grids(self, n):
+        self._assert_singular(n)
 
     @pytest.mark.parametrize("n, same", [(8, True), (9, False)])
     def test_midpoint_callables_matter_only_at_odd_n(self, n, same):

@@ -7,16 +7,12 @@ of two with both neighbours, the bounds of repr's fixed notation, integers
 near 2**53, short decimals at every exponent), on a million random bit
 patterns, and across block boundaries and separators. Tables of several
 columns are cut into equal blocks of at most ``BLOCK`` cells, whose seams
-carry the row separator. The per-exponent and per-decpt tables are built
-a row at a time, as blocks meet them; importing builds none.
+carry the row separator. The per-exponent table follows the scalar
+formula row by row, and every table is read-only.
 """
 
 import decimal
-import os
-import subprocess
-import sys
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -229,23 +225,24 @@ def test_rows_are_cut_into_equal_blocks_of_at_most_block_cells(width, size):
                                         for row in values.tolist()).encode()
 
 
-# imports the kernel, renders 1.5, 2e10 and 1.25 (biased exponents 1023 and
-# 1057, decimal point positions 1 and 11) and prints the rows built
-_ROWS_BUILT = """
-import numpy as np
-from bvpseries import shortest as s
-tables = (s._EXPONENTS, s._LAYOUT)
-print([np.flatnonzero(t._built).tolist() for t in tables])
-b"".join(s.rows([np.array([1.5, 2e10, 1.25])], (",",)))
-print([np.flatnonzero(t._built).tolist() for t in tables])
-"""
+def test_exponent_rows_follow_the_scalar_formula():
+    # per biased exponent field: Dragonbox's 128-bit multiplier c for 10**k
+    # as two words, beta, delta = c >> (127 - beta), and the decimal point
+    word = (1 << 64) - 1
+    for ie in range(2047):
+        e = max(ie, 1) - 1075
+        e10 = (e * 315653) >> 20
+        k = 2 - e10
+        c = shortest._power_of_ten(k)
+        beta = e + shortest._floor_log2_pow10(k)
+        assert 6 <= beta <= 9, ie
+        expected = (c >> 64, c & word, beta, c >> (127 - beta), e10 + 17 + shortest._DECPT)
+        assert tuple(int(t[ie]) for t in shortest._EXPONENTS) == expected, ie
 
 
-def test_import_builds_no_table_row_and_a_join_only_its_own():
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    r = subprocess.run([sys.executable, "-c", _ROWS_BUILT], capture_output=True, text=True,
-                       env={**os.environ, "PYTHONPATH": path}, timeout=120)
-    assert r.returncode == 0, r.stderr
-    decpt = shortest._DECPT
-    assert r.stdout == f"[[], []]\n[[1023, 1057], [{decpt + 1}, {decpt + 11}]]\n"
+def test_tables_are_read_only():
+    tables = (*shortest._EXPONENTS, *shortest._LAYOUT, shortest._POW10)
+    assert [t.shape[-1] for t in tables] == [2047] * 5 + [2 * shortest._DECPT + 1] * 5 + [20]
+    for table in tables:
+        with pytest.raises(ValueError):
+            table[(0,) * table.ndim] = 0
