@@ -16,8 +16,8 @@ __version__ = "0.1.0"
 
 # public name -> the module that defines it
 _ORIGIN = {name: module for module, names in (
-    ("bvp", "ProblemD SolveReport general_solution solve_problem_d wronskian_check"),
-    ("checks", "Check verify"),
+    ("bvp", "ProblemD SolveReport general_solution solve_problem_d"),
+    ("checks", "Check verify wronskian_check"),
     ("errors", "ContractionViolation Diverged EvalError GridMismatch InvalidDomain "
                "MaxTermsExceeded OracleSingular ParseError SolverError TableDomainError "
                "UnknownFunction"),

@@ -9,6 +9,10 @@ fundamental pair (their Wronskian is the constant -I2(x1)) because I2(x1)
 stays away from 0 for q < 1: on every a searched it was at least its value
 at a = -sup|a|, which is near 1/cosh(sqrt(2q)) and above 0.43 on every
 grid tested (tests/test_bvp.py).
+
+This module assembles u and reports on it; what the report measures (the
+Wronskian's deviation and u's residuals, ``checks.wronskian_check`` and
+``checks.residual_report``) is taken in ``checks``, beside the limits.
 """
 
 from __future__ import annotations
@@ -18,10 +22,10 @@ import math
 import numpy as np
 
 from ._record import Record
-from .checks import bound_checks, ode_residual
-from .errors import GridMismatch, InvalidDomain
-from .grid import SampledFn, max_abs, same_grid
-from .series_core import SeriesSolution, _apply_B_values
+from .checks import bound_checks, residual_report, wronskian_check
+from .errors import InvalidDomain
+from .grid import SampledFn
+from .series_core import SeriesSolution
 
 
 class ProblemD:
@@ -84,56 +88,6 @@ def general_solution(sol: SeriesSolution, c1: float, c2: float):
         return SampledFn(grid, np.add(out, fn.values, out=out))
 
     return combine(sol.I1, sol.I2, sol.F), combine(sol.dI1, sol.dI2, sol.dF)
-
-
-def wronskian_check(sol: SeriesSolution):
-    """Node-wise Wronskian of (I1, I2) and its deviation from -I2(x1).
-
-    Returns
-    -------
-    (w_nodes, dev) : SampledFn, float
-        w_nodes[i] = I1*dI2 - dI1*I2 at node i; dev = max |w_nodes + I2(x1)|.
-    """
-    w = np.multiply(sol.I1.values, sol.dI2.values)
-    scratch = np.multiply(sol.dI1.values, sol.I2.values)
-    np.subtract(w, scratch, out=w)
-    dev = max_abs(np.add(w, sol.i2_at_x1, out=scratch))
-    return SampledFn(sol.grid, w), dev
-
-
-def residual_report(u: SampledFn, a: SampledFn, f: SampledFn,
-                    c1: float, c2: float, g: SampledFn) -> tuple[float, float]:
-    """Measure how well an assembled solution satisfies the equation.
-
-    Returns
-    -------
-    (residual_max, fixedpoint_err) : float, float
-        The largest interior-node residual of the differential equation
-        (``checks.ode_residual``) and the largest node defect in the
-        integral fixed-point form u = Bu + g + c1*x + c2.
-
-    Raises
-    ------
-    GridMismatch
-        If the inputs live on different grids.
-    InvalidDomain
-        If Bu is not finite.
-    """
-    for other in (a, f, g):
-        if not same_grid(u.grid, other.grid):
-            raise GridMismatch("all inputs must share a grid")
-    grid = u.grid
-    # the defect u - Bu - g - c1*x - c2, in the buffer of a*u
-    defect, scratch = np.multiply(a.values, u.values), np.empty(grid.n + 1)
-    if not math.isfinite(max_abs(_apply_B_values(defect, grid.h, out=defect, scratch=scratch))):
-        raise InvalidDomain("node values must all be finite")  # Bu, as SampledFn refuses it
-    np.subtract(u.values, defect, out=defect)
-    np.subtract(defect, g.values, out=defect)
-    np.subtract(defect, np.multiply(c1, grid.nodes, out=scratch), out=defect)
-    np.subtract(defect, c2, out=defect)
-    fixedpoint_err = max_abs(defect)
-    del defect, scratch  # ode_residual's buffers take their place
-    return ode_residual(u.values, a.values, f.values, grid.h), fixedpoint_err
 
 
 def solve_problem_d(sol: SeriesSolution, prob: ProblemD) -> SolveReport:

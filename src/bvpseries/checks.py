@@ -15,6 +15,13 @@ so failures show how far off the measurement was. Three limit regimes appear:
   h^2 and so also gets a derived rounding floor that grows like 1/h^2; the
   derivative consistency check divides by h and gets one that grows like
   1/h.
+
+Each measurement is taken here, beside its limit: the Wronskian's deviation
+(``wronskian_check``) and u's residual and fixed-point defect
+(``residual_report``), which ``bvp.solve_problem_d`` reports, as well as
+those of the series. ``overflowing`` names the checks whose limit
+overflows, and ``overflowing_at_every_tol`` those that overflow at every
+tol.
 """
 
 from __future__ import annotations
@@ -26,8 +33,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ._record import Record
-from .grid import max_abs, sup_norm
-from .series_core import SeriesSolution
+from .grid import SampledFn, max_abs, sup_norm
+from .series_core import SeriesSolution, _apply_B_values
 
 if TYPE_CHECKING:  # bvp imports this module
     from .bvp import SolveReport
@@ -68,12 +75,13 @@ def _check(name: str, value: float, limit: float) -> Check:
 
 def _pass_rounding(sol: SeriesSolution) -> float:
     """(3n + 8) x1^2 sup|a|: the rounding one pass of B on a t adds, in
-    units of u sup|t| (derived in ``fixed_point_rounding``). The product
-    starts from u, so that (3n + 8) x1^2 does not overflow before sup|a|
-    scales it down, and u is divided out at the end: both are exact."""
+    units of u sup|t| (derived in ``fixed_point_rounding``). u goes on the
+    largest factor (``_times_u``): where x1 is large, so that (3n + 8) x1^2
+    does not overflow before sup|a| scales it down, and where x1 is small,
+    on sup|a|, so that (3n + 8) x1^2 does not pass through a subnormal
+    before sup|a| scales it up. u is divided out at the end, exactly."""
     grid = sol.grid
-    a_sup = sol.certificate.a_sup
-    return UNIT_ROUNDOFF * (3.0 * grid.n + 8.0) * grid.x1 * grid.x1 * a_sup / UNIT_ROUNDOFF
+    return _times_u(3.0 * grid.n + 8.0, grid.x1, grid.x1, sol.certificate.a_sup) / UNIT_ROUNDOFF
 
 
 def _times_u(*factors: float) -> float:
@@ -248,6 +256,34 @@ def ode_residual(u: np.ndarray, a: np.ndarray, f: np.ndarray | None, h: float) -
     return max_abs(r)
 
 
+def residual_report(u: SampledFn, a: SampledFn, f: SampledFn,
+                    c1: float, c2: float, g: SampledFn) -> tuple[float, float]:
+    """Measure how well an assembled solution satisfies the equation.
+
+    a, f and g must share u's grid (``bvp.solve_problem_d`` passes the
+    series' own). A Bu that overflows leaves a non-finite fixedpoint_err.
+
+    Returns
+    -------
+    (residual_max, fixedpoint_err) : float, float
+        The largest interior-node residual of the differential equation
+        (``ode_residual``) and the largest node defect in the integral
+        fixed-point form u = Bu + g + c1*x + c2, whose rounding
+        ``fixed_point_rounding`` bounds.
+    """
+    grid = u.grid
+    # the defect u - Bu - g - c1*x - c2, in the buffer of a*u
+    defect, scratch = np.multiply(a.values, u.values), np.empty(grid.n + 1)
+    _apply_B_values(defect, grid.h, out=defect, scratch=scratch)
+    np.subtract(u.values, defect, out=defect)
+    np.subtract(defect, g.values, out=defect)
+    np.subtract(defect, np.multiply(c1, grid.nodes, out=scratch), out=defect)
+    np.subtract(defect, c2, out=defect)
+    fixedpoint_err = max_abs(defect)
+    del defect, scratch  # ode_residual's buffers take their place
+    return ode_residual(u.values, a.values, f.values, grid.h), fixedpoint_err
+
+
 def residual_checks(sol: SeriesSolution) -> list[Check]:
     """Interior-node second-difference residuals of the three limits.
 
@@ -301,6 +337,21 @@ def consistency_checks(sol: SeriesSolution) -> list[Check]:
             CONSISTENCY_CONST * h * h * scale + extra + _slope_rounding_floor(sol, name),
         ))
     return checks
+
+
+def wronskian_check(sol: SeriesSolution):
+    """Node-wise Wronskian of (I1, I2) and its deviation from -I2(x1).
+
+    Returns
+    -------
+    (w_nodes, dev) : SampledFn, float
+        w_nodes[i] = I1*dI2 - dI1*I2 at node i; dev = max |w_nodes + I2(x1)|.
+    """
+    w = np.multiply(sol.I1.values, sol.dI2.values)
+    scratch = np.multiply(sol.dI1.values, sol.I2.values)
+    np.subtract(w, scratch, out=w)
+    dev = max_abs(np.add(w, sol.i2_at_x1, out=scratch))
+    return SampledFn(sol.grid, w), dev
 
 
 def wronskian_entry(sol: SeriesSolution, dev: float) -> Check:
@@ -394,3 +445,19 @@ def verify(sol: SeriesSolution, report: SolveReport, max_rel_err: float,
                           fixed_point_rounding(sol, report)),
         oracle_entry(max_rel_err, sol),
     )
+
+
+def overflowing(checks) -> list[str]:
+    """The names of the checks whose limit overflows."""
+    return [c.name for c in checks if not math.isfinite(c.limit)]
+
+
+def overflowing_at_every_tol(sol: SeriesSolution, report: SolveReport,
+                             max_rel_err: float) -> list[str]:
+    """The names of the checks of ``verify`` whose limit overflows even with
+    every series tail and tol at 0. A limit is a term in tol (the tails,
+    and tol itself for fixed_point) plus a term set by the problem's
+    scale; these overflow in the scale's term, so no tol avoids them."""
+    fields = {name: getattr(sol, name) for name in SeriesSolution.__slots__}
+    fields["tail_bound"] = dict.fromkeys(sol.tail_bound, 0.0)
+    return overflowing(verify(SeriesSolution(**fields), report, max_rel_err, 0.0))

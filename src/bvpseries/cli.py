@@ -52,8 +52,8 @@ import sys
 import numpy as np
 
 from .bvp import ProblemD, solve_problem_d
-from .bvp import wronskian_check  # unused here; bench/traced_op.py looks it up on cli
-from .checks import Check, verify
+# wronskian_check is unused here; bench/traced_op.py looks it up on cli
+from .checks import Check, overflowing, overflowing_at_every_tol, verify, wronskian_check
 from .errors import (
     ContractionViolation,
     Diverged,
@@ -67,7 +67,6 @@ from .oracle import compare, oracle_fundamental
 from .series_core import (
     DEFAULT_MAX_TERMS,
     DEFAULT_TOL,
-    SeriesSolution,
     contraction_ratio,
     fundamental_system,
 )
@@ -169,7 +168,7 @@ def _prepare(config: argparse.Namespace):
     return fundamental_system(a, f, cert, tol=config.tol)
 
 
-def _common_payload(config: argparse.Namespace, sol: SeriesSolution) -> dict:
+def _common_payload(config: argparse.Namespace, sol) -> dict:
     return {
         "x1": float(config.x1),
         "n": int(config.n),
@@ -185,7 +184,7 @@ def _common_payload(config: argparse.Namespace, sol: SeriesSolution) -> dict:
 def _cmd_solve(config: argparse.Namespace):
     sol = _prepare(config)
     report = solve_problem_d(sol, ProblemD(config.alpha, config.beta))
-    overflowed = _overflowed(report.bound_checks)
+    overflowed = overflowing(report.bound_checks)
     if overflowed:  # no bound limit has a term in tol
         raise InvalidDomain(_overflow_message(config, sol, overflowed, overflowed))
     u, du = report.u.values, report.du.values
@@ -235,15 +234,9 @@ def _cmd_verify(config: argparse.Namespace):
     if shot_failed is not None:
         raise shot_failed
     all_checks = verify(sol, report, max_rel_err, config.tol)
-    overflowed = _overflowed(all_checks)
+    overflowed = overflowing(all_checks)
     if overflowed:
-        # A limit is a term in tol (the series tails, and tol itself for
-        # fixed_point) plus a term set by the problem's scale. The limits
-        # are taken again with no tol; those that still overflow are the
-        # scale's.
-        fields = {name: getattr(sol, name) for name in SeriesSolution.__slots__}
-        no_tails = SeriesSolution(**{**fields, "tail_bound": dict.fromkeys(sol.tail_bound, 0.0)})
-        scaled = _overflowed(verify(no_tails, report, max_rel_err, 0.0))
+        scaled = overflowing_at_every_tol(sol, report, max_rel_err)
         raise InvalidDomain(_overflow_message(config, sol, overflowed, scaled))
     passed = all(c.passed for c in all_checks)
     payload = _common_payload(config, sol)
@@ -263,11 +256,6 @@ def _cmd_verify(config: argparse.Namespace):
         f"verification failed: {len(failed)} of {len(all_checks)} checks: "
         + ", ".join(failed)
     )
-
-
-def _overflowed(checks) -> list:
-    """The names of the checks whose limit overflows."""
-    return [c.name for c in checks if not math.isfinite(c.limit)]
 
 
 def _overflow_message(config, sol, overflowed, scaled) -> str:

@@ -83,8 +83,7 @@ class MaxTermsExceeded(SolverError):
         self.q = q
         super().__init__(
             f"series tail not certified within the term cap (cap {cap}, "
-            f"q = {q:.6g}; a-priori count {needed}); raise the cap or relax "
-            "the tolerance"
+            f"q = {q:.6g}; a-priori count {needed}); relax the tolerance"
         )
 
 

@@ -119,12 +119,17 @@ def compute_g(f: SampledFn) -> SampledFn:
         If g overflows, as it can for a finite f near the float limit.
     """
     g = _apply_B_values(f.values, f.grid.h)
+    return _finite(f.grid, np.subtract(0.0, g, out=g), "the forcing's double integral g "
+                   "overflowed, although every node of f is finite")
+
+
+def _finite(grid: Grid, values: np.ndarray, overflow: str) -> SampledFn:
+    """SampledFn(grid, values), refused with the message ``overflow``, which
+    names the array, where a value is not finite."""
     try:
-        return SampledFn(f.grid, np.subtract(0.0, g, out=g))
+        return SampledFn(grid, values)
     except InvalidDomain:
-        raise InvalidDomain(
-            "the forcing's double integral g overflowed, although every node of f is finite"
-        ) from None
+        raise InvalidDomain(overflow) from None
 
 
 def _certified_terms(seed_sup: float, q: float, tol: float) -> tuple[int, float]:
@@ -264,7 +269,7 @@ def fundamental_system(a: SampledFn, f: SampledFn, cert: ContractionCertificate,
         If a and f live on different grids.
     InvalidDomain
         If the certificate is for another x1 or a smaller sup|a|, tol is
-        not positive and finite, or g overflows (``compute_g``).
+        not positive and finite, g overflows (``compute_g``), or dF does.
     MaxTermsExceeded
         If a series reaches ``max_terms`` terms before its measured tail
         bound meets tol (``_sum``).
@@ -294,7 +299,8 @@ def fundamental_system(a: SampledFn, f: SampledFn, cert: ContractionCertificate,
     np.subtract(dF, tail_trapz(f.values, h, out=term), out=dF)
     return SeriesSolution(
         **{name: SampledFn(grid, values) for name, values in sums.items()},
-        dI1=SampledFn(grid, dI1), dI2=SampledFn(grid, dI2), dF=SampledFn(grid, dF),
+        dI1=SampledFn(grid, dI1), dI2=SampledFn(grid, dI2),
+        dF=_finite(grid, dF, "the forced series' derivative dF overflowed, although F is finite"),
         terms_used=terms_used, terms_apriori=terms_apriori, tail_bound=tail_bound,
         certificate=cert, a=a, f=f, g=g, term_sups=term_sups,
     )

@@ -23,6 +23,14 @@ def test_every_exported_name_resolves_and_is_documented():
         assert f"`{name}`" in section, name
 
 
+def test_each_exported_name_has_one_object():
+    # checks measures the Wronskian; bvp imports it for solve_problem_d
+    from bvpseries import bvp, checks
+
+    assert bvpseries.wronskian_check is checks.wronskian_check is bvp.wronskian_check
+    assert bvp.residual_report is checks.residual_report
+
+
 def test_library_example_runs(capsys):
     code = _library_section().split("```python\n")[1].split("```")[0]
     exec(compile(code, str(README), "exec"), {})

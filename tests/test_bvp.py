@@ -6,20 +6,18 @@ import math
 import numpy as np
 import pytest
 
-from bvpseries.bvp import (
-    ProblemD,
-    general_solution,
-    residual_report,
-    solve_problem_d,
-    wronskian_check,
-)
+from bvpseries.bvp import ProblemD, general_solution, solve_problem_d
 from bvpseries.checks import (
+    _pass_rounding,
     boundary_checks,
     bound_checks,
     consistency_checks,
     fixed_point_entry,
     fixed_point_rounding,
     residual_checks,
+    residual_report,
+    verify,
+    wronskian_check,
 )
 from bvpseries.errors import InvalidDomain
 from bvpseries.grid import (
@@ -285,6 +283,33 @@ class TestCheckFunctions:
                                  contraction_ratio(0.3, 1.7))
         for check in bound_checks(sol):
             assert check.passed, (check.name, check.value, check.limit)
+
+    @pytest.mark.parametrize("x1, n, plain", [(3e-154, 2, 14.0), (6e-154, 4, 20.0),
+                                              (1e-148, 1024, 3080.0)])
+    def test_pass_rounding_at_small_x1(self, x1, n, plain):
+        # constant a at q near 0.5: with u multiplied in first, (3n + 8) x1^2
+        # went subnormal before sup|a| scaled it back, and read 13.845,
+        # 20.026 and 3079.9999999999977; on sup|a| it keeps the bits of the
+        # plain product taken left to right
+        g = make_grid(x1, n)
+        a_value = 1.0 / (x1 * x1)
+        sol = fundamental_system(_const(g, a_value), _const(g, 0.0),
+                                 contraction_ratio(a_value, x1))
+        assert _pass_rounding(sol) == (3.0 * n + 8.0) * x1 * x1 * sol.certificate.a_sup
+        assert _pass_rounding(sol) == pytest.approx(plain, rel=1e-15)
+
+    def test_only_the_boundary_check_catches_a_constant_offset(self):
+        # I1 shifted by a constant 1e-9 keeps its differences, and so its
+        # residual, derivative identity and Wronskian, and moves the oracle
+        # agreement by 1e-9 against a limit near 1e-3: boundary:I1(0) alone fails
+        g = make_grid(1.0, 1024)
+        a = sample(CoefficientSpec.expression("1.5*cos(3*x)"), g)
+        f = sample(CoefficientSpec.expression("cos(x)"), g)
+        sol = fundamental_system(a, f, contraction_ratio(sup_norm(a), 1.0))
+        shifted = _replaced(sol, I1=SampledFn(g, sol.I1.values + 1e-9))
+        report = solve_problem_d(shifted, ProblemD(0.3, 0.0))
+        checks = verify(shifted, report, compare(shifted, oracle_fundamental(a, f)), 1e-10)
+        assert [c.name for c in checks if not c.passed] == ["boundary:I1(0)"]
 
     def test_residual_rounding_floor(self):
         # at n = 65536 rounding dominates the second difference; the limit

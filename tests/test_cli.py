@@ -143,7 +143,7 @@ _VERIFY_FAILURES = {
     "max_terms": (["verify", "--a", "1.98", "--f", "1", "--x1", "1", "--n", "3",
                    "--tol", "5e-324"], {}, 2,
                   "bvpseries: series tail not certified within the term cap (cap 10000, "
-                  "q = 0.99; a-priori count 74599); raise the cap or relax the tolerance\n"),
+                  "q = 0.99; a-priori count 74599); relax the tolerance\n"),
 }
 
 
@@ -274,6 +274,15 @@ class TestExitCodes:
         assert r.stdout == ""
         assert r.stderr == ("bvpseries: the forcing's double integral g overflowed, "
                             "although every node of f is finite\n")
+
+    @pytest.mark.parametrize("command", ["solve", "fundamental", "verify"])
+    def test_overflowing_derivative_names_it(self, command):
+        # f, g and the three series are finite, but a*F overflows in dF
+        r = run_cli(command, "--a", "1.9", "--f", "5e307", "--x1", "1", "--n", "8")
+        assert r.returncode == 4
+        assert r.stdout == ""
+        assert r.stderr == ("bvpseries: the forced series' derivative dF overflowed, "
+                            "although F is finite\n")
 
     @pytest.mark.parametrize("x1, n, square", [
         ("1e-160", "1024", "x1*x1 = 1e-320"),
