@@ -33,8 +33,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ._record import Record
-from .grid import SampledFn, max_abs, sup_norm
-from .series_core import SeriesSolution, _apply_B_values
+from .grid import SampledFn, max_abs, nested_trapz, sup_norm
+from .series_core import SeriesSolution
 
 if TYPE_CHECKING:  # bvp imports this module
     from .bvp import SolveReport
@@ -48,7 +48,7 @@ WRONSKIAN_CONST = 50.0
 ORACLE_CONST = 200.0
 
 UNIT_ROUNDOFF = float(np.finfo(float).eps) / 2.0
-# Bounds on the rounding one pass of series_core._apply_B_values leaves, in
+# Bounds on the rounding one pass of B_h (grid.nested_trapz) leaves, in
 # units of UNIT_ROUNDOFF * x1^2 * sup|w|: in its second difference (at most
 # 4.75, _rounding_floor) and in h times its central difference (4.25,
 # _slope_rounding_floor); kept at their earlier values, as are verify's limits.
@@ -101,11 +101,15 @@ def _term_sums(sol: SeriesSolution, name: str) -> tuple:
     """For s_k = term_sups[name][k], k = 0..m, each times the unit roundoff
     u: u s_0, sum_k u s_k, sum_{k<m} u s_k (the terms B was applied to) and
     sum_{k>=1} sum_{j<=k} u s_j (bounds on the partial sums |S_k| that the
-    additions total += t_k round). u is 2^-53, so scaling each addend
-    rounds as scaling the sum would, unless a scaled s_k is subnormal, and
-    a sum stays finite where the unscaled one would overflow."""
-    sups = UNIT_ROUNDOFF * np.asarray(sol.term_sups[name])
-    return sups[0], sups.sum(), sups[:-1].sum(), np.cumsum(sups)[1:].sum()
+    additions total += t_k round). The sums are taken over s_k 2^-e, with
+    2^e just above the largest s_k, and scaled back by u 2^e once: the
+    powers of two round nothing where every u s_k is normal, no addend is
+    subnormal unless it is 2^-1022 below the largest, and a sum stays
+    finite where the unscaled one would overflow."""
+    e = math.frexp(max(sol.term_sups[name]))[1]
+    sups = np.ldexp(sol.term_sups[name], -e)
+    sums = sups[0], sups.sum(), sups[:-1].sum(), np.cumsum(sups)[1:].sum()
+    return tuple(math.ldexp(UNIT_ROUNDOFF * total, e) for total in sums)
 
 
 # A limit past the float range is inf, which ``cli`` refuses with its own
@@ -182,7 +186,7 @@ def _rounding_floor(sol: SeriesSolution, name: str) -> float:
       rounding;
     * each pass of B on w = a t_{k-1}, sup|w| <= sup|a| s_{k-1}: the tail
       G = P_n - P of the prefix sum P of w, then the prefix sum of G. A
-      prefix sum rounds each increment h (v_j + v_{j-1}) / 2 twice and each
+      prefix sum rounds each increment (h/2) (v_j + v_{j-1}) twice and each
       partial sum once, a second difference of its error is a difference of
       two such roundings, and the outer pass turns G's error into h/2 times
       its central difference. With |P|, |G| <= x1 sup|w|, r = 1/n and
@@ -274,7 +278,7 @@ def residual_report(u: SampledFn, a: SampledFn, f: SampledFn,
     grid = u.grid
     # the defect u - Bu - g - c1*x - c2, in the buffer of a*u
     defect, scratch = np.multiply(a.values, u.values), np.empty(grid.n + 1)
-    _apply_B_values(defect, grid.h, out=defect, scratch=scratch)
+    nested_trapz(defect, grid.h, out=defect, scratch=scratch)
     np.subtract(u.values, defect, out=defect)
     np.subtract(defect, g.values, out=defect)
     np.subtract(defect, np.multiply(c1, grid.nodes, out=scratch), out=defect)

@@ -6,6 +6,14 @@ interpolant between nodes. All integrals in the package reduce to the single
 composite-trapezoid prefix sum implemented here (or its tail), so that the
 various quadrature compositions stay mutually consistent.
 
+The operator B of the fixed-point form (``series_core``),
+(Bw)(x) = int_0^x int_y^{x1} w(t) dt dy, is on the grid the nested
+trapezoid rule B_h, ``nested_trapz``: a tail pass G_i = int_{x_i}^{x1} w
+(``tail_trapz``), which the derivatives of the series limits share, then a
+prefix pass (B_h w)_i = int_0^{x_i} G (``prefix_trapz``); O(n) in all. Its
+O(n^2) quadrature reference is tests/b_reference.py. Every series term, g
+and the fixed-point defect of ``checks.residual_report`` is one such pass.
+
 Norms are computed as node maxima. That is the correct supremum for the
 piecewise-linear representatives used here; it under-estimates the essential
 supremum of a function with spikes between nodes, which is why coefficients
@@ -283,16 +291,17 @@ def prefix_trapz(values: np.ndarray, h: float, out: np.ndarray | None = None) ->
     """Running composite-trapezoid integral: out[i] = integral over [0, x_i].
 
     Exact (to rounding) for the piecewise-linear interpolant of ``values``.
-    Written into ``out`` when given (same length, not ``values`` itself),
-    one ufunc at a time, so the pass allocates nothing.
+    Each increment is (h/2) (v_i + v_{i-1}), one add and one multiply; h/2
+    itself is exact, as ``make_grid`` keeps h*h normal. Written into ``out``
+    when given (same length, not ``values`` itself), one ufunc at a time, so
+    the pass allocates nothing.
     """
     if out is None:
         out = np.empty(len(values))
     out[0] = 0.0
     steps = out[1:]
     np.add(values[1:], values[:-1], out=steps)
-    np.multiply(h, steps, out=steps)
-    np.divide(steps, 2.0, out=steps)
+    np.multiply(h / 2.0, steps, out=steps)
     np.cumsum(steps, out=steps)
     return out
 
@@ -303,3 +312,14 @@ def tail_trapz(values: np.ndarray, h: float, out: np.ndarray | None = None) -> n
     for ``prefix_trapz``."""
     prefix = prefix_trapz(values, h, out)
     return np.subtract(prefix[-1], prefix, out=prefix)
+
+
+def nested_trapz(w: np.ndarray, h: float, out: np.ndarray | None = None,
+                 scratch: np.ndarray | None = None) -> np.ndarray:
+    """B_h w: the tail pass G = ``tail_trapz(w)``, then ``prefix_trapz(G)``.
+
+    G is written into ``scratch`` and the result into ``out`` when they are
+    given (``out`` may be ``w``), so the pass allocates nothing; its
+    operations, and so its bits, are the same either way.
+    """
+    return prefix_trapz(tail_trapz(w, h, out=scratch), h, out=out)

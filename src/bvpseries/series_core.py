@@ -27,10 +27,9 @@ limit; the term cap is tested against the terms actually summed.
 ``fundamental_system`` is the one entry to the sums: it checks the
 coefficient, the certificate and tol once and sums the three seeds.
 
-On the grid B is the nested trapezoid rule B_h: a tail pass
-G_i = int_{x_i}^{x1} w, which the derivatives of the limits share, then a
-prefix pass (B_h w)_i = int_0^{x_i} G. The measured bound is rigorous for
-B_h as well: the inner trapezoid of a constant is exact and the outer
+On the grid B is the nested trapezoid rule B_h, ``grid.nested_trapz``
+(described in grid's docstring). The measured bound is rigorous for B_h as
+well: the inner trapezoid of a constant is exact and the outer
 trapezoid integrates the linear envelope sup|a w| (x1 - y) exactly, so
 ||B_h w|| <= q ||w|| holds node by node and the omitted terms sum to at most
 sum_{k>m} q^(k-m) ||t_m|| = q ||t_m|| / (1 - q).
@@ -47,7 +46,7 @@ import numpy as np
 
 from ._record import Record
 from .errors import ContractionViolation, GridMismatch, InvalidDomain, MaxTermsExceeded
-from .grid import Grid, SampledFn, max_abs, prefix_trapz, same_grid, tail_trapz
+from .grid import Grid, SampledFn, max_abs, nested_trapz, same_grid, tail_trapz
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_TERMS = 10_000
@@ -94,18 +93,6 @@ def contraction_ratio(a_sup: float, x1: float) -> ContractionCertificate:
     return ContractionCertificate(a_sup=a_sup, x1=x1, q=q, margin=1.0 - q)
 
 
-def _apply_B_values(w: np.ndarray, h: float, out: np.ndarray | None = None,
-                    scratch: np.ndarray | None = None) -> np.ndarray:
-    """Nested trapezoid rule for x -> int_0^x int_y^{x1} w(t) dt dy: a tail
-    pass G(y) = int_y^{x1} w, then a prefix pass int_0^x G; O(n) in all.
-
-    G is written into ``scratch`` and the result into ``out`` when they are
-    given (``out`` may be ``w``), so the pass allocates nothing; its
-    operations, and so its bits, are the same either way.
-    """
-    return prefix_trapz(tail_trapz(w, h, out=scratch), h, out=out)
-
-
 def compute_g(f: SampledFn) -> SampledFn:
     """Double integral carrying the forcing term into the fixed-point form.
 
@@ -118,7 +105,7 @@ def compute_g(f: SampledFn) -> SampledFn:
     InvalidDomain
         If g overflows, as it can for a finite f near the float limit.
     """
-    g = _apply_B_values(f.values, f.grid.h)
+    g = nested_trapz(f.values, f.grid.h)
     return _finite(f.grid, np.subtract(0.0, g, out=g), "the forcing's double integral g "
                    "overflowed, although every node of f is finite")
 
@@ -164,7 +151,7 @@ def _sum(term: np.ndarray, scratch: np.ndarray, a: SampledFn, cert: ContractionC
     longer than that count.
 
     Each term is computed in place: a * t_m overwrites t_m, and the pass of
-    B_h (``_apply_B_values``) writes its tail pass into ``scratch`` and its
+    B_h (``grid.nested_trapz``) writes its tail pass into ``scratch`` and its
     prefix pass back into ``term``. The sum is the one array this
     allocates, and its passes keep the operation order, and so the bits, of
     the allocating ones.
@@ -192,7 +179,7 @@ def _sum(term: np.ndarray, scratch: np.ndarray, a: SampledFn, cert: ContractionC
     tail = q * term_sups[0] / (1.0 - q)
     while tail > tol and len(term_sups) < limit:
         np.multiply(a_values, term, out=term)
-        _apply_B_values(term, h, out=term, scratch=scratch)  # term <- B_h(a * term)
+        nested_trapz(term, h, out=term, scratch=scratch)  # term <- B_h(a * term)
         total += term
         term_sups.append(max_abs(term))
         tail = q * term_sups[-1] / (1.0 - q)

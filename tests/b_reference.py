@@ -1,5 +1,5 @@
 """Direct O(n^2) nested-trapezoid transcription of B: the reference
-``series_core._apply_B_values`` must match.
+``grid.nested_trapz`` must match.
 
 It computes the inner integral G(y) = int_y^{x1} w separately for every
 node, then the outer integral int_0^x G for every node, each with a fresh

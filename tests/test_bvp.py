@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from bvpseries.bvp import ProblemD, general_solution, solve_problem_d
 from bvpseries.checks import (
     _pass_rounding,
+    _term_sums,
     boundary_checks,
     bound_checks,
     consistency_checks,
@@ -297,6 +299,23 @@ class TestCheckFunctions:
                                  contraction_ratio(a_value, x1))
         assert _pass_rounding(sol) == (3.0 * n + 8.0) * x1 * x1 * sol.certificate.a_sup
         assert _pass_rounding(sol) == pytest.approx(plain, rel=1e-15)
+
+    def test_term_sums_round_once_below_the_normal_range(self):
+        # F's 29 term sups start at 3.8e-301, so every u s_k is subnormal;
+        # rounded one by one, the partial-sum total read 3.0e-8 relative
+        # above its exact value; now each sum rounds once, at the end
+        x1 = 1e-150
+        g = make_grid(x1, 64)
+        a = sample(CoefficientSpec.expression(repr(0.5 / (x1 * x1))), g)
+        f = sample(CoefficientSpec.expression(f"cos(x/{x1!r})"), g)
+        sol = fundamental_system(a, f, contraction_ratio(a.sup, x1), tol=1e-320)
+        s = [Fraction(sup) for sup in sol.term_sups["F"]]
+        assert len(s) == 29 and float(s[0]) == pytest.approx(3.82e-301, rel=1e-3)
+        u = Fraction(1, 2**53)
+        exact = (u * s[0], u * sum(s), u * sum(s[:-1]),
+                 u * sum(sum(s[:k + 1]) for k in range(1, len(s))))
+        for got, want in zip(_term_sums(sol, "F"), exact):
+            assert abs(Fraction(got) - want) <= Fraction(math.ulp(0.0)) / 2 + want / 10**15
 
     def test_only_the_boundary_check_catches_a_constant_offset(self):
         # I1 shifted by a constant 1e-9 keeps its differences, and so its

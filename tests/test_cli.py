@@ -489,6 +489,13 @@ class TestExitCodes:
         r = run_cli("solve", "--a-table", str(table), "--f", "0", "--x1", "1")
         assert r.returncode == 4
 
+    def test_table_with_one_data_row(self, tmp_path, capfd):
+        table = tmp_path / "a.csv"
+        table.write_text("x,value\n0,1\n")
+        code, out, err = run_main(capfd, "solve", "--a-table", str(table),
+                                  "--f", "0", "--x1", "1")
+        assert (code, out, err) == (4, "", f"bvpseries: {table}: need at least two data rows\n")
+
     @pytest.mark.parametrize("name", sorted(MALFORMED_TABLES))
     def test_malformed_table(self, name, tmp_path, capfd):
         table = tmp_path / "a.csv"

@@ -318,6 +318,13 @@ class TestPrinter:
             with pytest.raises(EvalError, match="non-finite intermediate value inf at x = 0.5"):
                 eval_expr(parse_expr(to_text(tree)), 0.5)
 
+    def test_a_node_that_is_not_an_expr_is_a_type_error(self):
+        for tree in (Binary("+", Var(), 1.0), "x"):
+            with pytest.raises(TypeError, match="not an Expr node"):
+                eval_arrays([tree], np.array([0.5]))
+            with pytest.raises(TypeError, match="not an Expr node"):
+                to_text(tree)
+
     def test_nan_constant_has_no_literal(self):
         # "nan" would re-parse as an unknown function
         for tree in (Const(math.nan), Binary("+", Var(), Unary("sin", Const(-math.nan)))):

@@ -282,6 +282,12 @@ class TestCoefficientSpec:
         with pytest.raises(TableDomainError):
             CoefficientSpec.from_csv(p)
 
+    def test_from_csv_skips_blank_rows(self, tmp_path):
+        p = tmp_path / "a.csv"
+        p.write_text("x,value\n\n0.0,1.0\n  \n1.0,3.0\n\n")
+        t = CoefficientSpec.from_csv(p)
+        assert t.source == str(p) and t.evaluate(0.5) == 2.0
+
     @pytest.mark.parametrize("text", [
         b"x,\xe9t\xe9\n0.0,1.0\n1.0,3.0\n",  # a Latin-1 header stays a header
         b"\xef\xbb\xbf0.0,1.0\n1.0,3.0\n",  # a byte order mark is not part of a row
@@ -296,7 +302,8 @@ class TestCoefficientSpec:
         ("0,1\n1,2\n1,3\n", "table x column must be strictly increasing"),
         ("0,1\n0.5,2\n", "table spans [0.0, 0.5] but must cover [0, 1.0]"),
         ("0,1\n1,2\n", "x = 2.0 outside table span [0.0, 1.0]"),
-    ], ids=["not_finite", "not_increasing", "short_span", "outside_span"])
+        ("x,value\n0,1\n", "need at least two data rows"),
+    ], ids=["not_finite", "not_increasing", "short_span", "outside_span", "one_data_row"])
     def test_from_csv_errors_name_the_file(self, text, error, tmp_path):
         p = tmp_path / "a.csv"
         p.write_text(text)

@@ -225,6 +225,10 @@ class TestCompare:
         with pytest.raises(GridMismatch):
             compare(sol, oc)
 
+    def test_ivp_grid_mismatch(self):
+        with pytest.raises(GridMismatch, match="a and f must share a grid"):
+            rk4_ivp(_free(make_grid(1.0, 64)), _free(make_grid(1.0, 128)), 1.0, 0.0)
+
 
 def _shaped(shape, scale):
     """A coefficient callable that takes a float or an ndarray of points."""

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from bvpseries.errors import (
     ContractionViolation,
+    GridMismatch,
     InvalidDomain,
     MaxTermsExceeded,
 )
@@ -17,13 +19,13 @@ from bvpseries.grid import (
     CoefficientSpec,
     SampledFn,
     make_grid,
+    nested_trapz,
     prefix_trapz,
     sample,
     sup_norm,
     tail_trapz,
 )
 from bvpseries.series_core import (
-    _apply_B_values,
     _certified_terms,
     compute_g,
     contraction_ratio,
@@ -80,7 +82,7 @@ class TestApplyB:
         # a = 1, u = 1: (B u)(x) = x - x^2/2, node-exact because the inner
         # integral is linear in the outer variable
         g = make_grid(1.0, 8)
-        got = _apply_B_values(np.ones(9), g.h)
+        got = nested_trapz(np.ones(9), g.h)
         want = g.nodes - g.nodes ** 2 / 2.0
         assert np.max(np.abs(got - want)) < 1e-15
         assert got[4] == 0.375
@@ -89,18 +91,18 @@ class TestApplyB:
         # a = 1, u = t: the quadrature value at x = 1 is 1/3 - h^2/12 exactly
         for n in (8, 16, 64):
             g = make_grid(1.0, n)
-            got = _apply_B_values(g.nodes, g.h)
+            got = nested_trapz(g.nodes, g.h)
             assert got[-1] == pytest.approx(1.0 / 3.0 - g.h ** 2 / 12.0, rel=0, abs=1e-16)
 
     def test_zero_coefficient(self):
         g = make_grid(1.0, 16)
-        got = _apply_B_values(0.0 * np.sin(g.nodes), g.h)
+        got = nested_trapz(0.0 * np.sin(g.nodes), g.h)
         assert np.array_equal(got, np.zeros(17))
 
     def test_vanishes_at_origin(self):
         g = make_grid(0.9, 32)
         rng = np.random.default_rng(3)
-        got = _apply_B_values(rng.standard_normal(33) * rng.standard_normal(33), g.h)
+        got = nested_trapz(rng.standard_normal(33) * rng.standard_normal(33), g.h)
         assert got[0] == 0.0
 
     def test_matches_reference(self):
@@ -109,7 +111,7 @@ class TestApplyB:
         for n in (16, 64, 256):
             g = make_grid(1.0, n)
             w = rng.standard_normal(n + 1) * rng.standard_normal(n + 1)
-            fast = _apply_B_values(w, g.h)
+            fast = nested_trapz(w, g.h)
             ref = apply_B_reference(w, g.h)
             scale = max(1.0, np.max(np.abs(ref)))
             assert np.max(np.abs(fast - ref)) / scale < 1e-13
@@ -128,7 +130,7 @@ class TestApplyB:
             w = np.cos(3.0 * g.nodes) + g.nodes
         else:
             w = np.random.default_rng(n).standard_normal(n + 1)
-        b = _apply_B_values(w, g.h)
+        b = nested_trapz(w, g.h)
         d2 = b[:-2] - 2.0 * b[1:-1] + b[2:]
         want = -g.h * g.h * (w[:-2] + 2.0 * w[1:-1] + w[2:]) / 4.0
         unit_roundoff = np.finfo(float).eps / 2.0
@@ -209,6 +211,22 @@ class TestCertifiedTerms:
         assert log_bound(terms) <= math.log(tol) + slack
         assert terms == 1 or log_bound(terms - 1) > math.log(tol) - slack
         assert tail <= tol
+
+    def test_count_rounded_below_the_bound_is_raised(self):
+        # ceil(log_budget / log q) gives 34, but at 34 terms the bound
+        # exceeds tol by a factor 1 + 2e-16 in exact arithmetic: the loop
+        # after the ceil raises the count to 35
+        seed_sup, q, tol = 0.04465995664899696, 0.42449258586904914, 3.455262817445901e-14
+        log_budget = (math.log(tol) + math.log(1.0 - q) - math.log(2.0)
+                      - math.log(seed_sup))
+        assert math.ceil(log_budget / math.log(q)) == 34
+        terms, tail = _certified_terms(seed_sup, q, tol)
+        assert terms == 35 and tail <= tol
+
+        def bound(k):
+            return 2 * Fraction(seed_sup) * Fraction(q) ** k / (1 - Fraction(q))
+
+        assert bound(34) > Fraction(tol) >= bound(35)
 
     def test_known_counts(self):
         assert _certified_terms(0.0, 0.5, 1e-10) == (1, 0.0)
@@ -304,7 +322,7 @@ class TestSumSeries:
         cert = contraction_ratio(1.8, 1.0)
         assert cert.q == 0.9
         sol = fundamental_system(_const(g, 1.8), _const(g, 0.0), cert, tol=5e-324)
-        assert sol.term_sups["I2"][-1] == 1.5e-323
+        assert sol.term_sups["I2"][-1] == 5e-324
         assert ((sol.terms_used["I2"], sol.terms_apriori["I2"], sol.tail_bound["I2"])
                 == (7095, 7095, 5e-324))
 
@@ -424,7 +442,7 @@ class TestMeasuredTruncation:
             assert all(q * s / (1.0 - q) > tol for s in sups[:-1])
             reference = term.copy()
             for _ in range(sol.terms_apriori[name] - 1):
-                term = _apply_B_values(a.values * term, g.h)
+                term = nested_trapz(a.values * term, g.h)
                 reference += term
             gap = np.max(np.abs(getattr(sol, name).values - reference))
             assert gap <= sol.tail_bound[name] + tol, name
@@ -450,6 +468,11 @@ class TestDerivativeOf:
 
 
 class TestFundamentalSystem:
+    def test_grid_mismatch(self):
+        a, f = _const(make_grid(1.0, 16), 0.5), _const(make_grid(1.0, 32), 1.0)
+        with pytest.raises(GridMismatch, match="a and f must share a grid"):
+            fundamental_system(a, f, contraction_ratio(0.5, 1.0))
+
     def test_free_problem_is_exact(self):
         # a = 0, f = 0: I1 = x, I2 = 1, F = 0, all bit-exact
         g = make_grid(1.0, 64)

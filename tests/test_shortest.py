@@ -202,6 +202,12 @@ def test_rejects_what_it_cannot_render(values):
         _join(np.array(values), ",")
 
 
+@pytest.mark.parametrize("seps", [["1234567 "], [",", "12345678"]])
+def test_rejects_a_separator_of_eight_characters(seps):
+    with pytest.raises(ValueError, match="each separator must have 0 to 7 characters"):
+        next(shortest.rows([np.zeros(2)] * len(seps), seps))
+
+
 @pytest.mark.parametrize("size", [0, 1, 3, shortest.BLOCK, shortest.BLOCK + 1,
                                   4 * shortest.BLOCK + 1])
 @pytest.mark.parametrize("width", [1, 3, 7])
