@@ -69,6 +69,7 @@ from .series_core import (
     DEFAULT_TOL,
     contraction_ratio,
     fundamental_system,
+    scan_or_sum,
 )
 
 EXIT_OK = 0
@@ -161,11 +162,15 @@ def config_from_args(args: argparse.Namespace) -> argparse.Namespace:
 
 
 def _prepare(config: argparse.Namespace):
-    """Sample a and f, certify them and sum the series."""
+    """Sample a and f, certify them and find the series limits: summed for
+    verify, whose rounding floors are derived for summed terms, and
+    scanned or summed (``scan_or_sum``) for solve and fundamental."""
     grid = make_grid(config.x1, config.n)
     a, f = sample_together((config.a_spec, config.f_spec), grid)
     cert = contraction_ratio(sup_norm(a), grid.x1)
-    return fundamental_system(a, f, cert, tol=config.tol)
+    if config.command == "verify":
+        return fundamental_system(a, f, cert, tol=config.tol)
+    return scan_or_sum(a, f, cert, tol=config.tol)
 
 
 def _common_payload(config: argparse.Namespace, sol) -> dict:

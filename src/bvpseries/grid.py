@@ -11,7 +11,8 @@ The operator B of the fixed-point form (``series_core``),
 trapezoid rule B_h, ``nested_trapz``: a tail pass G_i = int_{x_i}^{x1} w
 (``tail_trapz``), which the derivatives of the series limits share, then a
 prefix pass (B_h w)_i = int_0^{x_i} G (``prefix_trapz``); O(n) in all. Its
-O(n^2) quadrature reference is tests/b_reference.py. Every series term, g
+O(n^2) quadrature reference is tests/b_reference.py. Every series term, g,
+the defect that certifies a scanned limit (``series_core.scan_or_sum``)
 and the fixed-point defect of ``checks.residual_report`` is one such pass.
 
 Norms are computed as node maxima. That is the correct supremum for the

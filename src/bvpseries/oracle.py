@@ -15,8 +15,8 @@ linearly, and is stepped as a block of its own. The states come out at the
 step ends, the even nodes and x_n (``step_ends``).
 
 The system is linear, so each RK4 step is an affine map of the state
-z = (u, u'): z_{i+1} = M_i z_i + c_i. The maps of all steps are built at
-once and held as six float arrays, the rows (m00, m01, c0) and
+z = (u, u'): z_{i+1} = M_i z_i + c_i. The maps of a block of steps are
+built at once and held as six float arrays, the rows (m00, m01, c0) and
 (m10, m11, c1) of [M_i | c_i]. The states are the maps' prefix
 compositions, computed by a Hillis-Steele doubling scan (log2 of the block
 length passes; Blelloch 1990, "Prefix Sums and Their Applications"): each
@@ -27,7 +27,9 @@ SCAN_BLOCK steps and carries each block's end state into the next, so its
 temporaries stay small. A start (u0, u0', w), with w weighting the forcing,
 maps to (m00 u0 + m01 u0' + c0 w, m10 u0 + m11 u0' + c1 w); the starts
 (1, 0, 0), (0, 1, 0) and (0, 0, 1) give phi, psi and the forced p from one
-scan.
+scan. That scan is ``affine_scan``, written for maps of a pair (x, y)
+with any number k of affine columns; ``series_core`` runs it with k = 2
+on the recurrence of the nested trapezoid rule.
 
 Both gates are relative, so that they hold for any scale of the problem.
 A shot diverges where its state leaves OVERFLOW_GUARD times its own scale:
@@ -110,6 +112,59 @@ def _rk4_step(u, v, w, h, an, am, an1, fn, fm, fn1):
             v + h * (k1v + 2.0 * k2v + 2.0 * k3v + k4v) / 6.0)
 
 
+def _rk4_maps(coeffs) -> np.ndarray:
+    """The affine maps of a block of RK4 steps, as the six rows
+    m00 m01 c0 m10 m11 c1 (``affine_scan``'s layout, k = 1)."""
+    maps = np.empty((6, len(coeffs[1])))
+    for col, (u, v, w) in enumerate(np.eye(3)):  # column = image of a unit start
+        maps[col], maps[3 + col] = _rk4_step(u, v, w, *coeffs)
+    return maps
+
+
+def _compose(maps: np.ndarray, width: int) -> None:
+    """Replace each column of ``maps`` (``affine_scan``'s rows, 2 + k =
+    ``width``) with the composition of its map and every map before it,
+    A_i o ... o A_0, in log2(steps) doubling passes. The passes write into
+    two buffers of the block's size, which are freed on return."""
+    steps = maps.shape[1]
+    composed, product = np.empty_like(maps), np.empty((width, steps))
+    d = 1
+    while d < steps:
+        later, earlier = maps[:, d:], maps[:, :-d]
+        new, prod = composed[:, :steps - d], product[:, :steps - d]
+        for row in (0, width):  # rows of M_i times [M | C]_{i-d}
+            np.multiply(later[row], earlier[:width], out=new[row:row + width])
+            new[row:row + width] += np.multiply(later[row + 1], earlier[width:], out=prod)
+            new[row + 2:row + width] += later[row + 2:row + width]  # + C_i
+        later[:] = new
+        d *= 2
+
+
+def affine_scan(blocks, starts: np.ndarray):
+    """States of a chain of affine maps of (x, y), from each start column.
+
+    Each item of ``blocks`` is the maps of a block of consecutive steps,
+    step i's map z_{i+1} = M_i z_i + C_i w written as the 2 (2 + k) rows
+    (m00 m01 c_1 .. c_k) and (m10 m11 c'_1 .. c'_k) of [M_i | C_i], one
+    column per step; the array is composed in place. ``starts`` is
+    (2 + k) x s: columns (x0, y0, w_1 .. w_k), w weighting the k affine
+    columns. Yields, per block, x and y after each of its steps, each an
+    s x len array, from the states the block before ended in (see the
+    module docstring for the scan).
+    """
+    width = len(starts)
+    carry = starts
+    for maps in blocks:
+        _compose(maps, width)
+        x = np.multiply.outer(carry[0], maps[0])
+        y = np.multiply.outer(carry[0], maps[width])
+        for j in range(1, width):
+            x += np.multiply.outer(carry[j], maps[j])
+            y += np.multiply.outer(carry[j], maps[width + j])
+        yield x, y
+        carry = np.array([x[:, -1], y[:, -1], *carry[2:]])
+
+
 def _shoot(a: SampledFn, f: SampledFn, starts: np.ndarray, a_eval, f_eval):
     """States of the RK4 scheme from each column of ``starts`` at the step ends.
 
@@ -149,7 +204,6 @@ def _shoot(a: SampledFn, f: SampledFn, starts: np.ndarray, a_eval, f_eval):
     u_out = np.empty((k, len(ends)))
     du_out = np.empty((k, len(ends)))
     u_out[:, 0], du_out[:, 0] = starts[0], starts[1]
-    carry = starts
     with np.errstate(all="ignore"):
         # sup|f| over the step ends (f[n] is one at odd n), then over the
         # midpoints, where np.maximum keeps a NaN from f_eval, which the
@@ -161,25 +215,8 @@ def _shoot(a: SampledFn, f: SampledFn, starts: np.ndarray, a_eval, f_eval):
                  + np.abs(starts[2]) * forcing * grid.x1 * grid.x1)
         u_limit = np.minimum(OVERFLOW_GUARD * scale, sys.float_info.max)[:, None]
         du_limit = np.minimum(OVERFLOW_GUARD * scale / grid.x1, sys.float_info.max)[:, None]
-        for lo, hi, coeffs in blocks:
-            maps = np.empty((6, hi - lo))  # rows m00 m01 c0 m10 m11 c1
-            for col, (u, v, w) in enumerate(np.eye(3)):  # column = image of a unit start
-                maps[col], maps[3 + col] = _rk4_step(u, v, w, *coeffs)
-            d = 1
-            while d < hi - lo:  # maps[:, i] becomes A_i o ... o A_0
-                later, earlier = maps[:, d:], maps[:, :-d]
-                top = later[0] * earlier[:3] + later[1] * earlier[3:]
-                bottom = later[3] * earlier[:3] + later[4] * earlier[3:]
-                top[2] += later[2]
-                bottom[2] += later[5]
-                later[:3], later[3:] = top, bottom
-                d *= 2
-            u = np.multiply.outer(carry[0], maps[0])
-            u += np.multiply.outer(carry[1], maps[1])
-            u += np.multiply.outer(carry[2], maps[2])
-            du = np.multiply.outer(carry[0], maps[3])
-            du += np.multiply.outer(carry[1], maps[4])
-            du += np.multiply.outer(carry[2], maps[5])
+        states = affine_scan((_rk4_maps(coeffs) for _, _, coeffs in blocks), starts)
+        for (lo, hi, _), (u, du) in zip(blocks, states):
             bad = ~((np.abs(u) <= u_limit) & (np.abs(du) <= du_limit)).all(axis=0)
             if bad.any():
                 node = ends[lo + 1 + int(np.argmax(bad))]
@@ -187,7 +224,6 @@ def _shoot(a: SampledFn, f: SampledFn, starts: np.ndarray, a_eval, f_eval):
                                f"its scale at x = {grid.nodes[node]}")
             u_out[:, lo + 1:hi + 1] = u
             du_out[:, lo + 1:hi + 1] = du
-            carry = np.array([u[:, -1], du[:, -1], carry[2]])
     return ends, u_out, du_out
 
 

@@ -34,6 +34,28 @@ trapezoid integrates the linear envelope sup|a w| (x1 - y) exactly, so
 ||B_h w|| <= q ||w|| holds node by node and the omitted terms sum to at most
 sum_{k>m} q^(k-m) ||t_m|| = q ||t_m|| / (1 - q).
 
+Each limit S (seed I1: x, I2: 1, F: g) is the fixed point
+S = B_h(a S) + seed, and with G the tail pass of a S, (S, G) follows an
+affine recurrence from node i to node i + 1:
+
+    S_{i+1} (1 + h^2 a_{i+1}/4) = S_i (1 - h^2 a_i/4) + h G_i + seed_{i+1} - seed_i
+    G_{i+1} = G_i - h (a_i S_i + a_{i+1} S_{i+1}) / 2
+
+from S_0 = seed_0, with G_0 fixed by G_n = 0. ``scan_or_sum``, which
+``solve`` and ``fundamental`` call, solves it in place of the sums where
+they are long (an a-priori count of SCAN_TERMS or more): one prefix scan
+of the steps' maps (``oracle.affine_scan``), whose 2 x 2 part the three
+series share, gives S from the starts (S_0, G_0) = (1, 0) and (0, 1) and
+from the affine columns of I1 and F; each series then adds the (0, 1)
+start times the G_0 that meets G_n = 0. Each scanned limit is certified by
+its defect d = S - B_h(a S) - seed, one pass of B_h: S lies within
+||d|| / (1 - q) of the fixed point, the Banach bound the sums read from
+their last term. The tail pass of that B_h is the derivative's integral,
+as for the sums. Where a bound misses tol or a value is not finite, the
+series are summed as ``fundamental_system`` sums them. ``verify`` and
+``fundamental_system`` always sum: verify's rounding floors are derived
+for summed terms.
+
 Everything here is a pure function of its inputs, none of which it changes;
 the three series may be summed concurrently.
 """
@@ -46,7 +68,9 @@ import numpy as np
 
 from ._record import Record
 from .errors import ContractionViolation, GridMismatch, InvalidDomain, MaxTermsExceeded
-from .grid import Grid, SampledFn, max_abs, nested_trapz, same_grid, tail_trapz
+from .grid import (Grid, SampledFn, max_abs, nested_trapz, prefix_trapz, same_grid,
+                   tail_trapz)
+from .oracle import SCAN_BLOCK, affine_scan
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_TERMS = 10_000
@@ -200,18 +224,21 @@ class SeriesSolution(Record):
     dI1, dI2, dF : SampledFn
         First derivatives; dI1(x1) = 1, dI2(x1) = 0, dF(x1) = 0 hold exactly.
     terms_used : dict
-        Term count per series, keyed "I1", "I2", "F".
+        Term count per series, keyed "I1", "I2", "F"; 0 for a scanned
+        solution (``scan_or_sum``).
     terms_apriori : dict
         The a-priori count per series, 2*||seed||*q^terms/(1-q) <= tol; an
         upper bound on ``terms_used``.
     tail_bound : dict
-        Certified truncation bound per series; each <= the requested tol.
+        Certified truncation bound per series, or for a scanned solution
+        its defect bound; each <= the requested tol.
     certificate : ContractionCertificate
     a, f, g : SampledFn
         The inputs and the computed forcing double integral.
     term_sups : dict
-        Sup norm of every summed term per series, seed first; feeds the
-        term_bound and sup_bound checks and the rounding floors of checks.
+        Sup norm of every summed term per series, seed first (for a
+        scanned solution the seed's alone); feeds the term_bound and
+        sup_bound checks and the rounding floors of checks.
     """
 
     __slots__ = ("I1", "I2", "F", "dI1", "dI2", "dF", "terms_used", "terms_apriori",
@@ -224,6 +251,23 @@ class SeriesSolution(Record):
     @property
     def i2_at_x1(self) -> float:
         return float(self.I2.values[-1])
+
+
+def _checked_g(a: SampledFn, f: SampledFn, cert: ContractionCertificate, tol) -> SampledFn:
+    """g (``compute_g``), after and between the input checks of
+    ``fundamental_system``, in its order."""
+    if not same_grid(a.grid, f.grid):
+        raise GridMismatch("a and f must share a grid")
+    g = compute_g(f)
+    if cert.x1 != a.grid.x1:
+        raise InvalidDomain(f"certificate is for x1 = {cert.x1}, grid ends at {a.grid.x1}")
+    if a.sup > cert.a_sup:
+        raise InvalidDomain(
+            f"certificate covers sup|a| = {cert.a_sup}, but the coefficient reaches {a.sup}"
+        )
+    if not (isinstance(tol, (int, float)) and math.isfinite(tol) and tol > 0):
+        raise InvalidDomain(f"tolerance must be positive and finite, got {tol!r}")
+    return g
 
 
 # Overflow in g or in the sums shows up as a non-finite value, which
@@ -261,18 +305,13 @@ def fundamental_system(a: SampledFn, f: SampledFn, cert: ContractionCertificate,
         If a series reaches ``max_terms`` terms before its measured tail
         bound meets tol (``_sum``).
     """
-    if not same_grid(a.grid, f.grid):
-        raise GridMismatch("a and f must share a grid")
+    return _summed(a, f, _checked_g(a, f, cert, tol), cert, tol, max_terms)
+
+
+def _summed(a: SampledFn, f: SampledFn, g: SampledFn, cert: ContractionCertificate,
+            tol: float, max_terms: int) -> SeriesSolution:
+    """``fundamental_system`` past its input checks and g."""
     grid, h = a.grid, a.grid.h
-    g = compute_g(f)
-    if cert.x1 != grid.x1:
-        raise InvalidDomain(f"certificate is for x1 = {cert.x1}, grid ends at {grid.x1}")
-    if a.sup > cert.a_sup:
-        raise InvalidDomain(
-            f"certificate covers sup|a| = {cert.a_sup}, but the coefficient reaches {a.sup}"
-        )
-    if not (isinstance(tol, (int, float)) and math.isfinite(tol) and tol > 0):
-        raise InvalidDomain(f"tolerance must be positive and finite, got {tol!r}")
     term, scratch = np.empty(grid.n + 1), np.empty(grid.n + 1)
     sums, terms_used, terms_apriori, tail_bound, term_sups = {}, {}, {}, {}, {}
     for name, seed in (("I1", grid.nodes), ("I2", 1.0), ("F", g.values)):
@@ -291,3 +330,100 @@ def fundamental_system(a: SampledFn, f: SampledFn, cert: ContractionCertificate,
         terms_used=terms_used, terms_apriori=terms_apriori, tail_bound=tail_bound,
         certificate=cert, a=a, f=f, g=g, term_sups=term_sups,
     )
+
+
+def _step_maps(a: np.ndarray, nodes: np.ndarray, g: np.ndarray, h: float) -> np.ndarray:
+    """The recurrence's steps from node i to node i + 1 (see the module
+    docstring), for the values of a and of the seeds x (I1's) and g (F's)
+    at nodes i to i + steps, as ``oracle.affine_scan``'s rows on (S, G):
+    (m00 m01 c_I1 c_F) and (m10 m11 c_I1' c_F'), one column per step."""
+    a_i, a_next = a[:-1], a[1:]
+    quarter, half = h * h / 4.0, h / 2.0
+    inv = 1.0 / (1.0 + quarter * a_next)
+    top = [(1.0 - quarter * a_i) * inv, h * inv, np.diff(nodes) * inv, np.diff(g) * inv]
+    # G_{i+1} = G_i - (h/2) (a_i S_i + a_{i+1} S_{i+1}), with S_{i+1} from the top row
+    return np.array([*top, -half * (a_i + a_next * top[0]), 1.0 - half * (a_next * top[1]),
+                     *(-half * (a_next * c) for c in top[2:])])
+
+
+def _scanned(a: SampledFn, f: SampledFn, g: SampledFn, cert: ContractionCertificate,
+             tol: float, seed_sups: dict, terms_apriori: dict) -> SeriesSolution | None:
+    """The three limits from one affine scan of their recurrence, each
+    certified by its fixed-point defect, and their derivatives (see the
+    module docstring); None where a certificate misses tol or a value is
+    not finite."""
+    grid, h, n = a.grid, a.grid.h, a.grid.n
+    # S from the starts (S_0, G_0) = (1, 0) and (0, 1), and from the affine
+    # columns of I1 and F, whose seeds are 0 at node 0
+    i2, homogeneous, i1, forced = rows = [np.empty(n + 1) for _ in range(4)]
+    i2[0], homogeneous[0], i1[0], forced[0] = 1.0, 0.0, 0.0, 0.0
+    blocks = range(0, n, SCAN_BLOCK)
+    maps = (_step_maps(*(values[lo:lo + SCAN_BLOCK + 1] for values in
+                         (a.values, grid.nodes, g.values)), h) for lo in blocks)
+    for lo, (x, y) in zip(blocks, affine_scan(maps, np.eye(4))):
+        for row, values in zip(rows, x):
+            row[lo + 1:lo + 1 + len(values)] = values
+    g_end = y[:, -1]  # G_n from each start
+    if not g_end[1]:
+        return None
+    sums = {"I1": i1, "I2": i2, "F": forced}
+    scratch = np.empty(n + 1)
+    # G_0 = -G_n / (G_n of the homogeneous start), so that G_n = 0
+    for values, end in zip(sums.values(), g_end[[2, 0, 3]]):
+        np.subtract(values, np.multiply(end / g_end[1], homogeneous, out=scratch), out=values)
+    # d = S - B_h(a S) - seed in the homogeneous start's buffer; the tail
+    # pass of B_h is the derivative's integral, as in _summed
+    defect, tails = homogeneous, {}
+    derivatives = {"dI1": scratch, "dI2": np.empty(n + 1), "dF": np.empty(n + 1)}
+    del rows, homogeneous
+    for (name, values), seed in zip(sums.items(), (grid.nodes, 1.0, g.values)):
+        tail = derivatives[f"d{name}"]
+        tail_trapz(np.multiply(a.values, values, out=defect), h, out=tail)
+        prefix_trapz(tail, h, out=defect)
+        np.subtract(np.subtract(values, defect, out=defect), seed, out=defect)
+        tails[name] = max_abs(defect) / (1.0 - cert.q)
+    if not all(tail <= tol for tail in tails.values()):
+        return None
+    np.add(1.0, derivatives["dI1"], out=derivatives["dI1"])
+    np.subtract(derivatives["dF"], tail_trapz(f.values, h, out=defect), out=derivatives["dF"])
+    del defect
+    try:
+        limits = {name: SampledFn(grid, values)
+                  for name, values in {**sums, **derivatives}.items()}
+    except InvalidDomain:
+        return None
+    return SeriesSolution(
+        **limits, terms_used=dict.fromkeys(sums, 0), terms_apriori=terms_apriori,
+        tail_bound=tails, certificate=cert, a=a, f=f, g=g,
+        term_sups={name: [sup] for name, sup in seed_sups.items()},
+    )
+
+
+# The largest a-priori count from which scan_or_sum scans. Measured with
+# four coefficients (1, cos 3x, sin(5x + 1) + 0.3, cos 9x) at n = 4096,
+# 16384 and 65536, best of 7: from a count of 58 on, every problem ran
+# 1.04-3.5 times faster scanned than summed; at 27-42, cos 9x, whose terms
+# shrink fastest, ran 0.84-0.98 times as fast.
+SCAN_TERMS = 60
+
+
+@np.errstate(over="ignore", invalid="ignore")  # as for fundamental_system
+def scan_or_sum(a: SampledFn, f: SampledFn, cert: ContractionCertificate,
+                tol: float = DEFAULT_TOL) -> SeriesSolution:
+    """``fundamental_system``'s limits, from one affine scan where the
+    largest a-priori count reaches SCAN_TERMS and every scanned limit's
+    defect certifies tol, and otherwise from ``fundamental_system`` with
+    its input checks, sums and refusals.
+
+    A scanned solution reports 0 terms used per series, its defect bounds
+    as ``tail_bound``, and the seed's sup as each series' one term sup.
+    """
+    g = _checked_g(a, f, cert, tol)
+    seed_sups = {"I1": a.grid.x1, "I2": 1.0, "F": g.sup}
+    terms_apriori = {name: _certified_terms(sup, cert.q, tol)[0]
+                     for name, sup in seed_sups.items()}
+    if max(terms_apriori.values()) >= SCAN_TERMS:
+        sol = _scanned(a, f, g, cert, tol, seed_sups, terms_apriori)
+        if sol is not None:
+            return sol
+    return _summed(a, f, g, cert, tol, DEFAULT_MAX_TERMS)

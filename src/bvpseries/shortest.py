@@ -49,11 +49,11 @@ scientific notation (decpt <= -4 or above 16). One boolean compress keeps
 the bytes repr would print.
 
 The per-exponent table (2,047 rows, from one 128-bit multiplier per
-decimal exponent) and the per-decpt table (681 rows) are built whole
-when this module is imported, as read-only constants, so rendering keeps
-no state. That takes 0.8 ms, and the import 1.8-2.0 ms after numpy
-(2-core Xeon, numpy 2.4.6); the command line imports this module only
-when it renders float columns.
+decimal exponent, ``_multipliers``) and the per-decpt table (681 rows)
+are built whole when this module is imported, as read-only constants, so
+rendering keeps no state. That takes about 0.5 ms, and the import about
+2 ms after numpy (2-core Xeon, numpy 2.4.6); the command line imports
+this module only when it renders float columns.
 """
 
 from __future__ import annotations
@@ -104,13 +104,30 @@ def _floor_log2_pow10(k):
     return (k * 1741647) >> 19
 
 
-def _power_of_ten(k):
-    """Dragonbox's 128-bit multiplier for 10**k: 10**k * 2**(127 - floor(log2
-    10**k)), rounded up, between 2**127 and 2**128."""
-    shift = 127 - _floor_log2_pow10(k)
-    if k < 0:
-        return -(-(1 << shift) // 10**-k)
-    return 10**k << shift if shift >= 0 else -(-(10**k) >> -shift)
+def _multipliers(k_min, k_max):
+    """Dragonbox's 128-bit multipliers for 10**k, k from k_min < 0 to
+    k_max >= 0: 10**k * 2**s, s = 127 - floor(log2 10**k), rounded up,
+    each between 2**127 and 2**128.
+
+    For k = -m < 0 that is 2**(s - m) / 5**m rounded up, which is
+    floor(2**(s - m) / 5**m) + 1, since 5**m divides no power of two. Every
+    s - m is at most the last one, t, so each floor is floor(2**t / 5**m),
+    from the one for m - 1 by one division by 5, shifted down by
+    t - (s - m): one division of a big integer by a small one per k, in
+    place of one by 10**m.
+    """
+    shifts = [127 - _floor_log2_pow10(k) for k in range(k_min, k_max + 1)]
+    top = shifts[0] + k_min  # s - m for m = -k_min, the largest
+    quotient, powers = 1 << top, []
+    for m in range(1, 1 - k_min):
+        quotient //= 5
+        powers.append((quotient >> (top - shifts[-k_min - m] + m)) + 1)
+    powers.reverse()
+    power = 1
+    for shift in shifts[-k_min:]:
+        powers.append(power << shift if shift >= 0 else -(-power >> -shift))
+        power *= 10
+    return powers
 
 
 def _exponent_rows():
@@ -127,7 +144,7 @@ def _exponent_rows():
     e10 = (e * 315653) >> 20  # floor(e log10 2)
     k = 2 - e10
     # one multiplier per decimal exponent k, 617 of them
-    powers = [_power_of_ten(j) for j in range(k.min(), k.max() + 1)]
+    powers = _multipliers(int(k.min()), int(k.max()))
     word = (1 << 64) - 1
     c_hi, c_lo = (np.array(col, dtype=np.uint64).take(k - k.min())
                   for col in ([c >> 64 for c in powers], [c & word for c in powers]))

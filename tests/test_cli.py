@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from bvpseries import cli, expr, grid
+from bvpseries.bvp import ProblemD, solve_problem_d
 from bvpseries.grid import MAX_INTERVALS
+from bvpseries.series_core import contraction_ratio, fundamental_system
 from test_grid import MALFORMED_TABLES
 
 
@@ -81,17 +83,28 @@ class TestSolve:
         payload = json.loads(target.read_text())
         assert payload["n"] == 16
 
-    def test_stops_at_measured_tail(self, capfd):
-        # q = 0.99: the a-priori count assumes every term shrinks by q, the
-        # measured terms shrink by about 0.8
-        code, out, _ = run_main(capfd, "solve", "--a", "1.98", "--f", "1",
-                                "--x1", "1", "--n", "1024")
+    def test_long_series_are_scanned(self, capfd):
+        # q = 0.99, a-priori counts of 2,750 and more: solve takes the
+        # scan, which sums no term, and reports its defect bounds as tails
+        args = ["--a", "1.98", "--f", "1", "--x1", "1", "--n", "1024"]
+        code, out, _ = run_main(capfd, "solve", *args)
         assert code == 0
         payload = json.loads(out)
+        assert payload["terms"] == {"I1": 0, "I2": 0, "F": 0}
         assert payload["terms_apriori"] == {"I1": 2819, "I2": 2819, "F": 2750}
-        assert all(t <= 130 for t in payload["terms"].values())
         assert all(t <= 1e-10 for t in payload["tails"].values())
-        assert list(payload)[:6] == ["x1", "n", "tol", "q", "terms", "terms_apriori"]
+        assert [c["value"] for c in payload["report"]["bound_checks"]][::2] == [0.0] * 3
+        config = cli.config_from_args(cli.build_parser().parse_args(["solve", *args]))
+        a, f = grid.sample_together((config.a_spec, config.f_spec), grid.make_grid(1.0, 1024))
+        summed = fundamental_system(a, f, contraction_ratio(a.sup, 1.0))
+        u = solve_problem_d(summed, ProblemD(0.0, 0.0)).u.values
+        assert np.max(np.abs(np.array(payload["u"]) - u)) <= 1e-11
+
+    def test_a_missed_scan_keeps_the_term_cap_refusal(self, capfd):
+        # the scan's defect bound misses tol 5e-324; the sums then stop at
+        # the cap, as verify's do
+        argv, _, code, message = _VERIFY_FAILURES["max_terms"]
+        assert run_main(capfd, "solve", *argv[1:]) == (code, "", message)
 
     def test_table_coefficient(self, tmp_path, capfd):
         table = tmp_path / "a.csv"
@@ -148,6 +161,18 @@ _VERIFY_FAILURES = {
 
 
 class TestVerify:
+    def test_stops_at_measured_tail(self, capfd):
+        # q = 0.99: the a-priori count assumes every term shrinks by q, the
+        # measured terms shrink by about 0.8
+        code, out, _ = run_main(capfd, "verify", "--a", "1.98", "--f", "1",
+                                "--x1", "1", "--n", "1024")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["terms_apriori"] == {"I1": 2819, "I2": 2819, "F": 2750}
+        assert all(t <= 130 for t in payload["terms"].values())
+        assert all(t <= 1e-10 for t in payload["tails"].values())
+        assert list(payload)[:6] == ["x1", "n", "tol", "q", "terms", "terms_apriori"]
+
     def test_fine_grid_passes(self):
         # the second difference at n = 65536 is dominated by rounding, which
         # the ode_residual limit must admit

@@ -13,8 +13,9 @@ Every case runs twice: in process through ``cli.main`` to file descriptor
 1, and as a ``python -m bvpseries ... --out FILE`` child whose file is
 compared. Where
 numpy links an OpenBLAS that picks its kernels by CPU at run time, all
-cases also run under the default kernels and under the oldest x86-64 ones
-(no FMA): no BLAS call may change a byte.
+cases, and a solve that the series scan serves, also run under the default
+kernels and under the oldest x86-64 ones (no FMA): no BLAS call may change
+a byte.
 """
 
 import json
@@ -113,13 +114,18 @@ print(json.dumps(codes))
 """
 
 
+# A solve at q = 0.99 that the scan serves (three blocks of steps); it has
+# no golden file, so each kernel's output is compared with this process's.
+_SCANNED = ["solve", "--a", "1.98*cos(3*x)", "--f", "exp(-x)", "--x1", "1", "--n", "9000"]
+
+
 @pytest.mark.skipif(not _openblas_dynamic_arch(),
                     reason="needs numpy on an x86-64 OpenBLAS DYNAMIC_ARCH build")
 @pytest.mark.parametrize("coretype", [None, "Prescott"])
-def test_goldens_do_not_depend_on_blas_kernels(coretype, tmp_path):
+def test_goldens_do_not_depend_on_blas_kernels(coretype, tmp_path, capfdbinary):
     names = sorted(CASES)
     cases = [([*CASES[name][0], "--out", str(tmp_path / name)], CASES[name][2])
-             for name in names]
+             for name in names] + [([*_SCANNED, "--out", str(tmp_path / "scanned")], {})]
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [str(REPO / "src"), path]))}
@@ -129,9 +135,13 @@ def test_goldens_do_not_depend_on_blas_kernels(coretype, tmp_path):
     r = subprocess.run([sys.executable, "-c", _ALL_CASES, json.dumps(cases)],
                        capture_output=True, text=True, env=env, timeout=120)
     assert r.returncode == 0, r.stderr
-    assert json.loads(r.stdout) == [CASES[name][1] for name in names]
+    assert json.loads(r.stdout) == [CASES[name][1] for name in names] + [0]
     for name in names:
         assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+    assert cli.main(_SCANNED) == 0
+    scanned = capfdbinary.readouterr().out
+    assert json.loads(scanned)["terms"] == {"I1": 0, "I2": 0, "F": 0}
+    assert (tmp_path / "scanned").read_bytes() == scanned
 
 
 @pytest.mark.parametrize("name", ["solve.json", "fundamental.csv", "verify_failed.csv"])

@@ -193,12 +193,24 @@ _DOCUMENTED_KIB_PER_NODE = {
 }
 
 
+_PROBLEM = ("--a", "sin(x)", "--f", "exp(-x)", "--x1", "0.9")
+# solve's long series, scanned: at q = 0.99 at n = 1024, while at 2**18
+# the scan's defect bound misses tol and the series are summed after it;
+# at q = 0.8 at both n
+_SCANNED = {"q0.99": ("--a", "1.98", "--f", "exp(-x)", "--x1", "1"),
+            "q0.8": ("--a", "1.6*cos(3*x)", "--f", "exp(-x)", "--x1", "1")}
+
+
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
-@pytest.mark.parametrize("command, output_format", list(_DOCUMENTED_KIB_PER_NODE))
-def test_peak_memory_stays_at_the_documented_figure(command, output_format):
+@pytest.mark.parametrize("command, output_format, problem", [
+    *(pytest.param(*key, _PROBLEM, id="-".join(key)) for key in _DOCUMENTED_KIB_PER_NODE),
+    *(pytest.param("solve", "json", problem, id=f"solve-json-{q}")
+      for q, problem in _SCANNED.items()),
+])
+def test_peak_memory_stays_at_the_documented_figure(command, output_format, problem):
     # the growth from n = 1024 to 2**18 leaves out the interpreter's own
-    peaks = [peak_kib([command, "--a", "sin(x)", "--f", "exp(-x)", "--x1", "0.9",
-                       "--n", str(n), "--format", output_format, "--out", os.devnull])
+    peaks = [peak_kib([command, *problem, "--n", str(n), "--format", output_format,
+                       "--out", os.devnull])
              for n in (1024, 2**18)]
     per_node = (peaks[1] - peaks[0]) / (2**18 - 1024)
     assert per_node <= 1.1 * _DOCUMENTED_KIB_PER_NODE[command, output_format], peaks

@@ -231,6 +231,23 @@ def test_rows_are_cut_into_equal_blocks_of_at_most_block_cells(width, size):
                                         for row in values.tolist()).encode()
 
 
+def _power_of_ten(k):
+    """Dragonbox's 128-bit multiplier for 10**k: 10**k * 2**(127 - floor(log2
+    10**k)), rounded up, between 2**127 and 2**128; the reference for
+    shortest._multipliers, by one division by 10**-k for k < 0."""
+    shift = 127 - shortest._floor_log2_pow10(k)
+    if k < 0:
+        return -(-(1 << shift) // 10**-k)
+    return 10**k << shift if shift >= 0 else -(-(10**k) >> -shift)
+
+
+@pytest.mark.parametrize("k_min, k_max", [(-290, 326), (-1, 0), (-3, 40), (-400, 1)])
+def test_multipliers_match_the_division_by_a_power_of_ten(k_min, k_max):
+    expected = [_power_of_ten(k) for k in range(k_min, k_max + 1)]
+    assert shortest._multipliers(k_min, k_max) == expected
+    assert all(c.bit_length() == 128 for c in expected)
+
+
 def test_exponent_rows_follow_the_scalar_formula():
     # per biased exponent field: Dragonbox's 128-bit multiplier c for 10**k
     # as two words, beta, delta = c >> (127 - beta), and the decimal point
@@ -239,7 +256,7 @@ def test_exponent_rows_follow_the_scalar_formula():
         e = max(ie, 1) - 1075
         e10 = (e * 315653) >> 20
         k = 2 - e10
-        c = shortest._power_of_ten(k)
+        c = _power_of_ten(k)
         beta = e + shortest._floor_log2_pow10(k)
         assert 6 <= beta <= 9, ie
         expected = (c >> 64, c & word, beta, c >> (127 - beta), e10 + 17 + shortest._DECPT)
