@@ -19,7 +19,10 @@ so failures show how far off the measurement was. Three limit regimes appear:
 Each measurement is taken here, beside its limit: the Wronskian's deviation
 (``wronskian_check``) and u's residual and fixed-point defect
 (``residual_report``), which ``bvp.solve_problem_d`` reports, as well as
-those of the series. ``overflowing`` names the checks whose limit
+those of the series. u's defect is taken by ``grid.fixed_point_defect``,
+the one defect pass, which also certifies the scanned limits; the
+derivatives checked here come from the identities in series_core's
+docstring. ``overflowing`` names the checks whose limit
 overflows, and ``overflowing_at_every_tol`` those that overflow at every
 tol.
 """
@@ -33,7 +36,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ._record import Record
-from .grid import SampledFn, max_abs, nested_trapz, sup_norm
+from .grid import SampledFn, fixed_point_defect, max_abs, sup_norm
 from .series_core import SeriesSolution
 
 if TYPE_CHECKING:  # bvp imports this module
@@ -227,7 +230,7 @@ def _slope_rounding_floor(sol: SeriesSolution, name: str) -> float:
       partial sums 0.5, the product a t_{k-1} r: 1 + 6.5r <= 4.25 < 7;
     * each addition total += t_k: at most u |S_k| <= u sum_{j<=k} s_j per
       node, so that over h;
-    * in the derivative identity (series_core.fundamental_system), the tail
+    * in the derivative identity (series_core's docstring), the tail
       pass of a S: u x1^2 sup|a| sum_k s_k / h;
     * for F, the pass of B that builds the seed g from f and the tail pass
       of f in the derivative identity: (7 + 1) u x1^2 sup|f| / h.
@@ -276,11 +279,9 @@ def residual_report(u: SampledFn, a: SampledFn, f: SampledFn,
         ``fixed_point_rounding`` bounds.
     """
     grid = u.grid
-    # the defect u - Bu - g - c1*x - c2, in the buffer of a*u
-    defect, scratch = np.multiply(a.values, u.values), np.empty(grid.n + 1)
-    nested_trapz(defect, grid.h, out=defect, scratch=scratch)
-    np.subtract(u.values, defect, out=defect)
-    np.subtract(defect, g.values, out=defect)
+    # the defect u - Bu - g, then minus c1*x (in the tail pass's buffer) and c2
+    scratch = np.empty(grid.n + 1)
+    defect = fixed_point_defect(u.values, a.values, g.values, grid.h, scratch=scratch)
     np.subtract(defect, np.multiply(c1, grid.nodes, out=scratch), out=defect)
     np.subtract(defect, c2, out=defect)
     fixedpoint_err = max_abs(defect)

@@ -9,11 +9,15 @@ various quadrature compositions stay mutually consistent.
 The operator B of the fixed-point form (``series_core``),
 (Bw)(x) = int_0^x int_y^{x1} w(t) dt dy, is on the grid the nested
 trapezoid rule B_h, ``nested_trapz``: a tail pass G_i = int_{x_i}^{x1} w
-(``tail_trapz``), which the derivatives of the series limits share, then a
-prefix pass (B_h w)_i = int_0^{x_i} G (``prefix_trapz``); O(n) in all. Its
-O(n^2) quadrature reference is tests/b_reference.py. Every series term, g,
-the defect that certifies a scanned limit (``series_core.scan_or_sum``)
-and the fixed-point defect of ``checks.residual_report`` is one such pass.
+(``tail_trapz``), then a prefix pass (B_h w)_i = int_0^{x_i} G
+(``prefix_trapz``); O(n) in all. Its O(n^2) quadrature reference is
+tests/b_reference.py. Every series term and g is one such pass, and so is
+``fixed_point_defect``, the one pass that forms a defect
+d = S - B_h(a S) - seed: the certificate of a scanned limit
+(``series_core.scan_or_sum``) and u's fixed-point defect
+(``checks.residual_report``). Its tail pass int_x^{x1} a S is what the
+derivative identities of the series limits (series_core's docstring) add
+to.
 
 Norms are computed as node maxima. That is the correct supremum for the
 piecewise-linear representatives used here; it under-estimates the essential
@@ -324,3 +328,18 @@ def nested_trapz(w: np.ndarray, h: float, out: np.ndarray | None = None,
     operations, and so its bits, are the same either way.
     """
     return prefix_trapz(tail_trapz(w, h, out=scratch), h, out=out)
+
+
+def fixed_point_defect(S: np.ndarray, a: np.ndarray, seed, h: float, out: np.ndarray | None = None,
+                       scratch: np.ndarray | None = None) -> np.ndarray:
+    """d = S - B_h(a S) - seed, the defect of S in the fixed-point form
+    S = B_h(a S) + seed (``seed`` an array or a scalar).
+
+    The one pass of B_h is ``nested_trapz`` on a S, with its tail pass
+    int_x^{x1} a S left in ``scratch`` and d written into ``out`` when they
+    are given; its operations, and so its bits, are the same either way.
+    ``S``, ``a`` and ``seed`` are only read.
+    """
+    defect = np.multiply(a, S, out=out)
+    nested_trapz(defect, h, out=defect, scratch=scratch)
+    return np.subtract(np.subtract(S, defect, out=defect), seed, out=defect)

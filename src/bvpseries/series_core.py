@@ -34,9 +34,18 @@ trapezoid integrates the linear envelope sup|a w| (x1 - y) exactly, so
 ||B_h w|| <= q ||w|| holds node by node and the omitted terms sum to at most
 sum_{k>m} q^(k-m) ||t_m|| = q ||t_m|| / (1 - q).
 
-Each limit S (seed I1: x, I2: 1, F: g) is the fixed point
-S = B_h(a S) + seed, and with G the tail pass of a S, (S, G) follows an
-affine recurrence from node i to node i + 1:
+Each limit S (seed I1: x, I2: 1, F: g; ``_seeds`` lists them once) is the
+fixed point S = B_h(a S) + seed. Its derivative comes from the integral
+form, with T_S = int_x^{x1} a S the tail pass of B_h(a S) (grid.tail_trapz):
+
+    I1' = 1 + T_I1,    I2' = T_I2,    F' = T_F - int_x^{x1} f.
+
+Each tail integral is 0.0 at x1, so I1'(x1) = 1, I2'(x1) = 0 and
+F'(x1) = 0 hold exactly. ``_solution`` forms the three derivatives and the
+SeriesSolution, for the sums and the scan alike.
+
+With G = T_S, (S, G) follows an affine recurrence from node i to node
+i + 1:
 
     S_{i+1} (1 + h^2 a_{i+1}/4) = S_i (1 - h^2 a_i/4) + h G_i + seed_{i+1} - seed_i
     G_{i+1} = G_i - h (a_i S_i + a_{i+1} S_{i+1}) / 2
@@ -48,11 +57,13 @@ of the steps' maps (``oracle.affine_scan``), whose 2 x 2 part the three
 series share, gives S from the starts (S_0, G_0) = (1, 0) and (0, 1) and
 from the affine columns of I1 and F; each series then adds the (0, 1)
 start times the G_0 that meets G_n = 0. Each scanned limit is certified by
-its defect d = S - B_h(a S) - seed, one pass of B_h: S lies within
-||d|| / (1 - q) of the fixed point, the Banach bound the sums read from
-their last term. The tail pass of that B_h is the derivative's integral,
-as for the sums. Where a bound misses tol or a value is not finite, the
-series are summed as ``fundamental_system`` sums them. ``verify`` and
+its defect d = S - B_h(a S) - seed, one pass of B_h in
+``grid.fixed_point_defect``, the one defect pass, which
+``checks.residual_report`` runs for u too: S lies within ||d|| / (1 - q) of
+the fixed point, the Banach bound the sums read from their last term. The
+tail pass of that B_h is T_S; the sums take T_S by a tail pass of their
+own. Where a bound misses tol or a value is not finite, the series are
+summed as ``fundamental_system`` sums them. ``verify`` and
 ``fundamental_system`` always sum: verify's rounding floors are derived
 for summed terms.
 
@@ -68,7 +79,7 @@ import numpy as np
 
 from ._record import Record
 from .errors import ContractionViolation, GridMismatch, InvalidDomain, MaxTermsExceeded
-from .grid import (Grid, SampledFn, max_abs, nested_trapz, prefix_trapz, same_grid,
+from .grid import (Grid, SampledFn, fixed_point_defect, max_abs, nested_trapz, same_grid,
                    tail_trapz)
 from .oracle import SCAN_BLOCK, affine_scan
 
@@ -279,14 +290,8 @@ def fundamental_system(a: SampledFn, f: SampledFn, cert: ContractionCertificate,
                        max_terms: int = DEFAULT_MAX_TERMS) -> SeriesSolution:
     """Sum all three series and their derivatives into a SeriesSolution.
 
-    The derivatives come from the integral forms of the limits,
-
-        I1'(x) = 1 + int_x^{x1} a*I1,
-        I2'(x) =     int_x^{x1} a*I2,
-        F'(x)  = -int_x^{x1} f + int_x^{x1} a*F,
-
-    each tail integral the inner pass of B_h (grid.tail_trapz), which is 0.0
-    at x1: I1'(x1) = 1, I2'(x1) = 0, F'(x1) = 0 hold exactly.
+    The derivatives come from the integral forms of the limits (see the
+    module docstring), each tail integral the inner pass of B_h.
 
     The seeds are written, one after another, into one term buffer, which
     with one scratch buffer serves every sum and then the derivatives (the
@@ -314,21 +319,46 @@ def _summed(a: SampledFn, f: SampledFn, g: SampledFn, cert: ContractionCertifica
     grid, h = a.grid, a.grid.h
     term, scratch = np.empty(grid.n + 1), np.empty(grid.n + 1)
     sums, terms_used, terms_apriori, tail_bound, term_sups = {}, {}, {}, {}, {}
-    for name, seed in (("I1", grid.nodes), ("I2", 1.0), ("F", g.values)):
+    for name, seed in _seeds(grid, g).items():
         np.copyto(term, seed)
         (sums[name], terms_used[name], terms_apriori[name], tail_bound[name],
          term_sups[name]) = _sum(term, scratch, a, cert, tol, max_terms)
-    dI1 = np.add(1.0, tail_trapz(np.multiply(a.values, sums["I1"], out=term), h, out=scratch),
-                 out=scratch)
-    dI2 = tail_trapz(np.multiply(a.values, sums["I2"], out=term), h)
-    dF = tail_trapz(np.multiply(a.values, sums["F"], out=term), h)
-    np.subtract(dF, tail_trapz(f.values, h, out=term), out=dF)
+    # the tail integrals of a S: I1's in the scratch buffer, I2's and F's fresh
+    tails = {name: tail_trapz(np.multiply(a.values, sums[name], out=term), h, out=out)
+             for name, out in zip(sums, (scratch, None, None))}
+    return _solution(a, f, g, cert, sums, tails, term, terms_used=terms_used,
+                     terms_apriori=terms_apriori, tail_bound=tail_bound, term_sups=term_sups)
+
+
+def _seeds(grid: Grid, g: SampledFn) -> dict:
+    """Each series' seed, the array or scalar its terms and its defect
+    start from: x for I1, 1 for I2 and g for F."""
+    return {"I1": grid.nodes, "I2": 1.0, "F": g.values}
+
+
+def _solution(a: SampledFn, f: SampledFn, g: SampledFn, cert: ContractionCertificate,
+              limits: dict, tails: dict, spare: np.ndarray, **counts) -> SeriesSolution:
+    """The SeriesSolution of the ``limits`` and of their derivatives, into
+    which their tail integrals int_x^{x1} a S, ``tails``, are turned in
+    place by the derivative identities (see the module docstring); the
+    tail integral of f is written into ``spare``. ``counts`` are the
+    solution's terms_used, terms_apriori, tail_bound and term_sups.
+
+    Raises
+    ------
+    InvalidDomain
+        If a value is not finite; for dF, which can overflow where F is
+        finite, with a message that names it.
+    """
+    grid = a.grid
+    np.add(1.0, tails["I1"], out=tails["I1"])
+    np.subtract(tails["F"], tail_trapz(f.values, grid.h, out=spare), out=tails["F"])
     return SeriesSolution(
-        **{name: SampledFn(grid, values) for name, values in sums.items()},
-        dI1=SampledFn(grid, dI1), dI2=SampledFn(grid, dI2),
-        dF=_finite(grid, dF, "the forced series' derivative dF overflowed, although F is finite"),
-        terms_used=terms_used, terms_apriori=terms_apriori, tail_bound=tail_bound,
-        certificate=cert, a=a, f=f, g=g, term_sups=term_sups,
+        **{name: SampledFn(grid, values) for name, values in limits.items()},
+        dI1=SampledFn(grid, tails["I1"]), dI2=SampledFn(grid, tails["I2"]),
+        dF=_finite(grid, tails["F"], "the forced series' derivative dF overflowed, although "
+                   "F is finite"),
+        certificate=cert, a=a, f=f, g=g, **counts,
     )
 
 
@@ -353,13 +383,14 @@ def _scanned(a: SampledFn, f: SampledFn, g: SampledFn, cert: ContractionCertific
     module docstring); None where a certificate misses tol or a value is
     not finite."""
     grid, h, n = a.grid, a.grid.h, a.grid.n
+    seeds = _seeds(grid, g)
     # S from the starts (S_0, G_0) = (1, 0) and (0, 1), and from the affine
     # columns of I1 and F, whose seeds are 0 at node 0
     i2, homogeneous, i1, forced = rows = [np.empty(n + 1) for _ in range(4)]
     i2[0], homogeneous[0], i1[0], forced[0] = 1.0, 0.0, 0.0, 0.0
     blocks = range(0, n, SCAN_BLOCK)
     maps = (_step_maps(*(values[lo:lo + SCAN_BLOCK + 1] for values in
-                         (a.values, grid.nodes, g.values)), h) for lo in blocks)
+                         (a.values, seeds["I1"], seeds["F"])), h) for lo in blocks)
     for lo, (x, y) in zip(blocks, affine_scan(maps, np.eye(4))):
         for row, values in zip(rows, x):
             row[lo + 1:lo + 1 + len(values)] = values
@@ -367,36 +398,24 @@ def _scanned(a: SampledFn, f: SampledFn, g: SampledFn, cert: ContractionCertific
     if not g_end[1]:
         return None
     sums = {"I1": i1, "I2": i2, "F": forced}
-    scratch = np.empty(n + 1)
-    # G_0 = -G_n / (G_n of the homogeneous start), so that G_n = 0
+    tails = {name: np.empty(n + 1) for name in sums}
+    # G_0 = -G_n / (G_n of the homogeneous start), so that G_n = 0, with
+    # I1's tail buffer as scratch
     for values, end in zip(sums.values(), g_end[[2, 0, 3]]):
-        np.subtract(values, np.multiply(end / g_end[1], homogeneous, out=scratch), out=values)
-    # d = S - B_h(a S) - seed in the homogeneous start's buffer; the tail
-    # pass of B_h is the derivative's integral, as in _summed
-    defect, tails = homogeneous, {}
-    derivatives = {"dI1": scratch, "dI2": np.empty(n + 1), "dF": np.empty(n + 1)}
-    del rows, homogeneous
-    for (name, values), seed in zip(sums.items(), (grid.nodes, 1.0, g.values)):
-        tail = derivatives[f"d{name}"]
-        tail_trapz(np.multiply(a.values, values, out=defect), h, out=tail)
-        prefix_trapz(tail, h, out=defect)
-        np.subtract(np.subtract(values, defect, out=defect), seed, out=defect)
-        tails[name] = max_abs(defect) / (1.0 - cert.q)
-    if not all(tail <= tol for tail in tails.values()):
+        np.subtract(values, np.multiply(end / g_end[1], homogeneous, out=tails["I1"]), out=values)
+    # each defect in the homogeneous start's buffer, and each tail pass,
+    # the derivative's integral, in its own buffer
+    bounds = {name: max_abs(fixed_point_defect(values, a.values, seeds[name], h,
+                                               out=homogeneous, scratch=tails[name]))
+              / (1.0 - cert.q) for name, values in sums.items()}
+    if not all(bound <= tol for bound in bounds.values()):
         return None
-    np.add(1.0, derivatives["dI1"], out=derivatives["dI1"])
-    np.subtract(derivatives["dF"], tail_trapz(f.values, h, out=defect), out=derivatives["dF"])
-    del defect
     try:
-        limits = {name: SampledFn(grid, values)
-                  for name, values in {**sums, **derivatives}.items()}
+        return _solution(a, f, g, cert, sums, tails, homogeneous, tail_bound=bounds,
+                         terms_used=dict.fromkeys(sums, 0), terms_apriori=terms_apriori,
+                         term_sups={name: [sup] for name, sup in seed_sups.items()})
     except InvalidDomain:
         return None
-    return SeriesSolution(
-        **limits, terms_used=dict.fromkeys(sums, 0), terms_apriori=terms_apriori,
-        tail_bound=tails, certificate=cert, a=a, f=f, g=g,
-        term_sups={name: [sup] for name, sup in seed_sups.items()},
-    )
 
 
 # The largest a-priori count from which scan_or_sum scans. Measured with
@@ -419,7 +438,7 @@ def scan_or_sum(a: SampledFn, f: SampledFn, cert: ContractionCertificate,
     as ``tail_bound``, and the seed's sup as each series' one term sup.
     """
     g = _checked_g(a, f, cert, tol)
-    seed_sups = {"I1": a.grid.x1, "I2": 1.0, "F": g.sup}
+    seed_sups = {name: max_abs(np.asarray(seed)) for name, seed in _seeds(a.grid, g).items()}
     terms_apriori = {name: _certified_terms(sup, cert.q, tol)[0]
                      for name, sup in seed_sups.items()}
     if max(terms_apriori.values()) >= SCAN_TERMS:

@@ -7,7 +7,8 @@ import pytest
 
 from bvpseries import series_core
 from bvpseries.errors import MaxTermsExceeded
-from bvpseries.grid import CoefficientSpec, make_grid, max_abs, nested_trapz, sample_together
+from bvpseries.grid import (CoefficientSpec, fixed_point_defect, make_grid, max_abs, nested_trapz,
+                            sample_together)
 from bvpseries.series_core import contraction_ratio, fundamental_system, scan_or_sum
 
 UNIT_ROUNDOFF = 2.0**-53
@@ -128,6 +129,50 @@ def test_a_scan_that_is_not_finite_falls_back_to_the_sums(monkeypatch):
     monkeypatch.setattr(series_core, "_step_maps", broken)
     sol = scan_or_sum(a, f, cert)
     assert sol.terms_used["I1"] > 0
+    assert _same(sol, fundamental_system(a, f, cert))
+
+
+def test_a_scan_whose_homogeneous_start_misses_g_n_falls_back_to_the_sums(monkeypatch):
+    # with the G row of every block's last step zeroed, G_n is 0 from every
+    # start, so no G_0 meets G_n = 0: the scan returns before its defects
+    step_maps = series_core._step_maps
+    defects = []
+
+    def broken(*args):
+        maps = step_maps(*args)
+        maps[4:, -1] = 0.0
+        return maps
+
+    def counted(*args, **kwargs):
+        defects.append(args)
+        return fixed_point_defect(*args, **kwargs)
+
+    a, f, cert = _problem("cos(3*x)", "exp(-x)", 0.99, 1024)
+    monkeypatch.setattr(series_core, "_step_maps", broken)
+    monkeypatch.setattr(series_core, "fixed_point_defect", counted)
+    sol = scan_or_sum(a, f, cert)
+    assert not defects
+    assert sol.terms_used["I1"] > 0
+    assert _same(sol, fundamental_system(a, f, cert))
+
+
+def test_a_certified_scan_whose_dF_overflows_falls_back_to_the_sums(monkeypatch):
+    # F's tail pass, the third, made infinite after its defect: every
+    # certificate holds, dF is refused, and the scan gives way to the sums
+    defects = []
+
+    def overflowing(*args, scratch, **kwargs):
+        defect = fixed_point_defect(*args, scratch=scratch, **kwargs)
+        defects.append(args)
+        if len(defects) == 3:
+            scratch[0] = np.inf
+        return defect
+
+    a, f, cert = _problem("cos(3*x)", "exp(-x)", 0.99, 1024)
+    monkeypatch.setattr(series_core, "fixed_point_defect", overflowing)
+    sol = scan_or_sum(a, f, cert)
+    assert len(defects) == 3
+    assert sol.terms_used["F"] > 0
     assert _same(sol, fundamental_system(a, f, cert))
 
 
